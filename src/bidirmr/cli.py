@@ -33,7 +33,9 @@ from .focusing import (
 )
 from .gwasio import (
     SCHEMA_VERSION,
+    ColumnTable,
     HarmonizeMode,
+    MaskedColumn,
     ReportFormat,
     emit_report,
     harmonize,
@@ -163,6 +165,8 @@ def _resolve_seed(args) -> int:
         seed = secrets.randbits(32)
         print(f"seed: {seed}", file=sys.stderr)
         return seed
+    if args.seed < 0:
+        raise InputError(f"--seed must be nonnegative, got {args.seed}")
     return args.seed
 
 
@@ -272,6 +276,12 @@ def _run_estimator(panel, direction, cfg, name, rng, n_boot):
     return _benchmark_row(report, cfg.alpha, None)
 
 
+def _ratio_column(numerator, denominator) -> MaskedColumn:
+    zero = denominator == 0.0
+    ratio = np.divide(numerator, denominator, out=np.zeros_like(numerator), where=~zero)
+    return MaskedColumn(ratio, zero)
+
+
 def _emit_snp_table(path, panel, cfg):
     tau_s = cfg.resolve_tau_s(len(panel))
     f_dy = focused_mask(panel, Direction.D_TO_Y, cfg)
@@ -282,46 +292,37 @@ def _emit_snp_table(path, panel, cfg):
         "id", "beta_d", "se_d", "beta_y", "se_y",
         "relevant_dy", "relevant_yd", "focused_dy", "focused_yd", "ratio_dy", "ratio_yd",
     ]
-    rows = []
-    for j, snp_id in enumerate(panel.ids):
-        ratio_dy = panel.beta_y[j] / panel.beta_d[j] if panel.beta_d[j] != 0.0 else None
-        ratio_yd = panel.beta_d[j] / panel.beta_y[j] if panel.beta_y[j] != 0.0 else None
-        rows.append(
-            [
-                snp_id,
-                float(panel.beta_d[j]), float(panel.se_d[j]),
-                float(panel.beta_y[j]), float(panel.se_y[j]),
-                bool(r_dy[j]), bool(r_yd[j]), bool(f_dy[j]), bool(f_yd[j]),
-                ratio_dy, ratio_yd,
-            ]
-        )
-    write_tsv_rows(path, columns, rows)
+    table = ColumnTable([
+        panel.ids, panel.beta_d, panel.se_d, panel.beta_y, panel.se_y,
+        r_dy, r_yd, f_dy, f_yd,
+        _ratio_column(panel.beta_y, panel.beta_d), _ratio_column(panel.beta_d, panel.beta_y),
+    ])
+    write_tsv_rows(path, columns, table)
 
 
-def _emit_density_table(path, rows_by_direction):
+def _emit_density_table(path, panel, rows_by_direction):
+    # Per-SNP IVW pieces for density plots of the normalized contributions;
+    # a direction whose weights sum to zero gets empty shares.
     columns = ["direction", "id", "ratio", "weight", "contribution"]
-    rows = []
+    names, ids, ratios, shares, missing = [], [], [np.empty(0)], [np.empty(0)], [np.empty(0, bool)]
     for direction, row in rows_by_direction:
-        ids = row["selected_ids"]
-        weights = row["_density_weights"]
-        ratios = row["_density_ratios"]
-        total = sum(weights)
-        for snp_id, weight, ratio in zip(ids, weights, ratios):
-            share = weight / total if total > 0 else None
-            contribution = share * ratio if share is not None else None
-            rows.append([direction, snp_id, ratio, share, contribution])
-    write_tsv_rows(path, columns, rows)
-
-
-def _attach_density(panel, direction, row):
-    # Per-SNP IVW pieces for density plots of the normalized contributions.
-    idx = panel.indices_of(row["selected_ids"])
-    if direction is Direction.D_TO_Y:
-        eb, ob, os_ = panel.beta_d[idx], panel.beta_y[idx], panel.se_y[idx]
-    else:
-        eb, ob, os_ = panel.beta_y[idx], panel.beta_d[idx], panel.se_d[idx]
-    row["_density_weights"] = ((eb / os_) ** 2).tolist()
-    row["_density_ratios"] = (ob / eb).tolist()
+        idx = panel.indices_of(row["selected_ids"])
+        if direction is Direction.D_TO_Y:
+            eb, ob, os_ = panel.beta_d[idx], panel.beta_y[idx], panel.se_y[idx]
+        else:
+            eb, ob, os_ = panel.beta_y[idx], panel.beta_d[idx], panel.se_d[idx]
+        weights = (eb / os_) ** 2
+        total = sum(weights.tolist())  # summed left to right, not pairwise
+        names += [direction.value] * len(idx)
+        ids += row["selected_ids"]
+        ratios.append(ob / eb)
+        shares.append(weights / total if total > 0 else weights)
+        missing.append(np.full(len(idx), not total > 0))
+    ratio, share, missing = (np.concatenate(parts) for parts in (ratios, shares, missing))
+    table = ColumnTable([
+        names, ids, ratio, MaskedColumn(share, missing), MaskedColumn(share * ratio, missing),
+    ])
+    write_tsv_rows(path, columns, table)
 
 
 def _cmd_test(args) -> int:
@@ -365,14 +366,8 @@ def _cmd_test(args) -> int:
         density_directions = directions
 
     if run.emit_density is not None:
-        pairs = []
-        for direction, row in zip(density_directions, rows):
-            if row["selected_ids"]:
-                _attach_density(panel, direction, row)
-                pairs.append((direction.value, row))
-        _emit_density_table(run.emit_density, pairs)
-        for _, row in pairs:
-            del row["_density_weights"], row["_density_ratios"]
+        pairs = [(d, row) for d, row in zip(density_directions, rows) if row["selected_ids"]]
+        _emit_density_table(run.emit_density, panel, pairs)
     if run.emit_snps is not None:
         _emit_snp_table(run.emit_snps, panel, cfg)
 

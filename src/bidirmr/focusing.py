@@ -127,7 +127,7 @@ class Panel:
     def from_arrays(cls, ids, beta_d, se_d, beta_y, se_y) -> "Panel":
         panel = cls.__new__(cls)
         panel._init_from_arrays(
-            tuple(str(i) for i in ids),
+            tuple(map(str, ids)),
             np.array(beta_d, dtype=float),
             np.array(se_d, dtype=float),
             np.array(beta_y, dtype=float),
@@ -146,9 +146,9 @@ class Panel:
                 raise InputError(f"{name} must be finite")
         if not (np.all(se_d > 0.0) and np.all(se_y > 0.0)):
             raise InputError("standard errors must be positive")
-        if any(not i for i in ids):
+        if not all(ids):
             raise InputError("SNP ids must be nonempty")
-        index = {snp_id: j for j, snp_id in enumerate(ids)}
+        index = dict(zip(ids, range(p)))
         if len(index) != p:
             raise InputError("SNP ids must be unique within a panel")
         for arr in (beta_d, se_d, beta_y, se_y):
@@ -210,6 +210,10 @@ class FocusConfig:
             raise InputError(f"tau_f must be positive, got {self.tau_f!r}")
         if not self.tau_s >= 0.0:
             raise InputError(f"tau_s must be nonnegative, got {self.tau_s!r}")
+        if self.tau_s != 0.0 and self.tau_s_rule is not TauSRule.EXPLICIT:
+            raise InputError(
+                f"tau_s={self.tau_s!r} needs tau_s_rule=EXPLICIT; any other rule ignores it"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 

@@ -96,6 +96,26 @@ class TestTestCommand:
         )
         assert code == 2
 
+    def test_negative_seed_is_input_error(self, capsys):
+        code = main(["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--seed", "-1"])
+        assert code == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(Path(EXPOSURE).read_bytes() + b"rs9\t0.1\xfe\t0.05\tA\tG\n")
+        code = main(["test", "--exposure", str(bad), "--outcome", OUTCOME, "--seed", "1"])
+        assert code == 2
+        assert f"{bad}:52: not UTF-8 text" in capsys.readouterr().err
+
+    def test_col_map_onto_existing_column_is_input_error(self, capsys):
+        code = main(
+            ["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--seed", "1",
+             "--col-map", "effect_allele=beta"]
+        )
+        assert code == 2
+        assert "columns ['beta'] appear more than once" in capsys.readouterr().err
+
     def test_generated_seed_printed_when_absent(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main(["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--out", str(out)])
@@ -188,6 +208,10 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert json.loads(out.read_text())["params"]["p"] == 12
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["simulate", "--synthetic", "40", "--reps", "2", "--seed", "-1"]) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
 
     def test_unknown_method_is_input_error(self, tmp_path):
         code = main(
