@@ -10,13 +10,13 @@ than the nominal rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import EmptyRelevantSetError, RankDeficientError, ZeroDenominatorError
-from .focusing import Direction, Panel, bootstrap_median_sd, relevant_set
+from .focusing import Direction, Panel, _roles, bootstrap_median_sd, relevant_mask
 from .truncnorm import std_sf
 
 __all__ = [
@@ -41,7 +41,9 @@ class BenchmarkReport:
     ``intercept``/``intercept_se`` are populated by MR-Egger only. The
     MR-Median ``se`` comes from a SNP bootstrap of the plain (unweighted)
     median; the Egger ``se`` is the classical weighted-least-squares one
-    that treats the weights as exact inverse variances.
+    that treats the weights as exact inverse variances. ``selected`` is the
+    relevance-screened set as a read-only boolean mask over the panel
+    (``Panel.ids_at`` gives its ids); it takes no part in ``==``.
     """
 
     method: BenchmarkMethod
@@ -53,17 +55,16 @@ class BenchmarkReport:
     p_value: float
     intercept: float | None
     intercept_se: float | None
-    relevant_ids: tuple[str, ...]
+    selected: np.ndarray = field(compare=False, repr=False)
 
 
 def _relevant_arrays(panel: Panel, direction: Direction, tau_s: float):
-    ids = relevant_set(panel, direction, tau_s)
-    if not ids:
+    """(mask, exposure_beta, exposure_se, outcome_beta, outcome_se) of the relevant set."""
+    mask = relevant_mask(panel, direction, tau_s)
+    if not mask.any():
         raise EmptyRelevantSetError(f"no SNP passes the relevance threshold tau_s={tau_s}")
-    idx = panel.indices_of(ids)
-    if direction is Direction.D_TO_Y:
-        return ids, panel.beta_d[idx], panel.se_d[idx], panel.beta_y[idx], panel.se_y[idx]
-    return ids, panel.beta_y[idx], panel.se_y[idx], panel.beta_d[idx], panel.se_d[idx]
+    mask.setflags(write=False)
+    return (mask, *(column[mask] for column in _roles(panel, direction)))
 
 
 def overall_ivw(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkReport:
@@ -72,7 +73,7 @@ def overall_ivw(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkRe
     Identical aggregation to the focused IVW with an unbounded outcome
     filter; with no selection the null scale is ``sqrt(1 / weight_sum)``.
     """
-    ids, exp_beta, _, out_beta, out_se = _relevant_arrays(panel, direction, tau_s)
+    mask, exp_beta, _, out_beta, out_se = _relevant_arrays(panel, direction, tau_s)
     if np.any(exp_beta == 0.0):
         raise ZeroDenominatorError("ratio estimates need nonzero exposure associations")
     weights = (exp_beta / out_se) ** 2
@@ -90,7 +91,7 @@ def overall_ivw(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkRe
         p_value=2.0 * std_sf(abs(z)),
         intercept=None,
         intercept_se=None,
-        relevant_ids=ids,
+        selected=mask,
     )
 
 
@@ -102,7 +103,7 @@ def mr_median(
     n_boot: int = 2000,
 ) -> BenchmarkReport:
     """Plain median of ratio estimates over the relevance-screened set."""
-    ids, exp_beta, _, out_beta, _ = _relevant_arrays(panel, direction, tau_s)
+    mask, exp_beta, _, out_beta, _ = _relevant_arrays(panel, direction, tau_s)
     if np.any(exp_beta == 0.0):
         raise ZeroDenominatorError("ratio estimates need nonzero exposure associations")
     ratios = out_beta / exp_beta
@@ -124,7 +125,7 @@ def mr_median(
         p_value=p_value,
         intercept=None,
         intercept_se=None,
-        relevant_ids=ids,
+        selected=mask,
     )
 
 
@@ -136,8 +137,8 @@ def mr_egger(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkRepor
     Weights are inverse squared outcome standard errors; standard errors of
     the coefficients treat those weights as exact inverse variances.
     """
-    ids, exp_beta, _, out_beta, out_se = _relevant_arrays(panel, direction, tau_s)
-    n = len(ids)
+    mask, exp_beta, _, out_beta, out_se = _relevant_arrays(panel, direction, tau_s)
+    n = exp_beta.size
     if n < 3:
         raise RankDeficientError(f"Egger regression needs at least 3 relevant SNPs, got {n}")
     flip = exp_beta < 0.0
@@ -166,5 +167,5 @@ def mr_egger(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkRepor
         p_value=2.0 * std_sf(abs(z)),
         intercept=intercept,
         intercept_se=se_intercept,
-        relevant_ids=ids,
+        selected=mask,
     )

@@ -3,8 +3,8 @@
 Subcommands: ``test`` (directional/joint causal tests on two summary files),
 ``simulate`` (Monte-Carlo scenarios), ``diagnose`` (identification checks on
 a ground-truth configuration), and ``truncnorm`` (truncated-normal moments,
-a debugging aid). Exit codes: 0 success, 2 input error, 3 numerical
-degeneracy.
+a debugging aid). Exit codes: 0 success, 2 input error (including a request
+too large for memory), 3 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _emit(document, args) -> None:
         sys.stdout.write(text)
 
 
-def _focused_row(report: TestReport) -> dict:
+def _focused_row(report: TestReport, panel) -> dict:
     return {
         "test": "directional",
         "direction": report.direction,
@@ -207,11 +207,11 @@ def _focused_row(report: TestReport) -> dict:
         "bootstrap_inference": report.bootstrap_inference,
         "intercept": None,
         "intercept_se": None,
-        "selected_ids": list(report.focused_ids),
+        "selected_ids": list(panel.ids_at(report.selected)),
     }
 
 
-def _benchmark_row(report: BenchmarkReport, alpha: float, tau_f: float | None) -> dict:
+def _benchmark_row(report: BenchmarkReport, panel, alpha: float, tau_f: float | None) -> dict:
     return {
         "test": "directional",
         "direction": report.direction,
@@ -225,14 +225,14 @@ def _benchmark_row(report: BenchmarkReport, alpha: float, tau_f: float | None) -
         "p_value": report.p_value,
         "reject": report.p_value <= alpha,
         "empty_set_reject": False,
-        "n_selected": len(report.relevant_ids),
+        "n_selected": int(np.count_nonzero(report.selected)),
         "weight_sum": None,
         "max_weight_share": None,
         "n_dropped_zero_denom": 0,
         "bootstrap_inference": report.method is BenchmarkMethod.MR_MEDIAN,
         "intercept": report.intercept,
         "intercept_se": report.intercept_se,
-        "selected_ids": list(report.relevant_ids),
+        "selected_ids": list(panel.ids_at(report.selected)),
     }
 
 
@@ -264,7 +264,7 @@ def _joint_row(estimator, alpha: float, reject: bool) -> dict:
 def _run_estimator(panel, direction, cfg, name, rng, n_boot):
     if name in _FOCUSED_ESTIMATORS:
         report = test_direction(panel, direction, cfg, _FOCUSED_ESTIMATORS[name], rng, n_boot)
-        return _focused_row(report)
+        return _focused_row(report, panel)
     method = _BENCHMARK_ESTIMATORS[name]
     tau_s = cfg.resolve_tau_s(len(panel))
     if method is BenchmarkMethod.OVERALL_IVW:
@@ -273,7 +273,7 @@ def _run_estimator(panel, direction, cfg, name, rng, n_boot):
         report = mr_median(panel, direction, tau_s, rng, n_boot)
     else:
         report = mr_egger(panel, direction, tau_s)
-    return _benchmark_row(report, cfg.alpha, None)
+    return _benchmark_row(report, panel, cfg.alpha, None)
 
 
 def _ratio_column(numerator, denominator) -> MaskedColumn:
@@ -340,9 +340,12 @@ def _cmd_test(args) -> int:
         emit_density=args.emit_density,
     )
     rng = np.random.default_rng(run.rng_seed)
-    exposure = load_gwas(args.exposure, run.col_map)
-    outcome = load_gwas(args.outcome, run.col_map)
-    panel = harmonize(exposure, outcome, run.harmonize_mode)
+    # the loaded files are released once harmonized: only the panel is needed
+    panel = harmonize(
+        load_gwas(args.exposure, run.col_map),
+        load_gwas(args.outcome, run.col_map),
+        run.harmonize_mode,
+    )
     cfg = run.focus
 
     if run.direction == "joint":
@@ -632,6 +635,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

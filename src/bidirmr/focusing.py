@@ -26,8 +26,9 @@ flag it as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,14 +105,23 @@ class SnpRecord:
             raise InputError(f"standard errors must be positive for SNP {self.id!r}")
 
 
+def _checked_column(name: str, arr: np.ndarray, p: int) -> np.ndarray:
+    if arr.shape != (p,):
+        raise InputError(f"{name} must have length {p}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{name} must be finite")
+    return arr
+
+
 class Panel:
     """Immutable, id-indexed collection of SNP summary statistics.
 
     Stores column arrays for fast vectorized work; :attr:`records` rebuilds
-    the per-SNP view on demand.
+    the per-SNP view on demand. Selections are boolean masks over the panel;
+    :meth:`ids_at` turns one into ids.
     """
 
-    __slots__ = ("ids", "beta_d", "se_d", "beta_y", "se_y", "_index")
+    __slots__ = ("ids", "beta_d", "se_d", "beta_y", "se_y", "_index", "_id_array")
 
     def __init__(self, records: Iterable[SnpRecord]):
         records = tuple(records)
@@ -140,10 +150,7 @@ class Panel:
         if p < 1:
             raise InputError("a panel needs at least one SNP")
         for name, arr in (("beta_d", beta_d), ("se_d", se_d), ("beta_y", beta_y), ("se_y", se_y)):
-            if arr.shape != (p,):
-                raise InputError(f"{name} must have length {p}")
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} must be finite")
+            _checked_column(name, arr, p)
         if not (np.all(se_d > 0.0) and np.all(se_y > 0.0)):
             raise InputError("standard errors must be positive")
         if not all(ids):
@@ -151,7 +158,8 @@ class Panel:
         index = dict(zip(ids, range(p)))
         if len(index) != p:
             raise InputError("SNP ids must be unique within a panel")
-        for arr in (beta_d, se_d, beta_y, se_y):
+        id_array = np.array(ids, dtype=object)
+        for arr in (beta_d, se_d, beta_y, se_y, id_array):
             arr.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "beta_d", beta_d)
@@ -159,6 +167,26 @@ class Panel:
         object.__setattr__(self, "beta_y", beta_y)
         object.__setattr__(self, "se_y", se_y)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_id_array", id_array)
+
+    def with_betas(self, beta_d, beta_y) -> "Panel":
+        """A panel with new estimates that shares this one's ids and standard errors.
+
+        Only the two new columns are validated (length and finiteness); the
+        ids, their index and the standard errors were checked when this
+        panel was built.
+        """
+        p = len(self.ids)
+        beta_d = _checked_column("beta_d", np.array(beta_d, dtype=float), p)
+        beta_y = _checked_column("beta_y", np.array(beta_y, dtype=float), p)
+        beta_d.setflags(write=False)
+        beta_y.setflags(write=False)
+        panel = Panel.__new__(Panel)
+        for name in self.__slots__:
+            object.__setattr__(panel, name, getattr(self, name))
+        object.__setattr__(panel, "beta_d", beta_d)
+        object.__setattr__(panel, "beta_y", beta_y)
+        return panel
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -178,6 +206,10 @@ class Panel:
             )
             for j in range(len(self))
         )
+
+    def ids_at(self, mask: np.ndarray) -> tuple[str, ...]:
+        """Ids where a boolean mask over the panel is true, in panel order."""
+        return tuple(self._id_array[mask])
 
     def indices_of(self, snp_ids: Sequence[str]) -> np.ndarray:
         """Positions of the given ids, preserving their order; ids must be unique."""
@@ -224,6 +256,15 @@ class FocusConfig:
             raise InputError("the 1/p relevance rule needs a panel with p >= 2")
         return std_quantile(1.0 - 1.0 / p)
 
+    @cached_property
+    def null_var(self) -> float:
+        """Null variance of a retained normalized outcome score.
+
+        A unit normal truncated to ``[-tau_f, tau_f]``; computed once per
+        configuration.
+        """
+        return truncnorm_var(TruncSpec(-self.tau_f, self.tau_f, 0.0))
+
 
 def _roles(panel: Panel, direction: Direction):
     """(exposure_beta, exposure_se, outcome_beta, outcome_se) for a direction."""
@@ -244,8 +285,7 @@ def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarra
 
 def relevant_set(panel: Panel, direction: Direction, tau_s: float) -> tuple[str, ...]:
     """Ids of relevance-screened SNPs, in panel order."""
-    mask = relevant_mask(panel, direction, tau_s)
-    return tuple(np.asarray(panel.ids, dtype=object)[mask])
+    return panel.ids_at(relevant_mask(panel, direction, tau_s))
 
 
 def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.ndarray:
@@ -257,8 +297,7 @@ def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.nda
 
 def focused_set(panel: Panel, direction: Direction, cfg: FocusConfig) -> tuple[str, ...]:
     """Ids of the focused set for a direction, in panel order (may be empty)."""
-    mask = focused_mask(panel, direction, cfg)
-    return tuple(np.asarray(panel.ids, dtype=object)[mask])
+    return panel.ids_at(focused_mask(panel, direction, cfg))
 
 
 def _subset_arrays(panel: Panel, snp_ids: Sequence[str], direction: Direction):
@@ -307,16 +346,24 @@ def null_sd_ivw(weight_sum: float, tau_f: float) -> float:
     ``sqrt(var(trunc) / weight_sum)``; ``tau_f = inf`` recovers the
     unconditional ``sqrt(1 / weight_sum)``.
     """
+    return _null_sd(weight_sum, truncnorm_var(TruncSpec(-tau_f, tau_f, 0.0)))
+
+
+def _null_sd(weight_sum: float, null_var: float) -> float:
     if not weight_sum > 0.0:
         raise InputError(f"weight_sum must be positive, got {weight_sum!r}")
-    var0 = truncnorm_var(TruncSpec(-tau_f, tau_f, 0.0))
-    return math.sqrt(var0 / weight_sum)
+    return math.sqrt(null_var / weight_sum)
 
 
 # Percentiles spanning +-1 standard deviation of a normal; the bootstrap
 # spread is read off this central span rather than a raw standard deviation.
 _PCTL_LO = std_cdf(-1.0)
 _PCTL_HI = std_cdf(1.0)
+
+# Resampled values gathered at a time: bounds the memory the bootstrap needs
+# beyond its index draw. The sets a simulation resamples (a few hundred SNPs
+# at the default n_boot) fit in one block.
+_BOOT_BLOCK_VALUES = 1 << 20
 
 
 def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: int = 2000) -> float:
@@ -331,7 +378,11 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
     if n_boot < 2:
         raise InputError("n_boot must be at least 2")
     idx = rng.integers(0, ratios.size, size=(n_boot, ratios.size))
-    medians = np.median(ratios[idx], axis=1)
+    rows = max(1, _BOOT_BLOCK_VALUES // ratios.size)
+    medians = np.empty(n_boot)
+    for start in range(0, n_boot, rows):
+        block = ratios[idx[start:start + rows]]
+        medians[start:start + rows] = np.median(block, axis=1, overwrite_input=True)
     lo, hi = np.quantile(medians, (_PCTL_LO, _PCTL_HI))
     return float((hi - lo) / 2.0)
 
@@ -346,7 +397,10 @@ class TestReport:
     ``null_sd`` is the truncated-normal scale for the IVW estimator and the
     bootstrap scale for the median, flagged by ``bootstrap_inference``.
     ``focused_size``, ``max_weight_share`` and ``n_dropped_zero_denom`` are
-    diagnostics: no finite-sample cutoff is enforced on them.
+    diagnostics: no finite-sample cutoff is enforced on them. ``selected``
+    is the focused set as a read-only boolean mask over the panel (after
+    zero-denominator drops; ``Panel.ids_at`` gives its ids); it takes no
+    part in ``==``, which compares the other fields.
     """
 
     direction: Direction
@@ -354,7 +408,7 @@ class TestReport:
     alpha: float
     tau_f: float
     tau_s: float
-    focused_ids: tuple[str, ...]
+    selected: np.ndarray = field(compare=False, repr=False)
     focused_size: int
     estimate: float | None
     null_sd: float | None
@@ -368,14 +422,14 @@ class TestReport:
     bootstrap_inference: bool
 
 
-def _empty_set_report(direction, estimator, cfg, tau_s, n_dropped) -> TestReport:
+def _empty_set_report(direction, estimator, cfg, tau_s, mask, n_dropped) -> TestReport:
     return TestReport(
         direction=direction,
         estimator=estimator,
         alpha=cfg.alpha,
         tau_f=cfg.tau_f,
         tau_s=tau_s,
-        focused_ids=(),
+        selected=mask,
         focused_size=0,
         estimate=None,
         null_sd=None,
@@ -415,10 +469,10 @@ def test_direction(
     zero_denom = mask & (exp_beta == 0.0)
     n_dropped = int(zero_denom.sum())
     mask = mask & ~zero_denom
+    mask.setflags(write=False)
     if not mask.any():
-        return _empty_set_report(direction, estimator, cfg, tau_s, n_dropped)
+        return _empty_set_report(direction, estimator, cfg, tau_s, mask, n_dropped)
 
-    ids = tuple(np.asarray(panel.ids, dtype=object)[mask])
     eb = exp_beta[mask]
     ob = out_beta[mask]
     os_ = out_se[mask]
@@ -442,7 +496,7 @@ def test_direction(
         null_sd = sd
     else:
         estimate = float(np.sum(weights * ratios) / weight_sum)
-        null_sd = null_sd_ivw(weight_sum, cfg.tau_f)
+        null_sd = _null_sd(weight_sum, cfg.null_var)
         z = estimate / null_sd
         p_value = 2.0 * std_sf(abs(z))
 
@@ -452,8 +506,8 @@ def test_direction(
         alpha=cfg.alpha,
         tau_f=cfg.tau_f,
         tau_s=tau_s,
-        focused_ids=ids,
-        focused_size=len(ids),
+        selected=mask,
+        focused_size=eb.size,
         estimate=estimate,
         null_sd=null_sd,
         z_score=z,
@@ -545,7 +599,7 @@ def power_forecast(
     )
     mu_alt = float(np.sum(weights * (out_se / exp_beta) * tn_mean) / weight_sum)
     sigma_alt = float(math.sqrt(np.sum(weights * tn_var)) / weight_sum)
-    threshold = std_quantile(1.0 - cfg.alpha / 2.0) * null_sd_ivw(weight_sum, cfg.tau_f)
+    threshold = std_quantile(1.0 - cfg.alpha / 2.0) * _null_sd(weight_sum, cfg.null_var)
     power = std_sf((threshold - mu_alt) / sigma_alt) + std_cdf((-threshold - mu_alt) / sigma_alt)
     return PowerForecast(
         mu_alt=mu_alt,

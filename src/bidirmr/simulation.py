@@ -10,9 +10,10 @@ mimicking how real effect panels mix null, one-trait, and pleiotropic SNPs.
 Summary statistics are then the reduced-form associations plus independent
 normal noise at the seed standard errors.
 
-Replications draw from pre-split RNG streams keyed by replication index, so
-results are reproducible from a single integer seed and independent of any
-execution schedule. Within one replication the stream is consumed in a fixed
+Replications draw from RNG streams keyed by replication index (child ``r``
+of one ``SeedSequence``, spawned as replication ``r`` starts), so results are
+reproducible from a single integer seed and independent of any execution
+schedule. Within one replication the stream is consumed in a fixed
 documented order: direct effects for the first trait, then the second, panel
 noise for the first trait, then the second, then any estimator bootstraps in
 method-list order (first direction before second).
@@ -33,6 +34,7 @@ from .focusing import (
     Estimator,
     FocusConfig,
     Panel,
+    TauSRule,
     test_direction,
 )
 from .benchmarks import mr_egger, mr_median, overall_ivw
@@ -83,10 +85,27 @@ class SeedEffects:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_activation", None)
 
     @property
     def p(self) -> int:
         return self.alpha_d.size
+
+    def activation_probabilities(self, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(rank / p) ** kappa`` per SNP for each trait (rank 1 = smallest ``|alpha| / se``).
+
+        The result for the last ``kappa`` asked for is kept, since a scenario
+        draws every replication's truth from one seed and one ``kappa``.
+        """
+        if self._activation is None or self._activation[0] != kappa:
+            probs = tuple(
+                (_rank_smallest_first(np.abs(alpha) / se) / self.p) ** kappa
+                for alpha, se in ((self.alpha_d, self.se_d), (self.alpha_y, self.se_y))
+            )
+            for arr in probs:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_activation", (kappa, probs))
+        return self._activation[1]
 
 
 @dataclass(frozen=True)
@@ -229,11 +248,9 @@ def generate_truth(
     """
     if not kappa > 0.0:
         raise InputError(f"kappa must be positive, got {kappa!r}")
-    p = seed.p
-    prob_d = (_rank_smallest_first(np.abs(seed.alpha_d) / seed.se_d) / p) ** kappa
-    prob_y = (_rank_smallest_first(np.abs(seed.alpha_y) / seed.se_y) / p) ** kappa
-    active_d = rng.random(p) < prob_d
-    active_y = rng.random(p) < prob_y
+    prob_d, prob_y = seed.activation_probabilities(kappa)
+    active_d = rng.random(seed.p) < prob_d
+    active_y = rng.random(seed.p) < prob_y
     return TruthConfig(
         pi_d=np.where(active_d, seed.alpha_d, 0.0),
         pi_y=np.where(active_y, seed.alpha_y, 0.0),
@@ -274,20 +291,27 @@ def default_snp_ids(p: int) -> tuple[str, ...]:
 
 
 def simulate_panel(
-    truth: TruthConfig, rng: np.random.Generator, ids: tuple[str, ...] | None = None
+    truth: TruthConfig, rng: np.random.Generator, template: Panel | None = None
 ) -> Panel:
     """Sample one summary-statistics panel around the reduced form.
 
     Estimates are the reduced-form associations plus independent normal
     noise with the truth's standard errors (exposure trait drawn first);
-    the standard errors themselves are copied into the panel.
+    the standard errors themselves are copied into the panel. A
+    ``template`` panel, whose standard errors must equal the truth's, lends
+    the new panel its ids and standard errors; without one the ids are
+    ``default_snp_ids``.
     """
     rf = reduced_form(truth)
     beta_d = rng.normal(rf.gamma_d, truth.se_d)
     beta_y = rng.normal(rf.gamma_y, truth.se_y)
-    if ids is None:
-        ids = default_snp_ids(truth.p)
-    return Panel.from_arrays(ids, beta_d, truth.se_d, beta_y, truth.se_y)
+    if template is None:
+        return Panel.from_arrays(default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
+    if not (
+        np.array_equal(template.se_d, truth.se_d) and np.array_equal(template.se_y, truth.se_y)
+    ):
+        raise InputError("the template panel's standard errors differ from the truth's")
+    return template.with_betas(beta_d, beta_y)
 
 
 class Method(str, Enum):
@@ -348,23 +372,26 @@ class ScenarioReport:
     mean_corr_pi: float | None
 
 
-def _apply_method(panel, direction, method, focus, tau_s, rng, n_boot):
-    """Run one method for one direction; returns (reject, selected_ids, empty_flag)."""
+def _apply_method(panel, direction, method, focus, rng, n_boot):
+    """Run one method for one direction; returns (reject, selected_mask, empty_flag).
+
+    ``focus`` carries the scenario's resolved relevance threshold explicitly.
+    """
     if method is Method.FOCUSED_IVW or method is Method.FOCUSED_MEDIAN:
         estimator = (
             Estimator.FOCUSED_IVW if method is Method.FOCUSED_IVW else Estimator.FOCUSED_MEDIAN
         )
         report = test_direction(panel, direction, focus, estimator, rng=rng, n_boot=n_boot)
-        return report.reject, report.focused_ids, report.empty_set_reject
+        return report.reject, report.selected, report.empty_set_reject
     if method is Method.OVERALL_IVW:
-        report = overall_ivw(panel, direction, tau_s)
+        report = overall_ivw(panel, direction, focus.tau_s)
     elif method is Method.MR_MEDIAN:
-        report = mr_median(panel, direction, tau_s, rng, n_boot)
+        report = mr_median(panel, direction, focus.tau_s, rng, n_boot)
     elif method is Method.MR_EGGER:
-        report = mr_egger(panel, direction, tau_s)
+        report = mr_egger(panel, direction, focus.tau_s)
     else:
         raise InputError(f"unknown method {method!r}")
-    return report.p_value <= focus.alpha, report.relevant_ids, False
+    return report.p_value <= focus.alpha, report.selected, False
 
 
 def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
@@ -372,12 +399,22 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
 
     Per replication: draw a truth, optionally amplify it to enforce
     separation, sample a panel, then run every configured method in both
-    directions. Fully reproducible from ``scenario.rng_seed``; replication
-    streams are pre-split so the result does not depend on scheduling.
+    directions. Fully reproducible from ``scenario.rng_seed``; each
+    replication's stream is keyed by its index, so the result does not
+    depend on scheduling.
+
+    What stays constant across replications is computed once: the resolved
+    relevance threshold, the truncated-normal null variance (cached on the
+    focus configuration), the activation probabilities (cached on the seed)
+    and a template panel holding the ids and standard errors.
     """
     p = seed.p
-    ids = default_snp_ids(p)
-    tau_s = scenario.focus.resolve_tau_s(p)
+    focus = replace(
+        scenario.focus, tau_s=scenario.focus.resolve_tau_s(p), tau_s_rule=TauSRule.EXPLICIT
+    )
+    template = Panel.from_arrays(
+        default_snp_ids(p), seed.alpha_d, seed.se_d, seed.alpha_y, seed.se_y
+    )
     directions = (Direction.D_TO_Y, Direction.Y_TO_D)
 
     n_ok = {(m, d): 0 for m in scenario.methods for d in directions}
@@ -391,17 +428,16 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
     corr_sum = 0.0
     corr_n = 0
 
-    streams = np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(0,)).spawn(
-        scenario.n_reps
-    )
-    for child in streams:
-        rng = np.random.default_rng(child)
+    # spawn(1) per replication yields the same children as one spawn(n_reps)
+    streams = np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(0,))
+    for _ in range(scenario.n_reps):
+        rng = np.random.default_rng(streams.spawn(1)[0])
         truth = generate_truth(
             seed, scenario.kappa, rng, beta_dy=scenario.beta_dy, beta_yd=scenario.beta_yd
         )
         if scenario.enforce_separation_c1 is not None:
-            truth = enforce_separation(truth, scenario.focus, scenario.enforce_separation_c1)
-        panel = simulate_panel(truth, rng, ids=ids)
+            truth = enforce_separation(truth, focus, scenario.enforce_separation_c1)
+        panel = simulate_panel(truth, rng, template)
 
         masks = iv_class_masks(truth, zero_tol=0.0)
         counts = np.array([int(masks[cls].sum()) for cls in
@@ -415,7 +451,7 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
             for direction in directions:
                 try:
                     reject, selected, empty = _apply_method(
-                        panel, direction, method, scenario.focus, tau_s, rng, scenario.n_boot
+                        panel, direction, method, focus, rng, scenario.n_boot
                     )
                 except DegeneracyError:
                     n_error[(method, direction)] += 1
@@ -424,9 +460,8 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
                 n_ok[key] += 1
                 n_reject[key] += reject
                 n_empty[key] += empty
-                if selected:
-                    idx = panel.indices_of(selected)
-                    valid = masks[_VALID_CLASS[direction]][idx]
+                valid = masks[_VALID_CLASS[direction]][selected]
+                if valid.size:
                     prop_sum[key] += float(valid.mean())
                     prop_n[key] += 1
 

@@ -12,6 +12,10 @@ EXPOSURE = str(FIXTURES / "exposure_50.tsv")
 OUTCOME = str(FIXTURES / "outcome_50.tsv")
 EXPOSURE_EMPTY = str(FIXTURES / "exposure_empty.tsv")
 OUTCOME_EMPTY = str(FIXTURES / "outcome_empty.tsv")
+# Bootstrap replicates whose (n_boot x n) int64 index draw needs more than
+# 2**48 bytes for any n >= 1: the allocation fails at once, touching no
+# memory, even where the host overcommits.
+HUGE_N_BOOT = str(2**46)
 
 
 def run_test_cmd(tmp_path, name, *extra):
@@ -116,6 +120,14 @@ class TestTestCommand:
         assert code == 2
         assert "columns ['beta'] appear more than once" in capsys.readouterr().err
 
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys):
+        code = main(
+            ["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--seed", "1",
+             "--estimator", "median", "--n-boot", HUGE_N_BOOT, "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+
     def test_generated_seed_printed_when_absent(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main(["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--out", str(out)])
@@ -212,6 +224,15 @@ class TestSimulateCommand:
     def test_negative_seed_is_input_error(self, capsys):
         assert main(["simulate", "--synthetic", "40", "--reps", "2", "--seed", "-1"]) == 2
         assert "--seed must be nonnegative" in capsys.readouterr().err
+
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--synthetic", "50", "--methods", "focused_median,mr_median",
+             "--reps", "1", "--n-boot", HUGE_N_BOOT, "--seed", "1",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
 
     def test_unknown_method_is_input_error(self, tmp_path):
         code = main(

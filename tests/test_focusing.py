@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bidirmr import focusing
 from bidirmr.errors import EmptyFocusedSetError, InputError, ZeroDenominatorError
 from bidirmr.focusing import (
     Direction,
@@ -32,7 +33,7 @@ from bidirmr.simulation import (
     simulate_panel,
     synthetic_seed,
 )
-from bidirmr.truncnorm import TruncSpec, std_quantile, std_sf, truncnorm_var
+from bidirmr.truncnorm import TruncSpec, std_cdf, std_quantile, std_sf, truncnorm_var
 from conftest import make_random_panel
 
 
@@ -70,6 +71,30 @@ class TestPanel:
             panel.ids = ("b",)
         with pytest.raises(ValueError):
             panel.beta_d[0] = 1.0
+
+    def test_ids_at_mask_in_panel_order(self):
+        panel = Panel.from_arrays(["c", "a", "b"], [0.1] * 3, [0.1] * 3, [0.0] * 3, [0.1] * 3)
+        assert panel.ids_at(np.array([True, False, True])) == ("c", "b")
+        assert panel.ids_at(np.zeros(3, dtype=bool)) == ()
+
+    def test_with_betas_shares_everything_but_the_estimates(self):
+        panel = Panel.from_arrays(["a", "b"], [0.1, 0.2], [0.1, 0.3], [0.0, 0.5], [0.2, 0.1])
+        new = panel.with_betas([1.0, 2.0], [3.0, 4.0])
+        assert new.ids is panel.ids
+        assert new.se_d is panel.se_d and new.se_y is panel.se_y
+        assert new.beta_d.tolist() == [1.0, 2.0] and new.beta_y.tolist() == [3.0, 4.0]
+        assert panel.beta_d.tolist() == [0.1, 0.2] and panel.beta_y.tolist() == [0.0, 0.5]
+        assert new.indices_of(["b"]).tolist() == [1]
+        assert new.ids_at(np.array([False, True])) == ("b",)
+        with pytest.raises(ValueError):
+            new.beta_y[0] = 0.0
+
+    def test_with_betas_validates_the_new_columns(self):
+        panel = Panel.from_arrays(["a", "b"], [0.1, 0.2], [0.1, 0.3], [0.0, 0.5], [0.2, 0.1])
+        with pytest.raises(InputError):
+            panel.with_betas([1.0], [3.0, 4.0])
+        with pytest.raises(InputError):
+            panel.with_betas([1.0, 2.0], [3.0, math.nan])
 
 
 class TestFocusedSet:
@@ -182,6 +207,30 @@ class TestNullSd:
         with pytest.raises(InputError):
             null_sd_ivw(0.0, 1.5)
 
+    def test_config_null_var_is_the_truncated_variance(self):
+        for tau_f in (0.5, 1.5, math.inf):
+            cfg = FocusConfig(tau_f=tau_f)
+            assert cfg.null_var == truncnorm_var(TruncSpec(-tau_f, tau_f, 0.0))
+            assert math.sqrt(cfg.null_var / 4.0) == null_sd_ivw(4.0, tau_f)
+
+
+class TestBootstrapMedianSd:
+    @pytest.mark.parametrize("block_values", [1, 7, 64, 37 * 301, 1 << 20])
+    def test_blocks_match_one_gather(self, monkeypatch, block_values):
+        # reference: medians of the whole (n_boot x n) resample gathered at once
+        ratios = np.random.default_rng(4).normal(size=37)
+        idx = np.random.default_rng(9).integers(0, ratios.size, size=(301, ratios.size))
+        lo, hi = np.quantile(np.median(ratios[idx], axis=1), (std_cdf(-1.0), std_cdf(1.0)))
+        monkeypatch.setattr(focusing, "_BOOT_BLOCK_VALUES", block_values)
+        sd = focusing.bootstrap_median_sd(ratios, np.random.default_rng(9), n_boot=301)
+        assert sd == float((hi - lo) / 2.0)
+
+    def test_leaves_input_untouched(self):
+        ratios = np.random.default_rng(4).normal(size=25)
+        before = ratios.copy()
+        focusing.bootstrap_median_sd(ratios, np.random.default_rng(1), n_boot=50)
+        np.testing.assert_array_equal(ratios, before)
+
 
 class TestTestDirection:
     def test_empty_set_rejects_with_flag(self):
@@ -198,7 +247,7 @@ class TestTestDirection:
         )
         cfg = explicit_cfg(tau_f=1.5, tau_s=0.1)
         report = run_direction_test(panel, Direction.D_TO_Y, cfg)
-        assert report.focused_ids == ("a", "b")
+        assert panel.ids_at(report.selected) == ("a", "b")
         assert report.estimate == pytest.approx(1.075, abs=1e-12)
         expected_sd = math.sqrt(truncnorm_var(TruncSpec(-1.5, 1.5, 0.0)) / 2.0)
         assert report.null_sd == pytest.approx(expected_sd, rel=1e-12)
@@ -217,7 +266,7 @@ class TestTestDirection:
         )
         report = run_direction_test(panel, Direction.D_TO_Y, explicit_cfg(tau_s=0.0))
         assert report.n_dropped_zero_denom == 1
-        assert report.focused_ids == ("b",)
+        assert panel.ids_at(report.selected) == ("b",)
 
     def test_median_needs_rng(self):
         panel = Panel.from_arrays(["a"], [0.5], [0.1], [0.05], [0.1])
@@ -234,6 +283,7 @@ class TestTestDirection:
             panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN, np.random.default_rng(5)
         )
         assert r1 == r2
+        np.testing.assert_array_equal(r1.selected, r2.selected)
         assert r1.bootstrap_inference
 
     def test_scale_equivariance(self, rng):
@@ -247,7 +297,7 @@ class TestTestDirection:
         cfg = explicit_cfg(tau_s=0.3)
         base = run_direction_test(panel, Direction.D_TO_Y, cfg)
         scale = run_direction_test(scaled, Direction.D_TO_Y, cfg)
-        assert scale.focused_ids == base.focused_ids
+        assert scaled.ids_at(scale.selected) == panel.ids_at(base.selected)
         assert scale.estimate == pytest.approx(c * base.estimate, rel=1e-12)
         assert scale.null_sd == pytest.approx(c * base.null_sd, rel=1e-12)
         assert scale.weight_sum == pytest.approx(base.weight_sum / c**2, rel=1e-12)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from bidirmr.errors import GwasParseError, InputError
-from bidirmr.focusing import Direction, FocusConfig, TauSRule, check_separation, relevant_mask
+from bidirmr.focusing import (
+    Direction,
+    FocusConfig,
+    Panel,
+    TauSRule,
+    check_separation,
+    relevant_mask,
+)
 from bidirmr.model import IvClass, iv_class_counts, iv_class_masks, reduced_form
 from bidirmr.simulation import (
     Method,
@@ -180,6 +187,65 @@ class TestSimulatePanel:
         panel = simulate_panel(truth, np.random.default_rng(14))
         np.testing.assert_array_equal(panel.se_d, truth.se_d)
         np.testing.assert_array_equal(panel.se_y, truth.se_y)
+
+    def test_template_lends_ids_and_standard_errors(self):
+        seed = synthetic_seed(40, np.random.default_rng(12))
+        truth = generate_truth(seed, 1.0, np.random.default_rng(13))
+        template = Panel.from_arrays(
+            [f"t{j}" for j in range(40)], seed.alpha_d, seed.se_d, seed.alpha_y, seed.se_y
+        )
+        plain = simulate_panel(truth, np.random.default_rng(14))
+        panel = simulate_panel(truth, np.random.default_rng(14), template)
+        assert panel.ids is template.ids
+        assert panel.se_d is template.se_d and panel.se_y is template.se_y
+        np.testing.assert_array_equal(panel.beta_d, plain.beta_d)
+        np.testing.assert_array_equal(panel.beta_y, plain.beta_y)
+        assert panel.indices_of(["t3", "t0"]).tolist() == [3, 0]
+
+    def test_template_standard_errors_must_match_truth(self):
+        seed = synthetic_seed(40, np.random.default_rng(12))
+        truth = generate_truth(seed, 1.0, np.random.default_rng(13))
+        template = Panel.from_arrays(
+            [f"t{j}" for j in range(40)], seed.alpha_d, seed.se_d, seed.alpha_y, 2.0 * seed.se_y
+        )
+        with pytest.raises(InputError):
+            simulate_panel(truth, np.random.default_rng(14), template)
+
+
+class TestActivationProbabilities:
+    def test_rank_power_and_kept_for_last_kappa(self):
+        seed = synthetic_seed(60, np.random.default_rng(3))
+        ranks = []
+        for alpha, se in ((seed.alpha_d, seed.se_d), (seed.alpha_y, seed.se_y)):
+            snr = (np.abs(alpha) / se).tolist()
+            ranks.append(np.array([1 + sum(s < v for s in snr) for v in snr]))  # distinct values
+        prob_d, prob_y = seed.activation_probabilities(0.7)
+        for prob, rank in zip((prob_d, prob_y), ranks):
+            np.testing.assert_array_equal(prob, (rank / 60) ** 0.7)
+            assert not prob.flags.writeable
+        assert seed.activation_probabilities(0.7)[0] is prob_d
+        np.testing.assert_array_equal(seed.activation_probabilities(2.0)[1], (ranks[1] / 60) ** 2.0)
+        assert seed.activation_probabilities(0.7)[0] is not prob_d
+
+    def test_generate_truth_draws_by_them(self):
+        seed = synthetic_seed(60, np.random.default_rng(3))
+        prob_d, prob_y = seed.activation_probabilities(1.3)
+        truth = generate_truth(seed, 1.3, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        active_d = rng.random(60) < prob_d
+        active_y = rng.random(60) < prob_y
+        np.testing.assert_array_equal(truth.pi_d, np.where(active_d, seed.alpha_d, 0.0))
+        np.testing.assert_array_equal(truth.pi_y, np.where(active_y, seed.alpha_y, 0.0))
+
+
+class TestReplicationStreams:
+    def test_one_child_per_replication_matches_one_bulk_spawn(self):
+        bulk = np.random.SeedSequence(entropy=17, spawn_key=(0,)).spawn(6)
+        parent = np.random.SeedSequence(entropy=17, spawn_key=(0,))
+        one_by_one = [parent.spawn(1)[0] for _ in range(6)]
+        for a, b in zip(bulk, one_by_one):
+            assert a.spawn_key == b.spawn_key
+            np.testing.assert_array_equal(a.generate_state(8), b.generate_state(8))
 
 
 class TestRunScenario:
