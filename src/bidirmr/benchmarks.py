@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyRelevantSetError, RankDeficientError, ZeroDenominatorError
-from .focusing import Direction, Panel, _roles, bootstrap_median_sd, relevant_mask
+from .focusing import Direction, Panel, _median_inference, _null_sd, _roles, relevant_mask
 from .truncnorm import std_sf
 
 __all__ = [
@@ -39,11 +39,12 @@ class BenchmarkReport:
     """One benchmark estimate with its (method-specific) standard error.
 
     ``intercept``/``intercept_se`` are populated by MR-Egger only. The
-    MR-Median ``se`` comes from a SNP bootstrap of the plain (unweighted)
-    median; the Egger ``se`` is the classical weighted-least-squares one
-    that treats the weights as exact inverse variances. ``selected`` is the
-    relevance-screened set as a read-only boolean mask over the panel
-    (``Panel.ids_at`` gives its ids); it takes no part in ``==``.
+    MR-Median ``se`` comes from the exact SNP-bootstrap law of the plain
+    (unweighted) median; the Egger ``se`` is the classical
+    weighted-least-squares one that treats the weights as exact inverse
+    variances. ``selected`` is the relevance-screened set as a read-only
+    boolean mask over the panel (``Panel.ids_at`` gives its ids); it takes no
+    part in ``==``.
     """
 
     method: BenchmarkMethod
@@ -78,8 +79,8 @@ def overall_ivw(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkRe
         raise ZeroDenominatorError("ratio estimates need nonzero exposure associations")
     weights = (exp_beta / out_se) ** 2
     weight_sum = float(np.sum(weights))
+    se = _null_sd(weight_sum, 1.0)
     estimate = float(np.sum(weights * (out_beta / exp_beta)) / weight_sum)
-    se = math.sqrt(1.0 / weight_sum)
     z = estimate / se
     return BenchmarkReport(
         method=BenchmarkMethod.OVERALL_IVW,
@@ -95,26 +96,12 @@ def overall_ivw(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkRe
     )
 
 
-def mr_median(
-    panel: Panel,
-    direction: Direction,
-    tau_s: float,
-    rng: np.random.Generator,
-    n_boot: int = 2000,
-) -> BenchmarkReport:
+def mr_median(panel: Panel, direction: Direction, tau_s: float) -> BenchmarkReport:
     """Plain median of ratio estimates over the relevance-screened set."""
     mask, exp_beta, _, out_beta, _ = _relevant_arrays(panel, direction, tau_s)
     if np.any(exp_beta == 0.0):
         raise ZeroDenominatorError("ratio estimates need nonzero exposure associations")
-    ratios = out_beta / exp_beta
-    estimate = float(np.median(ratios))
-    se = bootstrap_median_sd(ratios, rng, n_boot)
-    if se > 0.0:
-        z = estimate / se
-        p_value = 2.0 * std_sf(abs(z))
-    else:
-        z = None
-        p_value = 1.0 if estimate == 0.0 else 0.0
+    estimate, se, z, p_value = _median_inference(out_beta / exp_beta)
     return BenchmarkReport(
         method=BenchmarkMethod.MR_MEDIAN,
         direction=direction,

@@ -74,15 +74,12 @@ class RunConfig:
     out_path: str | None
     fmt: ReportFormat
     col_map: dict[str, str] | None
-    n_boot: int
     emit_snps: str | None
     emit_density: str | None
 
     def __post_init__(self):
         if self.emit_density is not None and self.estimator not in ("ivw", "overall-ivw"):
             raise InputError("--emit-density applies to the ivw and overall-ivw estimators only")
-        if self.n_boot < 2:
-            raise InputError("--n-boot must be at least 2")
 
 
 def _add_common_output_args(sub):
@@ -112,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--direction", default="both", choices=["dy", "yd", "both", "joint"])
     p_test.add_argument("--col-map", default=None, help="column aliases, e.g. 'b=beta,rsid=id'")
     p_test.add_argument("--mode", default="id", choices=["id", "allele"], help="harmonization mode")
-    p_test.add_argument("--n-boot", type=int, default=2000, help="bootstrap replicates for median tests")
     p_test.add_argument("--emit-snps", default=None, help="write per-SNP membership/ratio TSV here")
     p_test.add_argument("--emit-density", default=None, help="write per-SNP IVW contribution TSV here")
     _add_common_output_args(p_test)
@@ -130,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tau-f", type=float, default=1.5)
     p_sim.add_argument("--tau-s", default="auto")
     p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--n-boot", type=int, default=2000)
     p_sim.add_argument(
         "--enforce-separation",
         type=float,
@@ -261,16 +256,16 @@ def _joint_row(estimator, alpha: float, reject: bool) -> dict:
     }
 
 
-def _run_estimator(panel, direction, cfg, name, rng, n_boot):
+def _run_estimator(panel, direction, cfg, name):
     if name in _FOCUSED_ESTIMATORS:
-        report = test_direction(panel, direction, cfg, _FOCUSED_ESTIMATORS[name], rng, n_boot)
+        report = test_direction(panel, direction, cfg, _FOCUSED_ESTIMATORS[name])
         return _focused_row(report, panel)
     method = _BENCHMARK_ESTIMATORS[name]
     tau_s = cfg.resolve_tau_s(len(panel))
     if method is BenchmarkMethod.OVERALL_IVW:
         report = overall_ivw(panel, direction, tau_s)
     elif method is BenchmarkMethod.MR_MEDIAN:
-        report = mr_median(panel, direction, tau_s, rng, n_boot)
+        report = mr_median(panel, direction, tau_s)
     else:
         report = mr_egger(panel, direction, tau_s)
     return _benchmark_row(report, panel, cfg.alpha, None)
@@ -335,11 +330,9 @@ def _cmd_test(args) -> int:
         out_path=args.out,
         fmt=ReportFormat(args.format),
         col_map=parse_col_map(args.col_map) if args.col_map else None,
-        n_boot=args.n_boot,
         emit_snps=args.emit_snps,
         emit_density=args.emit_density,
     )
-    rng = np.random.default_rng(run.rng_seed)
     # the loaded files are released once harmonized: only the panel is needed
     panel = harmonize(
         load_gwas(args.exposure, run.col_map),
@@ -351,8 +344,8 @@ def _cmd_test(args) -> int:
     if run.direction == "joint":
         half = replace(cfg, alpha=cfg.alpha / 2.0)
         sub_rows = [
-            _run_estimator(panel, Direction.D_TO_Y, half, run.estimator, rng, run.n_boot),
-            _run_estimator(panel, Direction.Y_TO_D, half, run.estimator, rng, run.n_boot),
+            _run_estimator(panel, Direction.D_TO_Y, half, run.estimator),
+            _run_estimator(panel, Direction.Y_TO_D, half, run.estimator),
         ]
         joint_reject = bool(sub_rows[0]["reject"] or sub_rows[1]["reject"])
         rows = sub_rows + [_joint_row(sub_rows[0]["estimator"], cfg.alpha, joint_reject)]
@@ -363,9 +356,7 @@ def _cmd_test(args) -> int:
             "yd": [Direction.Y_TO_D],
             "both": [Direction.D_TO_Y, Direction.Y_TO_D],
         }[run.direction]
-        rows = [
-            _run_estimator(panel, d, cfg, run.estimator, rng, run.n_boot) for d in directions
-        ]
+        rows = [_run_estimator(panel, d, cfg, run.estimator) for d in directions]
         density_directions = directions
 
     if run.emit_density is not None:
@@ -386,7 +377,6 @@ def _cmd_test(args) -> int:
             "estimator": run.estimator,
             "direction": run.direction,
             "harmonize_mode": run.harmonize_mode,
-            "n_boot": run.n_boot,
         },
         "results": rows,
     }
@@ -466,7 +456,6 @@ def _cmd_simulate(args) -> int:
         methods=_parse_methods(args.methods),
         rng_seed=seed,
         enforce_separation_c1=args.enforce_separation,
-        n_boot=args.n_boot,
     )
     params = {
         "p": effects.p,
@@ -477,7 +466,6 @@ def _cmd_simulate(args) -> int:
         "alpha": cfg.alpha,
         "methods": [m.value for m in scenario.methods],
         "enforce_separation_c1": args.enforce_separation,
-        "n_boot": args.n_boot,
     }
     if args.grid is not None:
         rows = []

@@ -22,6 +22,7 @@ class GwasParseError(InputError):
     """
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
+        self.message = message
         self.path = path
         self.line = line
         prefix = ""

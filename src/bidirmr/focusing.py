@@ -18,9 +18,9 @@ and is reported as a rejection with a dedicated flag.
 
 The second direction is tested by the same code path on a role-swapped view
 of the panel. The focused median estimator is provided as a robust
-companion; its p-value comes from a SNP-level bootstrap, which is a
-pragmatic default rather than a derived limiting distribution, and reports
-flag it as such.
+companion; its p-value comes from the exact distribution of the SNP-level
+bootstrap median (no resampling is drawn), which is a pragmatic default
+rather than a derived limiting distribution, and reports flag it as such.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "TestReport",
     "bootstrap_median_sd",
     "check_separation",
+    "exact_bootstrap_median_sd",
     "focused_ivw",
     "focused_mask",
     "focused_median",
@@ -360,17 +361,239 @@ def _null_sd(weight_sum: float, null_var: float) -> float:
 _PCTL_LO = std_cdf(-1.0)
 _PCTL_HI = std_cdf(1.0)
 
-# Resampled values gathered at a time: bounds the memory the bootstrap needs
-# beyond its index draw. The sets a simulation resamples (a few hundred SNPs
-# at the default n_boot) fit in one block.
+# Binomial probabilities evaluated at a time (rows x terms) when a quantile
+# search has to scan a wide range of order statistics.
+_TAIL_BLOCK_VALUES = 1 << 18
+# Pair means enumerated at once, per sample value; a typical sample has
+# fewer than n of them between the two sample values bracketing a quantile.
+_CANDIDATES_PER_VALUE = 4
+
+
+def _pair_mean(a, b):
+    # the mean of the two central values, computed as np.median computes it
+    return (a + b) / 2.0
+
+
+class _ResampledMedianLaw:
+    """Exact distribution of ``np.median`` of an n-out-of-n resample of ``x``.
+
+    With ``x`` sorted and ``N(k) ~ Binomial(n, k/n)`` the number of draws at
+    sorted positions ``<= k`` (Maritz & Jarrett 1978, JASA 73:194; Efron
+    1979, Ann. Stat. 7:1):
+
+    * odd ``n = 2m + 1``: ``P(med* <= x_(k)) = P(N(k) >= m + 1)``;
+    * even ``n = 2m``: the median is ``A = (X*_(m) + X*_(m+1)) / 2`` and
+
+          P(A <= t) = P(N(r) >= m)
+                      - C(n, m) sum_{i <= r} ((i/n)^m - ((i-1)/n)^m) (1 - k_i/n)^(n-m)
+
+      with ``r = #{x_i <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``; the
+      i-th term is the probability that ``X*_(m)`` sits at position ``i``
+      while ``X*_(m+1)`` lies beyond position ``k_i``.
+
+    Pair means are compared as ``np.median`` computes them, so the law is
+    that of the floating-point medians. Probabilities are summed from
+    log-space terms (no term is dropped). Memory is O(n); time is
+    O(n log n) for typical samples and O(n log^2 n) at worst.
+    """
+
+    def __init__(self, x: np.ndarray):
+        x = np.sort(x)
+        n = x.size
+        m = n // 2
+        log_fact = np.array([math.lgamma(s + 1.0) for s in range(n + 1)])
+        s = np.arange(m, n + 1)
+        self.x, self.n, self.m = x, n, m
+        # log C(n, s) for s = m..n: binomial tails from m or m + 1 draws
+        self._s = s
+        self._log_choose = log_fact[n] - log_fact[s] - log_fact[n - s]
+        if n % 2 == 0:
+            i = np.arange(1, n + 1)
+            with np.errstate(divide="ignore"):
+                # log of C(n, m) ((i/n)^m - ((i-1)/n)^m)
+                self._log_central = (
+                    self._log_choose[0]
+                    + m * np.log(i / n)
+                    + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
+                )
+
+    def _tail(self, a: int, ks: np.ndarray) -> np.ndarray:
+        """``P(N(k) >= a)`` for each k in ``ks``; ``a`` is m or m + 1."""
+        n = self.n
+        out = np.where(ks >= n, 1.0, 0.0)
+        inner = (ks > 0) & (ks < n)
+        if inner.any():
+            p = ks[inner, None] / n
+            start = a - self.m
+            s = self._s[start:]
+            log_pmf = self._log_choose[start:] + s * np.log(p) + (n - s) * np.log1p(-p)
+            out[inner] = np.exp(log_pmf).sum(axis=1)
+        return out
+
+    def _first_reaching(self, a: int, q: float, z: float, hi: int) -> int:
+        """Smallest k in [1, hi] with ``P(N(k) >= a) >= q``, which holds at ``hi``.
+
+        ``k / n`` is then the q-quantile of Beta(a, n - a + 1), the law of the
+        a-th of n uniform order statistics. A window around its normal
+        approximation (``z`` is the standard normal q-quantile) is tried
+        first; if the answer lies outside, the rest of the range is scanned
+        in blocks.
+        """
+        n = self.n
+        mean = a / (n + 1.0)
+        guess = round(n * (mean + z * math.sqrt(mean * (1.0 - mean) / (n + 2.0))))
+        lo = 1
+        w_lo, w_hi = max(lo, guess - 4), min(hi, guess + 4)
+        if w_lo <= w_hi:
+            ks = np.arange(w_lo - 1, w_hi + 1)
+            reached = self._tail(a, ks) >= q
+            if reached[0]:
+                hi = w_lo - 1
+            elif not reached[-1]:
+                lo = w_hi + 1
+            else:
+                return int(ks[np.argmax(reached)])
+        rows = max(8, _TAIL_BLOCK_VALUES // (n - a + 1))
+        while lo < hi:
+            ks = np.unique(np.linspace(lo, hi - 1, num=min(rows, hi - lo)).astype(np.intp))
+            reached = self._tail(a, ks) >= q
+            if reached.any():
+                first = int(np.argmax(reached))
+                hi = int(ks[first])
+                if first:
+                    lo = int(ks[first - 1]) + 1
+            else:
+                lo = int(ks[-1]) + 1
+        return lo
+
+    def _pair_counts(self, xi: np.ndarray, t: float, strict: bool = False) -> np.ndarray:
+        """For each value of ``xi``, the number of j with ``pair mean <= t`` (``< t`` if strict).
+
+        A search on ``2t - xi`` gives a first count; rounding of the pair
+        means can move the boundary, so it is then moved over whole blocks of
+        tied values until the pair means on either side agree with ``t``.
+        """
+        x, n = self.x, self.n
+        within = np.less if strict else np.less_equal
+        g = np.searchsorted(x, 2.0 * t - xi, side="left" if strict else "right")
+        while True:
+            down = (g > 0) & ~within(_pair_mean(xi, x[np.maximum(g - 1, 0)]), t)
+            if not down.any():
+                break
+            g[down] = np.searchsorted(x, x[g[down] - 1], side="left")
+        while True:
+            up = (g < n) & within(_pair_mean(xi, x[np.minimum(g, n - 1)]), t)
+            if not up.any():
+                break
+            g[up] = np.searchsorted(x, x[g[up]], side="right")
+        return g
+
+    def cdf(self, t: float) -> float:
+        """``P(median of a resample <= t)``."""
+        n, m, x = self.n, self.m, self.x
+        r = int(np.searchsorted(x, t, side="right"))
+        if n % 2:
+            return float(self._tail(m + 1, np.array([r]))[0])
+        if r == 0:
+            return 0.0
+        k = self._pair_counts(x[:r], t)
+        with np.errstate(divide="ignore"):
+            beyond = np.exp(self._log_central[:r] + (n - m) * np.log1p(-k / n))
+        return float(self._tail(m, np.array([r]))[0] - beyond.sum())
+
+    def quantile(self, q: float) -> float:
+        """Smallest median value ``t`` with ``cdf(t) >= q`` (the left-continuous inverse)."""
+        n, m, x = self.n, self.m, self.x
+        z = std_quantile(q)
+        if n % 2:
+            return float(x[self._first_reaching(m + 1, q, z, n) - 1])
+        # X*_(m) <= A <= X*_(m+1) brackets the sorted position where cdf reaches q
+        hi = self._first_reaching(m + 1, q, z, n)
+        lo = self._first_reaching(m, q, z, hi)
+        lo = int(np.searchsorted(x, x[lo - 1], side="left")) + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.cdf(x[mid - 1]) >= q:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == 1:
+            return float(x[0])
+        return self._pair_mean_quantile(x[lo - 2], x[lo - 1], lo - 1, q)
+
+    def _pair_mean_quantile(self, lo_t: float, hi_t: float, r: int, q: float) -> float:
+        """The quantile, given ``cdf(lo_t) < q <= cdf(hi_t)`` with ``lo_t < hi_t`` adjacent
+        sample values and ``r`` values at or below ``lo_t``.
+
+        The cdf jumps in between only where a pair mean ``(x_i + x_j)/2``
+        with ``i <= r < j`` lies, by the change of the i-th term as ``k_i``
+        steps up. Those pair means are enumerated, sorted and accumulated;
+        a bracket holding more than ``_CANDIDATES_PER_VALUE * n`` of them is first
+        split at the weighted median of its per-row middle pair means, which
+        removes at least a quarter of them each time.
+        """
+        n, m, x = self.n, self.m, self.x
+        xi = x[:r]
+        f_lo = self.cdf(lo_t)
+        while True:
+            lo_k = self._pair_counts(xi, lo_t)
+            count = self._pair_counts(xi, hi_t, strict=True) - lo_k
+            total = int(count.sum())
+            if total <= _CANDIDATES_PER_VALUE * n:
+                break
+            rows = np.flatnonzero(count)
+            middle = _pair_mean(xi[rows], x[lo_k[rows] + (count[rows] - 1) // 2])
+            order = np.argsort(middle, kind="stable")
+            weight = np.cumsum(count[rows][order])
+            pivot = middle[order][np.searchsorted(weight, weight[-1] / 2.0)]
+            f_pivot = self.cdf(pivot)
+            if f_pivot >= q:
+                hi_t = pivot
+            else:
+                lo_t, f_lo = pivot, f_pivot
+        if total == 0:
+            return float(hi_t)
+        rows = np.repeat(np.arange(r), count)
+        j = lo_k[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count) + 1
+        values = _pair_mean(xi[rows], x[j - 1])
+        with np.errstate(divide="ignore"):
+            before = (n - m) * np.log1p(-(j - 1) / n)
+            after = (n - m) * np.log1p(-j / n)
+            jump = np.exp(self._log_central[rows] + before + np.log(-np.expm1(after - before)))
+        order = np.argsort(values, kind="stable")
+        reached = np.flatnonzero(f_lo + np.cumsum(jump[order]) >= q)
+        return float(values[order][reached[0]]) if reached.size else float(hi_t)
+
+
+def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
+    """Percentile SD of the SNP-bootstrap median, from its exact distribution.
+
+    Half the span between the ``std_cdf(-1)`` and ``std_cdf(1)`` quantiles
+    of ``np.median`` over n-out-of-n resamples of ``ratios``: the limit, as
+    the number of resamples grows, of :func:`bootstrap_median_sd`. Uses no
+    random numbers.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    if ratios.size == 0:
+        raise EmptyFocusedSetError("cannot bootstrap an empty ratio set")
+    if np.isnan(ratios).any():
+        raise InputError("ratios must not be NaN")
+    law = _ResampledMedianLaw(ratios)
+    return (law.quantile(_PCTL_HI) - law.quantile(_PCTL_LO)) / 2.0
+
+
+# Resampled values gathered at a time: bounds the memory the Monte-Carlo
+# bootstrap needs beyond its index draw.
 _BOOT_BLOCK_VALUES = 1 << 20
 
 
 def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: int = 2000) -> float:
-    """Percentile-based bootstrap SD of the median of ``ratios``.
+    """Monte-Carlo form of :func:`exact_bootstrap_median_sd`, with ``n_boot`` resamples.
 
     Resamples SNPs with replacement and returns half the central
-    one-sigma percentile span of the bootstrap medians.
+    one-sigma percentile span of the bootstrap medians. The estimators use
+    the exact law; this form stays as a public reference, and the
+    benchmark's tracer (``bench/tracing.py``) wraps it by name.
     """
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
@@ -387,6 +610,20 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
     return float((hi - lo) / 2.0)
 
 
+def _median_inference(ratios: np.ndarray) -> tuple[float, float, float | None, float]:
+    """``(estimate, sd, z, p_value)`` of the median of ``ratios`` against zero.
+
+    The scale is :func:`exact_bootstrap_median_sd`. A zero scale leaves
+    ``z`` None, with p-value 1 for a zero median and 0 otherwise.
+    """
+    estimate = float(np.median(ratios))
+    sd = exact_bootstrap_median_sd(ratios)
+    if sd > 0.0:
+        z = estimate / sd
+        return estimate, sd, z, 2.0 * std_sf(abs(z))
+    return estimate, sd, None, 1.0 if estimate == 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of one directional test.
@@ -397,7 +634,8 @@ class TestReport:
     ``null_sd`` is the truncated-normal scale for the IVW estimator and the
     bootstrap scale for the median, flagged by ``bootstrap_inference``.
     ``focused_size``, ``max_weight_share`` and ``n_dropped_zero_denom`` are
-    diagnostics: no finite-sample cutoff is enforced on them. ``selected``
+    diagnostics: no finite-sample cutoff is enforced on them
+    (``max_weight_share`` is None when the weights sum to zero). ``selected``
     is the focused set as a read-only boolean mask over the panel (after
     zero-denominator drops; ``Panel.ids_at`` gives its ids); it takes no
     part in ``==``, which compares the other fields.
@@ -449,17 +687,15 @@ def test_direction(
     direction: Direction,
     cfg: FocusConfig,
     estimator: Estimator = Estimator.FOCUSED_IVW,
-    rng: np.random.Generator | None = None,
-    n_boot: int = 2000,
 ) -> TestReport:
     """Test the null of no causal effect in ``direction`` on a panel.
 
     Computes the focused set, rejects outright if it is empty, and otherwise
     compares the chosen estimator against its null scale: the
-    truncated-normal IVW standard deviation, or the SNP bootstrap for the
-    median (which requires ``rng``). SNPs with an exactly zero exposure beta
-    (possible only when ``tau_s == 0``) contribute no ratio information and
-    are dropped from the set, with the count reported.
+    truncated-normal IVW standard deviation, or the exact SNP-bootstrap law
+    for the median. SNPs with an exactly zero exposure beta (possible only
+    when ``tau_s == 0``) contribute no ratio information and are dropped from
+    the set, with the count reported.
     """
     estimator = Estimator(estimator)
     tau_s = cfg.resolve_tau_s(len(panel))
@@ -478,25 +714,16 @@ def test_direction(
     os_ = out_se[mask]
     weights = (eb / os_) ** 2
     weight_sum = float(np.sum(weights))
-    max_share = float(np.max(weights) / weight_sum)
+    # weights can all underflow to zero; no share is defined then
+    max_share = float(np.max(weights) / weight_sum) if weight_sum > 0.0 else None
     ratios = ob / eb
 
     bootstrap = estimator is Estimator.FOCUSED_MEDIAN
     if bootstrap:
-        if rng is None:
-            raise InputError("focused median inference needs an rng for the SNP bootstrap")
-        estimate = float(np.median(ratios))
-        sd = bootstrap_median_sd(ratios, rng, n_boot)
-        if sd > 0.0:
-            z = estimate / sd
-            p_value = 2.0 * std_sf(abs(z))
-        else:
-            z = None
-            p_value = 1.0 if estimate == 0.0 else 0.0
-        null_sd = sd
+        estimate, null_sd, z, p_value = _median_inference(ratios)
     else:
-        estimate = float(np.sum(weights * ratios) / weight_sum)
         null_sd = _null_sd(weight_sum, cfg.null_var)
+        estimate = float(np.sum(weights * ratios) / weight_sum)
         z = estimate / null_sd
         p_value = 2.0 * std_sf(abs(z))
 
@@ -539,13 +766,11 @@ def test_joint_null(
     panel: Panel,
     cfg: FocusConfig,
     estimator: Estimator = Estimator.FOCUSED_IVW,
-    rng: np.random.Generator | None = None,
-    n_boot: int = 2000,
 ) -> JointTestReport:
     """Test the joint null of no causal effect in either direction."""
     half = replace(cfg, alpha=cfg.alpha / 2.0)
-    dy = test_direction(panel, Direction.D_TO_Y, half, estimator, rng, n_boot)
-    yd = test_direction(panel, Direction.Y_TO_D, half, estimator, rng, n_boot)
+    dy = test_direction(panel, Direction.D_TO_Y, half, estimator)
+    yd = test_direction(panel, Direction.Y_TO_D, half, estimator)
     return JointTestReport(alpha=cfg.alpha, reject=dy.reject or yd.reject, d_to_y=dy, y_to_d=yd)
 
 

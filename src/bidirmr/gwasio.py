@@ -113,8 +113,9 @@ def load_gwas(path: str, col_map: Mapping[str, str] | None = None) -> GwasFile:
     required-column check; a canonical column named twice is an error.
     Allele columns are honored only when both are present. The file must be
     UTF-8. Non-numeric, non-finite, or nonpositive-SE rows and duplicate ids
-    fail with the offending line number. Rows are read and validated in
-    chunks of ``_CHUNK_ROWS``, each turned into columns at once.
+    fail with the physical line the offending row starts on. Rows are read
+    and validated in chunks of ``_CHUNK_ROWS``, each turned into columns at
+    once.
     """
     col_map = dict(col_map or {})
     try:
@@ -126,6 +127,12 @@ def load_gwas(path: str, col_map: Mapping[str, str] | None = None) -> GwasFile:
                 raise GwasParseError(
                     f"malformed TSV ({exc})", path=path, line=reader.line_num
                 ) from None
+            except GwasParseError as exc:
+                # rows were counted as records; a quoted field may hold a newline
+                if exc.line is None:
+                    raise
+                line = _record_start_line(path, exc.line)
+                raise type(exc)(exc.message, path=path, line=line) from None
     except UnicodeDecodeError as exc:
         raise GwasParseError(
             f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)
@@ -266,6 +273,16 @@ def _row_error(row, line_no, width, pos, seen, path) -> GwasParseError | None:
             f"standard error must be positive, got {value}", path=path, line=line_no
         )
     return None
+
+
+def _record_start_line(path: str, record: int) -> int:
+    """The physical line on which the ``record``-th record (1-based) of a file starts."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        reader = csv.reader(fh, delimiter="\t")
+        start = 1
+        for _ in islice(reader, record - 1):
+            start = reader.line_num + 1
+    return start
 
 
 def _undecodable_line(path: str) -> int | None:

@@ -15,8 +15,9 @@ of one ``SeedSequence``, spawned as replication ``r`` starts), so results are
 reproducible from a single integer seed and independent of any execution
 schedule. Within one replication the stream is consumed in a fixed
 documented order: direct effects for the first trait, then the second, panel
-noise for the first trait, then the second, then any estimator bootstraps in
-method-list order (first direction before second).
+noise for the first trait, then the second. The estimators draw nothing: the
+median methods read their scale off the exact law of the SNP-bootstrap
+median.
 """
 
 from __future__ import annotations
@@ -237,6 +238,7 @@ def generate_truth(
     rng: np.random.Generator,
     beta_dy: float = 0.0,
     beta_yd: float = 0.0,
+    min_snr: float | None = None,
 ) -> TruthConfig:
     """Draw one ground truth by rank-probability activation of seed effects.
 
@@ -244,20 +246,20 @@ def generate_truth(
     probability ``(rank / p) ** kappa`` (rank 1 = smallest ``|alpha| / se``)
     and zero otherwise; activations are independent across SNPs and traits.
     Smaller ``kappa`` activates more SNPs. Exposure-trait draws precede
-    outcome-trait draws on the stream.
+    outcome-trait draws on the stream. With ``min_snr`` every active effect
+    is raised to at least that many noise units before the truth is built,
+    as :func:`enforce_separation` raises them afterwards.
     """
     if not kappa > 0.0:
         raise InputError(f"kappa must be positive, got {kappa!r}")
     prob_d, prob_y = seed.activation_probabilities(kappa)
-    active_d = rng.random(seed.p) < prob_d
-    active_y = rng.random(seed.p) < prob_y
+    pi_d = np.where(rng.random(seed.p) < prob_d, seed.alpha_d, 0.0)
+    pi_y = np.where(rng.random(seed.p) < prob_y, seed.alpha_y, 0.0)
+    if min_snr is not None:
+        pi_d = _amplified(pi_d, seed.se_d, min_snr)
+        pi_y = _amplified(pi_y, seed.se_y, min_snr)
     return TruthConfig(
-        pi_d=np.where(active_d, seed.alpha_d, 0.0),
-        pi_y=np.where(active_y, seed.alpha_y, 0.0),
-        beta_dy=beta_dy,
-        beta_yd=beta_yd,
-        se_d=seed.se_d,
-        se_y=seed.se_y,
+        pi_d=pi_d, pi_y=pi_y, beta_dy=beta_dy, beta_yd=beta_yd, se_d=seed.se_d, se_y=seed.se_y
     )
 
 
@@ -267,6 +269,14 @@ def _amplified(pi: np.ndarray, se: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(weak, np.sign(pi) * floor, pi)
 
 
+def _separation_floor(p: int, cfg: FocusConfig, c1: float) -> float:
+    """``c1 * tau_f * sqrt(log p)`` noise units, the floor of :func:`enforce_separation`."""
+    if not c1 > 0.0:
+        raise InputError(f"c1 must be positive, got {c1!r}")
+    # slight overshoot so the amplified |pi| / se round-trips above the bound
+    return c1 * cfg.tau_f * math.sqrt(math.log(p)) * (1.0 + 1e-9)
+
+
 def enforce_separation(truth: TruthConfig, cfg: FocusConfig, c1: float) -> TruthConfig:
     """Amplify active direct effects so both directions are well separated.
 
@@ -274,10 +284,7 @@ def enforce_separation(truth: TruthConfig, cfg: FocusConfig, c1: float) -> Truth
     ``c1 * tau_f * sqrt(log p)`` noise units, keeping its sign and the
     on/off pattern (hence the class proportions) unchanged.
     """
-    if not c1 > 0.0:
-        raise InputError(f"c1 must be positive, got {c1!r}")
-    # slight overshoot so the amplified |pi| / se round-trips above the bound
-    threshold = c1 * cfg.tau_f * math.sqrt(math.log(truth.p)) * (1.0 + 1e-9)
+    threshold = _separation_floor(truth.p, cfg, c1)
     return replace(
         truth,
         pi_d=_amplified(truth.pi_d, truth.se_d, threshold),
@@ -336,7 +343,6 @@ class ScenarioConfig:
     methods: tuple[Method, ...] = (Method.FOCUSED_IVW,)
     rng_seed: int = 0
     enforce_separation_c1: float | None = None
-    n_boot: int = 2000
 
     def __post_init__(self):
         if self.n_reps < 1:
@@ -372,7 +378,7 @@ class ScenarioReport:
     mean_corr_pi: float | None
 
 
-def _apply_method(panel, direction, method, focus, rng, n_boot):
+def _apply_method(panel, direction, method, focus):
     """Run one method for one direction; returns (reject, selected_mask, empty_flag).
 
     ``focus`` carries the scenario's resolved relevance threshold explicitly.
@@ -381,12 +387,12 @@ def _apply_method(panel, direction, method, focus, rng, n_boot):
         estimator = (
             Estimator.FOCUSED_IVW if method is Method.FOCUSED_IVW else Estimator.FOCUSED_MEDIAN
         )
-        report = test_direction(panel, direction, focus, estimator, rng=rng, n_boot=n_boot)
+        report = test_direction(panel, direction, focus, estimator)
         return report.reject, report.selected, report.empty_set_reject
     if method is Method.OVERALL_IVW:
         report = overall_ivw(panel, direction, focus.tau_s)
     elif method is Method.MR_MEDIAN:
-        report = mr_median(panel, direction, focus.tau_s, rng, n_boot)
+        report = mr_median(panel, direction, focus.tau_s)
     elif method is Method.MR_EGGER:
         report = mr_egger(panel, direction, focus.tau_s)
     else:
@@ -397,16 +403,17 @@ def _apply_method(panel, direction, method, focus, rng, n_boot):
 def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
     """Run a full scenario and aggregate rejections and selection quality.
 
-    Per replication: draw a truth, optionally amplify it to enforce
-    separation, sample a panel, then run every configured method in both
+    Per replication: draw a truth (amplified as it is drawn when separation
+    is enforced), sample a panel, then run every configured method in both
     directions. Fully reproducible from ``scenario.rng_seed``; each
     replication's stream is keyed by its index, so the result does not
     depend on scheduling.
 
     What stays constant across replications is computed once: the resolved
     relevance threshold, the truncated-normal null variance (cached on the
-    focus configuration), the activation probabilities (cached on the seed)
-    and a template panel holding the ids and standard errors.
+    focus configuration), the activation probabilities (cached on the seed),
+    the separation floor, and a template panel holding the ids and standard
+    errors. Each replication builds and validates one truth.
     """
     p = seed.p
     focus = replace(
@@ -415,6 +422,8 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
     template = Panel.from_arrays(
         default_snp_ids(p), seed.alpha_d, seed.se_d, seed.alpha_y, seed.se_y
     )
+    c1 = scenario.enforce_separation_c1
+    min_snr = None if c1 is None else _separation_floor(p, focus, c1)
     directions = (Direction.D_TO_Y, Direction.Y_TO_D)
 
     n_ok = {(m, d): 0 for m in scenario.methods for d in directions}
@@ -433,10 +442,8 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
     for _ in range(scenario.n_reps):
         rng = np.random.default_rng(streams.spawn(1)[0])
         truth = generate_truth(
-            seed, scenario.kappa, rng, beta_dy=scenario.beta_dy, beta_yd=scenario.beta_yd
+            seed, scenario.kappa, rng, scenario.beta_dy, scenario.beta_yd, min_snr
         )
-        if scenario.enforce_separation_c1 is not None:
-            truth = enforce_separation(truth, focus, scenario.enforce_separation_c1)
         panel = simulate_panel(truth, rng, template)
 
         masks = iv_class_masks(truth, zero_tol=0.0)
@@ -450,9 +457,7 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
         for method in scenario.methods:
             for direction in directions:
                 try:
-                    reject, selected, empty = _apply_method(
-                        panel, direction, method, focus, rng, scenario.n_boot
-                    )
+                    reject, selected, empty = _apply_method(panel, direction, method, focus)
                 except DegeneracyError:
                     n_error[(method, direction)] += 1
                     continue

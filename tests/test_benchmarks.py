@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw
-from bidirmr.errors import EmptyRelevantSetError, RankDeficientError
+from bidirmr.errors import EmptyRelevantSetError, InputError, RankDeficientError
 from bidirmr.focusing import Direction, FocusConfig, TauSRule
 from bidirmr.focusing import test_direction as run_direction_test
 from conftest import make_random_panel
@@ -55,29 +55,40 @@ class TestOverallIvw:
         with pytest.raises(EmptyRelevantSetError):
             overall_ivw(panel, Direction.D_TO_Y, tau_s=1e9)
 
+    def test_underflowing_weights_fail_as_the_focused_ivw_does(self):
+        # (1e-200 / 1)^2 underflows: the weights sum to zero
+        from bidirmr.focusing import Panel
+
+        panel = Panel.from_arrays(["a", "b"], [1e-200, -1e-190], [1.0, 1.0], [0.0, 0.3], [1.0, 2.0])
+        cfg = FocusConfig(tau_f=math.inf, tau_s_rule=TauSRule.EXPLICIT)
+        with pytest.raises(InputError, match="weight_sum must be positive"):
+            overall_ivw(panel, Direction.D_TO_Y, 0.0)
+        with pytest.raises(InputError, match="weight_sum must be positive"):
+            run_direction_test(panel, Direction.D_TO_Y, cfg)
+
 
 class TestMrMedian:
     def test_estimate_is_ratio_median(self):
         panel = make_random_panel(np.random.default_rng(0), p=21)
-        report = mr_median(panel, Direction.D_TO_Y, 0.0, np.random.default_rng(1))
+        report = mr_median(panel, Direction.D_TO_Y, 0.0)
         assert report.estimate == float(np.median(panel.beta_y / panel.beta_d))
 
     def test_symmetric_ratios_give_near_zero(self):
-        # ratios symmetric around zero: median 0, bootstrap never rejects
+        # ratios symmetric around zero: median 0, the bootstrap law never rejects
         beta_d = np.ones(9)
         beta_y = np.array([-0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4])
         from bidirmr.focusing import Panel
 
         panel = Panel.from_arrays([f"v{i}" for i in range(9)], beta_d, 0.1 * beta_d,
                                   beta_y, np.full(9, 0.1))
-        report = mr_median(panel, Direction.D_TO_Y, 0.0, np.random.default_rng(2))
+        report = mr_median(panel, Direction.D_TO_Y, 0.0)
         assert report.estimate == 0.0
         assert report.p_value > 0.5
 
     def test_bootstrap_deterministic(self, rng):
         panel = make_random_panel(rng, p=30)
-        r1 = mr_median(panel, Direction.D_TO_Y, 0.0, np.random.default_rng(3))
-        r2 = mr_median(panel, Direction.D_TO_Y, 0.0, np.random.default_rng(3))
+        r1 = mr_median(panel, Direction.D_TO_Y, 0.0)
+        r2 = mr_median(panel, Direction.D_TO_Y, 0.0)
         assert r1 == r2
         np.testing.assert_array_equal(r1.selected, r2.selected)
 
@@ -182,7 +193,7 @@ class TestSharedSelector:
         panel = make_random_panel(rng, p=30)
         tau_s = 0.8
         ivw = overall_ivw(panel, Direction.Y_TO_D, tau_s)
-        med = mr_median(panel, Direction.Y_TO_D, tau_s, np.random.default_rng(0))
+        med = mr_median(panel, Direction.Y_TO_D, tau_s)
         egg = mr_egger(panel, Direction.Y_TO_D, tau_s)
         ids = [panel.ids_at(r.selected) for r in (ivw, med, egg)]
         assert ids[0] == ids[1] == ids[2]

@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bidirmr import cli
 from bidirmr.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -12,10 +14,10 @@ EXPOSURE = str(FIXTURES / "exposure_50.tsv")
 OUTCOME = str(FIXTURES / "outcome_50.tsv")
 EXPOSURE_EMPTY = str(FIXTURES / "exposure_empty.tsv")
 OUTCOME_EMPTY = str(FIXTURES / "outcome_empty.tsv")
-# Bootstrap replicates whose (n_boot x n) int64 index draw needs more than
-# 2**48 bytes for any n >= 1: the allocation fails at once, touching no
-# memory, even where the host overcommits.
-HUGE_N_BOOT = str(2**46)
+# A vector of this many float64 or int64 values needs 2**49 bytes, more than
+# any address space: the allocation fails at once, touching no memory, even
+# where the host overcommits.
+HUGE_LENGTH = 2**46
 
 
 def run_test_cmd(tmp_path, name, *extra):
@@ -120,10 +122,21 @@ class TestTestCommand:
         assert code == 2
         assert "columns ['beta'] appear more than once" in capsys.readouterr().err
 
-    def test_out_of_memory_is_input_error(self, tmp_path, capsys):
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # no option of `test` sizes an allocation, so loading the outcome
+        # file is made to ask for one that cannot be served
+        load_gwas = cli.load_gwas
+
+        def load_then_allocate(path, col_map=None):
+            gwas = load_gwas(path, col_map)
+            if path == OUTCOME:
+                np.empty(HUGE_LENGTH, dtype=np.int64)
+            return gwas
+
+        monkeypatch.setattr(cli, "load_gwas", load_then_allocate)
         code = main(
             ["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--seed", "1",
-             "--estimator", "median", "--n-boot", HUGE_N_BOOT, "--out", str(tmp_path / "r.json")]
+             "--estimator", "median", "--out", str(tmp_path / "r.json")]
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: out of memory: ")
@@ -226,10 +239,10 @@ class TestSimulateCommand:
         assert "--seed must be nonnegative" in capsys.readouterr().err
 
     def test_out_of_memory_is_input_error(self, tmp_path, capsys):
+        # the synthetic seed draws HUGE_LENGTH normal deviates at once
         code = main(
-            ["simulate", "--synthetic", "50", "--methods", "focused_median,mr_median",
-             "--reps", "1", "--n-boot", HUGE_N_BOOT, "--seed", "1",
-             "--out", str(tmp_path / "r.json")]
+            ["simulate", "--synthetic", str(HUGE_LENGTH), "--methods", "focused_median,mr_median",
+             "--reps", "1", "--seed", "1", "--out", str(tmp_path / "r.json")]
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: out of memory: ")

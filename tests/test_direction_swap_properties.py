@@ -2,8 +2,7 @@
 
 Testing Y -> D on a panel is testing D -> Y on the role-swapped panel (the
 two traits' columns exchanged): every estimator must give the same report,
-apart from its direction, the same selection and the same error, from equal
-RNG seeds. And the ids a report's selection stands for, as the ``test``
+apart from its direction, the same selection and the same error. And the ids a report's selection stands for, as the ``test``
 command writes them, are the panel ids at its mask, in panel order, where
 the mask follows the selection rule SNP by SNP.
 """
@@ -11,7 +10,6 @@ the mask follows the selection rule SNP by SNP.
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -30,7 +28,6 @@ from bidirmr.focusing import (  # noqa: E402
 )
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
 
-N_BOOT = 20
 DY, YD = Direction.D_TO_Y, Direction.Y_TO_D
 
 betas = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False))
@@ -68,26 +65,24 @@ def outcome(run):
     return replace(report, direction=DY), report.selected.tolist()
 
 
-def method_runs(cfg: FocusConfig, seed: int):
-    """Every estimator as a function of (panel, direction), with a fresh RNG from ``seed``."""
+def method_runs(cfg: FocusConfig):
+    """Every estimator as a function of (panel, direction)."""
     def focused(estimator):
-        return lambda panel, d: run_direction_test(
-            panel, d, cfg, estimator, rng=np.random.default_rng(seed), n_boot=N_BOOT)
+        return lambda panel, d: run_direction_test(panel, d, cfg, estimator)
     return {
         "focused_ivw": focused(Estimator.FOCUSED_IVW),
         "focused_median": focused(Estimator.FOCUSED_MEDIAN),
         "overall_ivw": lambda panel, d: overall_ivw(panel, d, cfg.tau_s),
-        "mr_median": lambda panel, d: mr_median(
-            panel, d, cfg.tau_s, np.random.default_rng(seed), N_BOOT),
+        "mr_median": lambda panel, d: mr_median(panel, d, cfg.tau_s),
         "mr_egger": lambda panel, d: mr_egger(panel, d, cfg.tau_s),
     }
 
 
 @settings(max_examples=150, deadline=None)
-@given(panels(), configs, st.integers(0, 2**32 - 1))
-def test_yd_on_panel_equals_dy_on_swapped_panel(panel, cfg, seed):
+@given(panels(), configs)
+def test_yd_on_panel_equals_dy_on_swapped_panel(panel, cfg):
     swap = swapped(panel)
-    for name, run in method_runs(cfg, seed).items():
+    for name, run in method_runs(cfg).items():
         assert outcome(lambda: run(panel, YD)) == outcome(lambda: run(swap, DY)), name
         # and the swap is an involution: D -> Y on the panel is Y -> D on the swap
         assert outcome(lambda: run(panel, DY)) == outcome(lambda: run(swap, YD)), name
@@ -110,9 +105,9 @@ def expected_mask(panel, direction, cfg, focused):
 
 
 @settings(max_examples=150, deadline=None)
-@given(panels(), configs, st.integers(0, 2**32 - 1))
-def test_reported_ids_are_panel_ids_at_the_mask(panel, cfg, seed):
-    for name, run in method_runs(cfg, seed).items():
+@given(panels(), configs)
+def test_reported_ids_are_panel_ids_at_the_mask(panel, cfg):
+    for name, run in method_runs(cfg).items():
         for direction in (DY, YD):
             try:
                 report = run(panel, direction)
@@ -127,14 +122,13 @@ def test_reported_ids_are_panel_ids_at_the_mask(panel, cfg, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(panels(), configs, st.integers(0, 2**32 - 1))
-def test_cli_rows_list_the_ids_at_the_mask(panel, cfg, seed):
+@given(panels(), configs)
+def test_cli_rows_list_the_ids_at_the_mask(panel, cfg):
     for name in ("ivw", "median", "overall-ivw", "mr-median", "mr-egger"):
         focused = name in ("ivw", "median")
         for direction in (DY, YD):
             try:
-                row = _run_estimator(panel, direction, cfg, name, np.random.default_rng(seed),
-                                     N_BOOT)
+                row = _run_estimator(panel, direction, cfg, name)
             except BidirMrError:
                 continue
             keep = expected_mask(panel, direction, cfg, focused)

@@ -268,20 +268,34 @@ class TestTestDirection:
         assert report.n_dropped_zero_denom == 1
         assert panel.ids_at(report.selected) == ("b",)
 
-    def test_median_needs_rng(self):
+    def test_median_of_one_snp_has_zero_scale(self):
+        # a single ratio resamples to itself: zero scale, a nonzero median rejects
         panel = Panel.from_arrays(["a"], [0.5], [0.1], [0.05], [0.1])
-        with pytest.raises(InputError):
-            run_direction_test(panel, Direction.D_TO_Y, explicit_cfg(), Estimator.FOCUSED_MEDIAN)
+        report = run_direction_test(
+            panel, Direction.D_TO_Y, explicit_cfg(), Estimator.FOCUSED_MEDIAN
+        )
+        assert report.estimate == pytest.approx(0.1, abs=1e-15)
+        assert report.null_sd == 0.0
+        assert report.z_score is None
+        assert report.p_value == 0.0 and report.reject
+
+    def test_median_with_underflowing_weights_reports_no_share(self):
+        # (1e-200 / 1)^2 underflows: the weights sum to zero
+        panel = Panel.from_arrays(["a", "b"], [1e-200, -1e-190], [1.0, 1.0], [0.0, 0.3], [1.0, 2.0])
+        cfg = FocusConfig(tau_f=math.inf, alpha=0.5, tau_s_rule=TauSRule.EXPLICIT)
+        runs = [
+            run_direction_test(panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN)
+            for _ in range(2)
+        ]
+        assert runs[0].weight_sum == 0.0
+        assert runs[0].max_weight_share is None
+        assert runs[0] == runs[1]
 
     def test_median_bootstrap_deterministic(self, rng):
         panel = make_random_panel(rng, p=40)
         cfg = explicit_cfg(tau_s=0.2)
-        r1 = run_direction_test(
-            panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN, np.random.default_rng(5)
-        )
-        r2 = run_direction_test(
-            panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN, np.random.default_rng(5)
-        )
+        r1 = run_direction_test(panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN)
+        r2 = run_direction_test(panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN)
         assert r1 == r2
         np.testing.assert_array_equal(r1.selected, r2.selected)
         assert r1.bootstrap_inference

@@ -56,7 +56,7 @@ def render(outcome, mode, estimator, direction, work: Path) -> dict[str, bytes]:
         "test", "--exposure", str(FIXTURES / "exposure_50.tsv"),
         "--outcome", str(FIXTURES / f"{outcome}.tsv"),
         "--mode", mode, "--estimator", estimator, "--direction", direction,
-        "--seed", "11", "--n-boot", "200", "--format", fmt,
+        "--seed", "11", "--format", fmt,
         "--out", str(outputs[f"{stem}.report.{fmt}"]),
         "--emit-snps", str(outputs[f"{outcome}.{mode}.snps.tsv"]),
     ]

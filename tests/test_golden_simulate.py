@@ -36,7 +36,7 @@ CASES = {
         "--beta-dy", "0.3", "--methods", "focused_median,mr_median", "--reps", "10", "--seed", "4"],
     "seed_file.json": [
         "--seed-file", str(FIXTURES / "seed_effects_60.tsv"), "--kappa", "0.7",
-        "--beta-yd", "0.2", "--methods", _ALL_METHODS, "--n-boot", "200", "--reps", "20",
+        "--beta-yd", "0.2", "--methods", _ALL_METHODS, "--reps", "20",
         "--seed", "5"],
     "seed_file_grid.tsv": [
         "--seed-file", str(FIXTURES / "seed_effects_60.tsv"), "--enforce-separation", "1.0",
@@ -44,13 +44,13 @@ CASES = {
         "--format", "tsv", "--seed", "6"],
     "tau_s_explicit.json": [
         "--synthetic", "120", "--tau-s", "2.5", "--tau-f", "2.0", "--beta-dy", "0.2",
-        "--methods", _ALL_METHODS, "--n-boot", "100", "--reps", "25", "--seed", "7"],
+        "--methods", _ALL_METHODS, "--reps", "25", "--seed", "7"],
     "tau_s_sparse.tsv": [
         "--synthetic", "40", "--tau-s", "7", "--kappa", "2", "--methods", _ALL_METHODS,
-        "--n-boot", "50", "--reps", "25", "--format", "tsv", "--seed", "8"],
+        "--reps", "25", "--format", "tsv", "--seed", "8"],
     "no_separation.json": [
         "--synthetic", "200", "--kappa", "0.5", "--beta-yd", "0.3", "--methods", _ALL_METHODS,
-        "--n-boot", "100", "--reps", "20", "--seed", "9"],
+        "--reps", "20", "--seed", "9"],
     "no_separation_grid.json": [
         "--synthetic", "394", "--grid", "0:0,0.3:0", "--methods", "focused_ivw,overall_ivw",
         "--alpha", "0.1", "--reps", "40", "--seed", "10"],

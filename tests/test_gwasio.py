@@ -119,13 +119,20 @@ class TestParserEdgeCases:
         assert gwas.ids == ("rs1", "rs 2\twith tab")
         assert gwas.beta.tolist() == [0.1, 0.2]
 
-    def test_line_numbers_count_records_not_physical_lines(self, tmp_path, chunk_rows):
-        # A quoted newline makes one record span two lines; errors name the
-        # record's position, as they always have.
+    def test_line_numbers_name_physical_lines(self, tmp_path, chunk_rows):
+        # A quoted newline makes one record span two lines; the error names
+        # the line the bad record starts on.
         text = 'id\tbeta\tse\n"rs\n1"\t0.1\t0.05\nrs2\tx\t0.04\n'
         with pytest.raises(GwasParseError) as exc:
             load_gwas(write(tmp_path, "x.tsv", text))
-        assert exc.value.line == 3
+        assert exc.value.line == 4
+        assert str(exc.value).startswith(f"{exc.value.path}:4: ")
+
+    def test_duplicate_after_multiline_record_names_its_line(self, tmp_path, chunk_rows):
+        text = 'id\tbeta\tse\n"rs\n\n1"\t0.1\t0.05\nrs2\t0.1\t0.04\nrs2\t0.2\t0.04\n'
+        with pytest.raises(DuplicateVariantError) as exc:
+            load_gwas(write(tmp_path, "x.tsv", text))
+        assert exc.value.line == 6
 
     def test_padded_whitespace(self, tmp_path, chunk_rows):
         text = " id \t beta \t se \n rs1 \t 0.1 \t 0.05 \n"

@@ -44,14 +44,16 @@ def load_bytes(data: bytes):
 
 
 def reference_load(path):
-    """Row-by-row reading of a file with the canonical header names."""
+    """Row-by-row reading of a file with the canonical header names; errors
+    name the physical line their row starts on."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter="\t")
         names = [h.strip() for h in next(reader)]
         pos = {name: names.index(name) for name in names}
         with_alleles = "effect_allele" in pos and "other_allele" in pos
         ids, beta, se, ea, oa, seen = [], [], [], [], [], set()
-        for line, row in enumerate(reader, start=2):
+        line = reader.line_num + 1
+        for row in reader:
             if len(row) != len(names):
                 raise GwasParseError(f"expected {len(names)} fields, got {len(row)}", path, line)
             variant = row[pos["id"]].strip()
@@ -83,11 +85,14 @@ def reference_load(path):
             if with_alleles:
                 ea.append(row[pos["effect_allele"]].strip().upper())
                 oa.append(row[pos["other_allele"]].strip().upper())
+            line = reader.line_num + 1
     return tuple(ids), beta, se, (ea, oa) if with_alleles else None
 
 
 HEADER = "id\tbeta\tse\teffect_allele\tother_allele"
-ids = st.sampled_from(["rs1", "rs2", "rs3", " rs1", "", " ", "rsé", '"rs4"', "rs5"])
+ids = st.sampled_from(
+    ["rs1", "rs2", "rs3", " rs1", "", " ", "rsé", '"rs4"', "rs5", '"rs\n6"', '"rs\r\n\n7"']
+)
 numbers = st.sampled_from(
     ["0.1", "-2.5e-3", " 1_000 ", "1e999", "nan", "-inf", "NA", "", "0", "-0.5", '"0.2"', "١"]
 )

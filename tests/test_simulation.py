@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bidirmr import simulation
 from bidirmr.errors import GwasParseError, InputError
 from bidirmr.focusing import (
     Direction,
@@ -151,6 +152,24 @@ class TestEnforceSeparation:
         np.testing.assert_array_equal(np.sign(truth.pi_d), np.sign(amplified.pi_d))
         assert np.all(np.abs(amplified.pi_y) >= np.abs(truth.pi_y))
 
+    def test_amplifying_while_drawing_equals_amplifying_after(self):
+        seed = synthetic_seed(150, np.random.default_rng(11))
+        cfg = FocusConfig(tau_f=1.5, alpha=0.05)
+        floor = simulation._separation_floor(seed.p, cfg, 2.0)
+        for i in range(10):
+            drawn = generate_truth(seed, 0.8, np.random.default_rng(i), 0.3, -0.1, min_snr=floor)
+            after = enforce_separation(
+                generate_truth(seed, 0.8, np.random.default_rng(i), 0.3, -0.1), cfg, c1=2.0
+            )
+            for name in ("pi_d", "pi_y", "se_d", "se_y", "beta_dy", "beta_yd"):
+                np.testing.assert_array_equal(getattr(drawn, name), getattr(after, name))
+
+    def test_rejects_nonpositive_c1(self):
+        seed = synthetic_seed(40, np.random.default_rng(12))
+        truth = generate_truth(seed, 1.0, np.random.default_rng(0))
+        with pytest.raises(InputError):
+            enforce_separation(truth, FocusConfig(), c1=0.0)
+
 
 class TestSimulatePanel:
     def test_vanishing_noise_recovers_reduced_form(self):
@@ -259,7 +278,6 @@ class TestRunScenario:
             methods=(Method.FOCUSED_IVW, Method.FOCUSED_MEDIAN, Method.OVERALL_IVW),
             rng_seed=99,
             enforce_separation_c1=2.0,
-            n_boot=200,
         )
         base.update(overrides)
         return ScenarioConfig(**base)
