@@ -10,7 +10,6 @@ too large for memory), 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import secrets
@@ -39,6 +38,7 @@ from .gwasio import (
     ReportFormat,
     emit_report,
     harmonize,
+    load_float_columns,
     load_gwas,
     parse_col_map,
     write_tsv_rows,
@@ -511,6 +511,8 @@ def _load_truth(args) -> TruthConfig:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: invalid JSON ({exc})") from None
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
         missing = [k for k in ("pi_d", "pi_y", "se_d", "se_y") if k not in payload]
         if missing:
             raise InputError(f"{path}: missing keys {missing}")
@@ -524,24 +526,7 @@ def _load_truth(args) -> TruthConfig:
             se_d=payload["se_d"],
             se_y=payload["se_y"],
         )
-    required = ("pi_d", "pi_y", "se_d", "se_y")
-    columns = {name: [] for name in required}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing required columns {missing}")
-        pos = {name: header.index(name) for name in required}
-        for line_no, row in enumerate(reader, start=2):
-            for name in required:
-                try:
-                    columns[name].append(float(row[pos[name]]))
-                except (ValueError, IndexError):
-                    raise InputError(f"{path}:{line_no}: bad value in column {name!r}") from None
+    columns = load_float_columns(path, ("pi_d", "pi_y", "se_d", "se_y"))
     return TruthConfig(
         pi_d=columns["pi_d"],
         pi_y=columns["pi_y"],

@@ -34,7 +34,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DegeneracyError,
     EmptyFocusedSetError,
+    EmptyRelevantSetError,
     InputError,
     ZeroDenominatorError,
 )
@@ -43,6 +45,7 @@ from .truncnorm import TruncSpec, std_cdf, std_quantile, std_sf, truncnorm_mean,
 
 __all__ = [
     "Direction",
+    "DirectionRows",
     "Estimator",
     "FocusConfig",
     "JointTestReport",
@@ -53,6 +56,7 @@ __all__ = [
     "TestReport",
     "bootstrap_median_sd",
     "check_separation",
+    "direction_rows",
     "exact_bootstrap_median_sd",
     "focused_ivw",
     "focused_mask",
@@ -624,6 +628,166 @@ def _median_inference(ratios: np.ndarray) -> tuple[float, float, float | None, f
     return estimate, sd, None, 1.0 if estimate == 0.0 else 0.0
 
 
+def _two_sided_p(z: np.ndarray) -> np.ndarray:
+    # std_sf is scalar (math.erfc); NaN stays NaN
+    return np.array([2.0 * std_sf(abs(v)) for v in z.tolist()])
+
+
+@dataclass(frozen=True, eq=False)
+class DirectionRows:
+    """One directional test on each row of R panels, row ``r`` as on panel ``r`` alone.
+
+    ``selected`` is the (R, p) set each row aggregates over (after
+    zero-denominator drops) and ``size`` its cardinality; ``empty_reject``
+    marks rows whose empty focused set rejects by construction (p-value 0).
+    A float a row does not define is NaN: the estimate and scale of an empty
+    set, a weight share when the weights sum to zero, and ``z`` when the
+    median scale is zero. ``intercept``/``intercept_se`` are MR-Egger's only.
+    ``errors`` maps each row that hit a degeneracy to its exception; that
+    row's other fields mean nothing.
+    """
+
+    selected: np.ndarray
+    size: np.ndarray
+    n_dropped: np.ndarray
+    empty_reject: np.ndarray
+    weight_sum: np.ndarray
+    max_share: np.ndarray
+    estimate: np.ndarray
+    se: np.ndarray
+    z: np.ndarray
+    p_value: np.ndarray
+    errors: dict[int, DegeneracyError]
+    intercept: np.ndarray | None = None
+    intercept_se: np.ndarray | None = None
+
+    def failed(self) -> np.ndarray:
+        out = np.zeros(self.size.size, dtype=bool)
+        out[list(self.errors)] = True
+        return out
+
+    def row(self, r: int) -> dict:
+        """Row ``r`` as Python scalars, None where undefined; raises the row's degeneracy, if any.
+
+        ``selected`` is a read-only view of the row's mask.
+        """
+        if r in self.errors:
+            raise self.errors[r]
+
+        def scalar(column):
+            value = None if column is None else float(column[r])
+            return None if value is None or math.isnan(value) else value
+
+        selected = self.selected[r]
+        selected.setflags(write=False)
+        out = {
+            "selected": selected,
+            "size": int(self.size[r]),
+            "n_dropped": int(self.n_dropped[r]),
+            "empty_reject": bool(self.empty_reject[r]),
+            "p_value": float(self.p_value[r]),
+        }
+        for name in ("weight_sum", "max_share", "estimate", "se", "z", "intercept", "intercept_se"):
+            out[name] = scalar(getattr(self, name))
+        return out
+
+
+def direction_rows(
+    exp_beta: np.ndarray,
+    exp_se: np.ndarray,
+    out_beta: np.ndarray,
+    out_se: np.ndarray,
+    cfg: FocusConfig,
+    tau_s: float,
+    estimator: Estimator = Estimator.FOCUSED_IVW,
+    benchmark: bool = False,
+) -> DirectionRows:
+    """The focused test in one direction on every row of (R, p) estimates at once.
+
+    ``exp_beta``/``out_beta`` hold one panel's exposure and outcome betas per
+    row; the standard errors are (p,) vectors shared by the rows (or (R, p)).
+    Masks, weights, IVW estimates, z and p are row reductions; the median
+    estimator runs :func:`_median_inference` row by row. Only ``cfg.tau_f``
+    and, for IVW rows with a nonempty set, ``cfg.null_var`` are used.
+
+    Focused tests drop zero exposure associations from the set (counted in
+    ``n_dropped``) and reject on an empty set. With ``benchmark`` the set is
+    the conventional methods' (``tau_f = inf``): an empty one is an
+    :class:`EmptyRelevantSetError` and a zero exposure association a
+    :class:`ZeroDenominatorError`. IVW weights ``(exp_beta / out_se)^2`` that
+    all underflow to zero, or overflow, leave no null scale and are a
+    :class:`ZeroDenominatorError` too.
+    """
+    if not tau_s >= 0.0:
+        raise InputError(f"tau_s must be nonnegative, got {tau_s!r}")
+    mask = (np.abs(out_beta) <= out_se * cfg.tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
+    zero = mask & (exp_beta == 0.0)
+    n_dropped = zero.sum(axis=1)
+    mask &= ~zero
+    size = mask.sum(axis=1)
+    errors: dict[int, DegeneracyError] = {}
+    if benchmark:
+        for r in np.flatnonzero(size + n_dropped == 0).tolist():
+            errors[r] = EmptyRelevantSetError(
+                f"no SNP passes the relevance threshold tau_s={tau_s}"
+            )
+        for r in np.flatnonzero(n_dropped).tolist():
+            errors.setdefault(
+                r, ZeroDenominatorError("ratio estimates need nonzero exposure associations")
+            )
+        empty_reject = np.zeros(size.size, dtype=bool)
+    else:
+        empty_reject = size == 0
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = out_beta / exp_beta
+        weights = np.where(mask, (exp_beta / out_se) ** 2, 0.0)
+        weight_sum = weights.sum(axis=1)
+        max_share = np.where(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
+    live = size > 0
+    live[list(errors)] = False
+
+    nan = np.full(size.size, np.nan)
+    if Estimator(estimator) is Estimator.FOCUSED_MEDIAN:
+        estimate, se, z, p_value = nan.copy(), nan.copy(), nan.copy(), nan.copy()
+        for r in np.flatnonzero(live).tolist():
+            estimate[r], se[r], z_r, p_value[r] = _median_inference(ratios[r, mask[r]])
+            if z_r is not None:
+                z[r] = z_r
+    else:
+        null_var = math.nan
+        if live.any():
+            try:
+                null_var = cfg.null_var
+            except DegeneracyError as exc:
+                errors.update(dict.fromkeys(np.flatnonzero(live).tolist(), exc))
+        # a weight sum of 0 or inf leaves no finite, nonzero null scale
+        for r in np.flatnonzero(live & ((weight_sum == 0.0) | np.isinf(weight_sum))).tolist():
+            how = "all underflow to zero" if weight_sum[r] == 0.0 else "overflow"
+            errors.setdefault(
+                r, ZeroDenominatorError(f"IVW weights (exposure beta / outcome se)^2 {how}")
+            )
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            estimate = np.where(mask, weights * ratios, 0.0).sum(axis=1) / weight_sum
+            se = np.sqrt(null_var / weight_sum)
+            z = estimate / se
+        p_value = _two_sided_p(z)
+    p_value[empty_reject] = 0.0
+    return DirectionRows(
+        selected=mask,
+        size=size,
+        n_dropped=n_dropped,
+        empty_reject=empty_reject,
+        weight_sum=weight_sum,
+        max_share=max_share,
+        estimate=estimate,
+        se=se,
+        z=z,
+        p_value=p_value,
+        errors=errors,
+    )
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of one directional test.
@@ -699,52 +863,32 @@ def test_direction(
     """
     estimator = Estimator(estimator)
     tau_s = cfg.resolve_tau_s(len(panel))
-    mask = focused_mask(panel, direction, cfg)
-
-    exp_beta, _, out_beta, out_se = _roles(panel, direction)
-    zero_denom = mask & (exp_beta == 0.0)
-    n_dropped = int(zero_denom.sum())
-    mask = mask & ~zero_denom
-    mask.setflags(write=False)
-    if not mask.any():
-        return _empty_set_report(direction, estimator, cfg, tau_s, mask, n_dropped)
-
-    eb = exp_beta[mask]
-    ob = out_beta[mask]
-    os_ = out_se[mask]
-    weights = (eb / os_) ** 2
-    weight_sum = float(np.sum(weights))
-    # weights can all underflow to zero; no share is defined then
-    max_share = float(np.max(weights) / weight_sum) if weight_sum > 0.0 else None
-    ratios = ob / eb
-
-    bootstrap = estimator is Estimator.FOCUSED_MEDIAN
-    if bootstrap:
-        estimate, null_sd, z, p_value = _median_inference(ratios)
-    else:
-        null_sd = _null_sd(weight_sum, cfg.null_var)
-        estimate = float(np.sum(weights * ratios) / weight_sum)
-        z = estimate / null_sd
-        p_value = 2.0 * std_sf(abs(z))
-
+    exp_beta, exp_se, out_beta, out_se = _roles(panel, direction)
+    row = direction_rows(
+        exp_beta[None], exp_se, out_beta[None], out_se, cfg, tau_s, estimator
+    ).row(0)
+    if row["empty_reject"]:
+        return _empty_set_report(
+            direction, estimator, cfg, tau_s, row["selected"], row["n_dropped"]
+        )
     return TestReport(
         direction=direction,
         estimator=estimator,
         alpha=cfg.alpha,
         tau_f=cfg.tau_f,
         tau_s=tau_s,
-        selected=mask,
-        focused_size=eb.size,
-        estimate=estimate,
-        null_sd=null_sd,
-        z_score=z,
-        p_value=p_value,
-        reject=p_value <= cfg.alpha,
+        selected=row["selected"],
+        focused_size=row["size"],
+        estimate=row["estimate"],
+        null_sd=row["se"],
+        z_score=row["z"],
+        p_value=row["p_value"],
+        reject=row["p_value"] <= cfg.alpha,
         empty_set_reject=False,
-        weight_sum=weight_sum,
-        max_weight_share=max_share,
-        n_dropped_zero_denom=n_dropped,
-        bootstrap_inference=bootstrap,
+        weight_sum=row["weight_sum"],
+        max_weight_share=row["max_share"],
+        n_dropped_zero_denom=row["n_dropped"],
+        bootstrap_inference=estimator is Estimator.FOCUSED_MEDIAN,
     )
 
 

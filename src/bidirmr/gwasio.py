@@ -50,6 +50,7 @@ __all__ = [
     "emit_report",
     "format_document",
     "harmonize",
+    "load_float_columns",
     "load_gwas",
     "parse_col_map",
     "write_tsv_rows",
@@ -139,6 +140,65 @@ def load_gwas(path: str, col_map: Mapping[str, str] | None = None) -> GwasFile:
         ) from None
     logger.info("loaded %d variants from %s", gwas.n, path)
     return gwas
+
+
+def load_float_columns(path: str, required: Sequence[str]) -> dict[str, np.ndarray]:
+    """The named columns of a small UTF-8 TSV of numbers (seed effects, ground truths).
+
+    Every row must have as many fields as the header and a finite number in
+    each required column; a required column named twice is an error. Errors
+    are :class:`GwasParseError` naming the physical line the offending record
+    starts on (a quoted field may hold a newline).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter="\t")
+            try:
+                return _float_columns(reader, required, path)
+            except csv.Error as exc:
+                raise GwasParseError(
+                    f"malformed TSV ({exc})", path=path, line=reader.line_num
+                ) from None
+    except UnicodeDecodeError as exc:
+        raise GwasParseError(
+            f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)
+        ) from None
+
+
+def _float_columns(reader, required: Sequence[str], path: str) -> dict[str, np.ndarray]:
+    header = next(reader, None)
+    if header is None:
+        raise GwasParseError("file is empty", path=path)
+    names = [h.strip() for h in header]
+    missing = [c for c in required if c not in names]
+    if missing:
+        raise GwasParseError(f"missing required columns {missing}", path=path, line=1)
+    repeated = [c for c in required if names.count(c) > 1]
+    if repeated:
+        raise GwasParseError(f"columns {repeated} appear more than once", path=path, line=1)
+    pos = {c: names.index(c) for c in required}
+    columns: dict[str, list[float]] = {c: [] for c in required}
+    line = reader.line_num + 1
+    for row in reader:
+        if len(row) != len(names):
+            raise GwasParseError(
+                f"expected {len(names)} fields, got {len(row)}", path=path, line=line
+            )
+        for name in required:
+            raw = row[pos[name]].strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                raise GwasParseError(
+                    f"column {name!r} has non-numeric value {raw!r}", path=path, line=line
+                ) from None
+            if not math.isfinite(value):
+                raise GwasParseError(
+                    f"column {name!r} has non-finite value {raw!r}", path=path, line=line
+                )
+            columns[name].append(value)
+        line = reader.line_num + 1
+    return {name: np.array(values, dtype=float) for name, values in columns.items()}
 
 
 @contextmanager

@@ -127,10 +127,15 @@ def classify_iv(pi_d_j: float, pi_y_j: float, zero_tol: float = 1e-12) -> IvClas
 
 def iv_class_masks(truth: TruthConfig, zero_tol: float = 1e-12) -> dict[IvClass, np.ndarray]:
     """Boolean membership mask per class, each of length ``truth.p``."""
+    return _class_masks(truth.pi_d, truth.pi_y, zero_tol)
+
+
+def _class_masks(pi_d: np.ndarray, pi_y: np.ndarray, zero_tol: float) -> dict[IvClass, np.ndarray]:
+    """:func:`iv_class_masks` on direct-effect arrays of any matching shape, e.g. (R, p)."""
     if zero_tol < 0.0:
         raise InputError("zero_tol must be nonnegative")
-    d_zero = np.abs(truth.pi_d) <= zero_tol
-    y_zero = np.abs(truth.pi_y) <= zero_tol
+    d_zero = np.abs(pi_d) <= zero_tol
+    y_zero = np.abs(pi_y) <= zero_tol
     return {
         IvClass.NULL: d_zero & y_zero,
         IvClass.VALID_DY: ~d_zero & y_zero,
@@ -164,12 +169,18 @@ class ReducedForm:
 
 def reduced_form(truth: TruthConfig) -> ReducedForm:
     """Map direct effects to the marginal associations of both traits."""
-    denom = 1.0 - truth.beta_dy * truth.beta_yd
-    gamma_y = (truth.pi_y + truth.pi_d * truth.beta_dy) / denom
-    gamma_d = (truth.pi_d + truth.pi_y * truth.beta_yd) / denom
+    gamma_d, gamma_y = _marginal_effects(truth.pi_d, truth.pi_y, truth.beta_dy, truth.beta_yd)
     gamma_y.setflags(write=False)
     gamma_d.setflags(write=False)
     return ReducedForm(gamma_d=gamma_d, gamma_y=gamma_y)
+
+
+def _marginal_effects(
+    pi_d: np.ndarray, pi_y: np.ndarray, beta_dy: float, beta_yd: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(gamma_d, gamma_y)`` of :func:`reduced_form` on arrays of any matching shape."""
+    denom = 1.0 - beta_dy * beta_yd
+    return (pi_d + pi_y * beta_yd) / denom, (pi_y + pi_d * beta_dy) / denom
 
 
 def direct_effects(

@@ -13,33 +13,48 @@ normal noise at the seed standard errors.
 Replications draw from RNG streams keyed by replication index (child ``r``
 of one ``SeedSequence``, spawned as replication ``r`` starts), so results are
 reproducible from a single integer seed and independent of any execution
-schedule. Within one replication the stream is consumed in a fixed
-documented order: direct effects for the first trait, then the second, panel
-noise for the first trait, then the second. The estimators draw nothing: the
-median methods read their scale off the exact law of the SNP-bootstrap
-median.
+schedule. Each replication consumes its stream in a fixed documented order:
+
+1. ``random(p)``: activation uniforms for the first trait (D);
+2. ``random(p)``: activation uniforms for the second trait (Y);
+3. ``standard_normal(p)``: panel noise for D;
+4. ``standard_normal(p)``: panel noise for Y.
+
+An estimate is ``gamma + se * z`` for its noise draw ``z``, which is exactly
+what ``Generator.normal(gamma, se)`` returns, bit for bit. The estimators
+draw nothing: the median methods read their scale off the exact law of the
+SNP-bootstrap median.
+
+:func:`run_scenario` takes replications in chunks of
+``R = max(1, _CHUNK_VALUES // p)``: each replication's four draws fill one
+row of (R, p) arrays, and everything after the draws is computed for the
+whole chunk at once. Memory is bounded by the chunk, whatever the number of
+replications; the chunk size does not change any result.
+:func:`generate_truth` and :func:`simulate_panel` are the same draws and
+arithmetic for one replication (draws 1-2 and 3-4).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegeneracyError, GwasParseError, InputError
+from .benchmarks import mr_egger_rows, mr_median_rows, overall_ivw_rows
+from .errors import GwasParseError, InputError
 from .focusing import (
     Direction,
+    DirectionRows,
     Estimator,
     FocusConfig,
     Panel,
     TauSRule,
-    test_direction,
+    direction_rows,
 )
-from .benchmarks import mr_egger, mr_median, overall_ivw
-from .model import IvClass, TruthConfig, iv_class_masks, reduced_form
+from .gwasio import load_float_columns
+from .model import IvClass, TruthConfig, _class_masks, _marginal_effects, reduced_form
 
 __all__ = [
     "Method",
@@ -187,39 +202,9 @@ def synthetic_seed(
 
 def load_seed_effects(path: str) -> SeedEffects:
     """Load seed effects from a TSV with columns alpha_d, alpha_y, se_d, se_y."""
-    required = ("alpha_d", "alpha_y", "se_d", "se_y")
-    columns: dict[str, list[float]] = {name: [] for name in required}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GwasParseError("file is empty", path=path) from None
-        header = [h.strip() for h in header]
-        missing = [name for name in required if name not in header]
-        if missing:
-            raise GwasParseError(f"missing required columns {missing}", path=path, line=1)
-        pos = {name: header.index(name) for name in required}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise GwasParseError(
-                    f"expected {len(header)} fields, got {len(row)}", path=path, line=line_no
-                )
-            for name in required:
-                raw = row[pos[name]].strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise GwasParseError(
-                        f"column {name!r} has non-numeric value {raw!r}", path=path, line=line_no
-                    ) from None
-                if not math.isfinite(value):
-                    raise GwasParseError(
-                        f"column {name!r} has non-finite value {raw!r}", path=path, line=line_no
-                    )
-                columns[name].append(value)
+    columns = load_float_columns(path, ("alpha_d", "alpha_y", "se_d", "se_y"))
     try:
-        return SeedEffects(**{name: np.array(vals) for name, vals in columns.items()})
+        return SeedEffects(**columns)
     except InputError as exc:
         raise GwasParseError(str(exc), path=path) from None
 
@@ -252,15 +237,29 @@ def generate_truth(
     """
     if not kappa > 0.0:
         raise InputError(f"kappa must be positive, got {kappa!r}")
-    prob_d, prob_y = seed.activation_probabilities(kappa)
-    pi_d = np.where(rng.random(seed.p) < prob_d, seed.alpha_d, 0.0)
-    pi_y = np.where(rng.random(seed.p) < prob_y, seed.alpha_y, 0.0)
-    if min_snr is not None:
-        pi_d = _amplified(pi_d, seed.se_d, min_snr)
-        pi_y = _amplified(pi_y, seed.se_y, min_snr)
+    pi_d, pi_y = _activated(seed, kappa, rng.random((2, seed.p)), min_snr)
     return TruthConfig(
         pi_d=pi_d, pi_y=pi_y, beta_dy=beta_dy, beta_yd=beta_yd, se_d=seed.se_d, se_y=seed.se_y
     )
+
+
+def _activated(seed: SeedEffects, kappa: float, uniforms: np.ndarray, min_snr: float | None):
+    """``(pi_d, pi_y)`` from draws 1 and 2, the activation uniforms ``uniforms[..., 0:2, :]``."""
+    prob_d, prob_y = seed.activation_probabilities(kappa)
+    pi_d = np.where(uniforms[..., 0, :] < prob_d, seed.alpha_d, 0.0)
+    pi_y = np.where(uniforms[..., 1, :] < prob_y, seed.alpha_y, 0.0)
+    if min_snr is not None:
+        pi_d = _amplified(pi_d, seed.se_d, min_snr)
+        pi_y = _amplified(pi_y, seed.se_y, min_snr)
+    return pi_d, pi_y
+
+
+def _with_noise(gamma_d, gamma_y, se_d, se_y, normals: np.ndarray):
+    """``(beta_d, beta_y)`` from draws 3 and 4, the standard normals ``normals[..., 0:2, :]``.
+
+    ``loc + scale * z`` is what ``Generator.normal(loc, scale)`` computes, bit for bit.
+    """
+    return gamma_d + se_d * normals[..., 0, :], gamma_y + se_y * normals[..., 1, :]
 
 
 def _amplified(pi: np.ndarray, se: np.ndarray, threshold: float) -> np.ndarray:
@@ -310,8 +309,9 @@ def simulate_panel(
     ``default_snp_ids``.
     """
     rf = reduced_form(truth)
-    beta_d = rng.normal(rf.gamma_d, truth.se_d)
-    beta_y = rng.normal(rf.gamma_y, truth.se_y)
+    beta_d, beta_y = _with_noise(
+        rf.gamma_d, rf.gamma_y, truth.se_d, truth.se_y, rng.standard_normal((2, truth.p))
+    )
     if template is None:
         return Panel.from_arrays(default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
     if not (
@@ -378,49 +378,69 @@ class ScenarioReport:
     mean_corr_pi: float | None
 
 
-def _apply_method(panel, direction, method, focus):
-    """Run one method for one direction; returns (reject, selected_mask, empty_flag).
+_BENCHMARK_ROWS = {
+    Method.OVERALL_IVW: overall_ivw_rows,
+    Method.MR_MEDIAN: mr_median_rows,
+    Method.MR_EGGER: mr_egger_rows,
+}
 
-    ``focus`` carries the scenario's resolved relevance threshold explicitly.
-    """
+_CLASS_ORDER = (IvClass.NULL, IvClass.VALID_DY, IvClass.VALID_YD, IvClass.PLEIOTROPIC)
+
+# Values per (R, p) array of a chunk: R = max(1, _CHUNK_VALUES // p)
+# replications are drawn and tested together, so memory does not grow with
+# the number of replications (nor with p beyond one replication per chunk).
+_CHUNK_VALUES = 1 << 14
+
+
+def _method_rows(method: Method, roles, focus: FocusConfig) -> DirectionRows:
+    """One method in one direction on every replication of a chunk."""
     if method is Method.FOCUSED_IVW or method is Method.FOCUSED_MEDIAN:
-        estimator = (
-            Estimator.FOCUSED_IVW if method is Method.FOCUSED_IVW else Estimator.FOCUSED_MEDIAN
-        )
-        report = test_direction(panel, direction, focus, estimator)
-        return report.reject, report.selected, report.empty_set_reject
-    if method is Method.OVERALL_IVW:
-        report = overall_ivw(panel, direction, focus.tau_s)
-    elif method is Method.MR_MEDIAN:
-        report = mr_median(panel, direction, focus.tau_s)
-    elif method is Method.MR_EGGER:
-        report = mr_egger(panel, direction, focus.tau_s)
-    else:
-        raise InputError(f"unknown method {method!r}")
-    return report.p_value <= focus.alpha, report.selected, False
+        return direction_rows(*roles, focus, focus.tau_s, Estimator(method.value))
+    return _BENCHMARK_ROWS[method](*roles, focus.tau_s)
+
+
+def _require_finite(**arrays: np.ndarray) -> None:
+    # what each replication's TruthConfig and panel would check
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise InputError(f"{name} must be finite")
+
+
+def _add_in_order(total, values: np.ndarray):
+    """``total + values[0] + values[1] + ...`` added left to right, as replications come."""
+    return np.add.accumulate(np.concatenate((np.asarray(total)[None], values)), axis=0)[-1]
+
+
+def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each row of ``a`` with the same row of ``b``, as ``np.corrcoef``."""
+    x = np.stack((a, b), axis=1)
+    x -= x.mean(axis=2, keepdims=True)
+    c = x @ x.transpose(0, 2, 1)
+    c *= 1.0 / (a.shape[1] - 1)
+    sd_a, sd_b = np.sqrt(c[:, 0, 0]), np.sqrt(c[:, 1, 1])
+    return np.clip(c[:, 0, 1] / sd_a / sd_b, -1.0, 1.0)
 
 
 def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
     """Run a full scenario and aggregate rejections and selection quality.
 
-    Per replication: draw a truth (amplified as it is drawn when separation
-    is enforced), sample a panel, then run every configured method in both
-    directions. Fully reproducible from ``scenario.rng_seed``; each
-    replication's stream is keyed by its index, so the result does not
-    depend on scheduling.
-
-    What stays constant across replications is computed once: the resolved
-    relevance threshold, the truncated-normal null variance (cached on the
-    focus configuration), the activation probabilities (cached on the seed),
-    the separation floor, and a template panel holding the ids and standard
-    errors. Each replication builds and validates one truth.
+    Replications go in chunks of R: each one's four draws fill one row of
+    (R, p) arrays, then truths, panels, class masks and every configured
+    method in both directions are computed for the whole chunk as row
+    operations (:func:`bidirmr.focusing.direction_rows` and the benchmark
+    row functions, the same code the single-panel tests run). Sums over
+    replications (valid-IV shares, class shares, correlations) are added in
+    replication order. Fully reproducible from ``scenario.rng_seed``; each
+    replication's stream is keyed by its index, so the result depends
+    neither on scheduling nor on the chunk size.
     """
     p = seed.p
     focus = replace(
         scenario.focus, tau_s=scenario.focus.resolve_tau_s(p), tau_s_rule=TauSRule.EXPLICIT
     )
-    template = Panel.from_arrays(
-        default_snp_ids(p), seed.alpha_d, seed.se_d, seed.alpha_y, seed.se_y
+    # the causal pair is checked once, as every replication's truth would check it
+    TruthConfig(
+        seed.alpha_d, seed.alpha_y, scenario.beta_dy, scenario.beta_yd, seed.se_d, seed.se_y
     )
     c1 = scenario.enforce_separation_c1
     min_snr = None if c1 is None else _separation_floor(p, focus, c1)
@@ -437,38 +457,48 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
     corr_sum = 0.0
     corr_n = 0
 
+    chunk = max(1, _CHUNK_VALUES // p)
     # spawn(1) per replication yields the same children as one spawn(n_reps)
     streams = np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(0,))
-    for _ in range(scenario.n_reps):
-        rng = np.random.default_rng(streams.spawn(1)[0])
-        truth = generate_truth(
-            seed, scenario.kappa, rng, scenario.beta_dy, scenario.beta_yd, min_snr
-        )
-        panel = simulate_panel(truth, rng, template)
+    for start in range(0, scenario.n_reps, chunk):
+        draws = np.empty((min(chunk, scenario.n_reps - start), 4, p))
+        for row in draws:
+            rng = np.random.default_rng(streams.spawn(1)[0])
+            rng.random(out=row[:2])
+            rng.standard_normal(out=row[2:])
+        pi_d, pi_y = _activated(seed, scenario.kappa, draws[:, :2], min_snr)
+        _require_finite(pi_d=pi_d, pi_y=pi_y)
+        gamma_d, gamma_y = _marginal_effects(pi_d, pi_y, scenario.beta_dy, scenario.beta_yd)
+        beta_d, beta_y = _with_noise(gamma_d, gamma_y, seed.se_d, seed.se_y, draws[:, 2:])
+        _require_finite(beta_d=beta_d, beta_y=beta_y)
 
-        masks = iv_class_masks(truth, zero_tol=0.0)
-        counts = np.array([int(masks[cls].sum()) for cls in
-                           (IvClass.NULL, IvClass.VALID_DY, IvClass.VALID_YD, IvClass.PLEIOTROPIC)])
-        rho_sum += counts / p
-        if np.ptp(truth.pi_d) > 0.0 and np.ptp(truth.pi_y) > 0.0:
-            corr_sum += float(np.corrcoef(truth.pi_d, truth.pi_y)[0, 1])
-            corr_n += 1
+        masks = _class_masks(pi_d, pi_y, 0.0)
+        counts = np.stack([masks[cls].sum(axis=1) for cls in _CLASS_ORDER], axis=1)
+        rho_sum = _add_in_order(rho_sum, counts / p)
+        varied = (np.ptp(pi_d, axis=1) > 0.0) & (np.ptp(pi_y, axis=1) > 0.0)
+        if varied.any():
+            corr_sum = _add_in_order(corr_sum, _pearson_rows(pi_d[varied], pi_y[varied]))
+            corr_n += int(varied.sum())
 
+        roles = {
+            Direction.D_TO_Y: (beta_d, seed.se_d, beta_y, seed.se_y),
+            Direction.Y_TO_D: (beta_y, seed.se_y, beta_d, seed.se_d),
+        }
         for method in scenario.methods:
             for direction in directions:
-                try:
-                    reject, selected, empty = _apply_method(panel, direction, method, focus)
-                except DegeneracyError:
-                    n_error[(method, direction)] += 1
-                    continue
                 key = (method, direction)
-                n_ok[key] += 1
-                n_reject[key] += reject
-                n_empty[key] += empty
-                valid = masks[_VALID_CLASS[direction]][selected]
-                if valid.size:
-                    prop_sum[key] += float(valid.mean())
-                    prop_n[key] += 1
+                rows = _method_rows(method, roles[direction], focus)
+                failed = rows.failed()
+                ok = ~failed
+                reject = rows.empty_reject | (rows.p_value <= focus.alpha)
+                n_error[key] += int(failed.sum())
+                n_ok[key] += int(ok.sum())
+                n_reject[key] += int((ok & reject).sum())
+                n_empty[key] += int((ok & rows.empty_reject).sum())
+                shown = ok & (rows.size > 0)
+                valid = (rows.selected & masks[_VALID_CLASS[direction]]).sum(axis=1)
+                prop_sum[key] = _add_in_order(prop_sum[key], valid[shown] / rows.size[shown])
+                prop_n[key] += int(shown.sum())
 
     def _nested(value_for):
         return {
@@ -482,14 +512,14 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
             lambda k: (n_reject[k] / n_ok[k]) if n_ok[k] else None
         ),
         valid_iv_proportions=_nested(
-            lambda k: (prop_sum[k] / prop_n[k]) if prop_n[k] else None
+            lambda k: float(prop_sum[k] / prop_n[k]) if prop_n[k] else None
         ),
         empty_set_rates=_nested(
             lambda k: (n_empty[k] / n_ok[k]) if n_ok[k] else None
         ),
         error_counts=_nested(lambda k: n_error[k]),
         mean_rho=tuple((rho_sum / scenario.n_reps).tolist()),
-        mean_corr_pi=(corr_sum / corr_n) if corr_n else None,
+        mean_corr_pi=float(corr_sum / corr_n) if corr_n else None,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw
-from bidirmr.errors import EmptyRelevantSetError, InputError, RankDeficientError
+from bidirmr.errors import EmptyRelevantSetError, RankDeficientError, ZeroDenominatorError
 from bidirmr.focusing import Direction, FocusConfig, TauSRule
 from bidirmr.focusing import test_direction as run_direction_test
 from conftest import make_random_panel
@@ -61,9 +61,9 @@ class TestOverallIvw:
 
         panel = Panel.from_arrays(["a", "b"], [1e-200, -1e-190], [1.0, 1.0], [0.0, 0.3], [1.0, 2.0])
         cfg = FocusConfig(tau_f=math.inf, tau_s_rule=TauSRule.EXPLICIT)
-        with pytest.raises(InputError, match="weight_sum must be positive"):
+        with pytest.raises(ZeroDenominatorError, match="underflow"):
             overall_ivw(panel, Direction.D_TO_Y, 0.0)
-        with pytest.raises(InputError, match="weight_sum must be positive"):
+        with pytest.raises(ZeroDenominatorError, match="underflow"):
             run_direction_test(panel, Direction.D_TO_Y, cfg)
 
 

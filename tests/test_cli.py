@@ -253,3 +253,84 @@ class TestSimulateCommand:
              "--methods", "psychic"]
         )
         assert code == 2
+
+
+# (1e-200 / 1)^2 underflows to zero: the D->Y IVW weights sum to zero
+UNDERFLOW_EXPOSURE = "a\t1e-200\t1\nb\t-1e-190\t1\n"
+UNDERFLOW_OUTCOME = "a\t0\t1\nb\t0.3\t2\n"
+
+
+class TestDegenerateWeights:
+    """IVW weights ``(beta_exp / se_out)^2`` that sum to 0 or inf are a degeneracy: exit 3."""
+
+    def _run(self, tmp_path, exposure_rows, outcome_rows, estimator):
+        exposure, outcome = tmp_path / "e.tsv", tmp_path / "o.tsv"
+        exposure.write_text("id\tbeta\tse\n" + exposure_rows)
+        outcome.write_text("id\tbeta\tse\n" + outcome_rows)
+        return main(
+            ["test", "--exposure", str(exposure), "--outcome", str(outcome), "--tau-f", "inf",
+             "--tau-s", "0", "--estimator", estimator, "--direction", "dy", "--seed", "1",
+             "--out", str(tmp_path / "r.json")]
+        )
+
+    @pytest.mark.parametrize("estimator", ["ivw", "overall-ivw"])
+    def test_underflowing_weights_exit_3(self, tmp_path, capsys, estimator):
+        code = self._run(tmp_path, UNDERFLOW_EXPOSURE, UNDERFLOW_OUTCOME, estimator)
+        assert code == 3
+        assert "underflow to zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["ivw", "overall-ivw"])
+    def test_overflowing_weights_exit_3(self, tmp_path, capsys, estimator):
+        # (1 / 1e-200)^2 overflows
+        exposure, outcome = "a\t1\t1\nb\t2\t1\n", "a\t0.1\t1e-200\nb\t0.2\t1e-200\n"
+        code = self._run(tmp_path, exposure, outcome, estimator)
+        assert code == 3
+        assert "overflow" in capsys.readouterr().err
+
+    def test_median_reports_the_underflowing_weights(self, tmp_path):
+        code = self._run(tmp_path, UNDERFLOW_EXPOSURE, UNDERFLOW_OUTCOME, "median")
+        assert code == 0
+        row = json.loads((tmp_path / "r.json").read_text())["results"][0]
+        assert row["weight_sum"] == 0.0 and row["max_weight_share"] is None
+
+
+# (command line before the input path, header, a column of the header)
+NUMERIC_TSV_COMMANDS = {
+    "simulate": (["simulate", "--reps", "2", "--seed", "1", "--seed-file"],
+                 "alpha_d\talpha_y\tse_d\tse_y", "alpha_y"),
+    "diagnose": (["diagnose", "--input"], "pi_d\tpi_y\tse_d\tse_y", "pi_y"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_TSV_COMMANDS))
+class TestNumericTsvInputs:
+    """``simulate --seed-file`` and ``diagnose --input`` read their TSV like ``load_gwas``."""
+
+    def _run(self, tmp_path, command, content: bytes):
+        argv, _, _ = NUMERIC_TSV_COMMANDS[command]
+        path = tmp_path / "input.tsv"
+        path.write_bytes(content)
+        return main([*argv, str(path), "--out", str(tmp_path / "r.json")]), str(path)
+
+    def test_undecodable_byte_is_input_error_on_its_line(self, tmp_path, capsys, command):
+        _, header, _ = NUMERIC_TSV_COMMANDS[command]
+        rows = "0.1\t0.2\t0.05\t0.05\n0.0\t0.3\t0.06\t0.05"
+        code, path = self._run(tmp_path, command, f"{header}\n{rows}".encode() + b"\xff\n")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: not UTF-8 text")
+
+    def test_error_names_the_line_its_record_starts_on(self, tmp_path, capsys, command):
+        # the first record's quoted field holds a newline: the second record
+        # starts on line 4, though it is the file's third record
+        _, header, column = NUMERIC_TSV_COMMANDS[command]
+        text = f'{header}\n"0.1\n"\t0.2\t0.05\t0.05\n0.1\tx\t0.05\t0.05\n'
+        code, path = self._run(tmp_path, command, text.encode())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:4: column {column!r} has non-numeric value 'x'")
+
+    def test_quoted_newline_is_read_as_its_value(self, tmp_path, command):
+        _, header, _ = NUMERIC_TSV_COMMANDS[command]
+        text = f'{header}\n"0.1\n"\t0.2\t0.05\t0.05\n0.0\t0.3\t0.06\t0.05\n'
+        code, _ = self._run(tmp_path, command, text.encode())
+        assert code == 0

@@ -1,0 +1,246 @@
+"""The row-batched direction kernel and the closed-form MR-Egger.
+
+Row ``r`` of :func:`bidirmr.focusing.direction_rows` and of the benchmark
+row functions must report what the single-panel tests report on panel ``r``
+alone: the same rejection, set and error class, and estimates within 1e-12
+relative. The focused IVW rows are also checked against a plain
+compressed-array computation, and the closed-form Egger regression against
+``np.linalg.lstsq``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bidirmr.benchmarks import (  # noqa: E402
+    mr_egger,
+    mr_egger_rows,
+    mr_median,
+    mr_median_rows,
+    overall_ivw,
+    overall_ivw_rows,
+)
+from bidirmr.errors import (  # noqa: E402
+    DegeneracyError,
+    EmptyRelevantSetError,
+    RankDeficientError,
+    ZeroDenominatorError,
+)
+from bidirmr.focusing import (  # noqa: E402
+    Direction,
+    Estimator,
+    FocusConfig,
+    Panel,
+    TauSRule,
+    direction_rows,
+)
+from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
+
+REL = 1e-12
+values = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False))
+ses = st.floats(0.01, 2.0)
+
+
+@st.composite
+def batches(draw):
+    rows = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 12))
+    beta_d = draw(st.lists(values, min_size=rows * p, max_size=rows * p))
+    beta_y = draw(st.lists(values, min_size=rows * p, max_size=rows * p))
+    se_d = draw(st.lists(ses, min_size=p, max_size=p))
+    se_y = draw(st.lists(ses, min_size=p, max_size=p))
+    tau_f = draw(st.sampled_from([0.5, 1.5, math.inf]))
+    tau_s = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return (
+        np.array(beta_d).reshape(rows, p), np.array(se_d),
+        np.array(beta_y).reshape(rows, p), np.array(se_y), tau_f, tau_s,
+    )
+
+
+def _close(batched: float, single: float | None) -> bool:
+    if single is None:
+        return math.isnan(batched)
+    return batched == single or abs(batched - single) <= REL * abs(single)
+
+
+def _scalar(run):
+    try:
+        return run(), None
+    except DegeneracyError as exc:
+        return None, type(exc)
+
+
+def _roles(beta_d, se_d, beta_y, se_y, direction):
+    if direction is Direction.D_TO_Y:
+        return beta_d, se_d, beta_y, se_y
+    return beta_y, se_y, beta_d, se_d
+
+
+@settings(max_examples=80, deadline=None)
+@given(batches())
+def test_each_row_is_the_test_on_its_panel_alone(batch):
+    beta_d, se_d, beta_y, se_y, tau_f, tau_s = batch
+    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s, alpha=0.2, tau_s_rule=TauSRule.EXPLICIT)
+    ids = [f"v{j}" for j in range(beta_d.shape[1])]
+    panels = [Panel.from_arrays(ids, bd, se_d, by, se_y) for bd, by in zip(beta_d, beta_y)]
+    for direction in Direction:
+        roles = _roles(beta_d, se_d, beta_y, se_y, direction)
+        for estimator in Estimator:
+            rows = direction_rows(*roles, cfg, tau_s, estimator)
+            for r, panel in enumerate(panels):
+                report, error = _scalar(
+                    lambda: run_direction_test(panel, direction, cfg, estimator)
+                )
+                assert type(rows.errors.get(r)) is (error or type(None))
+                if error:
+                    continue
+                assert bool(rows.empty_reject[r] or rows.p_value[r] <= cfg.alpha) == report.reject
+                assert bool(rows.empty_reject[r]) == report.empty_set_reject
+                assert rows.size[r] == report.focused_size
+                assert rows.n_dropped[r] == report.n_dropped_zero_denom
+                np.testing.assert_array_equal(rows.selected[r], report.selected)
+                if not report.empty_set_reject:
+                    assert _close(rows.estimate[r], report.estimate)
+                    assert _close(rows.se[r], report.null_sd)
+                    assert _close(rows.z[r], report.z_score)
+        for rows_fn, single in (
+            (overall_ivw_rows, overall_ivw),
+            (mr_median_rows, mr_median),
+            (mr_egger_rows, mr_egger),
+        ):
+            rows = rows_fn(*roles, tau_s)
+            for r, panel in enumerate(panels):
+                report, error = _scalar(lambda: single(panel, direction, tau_s))
+                assert type(rows.errors.get(r)) is (error or type(None))
+                if error:
+                    continue
+                assert bool(rows.p_value[r] <= cfg.alpha) == (report.p_value <= cfg.alpha)
+                assert rows.size[r] == np.count_nonzero(report.selected)
+                np.testing.assert_array_equal(rows.selected[r], report.selected)
+                assert _close(rows.estimate[r], report.estimate)
+                assert _close(rows.se[r], report.se)
+                if report.intercept is not None:
+                    assert _close(rows.intercept[r], report.intercept)
+                    assert _close(rows.intercept_se[r], report.intercept_se)
+
+
+@settings(max_examples=80, deadline=None)
+@given(batches())
+def test_focused_ivw_rows_match_compressed_sums(batch):
+    beta_d, se_d, beta_y, se_y, tau_f, tau_s = batch
+    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s, tau_s_rule=TauSRule.EXPLICIT)
+    rows = direction_rows(beta_d, se_d, beta_y, se_y, cfg, tau_s)
+    for r in range(beta_d.shape[0]):
+        keep = (np.abs(beta_y[r]) <= se_y * tau_f) & (np.abs(beta_d[r]) >= se_d * tau_s)
+        keep &= beta_d[r] != 0.0
+        np.testing.assert_array_equal(rows.selected[r], keep)
+        assert rows.empty_reject[r] == (not keep.any())
+        if not keep.any():
+            assert rows.p_value[r] == 0.0 and r not in rows.errors
+            continue
+        weights = (beta_d[r][keep] / se_y[keep]) ** 2
+        weight_sum = float(np.sum(weights))
+        if weight_sum == 0.0:
+            assert isinstance(rows.errors[r], ZeroDenominatorError)
+            continue
+        ratios = beta_y[r][keep] / beta_d[r][keep]
+        estimate = float(np.sum(weights * ratios) / weight_sum)
+        assert _close(rows.weight_sum[r], weight_sum)
+        assert _close(rows.estimate[r], estimate)
+        assert _close(rows.se[r], math.sqrt(cfg.null_var / weight_sum))
+
+
+def test_weights_that_underflow_are_a_zero_denominator_in_their_row_only():
+    # row 0: (1e-200 / 1)^2 underflows, so its weights sum to zero; row 1 is ordinary
+    beta_d = np.array([[1e-200, -1e-190], [0.5, -0.4]])
+    beta_y = np.array([[0.0, 0.3], [0.2, 0.1]])
+    se = np.array([1.0, 2.0])
+    cfg = FocusConfig(tau_f=math.inf, tau_s_rule=TauSRule.EXPLICIT)
+    for rows in (direction_rows(beta_d, se, beta_y, se, cfg, 0.0),
+                 overall_ivw_rows(beta_d, se, beta_y, se, 0.0)):
+        assert isinstance(rows.errors[0], ZeroDenominatorError)
+        assert list(rows.errors) == [0]
+        assert rows.failed().tolist() == [True, False]
+    median = direction_rows(beta_d, se, beta_y, se, cfg, 0.0, Estimator.FOCUSED_MEDIAN)
+    assert median.errors == {} and math.isnan(median.max_share[0])
+
+
+def _egger_reference(x, y, se):
+    """``np.linalg.lstsq``'s (intercept, slope), their standard errors, its rank and the condition number."""
+    sign = np.where(x < 0.0, -1.0, 1.0)
+    root_w = 1.0 / se
+    design = np.column_stack((root_w, root_w * sign * x))
+    coef, _, rank, _ = np.linalg.lstsq(design, root_w * sign * y, rcond=None)
+    pinv = np.linalg.pinv(design)
+    cov = pinv @ pinv.T
+    return coef, np.sqrt(np.diag(cov)), rank, np.linalg.cond(design)
+
+
+def _assert_egger_matches_lstsq(x, y, se):
+    rows = mr_egger_rows(x[None], np.ones(x.size), y[None], se, 0.0)
+    assert rows.errors == {}
+    (intercept, slope), (se_intercept, se_slope), rank, cond = _egger_reference(x, y, se)
+    assert rank == 2
+    tol = 1e-13 * cond
+    assert abs(rows.estimate[0] - slope) <= tol * max(abs(slope), se_slope)
+    assert abs(rows.intercept[0] - intercept) <= tol * max(abs(intercept), se_intercept)
+    assert abs(rows.se[0] - se_slope) <= tol * se_slope
+    assert abs(rows.intercept_se[0] - se_intercept) <= tol * se_intercept
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_closed_form_egger_matches_lstsq_on_random_designs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 80))
+    x = rng.normal(0.0, 1.0, n)
+    _assert_egger_matches_lstsq(x, 0.3 * x + rng.normal(0.0, 1.0, n), rng.uniform(0.05, 2.0, n))
+
+
+@pytest.mark.parametrize("spread", [1e-3, 1e-5, 1e-7])
+def test_closed_form_egger_matches_lstsq_on_ill_conditioned_designs(spread):
+    # exposures bunched far from zero: the intercept and slope columns are
+    # nearly collinear, condition numbers of 1e4 to 1e8
+    rng = np.random.default_rng(7)
+    n = 40
+    x = 1.0 + spread * rng.normal(size=n)
+    _assert_egger_matches_lstsq(x, rng.normal(size=n), rng.uniform(0.05, 2.0, n))
+
+
+def test_egger_rank_deficiency_is_classified_per_row():
+    one = np.nextafter(1.0, 2.0)
+    x = np.array([
+        [0.5, -0.4, 0.9, 0.2],    # ordinary
+        [0.3, -0.3, 0.3, -0.3],   # oriented exposures all equal
+        [1.0, one, 1.0, one],     # collinear: the spread is one ulp
+        [0.5, -0.4, 0.9, 0.2],    # only two SNPs pass the threshold (exp_se below)
+    ])
+    y = np.array([[0.1, 0.2, -0.3, 0.4]] * 4)
+    se = np.array([0.1, 0.2, 0.3, 0.4])
+    exp_se = np.ones(4)
+    rows = mr_egger_rows(x[:3], exp_se, y[:3], se, 0.0)
+    assert sorted(rows.errors) == [1, 2]
+    assert "equal" in str(rows.errors[1])
+    assert "rank deficient" in str(rows.errors[2])
+    assert all(isinstance(e, RankDeficientError) for e in rows.errors.values())
+    assert _egger_reference(x[2], y[2], se)[2] == 1  # lstsq finds rank 1 too
+    short = mr_egger_rows(x[3:], np.array([1.0, 1.0, 10.0, 10.0]), y[3:], se, 0.35)
+    assert isinstance(short.errors[0], RankDeficientError)
+    assert "at least 3" in str(short.errors[0])
+    empty = mr_egger_rows(x[3:], exp_se, y[3:], se, 1e9)
+    assert isinstance(empty.errors[0], EmptyRelevantSetError)
+
+
+def test_egger_normal_equations_that_overflow_are_a_degeneracy():
+    # 1 / se^2 overflows for se = 1e-155; np.linalg.inv returned NaN standard errors here
+    x = np.array([[0.5, 0.4, 0.9, 0.2]])
+    y = np.array([[0.1, 0.2, -0.3, 0.4]])
+    rows = mr_egger_rows(x, np.ones(4), y, np.full(4, 1e-155), 0.0)
+    assert isinstance(rows.errors[0], RankDeficientError)
+    assert "overflow" in str(rows.errors[0])
+    tiny = mr_egger_rows(x, np.ones(4), y, np.full(4, 1e-140), 0.0)
+    assert tiny.errors == {} and tiny.estimate[0] == pytest.approx(-1.0, rel=1e-12)

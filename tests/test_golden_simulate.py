@@ -5,7 +5,9 @@ with its golden file in ``tests/golden_simulate`` byte for byte. The cases
 cover the IVW-type grid, the two median methods, a seed file
 (``fixtures/seed_effects_60.tsv``) instead of a synthetic seed, an explicit
 ``--tau-s`` (one large enough that focused sets come out empty and MR-Egger
-raises degeneracies), and runs without ``--enforce-separation``.
+raises degeneracies), and runs without ``--enforce-separation``. Every case
+is also run with replications taken one and three at a time
+(``simulation._CHUNK_VALUES``), which must not change a byte.
 
 Regenerate the golden files (only from a commit whose output is the
 reference) with ``PYTHONPATH=src python tests/test_golden_simulate.py``.
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from bidirmr import simulation
 from bidirmr.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -65,6 +68,19 @@ def render(name: str, work: Path) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(tmp_path, name):
+    assert render(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def _snps(argv: list[str]) -> int:
+    if "--synthetic" in argv:
+        return int(argv[argv.index("--synthetic") + 1])
+    return simulation.load_seed_effects(argv[argv.index("--seed-file") + 1]).p
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_identical_in_smaller_chunks(tmp_path, monkeypatch, name, rows):
+    monkeypatch.setattr(simulation, "_CHUNK_VALUES", rows * _snps(CASES[name]))
     assert render(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 

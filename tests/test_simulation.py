@@ -333,12 +333,102 @@ class TestRunScenario:
         assert report.error_counts["mr_egger"]["dy"] == 5
         assert report.rejection_rates["mr_egger"]["dy"] is None
 
+    def test_underflowing_weights_are_counted_as_errors(self):
+        # exposure betas of order 1e-200 against outcome errors of 1: the D->Y
+        # IVW weights all underflow to zero in every replication
+        p = 6
+        seed = SeedEffects(
+            alpha_d=np.zeros(p), alpha_y=np.full(p, 0.5),
+            se_d=np.full(p, 1e-200), se_y=np.ones(p),
+        )
+        scenario = self._scenario(
+            methods=(Method.FOCUSED_IVW, Method.OVERALL_IVW, Method.FOCUSED_MEDIAN),
+            focus=FocusConfig(tau_f=math.inf, tau_s=0.0, tau_s_rule=TauSRule.EXPLICIT),
+            n_reps=7,
+            enforce_separation_c1=None,
+        )
+        report = run_scenario(seed, scenario)
+        assert report.error_counts["focused_ivw"]["dy"] == 7
+        assert report.error_counts["overall_ivw"]["dy"] == 7
+        assert report.rejection_rates["focused_ivw"]["dy"] is None
+        assert report.error_counts["focused_median"]["dy"] == 0
+
     def test_grid_runs_each_cell(self):
         seed = synthetic_seed(60, np.random.default_rng(20))
         scenario = self._scenario(methods=(Method.FOCUSED_IVW,), n_reps=10)
         cells = run_grid(seed, scenario, [(0.0, 0.0), (0.3, 0.0)])
         assert [betas for betas, _ in cells] == [(0.0, 0.0), (0.3, 0.0)]
         assert all(rep.n_reps == 10 for _, rep in cells)
+
+
+class TestChunks:
+    """Replications go in chunks of ``max(1, _CHUNK_VALUES // p)``; results must not notice."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_report_identical_at_any_chunk_size(self, rows, monkeypatch):
+        seed = synthetic_seed(90, np.random.default_rng(21))
+        scenarios = [
+            ScenarioConfig(
+                kappa=0.8, beta_dy=0.2, n_reps=23, focus=focus, methods=tuple(Method), rng_seed=4,
+            )
+            for focus in (
+                FocusConfig(tau_f=1.5, alpha=0.05),
+                FocusConfig(tau_f=2.0, tau_s=2.5, alpha=0.1, tau_s_rule=TauSRule.EXPLICIT),
+            )
+        ]
+        default = [repr(run_scenario(seed, scenario)) for scenario in scenarios]
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", rows * seed.p)
+        assert [repr(run_scenario(seed, scenario)) for scenario in scenarios] == default
+
+    def test_chunk_holds_the_bounded_number_of_values(self, monkeypatch):
+        seen = []
+        original = simulation._activated
+
+        def spy(seed, kappa, uniforms, min_snr):
+            seen.append(uniforms.shape)
+            return original(seed, kappa, uniforms, min_snr)
+
+        monkeypatch.setattr(simulation, "_activated", spy)
+        seed = synthetic_seed(40, np.random.default_rng(22))
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 100)
+        run_scenario(seed, ScenarioConfig(n_reps=7, rng_seed=1))
+        assert seen == [(2, 2, 40)] * 3 + [(1, 2, 40)]
+        seen.clear()
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 10)  # below p: one replication
+        run_scenario(seed, ScenarioConfig(n_reps=2, rng_seed=1))
+        assert seen == [(1, 2, 40)] * 2
+
+    def test_rows_follow_the_documented_draw_order(self):
+        # replication r: random(p) for D, random(p) for Y, standard_normal(p)
+        # for D, then for Y, from child r of the SeedSequence; normal(loc,
+        # scale) is loc + scale * standard_normal
+        seed = synthetic_seed(30, np.random.default_rng(23))
+        children = np.random.SeedSequence(entropy=8, spawn_key=(0,)).spawn(3)
+        for child in children:
+            a, b = np.random.default_rng(child), np.random.default_rng(child)
+            truth = generate_truth(seed, 1.0, a, 0.2, 0.1)
+            panel = simulate_panel(truth, a)
+            active_d = b.random(30) < seed.activation_probabilities(1.0)[0]
+            active_y = b.random(30) < seed.activation_probabilities(1.0)[1]
+            rf = reduced_form(truth)
+            np.testing.assert_array_equal(truth.pi_d, np.where(active_d, seed.alpha_d, 0.0))
+            np.testing.assert_array_equal(truth.pi_y, np.where(active_y, seed.alpha_y, 0.0))
+            np.testing.assert_array_equal(panel.beta_d, b.normal(rf.gamma_d, seed.se_d))
+            np.testing.assert_array_equal(panel.beta_y, b.normal(rf.gamma_y, seed.se_y))
+
+    def test_row_correlations_equal_corrcoef_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(30, 57)) * (rng.random((30, 57)) < 0.6)
+        b = rng.normal(size=(30, 57)) * (rng.random((30, 57)) < 0.6)
+        want = [float(np.corrcoef(x, y)[0, 1]) for x, y in zip(a, b)]
+        assert simulation._pearson_rows(a, b).tolist() == want
+
+    def test_one_snp_panel(self):
+        seed = SeedEffects(alpha_d=[0.5], alpha_y=[0.2], se_d=[0.1], se_y=[0.1])
+        focus = FocusConfig(tau_s=0.0, tau_s_rule=TauSRule.EXPLICIT)
+        report = run_scenario(seed, ScenarioConfig(n_reps=5, methods=tuple(Method), focus=focus))
+        assert report.mean_corr_pi is None
+        assert report.error_counts["mr_egger"] == {"dy": 5, "yd": 5}
 
 
 class TestLoadSeedEffects:
