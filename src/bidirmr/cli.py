@@ -513,6 +513,8 @@ def _load_truth(args) -> TruthConfig:
                 raise InputError(f"{path}: invalid JSON ({exc})") from None
             except UnicodeDecodeError as exc:
                 raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        if not isinstance(payload, dict):
+            raise InputError(f"{path}: expected a JSON object")
         missing = [k for k in ("pi_d", "pi_y", "se_d", "se_y") if k not in payload]
         if missing:
             raise InputError(f"{path}: missing keys {missing}")
@@ -521,8 +523,8 @@ def _load_truth(args) -> TruthConfig:
         return TruthConfig(
             pi_d=payload["pi_d"],
             pi_y=payload["pi_y"],
-            beta_dy=float(beta_dy),
-            beta_yd=float(beta_yd),
+            beta_dy=beta_dy,
+            beta_yd=beta_yd,
             se_d=payload["se_d"],
             se_y=payload["se_y"],
         )

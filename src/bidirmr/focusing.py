@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -364,6 +364,8 @@ def _null_sd(weight_sum: float, null_var: float) -> float:
 # spread is read off this central span rather than a raw standard deviation.
 _PCTL_LO = std_cdf(-1.0)
 _PCTL_HI = std_cdf(1.0)
+# Their standard normal quantiles, where the order-statistic searches start.
+_Z = {_PCTL_LO: std_quantile(_PCTL_LO), _PCTL_HI: std_quantile(_PCTL_HI)}
 
 # Binomial probabilities evaluated at a time (rows x terms) when a quantile
 # search has to scan a wide range of order statistics.
@@ -371,6 +373,21 @@ _TAIL_BLOCK_VALUES = 1 << 18
 # Pair means enumerated at once, per sample value; a typical sample has
 # fewer than n of them between the two sample values bracketing a quantile.
 _CANDIDATES_PER_VALUE = 4
+# (n, q) order-statistic brackets kept by :func:`_brackets`: a scenario asks
+# for two per distinct set size n <= p, and ``test`` for at most four.
+_BRACKETS_SIZE = 4096
+
+# log(s!) for s = 0, 1, ...: one table for every law, grown to the largest n seen.
+_log_fact = np.empty(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(s!)`` for ``s = 0..n``, a view of the module table (extended when n is new)."""
+    global _log_fact
+    size = _log_fact.size
+    if size <= n:
+        _log_fact = np.concatenate((_log_fact, [math.lgamma(s + 1.0) for s in range(size, n + 1)]))
+    return _log_fact[: n + 1]
 
 
 def _pair_mean(a, b):
@@ -378,48 +395,20 @@ def _pair_mean(a, b):
     return (a + b) / 2.0
 
 
-class _ResampledMedianLaw:
-    """Exact distribution of ``np.median`` of an n-out-of-n resample of ``x``.
+class _BinomialTails:
+    """``P(N(k) >= a)`` for ``N(k) ~ Binomial(n, k/n)`` and ``a`` = m or m + 1, ``m = n // 2``.
 
-    With ``x`` sorted and ``N(k) ~ Binomial(n, k/n)`` the number of draws at
-    sorted positions ``<= k`` (Maritz & Jarrett 1978, JASA 73:194; Efron
-    1979, Ann. Stat. 7:1):
-
-    * odd ``n = 2m + 1``: ``P(med* <= x_(k)) = P(N(k) >= m + 1)``;
-    * even ``n = 2m``: the median is ``A = (X*_(m) + X*_(m+1)) / 2`` and
-
-          P(A <= t) = P(N(r) >= m)
-                      - C(n, m) sum_{i <= r} ((i/n)^m - ((i-1)/n)^m) (1 - k_i/n)^(n-m)
-
-      with ``r = #{x_i <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``; the
-      i-th term is the probability that ``X*_(m)`` sits at position ``i``
-      while ``X*_(m+1)`` lies beyond position ``k_i``.
-
-    Pair means are compared as ``np.median`` computes them, so the law is
-    that of the floating-point medians. Probabilities are summed from
-    log-space terms (no term is dropped). Memory is O(n); time is
-    O(n log n) for typical samples and O(n log^2 n) at worst.
+    The part of :class:`_ResampledMedianLaw` that depends on n alone.
     """
 
-    def __init__(self, x: np.ndarray):
-        x = np.sort(x)
-        n = x.size
+    def __init__(self, n: int):
         m = n // 2
-        log_fact = np.array([math.lgamma(s + 1.0) for s in range(n + 1)])
+        log_fact = _log_factorials(n)
         s = np.arange(m, n + 1)
-        self.x, self.n, self.m = x, n, m
+        self.n, self.m = n, m
         # log C(n, s) for s = m..n: binomial tails from m or m + 1 draws
         self._s = s
         self._log_choose = log_fact[n] - log_fact[s] - log_fact[n - s]
-        if n % 2 == 0:
-            i = np.arange(1, n + 1)
-            with np.errstate(divide="ignore"):
-                # log of C(n, m) ((i/n)^m - ((i-1)/n)^m)
-                self._log_central = (
-                    self._log_choose[0]
-                    + m * np.log(i / n)
-                    + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
-                )
 
     def _tail(self, a: int, ks: np.ndarray) -> np.ndarray:
         """``P(N(k) >= a)`` for each k in ``ks``; ``a`` is m or m + 1."""
@@ -470,6 +459,67 @@ class _ResampledMedianLaw:
                 lo = int(ks[-1]) + 1
         return lo
 
+
+@lru_cache(maxsize=_BRACKETS_SIZE)
+def _brackets(n: int, q: float) -> tuple[int, int]:
+    """1-based sorted positions ``(hi, lo)`` bounding the q-quantile of the resampled median.
+
+    ``hi`` is the first k with ``P(N(k) >= m + 1) >= q``: for odd n the
+    quantile is ``x_(hi)`` (and ``lo == hi``). For even n it lies between
+    ``x_(lo)`` and ``x_(hi)``, ``lo`` the first k with ``P(N(k) >= m) >= q``.
+    Both depend on n and q alone, so they are computed once per pair.
+    """
+    tails = _BinomialTails(n)
+    z = _Z[q] if q in _Z else std_quantile(q)
+    hi = tails._first_reaching(tails.m + 1, q, z, n)
+    return hi, hi if n % 2 else tails._first_reaching(tails.m, q, z, hi)
+
+
+class _ResampledMedianLaw(_BinomialTails):
+    """Exact distribution of ``np.median`` of an n-out-of-n resample of ``x``.
+
+    With ``x`` sorted and ``N(k) ~ Binomial(n, k/n)`` the number of draws at
+    sorted positions ``<= k`` (Maritz & Jarrett 1978, JASA 73:194; Efron
+    1979, Ann. Stat. 7:1):
+
+    * odd ``n = 2m + 1``: ``P(med* <= x_(k)) = P(N(k) >= m + 1)``;
+    * even ``n = 2m``: the median is ``A = (X*_(m) + X*_(m+1)) / 2`` and
+
+          P(A <= t) = P(N(r) >= m)
+                      - C(n, m) sum_{i <= r} ((i/n)^m - ((i-1)/n)^m) (1 - k_i/n)^(n-m)
+
+      with ``r = #{x_i <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``; the
+      i-th term is the probability that ``X*_(m)`` sits at position ``i``
+      while ``X*_(m+1)`` lies beyond position ``k_i``.
+
+    Pair means are compared as ``np.median`` computes them, so the law is
+    that of the floating-point medians. Probabilities are summed from
+    log-space terms (no term is dropped). What depends on n alone is shared
+    between laws: the log-factorials come from one module table (8 bytes
+    per entry up to the largest n seen), and the sorted positions bracketing
+    each quantile from :func:`_brackets`, an LRU of ``_BRACKETS_SIZE``
+    (n, q) pairs. Once those are known, an odd-n quantile is one lookup;
+    an even-n one bisects inside its bracket and enumerates pair means, in
+    O(n log n) time for typical samples and O(n log^2 n) at worst. Memory
+    is O(n), and ``cdf`` is evaluated at most once per ``t``. ``x`` given
+    ``is_sorted`` (ascending, NaN-free) is used as it is.
+    """
+
+    def __init__(self, x: np.ndarray, is_sorted: bool = False):
+        super().__init__(x.size)
+        self.x = x if is_sorted else np.sort(x)
+        self._cdf_memo: dict[float, float] = {}
+        n, m = self.n, self.m
+        if n % 2 == 0:
+            i = np.arange(1, n + 1)
+            with np.errstate(divide="ignore"):
+                # log of C(n, m) ((i/n)^m - ((i-1)/n)^m)
+                self._log_central = (
+                    self._log_choose[0]
+                    + m * np.log(i / n)
+                    + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
+                )
+
     def _pair_counts(self, xi: np.ndarray, t: float, strict: bool = False) -> np.ndarray:
         """For each value of ``xi``, the number of j with ``pair mean <= t`` (``< t`` if strict).
 
@@ -494,6 +544,12 @@ class _ResampledMedianLaw:
 
     def cdf(self, t: float) -> float:
         """``P(median of a resample <= t)``."""
+        f = self._cdf_memo.get(t)
+        if f is None:
+            f = self._cdf_memo[t] = self._cdf(t)
+        return f
+
+    def _cdf(self, t: float) -> float:
         n, m, x = self.n, self.m, self.x
         r = int(np.searchsorted(x, t, side="right"))
         if n % 2:
@@ -507,13 +563,11 @@ class _ResampledMedianLaw:
 
     def quantile(self, q: float) -> float:
         """Smallest median value ``t`` with ``cdf(t) >= q`` (the left-continuous inverse)."""
-        n, m, x = self.n, self.m, self.x
-        z = std_quantile(q)
-        if n % 2:
-            return float(x[self._first_reaching(m + 1, q, z, n) - 1])
+        x = self.x
         # X*_(m) <= A <= X*_(m+1) brackets the sorted position where cdf reaches q
-        hi = self._first_reaching(m + 1, q, z, n)
-        lo = self._first_reaching(m, q, z, hi)
+        hi, lo = _brackets(self.n, q)
+        if self.n % 2:
+            return float(x[hi - 1])
         lo = int(np.searchsorted(x, x[lo - 1], side="left")) + 1
         while lo < hi:
             mid = (lo + hi) // 2
@@ -568,6 +622,10 @@ class _ResampledMedianLaw:
         reached = np.flatnonzero(f_lo + np.cumsum(jump[order]) >= q)
         return float(values[order][reached[0]]) if reached.size else float(hi_t)
 
+    def sd(self) -> float:
+        """Half the span between the ``std_cdf(-1)`` and ``std_cdf(1)`` quantiles."""
+        return (self.quantile(_PCTL_HI) - self.quantile(_PCTL_LO)) / 2.0
+
 
 def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
     """Percentile SD of the SNP-bootstrap median, from its exact distribution.
@@ -582,8 +640,7 @@ def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
         raise EmptyFocusedSetError("cannot bootstrap an empty ratio set")
     if np.isnan(ratios).any():
         raise InputError("ratios must not be NaN")
-    law = _ResampledMedianLaw(ratios)
-    return (law.quantile(_PCTL_HI) - law.quantile(_PCTL_LO)) / 2.0
+    return _ResampledMedianLaw(ratios).sd()
 
 
 # Resampled values gathered at a time: bounds the memory the Monte-Carlo
@@ -626,6 +683,45 @@ def _median_inference(ratios: np.ndarray) -> tuple[float, float, float | None, f
         z = estimate / sd
         return estimate, sd, z, 2.0 * std_sf(abs(z))
     return estimate, sd, None, 1.0 if estimate == 0.0 else 0.0
+
+
+def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
+    """``(estimate, sd)`` arrays of ``_median_inference(ratios[r, mask[r]])`` for every row.
+
+    One sort serves all rows: each row's set is packed to the left of a
+    ``(rows, max(size))`` array padded with ``+inf``, so after sorting a row's
+    first ``size[r]`` values are its set in order, handed to the law as they
+    are. The median is read as ``np.median`` computes it; an odd-n row's two
+    quantiles are gathered at the positions :func:`_brackets` keeps for its n.
+    The sort may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so
+    rows with a zero ratio run :func:`_median_inference` on their set instead.
+    """
+    xs = np.full((size.size, size.max(initial=0)), np.inf)
+    xs[np.arange(xs.shape[1]) < size[:, None]] = ratios[mask]
+    xs.sort(axis=1)
+    r = np.arange(size.size)
+    m = size // 2
+    odd = size % 2 == 1
+    with np.errstate(invalid="ignore"):
+        estimate = np.where(odd, xs[r, m], _pair_mean(xs[r, m - 1], xs[r, m]))
+        sd = np.empty(size.size)
+        if odd.any():
+            n_odd = size[odd].tolist()
+            lo = np.array([_brackets(n, _PCTL_LO)[0] for n in n_odd]) - 1
+            hi = np.array([_brackets(n, _PCTL_HI)[0] for n in n_odd]) - 1
+            sd[odd] = (xs[r[odd], hi] - xs[r[odd], lo]) / 2.0
+    zero = (xs == 0.0).any(axis=1)
+    for i in np.flatnonzero(~odd & ~zero).tolist():
+        sd[i] = _ResampledMedianLaw(xs[i, : size[i]], is_sorted=True).sd()
+    for i in np.flatnonzero(zero).tolist():
+        estimate[i], sd[i] = _median_inference(ratios[i, mask[i]])[:2]
+    return estimate, sd
+
+
+def _degenerate_weights(weight_sum: float) -> ZeroDenominatorError:
+    """The error for IVW weights whose sum is 0 or inf."""
+    how = "all underflow to zero" if weight_sum == 0.0 else "overflow"
+    return ZeroDenominatorError(f"IVW weights (exposure beta / outcome se)^2 {how}")
 
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
@@ -707,7 +803,8 @@ def direction_rows(
     ``exp_beta``/``out_beta`` hold one panel's exposure and outcome betas per
     row; the standard errors are (p,) vectors shared by the rows (or (R, p)).
     Masks, weights, IVW estimates, z and p are row reductions; the median
-    estimator runs :func:`_median_inference` row by row. Only ``cfg.tau_f``
+    estimator gives each row what :func:`_median_inference` gives its set,
+    from one sort of all rows (:func:`_median_rows`). Only ``cfg.tau_f``
     and, for IVW rows with a nonempty set, ``cfg.null_var`` are used.
 
     Focused tests drop zero exposure associations from the set (counted in
@@ -750,10 +847,14 @@ def direction_rows(
     nan = np.full(size.size, np.nan)
     if Estimator(estimator) is Estimator.FOCUSED_MEDIAN:
         estimate, se, z, p_value = nan.copy(), nan.copy(), nan.copy(), nan.copy()
-        for r in np.flatnonzero(live).tolist():
-            estimate[r], se[r], z_r, p_value[r] = _median_inference(ratios[r, mask[r]])
-            if z_r is not None:
-                z[r] = z_r
+        rows = np.flatnonzero(live)
+        estimate[rows], se[rows] = _median_rows(ratios[rows], mask[rows], size[rows])
+        # as _median_inference: a zero scale leaves z undefined, p 1 at a zero median, else 0
+        scaled = rows[se[rows] > 0.0]
+        with np.errstate(invalid="ignore"):
+            z[scaled] = estimate[scaled] / se[scaled]
+        p_value[rows] = np.where(estimate[rows] == 0.0, 1.0, 0.0)
+        p_value[scaled] = _two_sided_p(z[scaled])
     else:
         null_var = math.nan
         if live.any():
@@ -763,10 +864,7 @@ def direction_rows(
                 errors.update(dict.fromkeys(np.flatnonzero(live).tolist(), exc))
         # a weight sum of 0 or inf leaves no finite, nonzero null scale
         for r in np.flatnonzero(live & ((weight_sum == 0.0) | np.isinf(weight_sum))).tolist():
-            how = "all underflow to zero" if weight_sum[r] == 0.0 else "overflow"
-            errors.setdefault(
-                r, ZeroDenominatorError(f"IVW weights (exposure beta / outcome se)^2 {how}")
-            )
+            errors.setdefault(r, _degenerate_weights(weight_sum[r]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             estimate = np.where(mask, weights * ratios, 0.0).sum(axis=1) / weight_sum
             se = np.sqrt(null_var / weight_sum)
@@ -948,7 +1046,8 @@ def power_forecast(
 
     and the forecast is the probability that such a normal lands beyond the
     null rejection threshold. With all ``mus`` zero this reproduces the null
-    scale and the forecast equals ``alpha``.
+    scale and the forecast equals ``alpha``. Weights that all underflow to
+    zero, or whose sum overflows, are a :class:`ZeroDenominatorError`.
     """
     exp_beta, _, _, out_se = _subset_arrays(panel, snp_ids, direction)
     if np.any(exp_beta == 0.0):
@@ -958,8 +1057,11 @@ def power_forecast(
     except KeyError as exc:
         raise InputError(f"missing signal-to-noise entry for SNP {exc.args[0]!r}") from None
 
-    weights = (exp_beta / out_se) ** 2
-    weight_sum = float(np.sum(weights))
+    with np.errstate(over="ignore"):
+        weights = (exp_beta / out_se) ** 2
+        weight_sum = float(np.sum(weights))
+    if weight_sum == 0.0 or math.isinf(weight_sum):
+        raise _degenerate_weights(weight_sum)
     tn_mean = np.array(
         [truncnorm_mean(TruncSpec(-cfg.tau_f, cfg.tau_f, m)) for m in mu_vec], dtype=float
     )

@@ -42,7 +42,10 @@ __all__ = [
 
 
 def _as_float_vector(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a vector of finite numbers") from None
     if arr.ndim != 1:
         raise InputError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -87,7 +90,10 @@ class TruthConfig:
             if not np.all(getattr(self, name) > 0.0):
                 raise InputError(f"{name} must be strictly positive")
         for name in ("beta_dy", "beta_yd"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(f"{name} must be a finite number") from None
             if not np.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite")
         if self.beta_dy * self.beta_yd == 1.0:

@@ -367,6 +367,14 @@ class TestPowerForecast:
         assert forecast.sigma_alt == pytest.approx(expected_sigma, rel=1e-12)
         assert forecast.predicted_power == pytest.approx(0.05, abs=1e-12)
 
+    @pytest.mark.parametrize("beta_d", [(1e-200, -1e-190), (1e200, 1e190)])
+    def test_degenerate_weights_are_a_zero_denominator(self, beta_d):
+        # (1e-200 / 1)^2 underflows to zero; (1e200 / 1)^2 overflows
+        panel = Panel.from_arrays(["a", "b"], beta_d, [1, 1], [0, 0.3], [1, 2])
+        cfg = FocusConfig(tau_f=math.inf, tau_s=0.0, tau_s_rule=TauSRule.EXPLICIT)
+        with pytest.raises(ZeroDenominatorError):
+            power_forecast(panel, ["a", "b"], {"a": 0.0, "b": 0.0}, cfg)
+
     def test_missing_snr_entry(self, rng):
         panel = make_random_panel(rng, p=5)
         cfg = explicit_cfg()

@@ -9,6 +9,7 @@ permutation and translation, scaling by |c| and nonnegativity.
 """
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from bidirmr import focusing
 from bidirmr.errors import EmptyFocusedSetError, InputError
-from bidirmr.focusing import exact_bootstrap_median_sd
+from bidirmr.focusing import FocusConfig, TauSRule, exact_bootstrap_median_sd
 from bidirmr.truncnorm import std_cdf
 
 LO, HI = std_cdf(-1.0), std_cdf(1.0)
@@ -94,6 +95,79 @@ def test_order_statistic_search_survives_a_wrong_start(n, z):
         tails = law._tail(a, np.arange(n + 1))
         for q in (0.1, LO, 0.5, HI, 0.9):
             assert law._first_reaching(a, q, z, n) == int(np.argmax(tails >= q))
+
+
+def cache_samples():
+    rng = np.random.default_rng(11)
+    for n in list(range(1, 81)) + [150, 151, 1000]:
+        yield rng.standard_t(2, size=n)
+        yield rng.integers(-2, 3, size=n).astype(float)
+
+
+def cold(x, monkeypatch):
+    """The scale with both module caches emptied first."""
+    focusing._brackets.cache_clear()
+    monkeypatch.setattr(focusing, "_log_fact", np.empty(0))
+    return exact_bootstrap_median_sd(x)
+
+
+def test_warm_caches_give_the_same_floats_as_cold_ones(monkeypatch):
+    samples = list(cache_samples())
+    expected = [cold(x, monkeypatch) for x in samples]
+    # warm: largest n first, so the log-factorial table is always longer than needed
+    for k in np.argsort([-x.size for x in samples], kind="stable"):
+        assert exact_bootstrap_median_sd(samples[k]) == expected[k]
+    reference = [math.lgamma(s + 1.0) for s in range(1001)]
+    assert focusing._log_factorials(1000).tolist() == reference
+    assert focusing._log_fact.size == 1001
+
+
+def test_bracket_cache_stays_within_its_bound(monkeypatch):
+    assert focusing._brackets.cache_info().maxsize == focusing._BRACKETS_SIZE
+    samples = list(cache_samples())[::3]
+    expected = [exact_bootstrap_median_sd(x) for x in samples]
+    small = lru_cache(maxsize=8)(focusing._brackets.__wrapped__)
+    monkeypatch.setattr(focusing, "_brackets", small)
+    for x, sd in zip(samples, expected):
+        assert exact_bootstrap_median_sd(x) == sd
+        assert small.cache_info().currsize <= 8
+    assert small.cache_info().misses > 8
+
+
+def same_floats(got, want):
+    """Equal values (NaN matching NaN) with equal signs, so -0.0 differs from 0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(got, want)
+    known = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[known]), np.signbit(want[known]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chunk_sorted_rows_match_the_per_row_inference(seed):
+    # rows of every set size up to p, with +-inf ratios (tiny exposure betas)
+    # and signed zeros (zero outcome betas over either sign of exposure beta)
+    rng = np.random.default_rng(seed)
+    R, p = 240, 61
+    exp_beta = rng.normal(size=(R, p))
+    exp_beta[rng.random((R, p)) < 0.05] = rng.choice([-1e-310, 1e-310])
+    out_beta = rng.normal(size=(R, p)) * rng.uniform(0.2, 30.0, size=(R, 1))
+    out_beta[rng.random((R, p)) < 0.1] = 0.0
+    out_beta[::7] = rng.integers(-1, 2, size=(len(out_beta[::7]), p))
+    se = np.ones(p)
+    cfg = FocusConfig(tau_f=1.5, tau_s_rule=TauSRule.EXPLICIT)
+    rows = focusing.direction_rows(
+        exp_beta, se, out_beta, se, cfg, 0.0, focusing.Estimator.FOCUSED_MEDIAN
+    )
+    assert len(set(rows.size.tolist())) > 30 and rows.errors == {}
+    live = np.flatnonzero(rows.size)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = out_beta / exp_beta
+    assert np.isinf(ratios[rows.selected]).any()
+    want = [focusing._median_inference(ratios[r, rows.selected[r]]) for r in live]
+    same_floats(rows.estimate[live], [w[0] for w in want])
+    same_floats(rows.se[live], [w[1] for w in want])
+    same_floats(rows.z[live], [np.nan if w[2] is None else w[2] for w in want])
+    same_floats(rows.p_value[live], [w[3] for w in want])
 
 
 def monte_carlo_sd(x, n_boot, seed, block=5_000):
