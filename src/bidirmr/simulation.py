@@ -25,11 +25,18 @@ what ``Generator.normal(gamma, se)`` returns, bit for bit. The estimators
 draw nothing: the median methods read their scale off the exact law of the
 SNP-bootstrap median.
 
-:func:`run_scenario` takes replications in chunks of
+One engine runs both :func:`run_scenario` (one cell) and :func:`run_grid`
+(a list of (beta_dy, beta_yd) cells). It takes replications in chunks of
 ``R = max(1, _CHUNK_VALUES // p)``: each replication's four draws fill one
 row of (R, p) arrays, and everything after the draws is computed for the
-whole chunk at once. Memory is bounded by the chunk, whatever the number of
-replications; the chunk size does not change any result.
+whole chunk at once. The draws, the activated direct effects, their class
+masks and shares and their correlation do not depend on the causal pair,
+so grid cells share them: each is computed once per chunk, which is why a
+grid reports the same ``mean_rho`` and ``mean_corr_pi`` in every cell.
+Then the cells take turns on the chunk (reduced form, noise, methods), and
+each cell's report equals :func:`run_scenario` on that cell alone. Memory
+is bounded by the chunk and one cell's arrays, whatever the number of
+replications or cells; the chunk size does not change any result.
 :func:`generate_truth` and :func:`simulate_panel` are the same draws and
 arithmetic for one replication (draws 1-2 and 3-4).
 """
@@ -273,7 +280,13 @@ def _separation_floor(p: int, cfg: FocusConfig, c1: float) -> float:
     if not c1 > 0.0:
         raise InputError(f"c1 must be positive, got {c1!r}")
     # slight overshoot so the amplified |pi| / se round-trips above the bound
-    return c1 * cfg.tau_f * math.sqrt(math.log(p)) * (1.0 + 1e-9)
+    floor = c1 * cfg.tau_f * math.sqrt(math.log(p)) * (1.0 + 1e-9)
+    if not math.isfinite(floor):
+        raise InputError(
+            f"--enforce-separation {c1!r} with --tau-f {cfg.tau_f!r} gives no finite "
+            "separation floor (c1 * tau_f * sqrt(log p)); give a finite --tau-f"
+        )
+    return floor
 
 
 def enforce_separation(truth: TruthConfig, cfg: FocusConfig, c1: float) -> TruthConfig:
@@ -296,29 +309,19 @@ def default_snp_ids(p: int) -> tuple[str, ...]:
     return tuple(f"s{j:0{width}d}" for j in range(1, p + 1))
 
 
-def simulate_panel(
-    truth: TruthConfig, rng: np.random.Generator, template: Panel | None = None
-) -> Panel:
+def simulate_panel(truth: TruthConfig, rng: np.random.Generator) -> Panel:
     """Sample one summary-statistics panel around the reduced form.
 
     Estimates are the reduced-form associations plus independent normal
     noise with the truth's standard errors (exposure trait drawn first);
-    the standard errors themselves are copied into the panel. A
-    ``template`` panel, whose standard errors must equal the truth's, lends
-    the new panel its ids and standard errors; without one the ids are
-    ``default_snp_ids``.
+    the standard errors themselves are copied into the panel, and the ids
+    are ``default_snp_ids``.
     """
     rf = reduced_form(truth)
     beta_d, beta_y = _with_noise(
         rf.gamma_d, rf.gamma_y, truth.se_d, truth.se_y, rng.standard_normal((2, truth.p))
     )
-    if template is None:
-        return Panel.from_arrays(default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
-    if not (
-        np.array_equal(template.se_d, truth.se_d) and np.array_equal(template.se_y, truth.se_y)
-    ):
-        raise InputError("the template panel's standard errors differ from the truth's")
-    return template.with_betas(beta_d, beta_y)
+    return Panel.from_arrays(default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
 
 
 class Method(str, Enum):
@@ -412,8 +415,15 @@ def _add_in_order(total, values: np.ndarray):
 
 
 def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pearson correlation of each row of ``a`` with the same row of ``b``, as ``np.corrcoef``."""
+    """Pearson correlation of each row of ``a`` with the same row of ``b``, as ``np.corrcoef``.
+
+    Each row is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1). That is exact, so the result is ``np.corrcoef``'s
+    bit for bit wherever its sums of squares neither underflow nor overflow,
+    and it stays defined where they would. No row may be constant.
+    """
     x = np.stack((a, b), axis=1)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=2, keepdims=True))[1])
     x -= x.mean(axis=2, keepdims=True)
     c = x @ x.transpose(0, 2, 1)
     c *= 1.0 / (a.shape[1] - 1)
@@ -421,32 +431,36 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(c[:, 0, 1] / sd_a / sd_b, -1.0, 1.0)
 
 
-def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
-    """Run a full scenario and aggregate rejections and selection quality.
+def _run_cells(
+    seed: SeedEffects, scenario: ScenarioConfig, cells: list[tuple[float, float]]
+) -> list[ScenarioReport]:
+    """The scenario once per (beta_dy, beta_yd) cell, every cell on the same draws.
 
     Replications go in chunks of R: each one's four draws fill one row of
-    (R, p) arrays, then truths, panels, class masks and every configured
-    method in both directions are computed for the whole chunk as row
+    (R, p) arrays, and the truths' activations, class masks, class shares
+    and correlations are computed once per chunk, since they do not depend
+    on the causal pair. Then the cells take turns on the chunk: reduced
+    form, noise and every configured method in both directions, as row
     operations (:func:`bidirmr.focusing.direction_rows` and the benchmark
-    row functions, the same code the single-panel tests run). Sums over
-    replications (valid-IV shares, class shares, correlations) are added in
-    replication order. Fully reproducible from ``scenario.rng_seed``; each
-    replication's stream is keyed by its index, so the result depends
-    neither on scheduling nor on the chunk size.
+    row functions, the same code the single-panel tests run). Memory is
+    one chunk and one cell's arrays at a time, whatever the number of
+    cells. Sums over replications (valid-IV shares, class shares,
+    correlations) are added in replication order.
     """
     p = seed.p
     focus = replace(
         scenario.focus, tau_s=scenario.focus.resolve_tau_s(p), tau_s_rule=TauSRule.EXPLICIT
     )
-    # the causal pair is checked once, as every replication's truth would check it
-    TruthConfig(
-        seed.alpha_d, seed.alpha_y, scenario.beta_dy, scenario.beta_yd, seed.se_d, seed.se_y
-    )
+    # every causal pair is checked before the first draw, as each replication's truth would
+    for beta_dy, beta_yd in cells:
+        TruthConfig(seed.alpha_d, seed.alpha_y, beta_dy, beta_yd, seed.se_d, seed.se_y)
     c1 = scenario.enforce_separation_c1
     min_snr = None if c1 is None else _separation_floor(p, focus, c1)
     directions = (Direction.D_TO_Y, Direction.Y_TO_D)
 
-    n_ok = {(m, d): 0 for m in scenario.methods for d in directions}
+    n_ok = {
+        (c, m, d): 0 for c in range(len(cells)) for m in scenario.methods for d in directions
+    }
     n_reject = dict.fromkeys(n_ok, 0)
     n_empty = dict.fromkeys(n_ok, 0)
     n_error = dict.fromkeys(n_ok, 0)
@@ -468,9 +482,6 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
             rng.standard_normal(out=row[2:])
         pi_d, pi_y = _activated(seed, scenario.kappa, draws[:, :2], min_snr)
         _require_finite(pi_d=pi_d, pi_y=pi_y)
-        gamma_d, gamma_y = _marginal_effects(pi_d, pi_y, scenario.beta_dy, scenario.beta_yd)
-        beta_d, beta_y = _with_noise(gamma_d, gamma_y, seed.se_d, seed.se_y, draws[:, 2:])
-        _require_finite(beta_d=beta_d, beta_y=beta_y)
 
         masks = _class_masks(pi_d, pi_y, 0.0)
         counts = np.stack([masks[cls].sum(axis=1) for cls in _CLASS_ORDER], axis=1)
@@ -480,47 +491,64 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
             corr_sum = _add_in_order(corr_sum, _pearson_rows(pi_d[varied], pi_y[varied]))
             corr_n += int(varied.sum())
 
-        roles = {
-            Direction.D_TO_Y: (beta_d, seed.se_d, beta_y, seed.se_y),
-            Direction.Y_TO_D: (beta_y, seed.se_y, beta_d, seed.se_d),
-        }
-        for method in scenario.methods:
-            for direction in directions:
-                key = (method, direction)
-                rows = _method_rows(method, roles[direction], focus)
-                failed = rows.failed()
-                ok = ~failed
-                reject = rows.empty_reject | (rows.p_value <= focus.alpha)
-                n_error[key] += int(failed.sum())
-                n_ok[key] += int(ok.sum())
-                n_reject[key] += int((ok & reject).sum())
-                n_empty[key] += int((ok & rows.empty_reject).sum())
-                shown = ok & (rows.size > 0)
-                valid = (rows.selected & masks[_VALID_CLASS[direction]]).sum(axis=1)
-                prop_sum[key] = _add_in_order(prop_sum[key], valid[shown] / rows.size[shown])
-                prop_n[key] += int(shown.sum())
+        for c, (beta_dy, beta_yd) in enumerate(cells):
+            gamma_d, gamma_y = _marginal_effects(pi_d, pi_y, beta_dy, beta_yd)
+            beta_d, beta_y = _with_noise(gamma_d, gamma_y, seed.se_d, seed.se_y, draws[:, 2:])
+            _require_finite(beta_d=beta_d, beta_y=beta_y)
+            roles = {
+                Direction.D_TO_Y: (beta_d, seed.se_d, beta_y, seed.se_y),
+                Direction.Y_TO_D: (beta_y, seed.se_y, beta_d, seed.se_d),
+            }
+            for method in scenario.methods:
+                for direction in directions:
+                    key = (c, method, direction)
+                    rows = _method_rows(method, roles[direction], focus)
+                    failed = rows.failed()
+                    ok = ~failed
+                    reject = rows.empty_reject | (rows.p_value <= focus.alpha)
+                    n_error[key] += int(failed.sum())
+                    n_ok[key] += int(ok.sum())
+                    n_reject[key] += int((ok & reject).sum())
+                    n_empty[key] += int((ok & rows.empty_reject).sum())
+                    shown = ok & (rows.size > 0)
+                    valid = (rows.selected & masks[_VALID_CLASS[direction]]).sum(axis=1)
+                    prop_sum[key] = _add_in_order(prop_sum[key], valid[shown] / rows.size[shown])
+                    prop_n[key] += int(shown.sum())
 
-    def _nested(value_for):
+    mean_rho = tuple((rho_sum / scenario.n_reps).tolist())
+    mean_corr_pi = float(corr_sum / corr_n) if corr_n else None
+
+    def _nested(c, value_for):
         return {
-            m.value: {d.value: value_for((m, d)) for d in directions} for m in scenario.methods
+            m.value: {d.value: value_for((c, m, d)) for d in directions} for m in scenario.methods
         }
 
-    return ScenarioReport(
-        n_reps=scenario.n_reps,
-        methods=tuple(m.value for m in scenario.methods),
-        rejection_rates=_nested(
-            lambda k: (n_reject[k] / n_ok[k]) if n_ok[k] else None
-        ),
-        valid_iv_proportions=_nested(
-            lambda k: float(prop_sum[k] / prop_n[k]) if prop_n[k] else None
-        ),
-        empty_set_rates=_nested(
-            lambda k: (n_empty[k] / n_ok[k]) if n_ok[k] else None
-        ),
-        error_counts=_nested(lambda k: n_error[k]),
-        mean_rho=tuple((rho_sum / scenario.n_reps).tolist()),
-        mean_corr_pi=float(corr_sum / corr_n) if corr_n else None,
-    )
+    return [
+        ScenarioReport(
+            n_reps=scenario.n_reps,
+            methods=tuple(m.value for m in scenario.methods),
+            rejection_rates=_nested(c, lambda k: (n_reject[k] / n_ok[k]) if n_ok[k] else None),
+            valid_iv_proportions=_nested(
+                c, lambda k: float(prop_sum[k] / prop_n[k]) if prop_n[k] else None
+            ),
+            empty_set_rates=_nested(c, lambda k: (n_empty[k] / n_ok[k]) if n_ok[k] else None),
+            error_counts=_nested(c, lambda k: n_error[k]),
+            mean_rho=mean_rho,
+            mean_corr_pi=mean_corr_pi,
+        )
+        for c in range(len(cells))
+    ]
+
+
+def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
+    """Run a full scenario and aggregate rejections and selection quality.
+
+    The grid engine on the single cell ``(scenario.beta_dy, scenario.beta_yd)``.
+    Fully reproducible from ``scenario.rng_seed``; each replication's stream
+    is keyed by its index, so the result depends neither on scheduling nor
+    on the chunk size.
+    """
+    return _run_cells(seed, scenario, [(scenario.beta_dy, scenario.beta_yd)])[0]
 
 
 def run_grid(
@@ -528,9 +556,11 @@ def run_grid(
     scenario: ScenarioConfig,
     beta_pairs: list[tuple[float, float]],
 ) -> list[tuple[tuple[float, float], ScenarioReport]]:
-    """Run the scenario once per (beta_dy, beta_yd) pair."""
-    results = []
-    for beta_dy, beta_yd in beta_pairs:
-        cell = replace(scenario, beta_dy=float(beta_dy), beta_yd=float(beta_yd))
-        results.append(((float(beta_dy), float(beta_yd)), run_scenario(seed, cell)))
-    return results
+    """Run the scenario once per (beta_dy, beta_yd) pair, every pair on the same draws.
+
+    Each cell's report equals :func:`run_scenario` on that cell alone; the
+    cells share each replication's draws, activations, class shares and
+    correlation, so ``mean_rho`` and ``mean_corr_pi`` are equal across cells.
+    """
+    cells = [(float(beta_dy), float(beta_yd)) for beta_dy, beta_yd in beta_pairs]
+    return list(zip(cells, _run_cells(seed, scenario, cells)))

@@ -254,6 +254,19 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_separation_needs_a_finite_tau_f(self, tmp_path, capsys):
+        # the floor c1 * tau_f * sqrt(log p) would be infinite
+        code = main(
+            ["simulate", "--synthetic", "20", "--reps", "2", "--seed", "1", "--tau-f", "inf",
+             "--enforce-separation", "2.0", "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--tau-f" in err and "--enforce-separation" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "r.json").exists()
+
 
 # (1e-200 / 1)^2 underflows to zero: the D->Y IVW weights sum to zero
 UNDERFLOW_EXPOSURE = "a\t1e-200\t1\nb\t-1e-190\t1\n"

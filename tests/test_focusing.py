@@ -72,29 +72,16 @@ class TestPanel:
         with pytest.raises(ValueError):
             panel.beta_d[0] = 1.0
 
+    def test_from_arrays_validates_the_columns(self):
+        with pytest.raises(InputError, match="beta_d must have length 2"):
+            Panel.from_arrays(["a", "b"], [1.0], [0.1, 0.3], [3.0, 4.0], [0.2, 0.1])
+        with pytest.raises(InputError, match="beta_y must be finite"):
+            Panel.from_arrays(["a", "b"], [1.0, 2.0], [0.1, 0.3], [3.0, math.nan], [0.2, 0.1])
+
     def test_ids_at_mask_in_panel_order(self):
         panel = Panel.from_arrays(["c", "a", "b"], [0.1] * 3, [0.1] * 3, [0.0] * 3, [0.1] * 3)
         assert panel.ids_at(np.array([True, False, True])) == ("c", "b")
         assert panel.ids_at(np.zeros(3, dtype=bool)) == ()
-
-    def test_with_betas_shares_everything_but_the_estimates(self):
-        panel = Panel.from_arrays(["a", "b"], [0.1, 0.2], [0.1, 0.3], [0.0, 0.5], [0.2, 0.1])
-        new = panel.with_betas([1.0, 2.0], [3.0, 4.0])
-        assert new.ids is panel.ids
-        assert new.se_d is panel.se_d and new.se_y is panel.se_y
-        assert new.beta_d.tolist() == [1.0, 2.0] and new.beta_y.tolist() == [3.0, 4.0]
-        assert panel.beta_d.tolist() == [0.1, 0.2] and panel.beta_y.tolist() == [0.0, 0.5]
-        assert new.indices_of(["b"]).tolist() == [1]
-        assert new.ids_at(np.array([False, True])) == ("b",)
-        with pytest.raises(ValueError):
-            new.beta_y[0] = 0.0
-
-    def test_with_betas_validates_the_new_columns(self):
-        panel = Panel.from_arrays(["a", "b"], [0.1, 0.2], [0.1, 0.3], [0.0, 0.5], [0.2, 0.1])
-        with pytest.raises(InputError):
-            panel.with_betas([1.0], [3.0, 4.0])
-        with pytest.raises(InputError):
-            panel.with_betas([1.0, 2.0], [3.0, math.nan])
 
 
 class TestFocusedSet:

@@ -1,6 +1,7 @@
 """Truth generation, panel sampling, and scenario aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from bidirmr.errors import GwasParseError, InputError
 from bidirmr.focusing import (
     Direction,
     FocusConfig,
-    Panel,
     TauSRule,
     check_separation,
     relevant_mask,
@@ -170,6 +170,17 @@ class TestEnforceSeparation:
         with pytest.raises(InputError):
             enforce_separation(truth, FocusConfig(), c1=0.0)
 
+    @pytest.mark.parametrize("tau_f, c1", [(math.inf, 2.0), (1.5, math.inf)])
+    def test_rejects_an_infinite_floor_before_any_draw(self, tau_f, c1, monkeypatch):
+        seed = synthetic_seed(40, np.random.default_rng(12))
+        truth = generate_truth(seed, 1.0, np.random.default_rng(0))
+        cfg = FocusConfig(tau_f=tau_f)
+        with pytest.raises(InputError, match="--tau-f .* finite separation floor"):
+            enforce_separation(truth, cfg, c1=c1)
+        monkeypatch.setattr(np.random, "default_rng", _no_draws)
+        with pytest.raises(InputError, match="--enforce-separation"):
+            run_scenario(seed, ScenarioConfig(n_reps=3, focus=cfg, enforce_separation_c1=c1))
+
 
 class TestSimulatePanel:
     def test_vanishing_noise_recovers_reduced_form(self):
@@ -206,29 +217,6 @@ class TestSimulatePanel:
         panel = simulate_panel(truth, np.random.default_rng(14))
         np.testing.assert_array_equal(panel.se_d, truth.se_d)
         np.testing.assert_array_equal(panel.se_y, truth.se_y)
-
-    def test_template_lends_ids_and_standard_errors(self):
-        seed = synthetic_seed(40, np.random.default_rng(12))
-        truth = generate_truth(seed, 1.0, np.random.default_rng(13))
-        template = Panel.from_arrays(
-            [f"t{j}" for j in range(40)], seed.alpha_d, seed.se_d, seed.alpha_y, seed.se_y
-        )
-        plain = simulate_panel(truth, np.random.default_rng(14))
-        panel = simulate_panel(truth, np.random.default_rng(14), template)
-        assert panel.ids is template.ids
-        assert panel.se_d is template.se_d and panel.se_y is template.se_y
-        np.testing.assert_array_equal(panel.beta_d, plain.beta_d)
-        np.testing.assert_array_equal(panel.beta_y, plain.beta_y)
-        assert panel.indices_of(["t3", "t0"]).tolist() == [3, 0]
-
-    def test_template_standard_errors_must_match_truth(self):
-        seed = synthetic_seed(40, np.random.default_rng(12))
-        truth = generate_truth(seed, 1.0, np.random.default_rng(13))
-        template = Panel.from_arrays(
-            [f"t{j}" for j in range(40)], seed.alpha_d, seed.se_d, seed.alpha_y, 2.0 * seed.se_y
-        )
-        with pytest.raises(InputError):
-            simulate_panel(truth, np.random.default_rng(14), template)
 
 
 class TestActivationProbabilities:
@@ -361,6 +349,64 @@ class TestRunScenario:
         assert all(rep.n_reps == 10 for _, rep in cells)
 
 
+class TestGrid:
+    """Grid cells share each chunk's draws and pair-free work; results must not notice."""
+
+    def _scenario(self, **overrides):
+        base = dict(
+            kappa=0.9, n_reps=9, focus=FocusConfig(tau_f=1.5), methods=tuple(Method),
+            rng_seed=31, enforce_separation_c1=2.0,
+        )
+        base.update(overrides)
+        return ScenarioConfig(**base)
+
+    def test_each_cell_equals_its_own_scenario(self):
+        seed = synthetic_seed(50, np.random.default_rng(25))
+        scenario = self._scenario()
+        pairs = [(0.0, 0.0), (0.3, -0.2), (0.0, 0.0), (-0.5, 0.4)]
+        cells = run_grid(seed, scenario, pairs)
+        assert [betas for betas, _ in cells] == pairs
+        for (beta_dy, beta_yd), report in cells:
+            alone = run_scenario(seed, replace(scenario, beta_dy=beta_dy, beta_yd=beta_yd))
+            assert repr(report) == repr(alone)
+        assert repr(cells[0][1]) == repr(cells[2][1])
+        assert cells[0][1].rejection_rates != cells[3][1].rejection_rates
+
+    def test_pair_free_work_runs_once_per_chunk(self, monkeypatch):
+        activated, marginal = [], []
+        real_activated, real_marginal = simulation._activated, simulation._marginal_effects
+
+        def spy_activated(seed, kappa, uniforms, min_snr):
+            activated.append(uniforms.shape)
+            return real_activated(seed, kappa, uniforms, min_snr)
+
+        def spy_marginal(pi_d, pi_y, beta_dy, beta_yd):
+            marginal.append((pi_d.shape, beta_dy, beta_yd))
+            return real_marginal(pi_d, pi_y, beta_dy, beta_yd)
+
+        monkeypatch.setattr(simulation, "_activated", spy_activated)
+        monkeypatch.setattr(simulation, "_marginal_effects", spy_marginal)
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 100)
+        seed = synthetic_seed(40, np.random.default_rng(26))
+        pairs = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3)]
+        run_grid(seed, self._scenario(n_reps=5, methods=(Method.FOCUSED_IVW,)), pairs)
+        # chunks of 2, 2 and 1 replications, each drawn and activated once
+        assert activated == [(2, 2, 40), (2, 2, 40), (1, 2, 40)]
+        # and the cells take turns on each chunk, one (R, p) array at a time
+        assert marginal == [((r, 40), *pair) for r in (2, 2, 1) for pair in pairs]
+
+    @pytest.mark.parametrize("bad", [(2.0, 0.5), (math.nan, 0.0), (0.0, math.inf)])
+    def test_invalid_pair_in_a_later_cell_raises_before_any_draw(self, bad, monkeypatch):
+        seed = synthetic_seed(40, np.random.default_rng(27))
+        monkeypatch.setattr(np.random, "default_rng", _no_draws)
+        with pytest.raises(InputError, match="beta_"):
+            run_grid(seed, self._scenario(), [(0.0, 0.0), (0.3, 0.0), bad])
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a replication was drawn")
+
+
 class TestChunks:
     """Replications go in chunks of ``max(1, _CHUNK_VALUES // p)``; results must not notice."""
 
@@ -422,6 +468,17 @@ class TestChunks:
         b = rng.normal(size=(30, 57)) * (rng.random((30, 57)) < 0.6)
         want = [float(np.corrcoef(x, y)[0, 1]) for x, y in zip(a, b)]
         assert simulation._pearson_rows(a, b).tolist() == want
+
+    def test_row_correlations_survive_extreme_magnitudes(self):
+        # squares of 1e-301 underflow and of 1e301 overflow; powers of two scale exactly
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(30, 57)) * (rng.random((30, 57)) < 0.6)
+        b = rng.normal(size=(30, 57)) * (rng.random((30, 57)) < 0.6)
+        want = simulation._pearson_rows(a, b).tolist()
+        assert simulation._pearson_rows(a * 2.0**-1000, b * 2.0**1000).tolist() == want
+        assert simulation._pearson_rows(a * 2.0**1000, b * 2.0**-1000).tolist() == want
+        tiny = simulation._pearson_rows(np.array([[0.0, 0.0, 0.01]]), np.array([[0, 0, 1e-300]]))
+        assert tiny.tolist() == [pytest.approx(1.0, abs=1e-15)]
 
     def test_one_snp_panel(self):
         seed = SeedEffects(alpha_d=[0.5], alpha_y=[0.2], se_d=[0.1], se_y=[0.1])
