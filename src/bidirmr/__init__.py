@@ -10,7 +10,7 @@ known ground truths, and a reproducible Monte-Carlo harness round out the
 toolkit. See the ``bidirmr`` command-line interface for file-based use.
 """
 
-from .benchmarks import BenchmarkMethod, BenchmarkReport, mr_egger, mr_median, overall_ivw
+from .benchmarks import mr_egger, mr_median, overall_ivw
 from .errors import (
     BidirMrError,
     DegeneracyError,
@@ -27,13 +27,11 @@ from .errors import (
 )
 from .focusing import (
     Direction,
-    Estimator,
     FocusConfig,
     JointTestReport,
+    Method,
     Panel,
     PowerForecast,
-    SnpRecord,
-    TauSRule,
     TestReport,
     check_separation,
     focused_ivw,
@@ -59,8 +57,6 @@ from .model import (
     IvClass,
     ReducedForm,
     TruthConfig,
-    classify_all,
-    classify_iv,
     diagnose_identification,
     direct_effects,
     iv_class_counts,
@@ -69,7 +65,6 @@ from .model import (
     reverse_equivalent_truth,
 )
 from .simulation import (
-    Method,
     ScenarioConfig,
     ScenarioReport,
     SeedEffects,

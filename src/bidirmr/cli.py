@@ -14,21 +14,19 @@ import json
 import logging
 import secrets
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .benchmarks import BenchmarkMethod, BenchmarkReport, mr_egger, mr_median, overall_ivw
 from .errors import DegeneracyError, InputError
 from .focusing import (
     Direction,
-    Estimator,
     FocusConfig,
-    TauSRule,
+    Method,
     TestReport,
     focused_mask,
     relevant_mask,
     test_direction,
+    test_joint_null,
 )
 from .gwasio import (
     SCHEMA_VERSION,
@@ -44,42 +42,18 @@ from .gwasio import (
     write_tsv_rows,
 )
 from .model import TruthConfig, diagnose_identification
-from .simulation import (
-    Method,
-    ScenarioConfig,
-    load_seed_effects,
-    run_grid,
-    run_scenario,
-    synthetic_seed,
-)
+from .simulation import ScenarioConfig, load_seed_effects, run_grid, run_scenario, synthetic_seed
 from .truncnorm import TruncSpec, truncnorm_mean, truncnorm_var
 
-_FOCUSED_ESTIMATORS = {"ivw": Estimator.FOCUSED_IVW, "median": Estimator.FOCUSED_MEDIAN}
-_BENCHMARK_ESTIMATORS = {
-    "overall-ivw": BenchmarkMethod.OVERALL_IVW,
-    "mr-median": BenchmarkMethod.MR_MEDIAN,
-    "mr-egger": BenchmarkMethod.MR_EGGER,
+# ``test --estimator`` spellings; ``simulate --methods`` takes the method values
+# (with ``-`` for ``_``).
+_ESTIMATORS = {
+    "ivw": Method.FOCUSED_IVW,
+    "median": Method.FOCUSED_MEDIAN,
+    "mr-egger": Method.MR_EGGER,
+    "mr-median": Method.MR_MEDIAN,
+    "overall-ivw": Method.OVERALL_IVW,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration of one ``test`` invocation."""
-
-    focus: FocusConfig
-    estimator: str
-    direction: str
-    harmonize_mode: HarmonizeMode
-    rng_seed: int
-    out_path: str | None
-    fmt: ReportFormat
-    col_map: dict[str, str] | None
-    emit_snps: str | None
-    emit_density: str | None
-
-    def __post_init__(self):
-        if self.emit_density is not None and self.estimator not in ("ivw", "overall-ivw"):
-            raise InputError("--emit-density applies to the ivw and overall-ivw estimators only")
 
 
 def _add_common_output_args(sub):
@@ -104,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--estimator",
         default="ivw",
-        choices=sorted(_FOCUSED_ESTIMATORS) + sorted(_BENCHMARK_ESTIMATORS),
+        choices=list(_ESTIMATORS),
     )
     p_test.add_argument("--direction", default="both", choices=["dy", "yd", "both", "joint"])
     p_test.add_argument("--col-map", default=None, help="column aliases, e.g. 'b=beta,rsid=id'")
@@ -167,12 +141,12 @@ def _resolve_seed(args) -> int:
 
 def _focus_config(tau_f: float, tau_s: str, alpha: float) -> FocusConfig:
     if tau_s == "auto":
-        return FocusConfig(tau_f=tau_f, alpha=alpha, tau_s_rule=TauSRule.ONE_OVER_P)
+        return FocusConfig(tau_f=tau_f, alpha=alpha)
     try:
         tau_s_value = float(tau_s)
     except ValueError:
         raise InputError(f"--tau-s must be 'auto' or a number, got {tau_s!r}") from None
-    return FocusConfig(tau_f=tau_f, tau_s=tau_s_value, alpha=alpha, tau_s_rule=TauSRule.EXPLICIT)
+    return FocusConfig(tau_f=tau_f, tau_s=tau_s_value, alpha=alpha)
 
 
 def _emit(document, args) -> None:
@@ -181,11 +155,11 @@ def _emit(document, args) -> None:
         sys.stdout.write(text)
 
 
-def _focused_row(report: TestReport, panel) -> dict:
+def _result_row(report: TestReport, panel) -> dict:
     return {
         "test": "directional",
         "direction": report.direction,
-        "estimator": report.estimator,
+        "estimator": report.method,
         "alpha": report.alpha,
         "tau_f": report.tau_f,
         "tau_s": report.tau_s,
@@ -200,75 +174,10 @@ def _focused_row(report: TestReport, panel) -> dict:
         "max_weight_share": report.max_weight_share,
         "n_dropped_zero_denom": report.n_dropped_zero_denom,
         "bootstrap_inference": report.bootstrap_inference,
-        "intercept": None,
-        "intercept_se": None,
-        "selected_ids": list(panel.ids_at(report.selected)),
-    }
-
-
-def _benchmark_row(report: BenchmarkReport, panel, alpha: float, tau_f: float | None) -> dict:
-    return {
-        "test": "directional",
-        "direction": report.direction,
-        "estimator": report.method,
-        "alpha": alpha,
-        "tau_f": tau_f,
-        "tau_s": report.tau_s,
-        "estimate": report.estimate,
-        "se": report.se,
-        "z_score": report.z_score,
-        "p_value": report.p_value,
-        "reject": report.p_value <= alpha,
-        "empty_set_reject": False,
-        "n_selected": int(np.count_nonzero(report.selected)),
-        "weight_sum": None,
-        "max_weight_share": None,
-        "n_dropped_zero_denom": 0,
-        "bootstrap_inference": report.method is BenchmarkMethod.MR_MEDIAN,
         "intercept": report.intercept,
         "intercept_se": report.intercept_se,
         "selected_ids": list(panel.ids_at(report.selected)),
     }
-
-
-def _joint_row(estimator, alpha: float, reject: bool) -> dict:
-    return {
-        "test": "joint",
-        "direction": "joint",
-        "estimator": estimator,
-        "alpha": alpha,
-        "tau_f": None,
-        "tau_s": None,
-        "estimate": None,
-        "se": None,
-        "z_score": None,
-        "p_value": None,
-        "reject": reject,
-        "empty_set_reject": False,
-        "n_selected": None,
-        "weight_sum": None,
-        "max_weight_share": None,
-        "n_dropped_zero_denom": 0,
-        "bootstrap_inference": False,
-        "intercept": None,
-        "intercept_se": None,
-        "selected_ids": [],
-    }
-
-
-def _run_estimator(panel, direction, cfg, name):
-    if name in _FOCUSED_ESTIMATORS:
-        report = test_direction(panel, direction, cfg, _FOCUSED_ESTIMATORS[name])
-        return _focused_row(report, panel)
-    method = _BENCHMARK_ESTIMATORS[name]
-    tau_s = cfg.resolve_tau_s(len(panel))
-    if method is BenchmarkMethod.OVERALL_IVW:
-        report = overall_ivw(panel, direction, tau_s)
-    elif method is BenchmarkMethod.MR_MEDIAN:
-        report = mr_median(panel, direction, tau_s)
-    else:
-        report = mr_egger(panel, direction, tau_s)
-    return _benchmark_row(report, panel, cfg.alpha, None)
 
 
 def _ratio_column(numerator, denominator) -> MaskedColumn:
@@ -295,24 +204,24 @@ def _emit_snp_table(path, panel, cfg):
     write_tsv_rows(path, columns, table)
 
 
-def _emit_density_table(path, panel, rows_by_direction):
+def _emit_density_table(path, panel, reports):
     # Per-SNP IVW pieces for density plots of the normalized contributions;
     # a direction whose weights sum to zero gets empty shares.
     columns = ["direction", "id", "ratio", "weight", "contribution"]
     names, ids, ratios, shares, missing = [], [], [np.empty(0)], [np.empty(0)], [np.empty(0, bool)]
-    for direction, row in rows_by_direction:
-        idx = panel.indices_of(row["selected_ids"])
-        if direction is Direction.D_TO_Y:
-            eb, ob, os_ = panel.beta_d[idx], panel.beta_y[idx], panel.se_y[idx]
+    for report in reports:
+        mask = report.selected
+        if report.direction is Direction.D_TO_Y:
+            eb, ob, os_ = panel.beta_d[mask], panel.beta_y[mask], panel.se_y[mask]
         else:
-            eb, ob, os_ = panel.beta_y[idx], panel.beta_d[idx], panel.se_d[idx]
+            eb, ob, os_ = panel.beta_y[mask], panel.beta_d[mask], panel.se_d[mask]
         weights = (eb / os_) ** 2
         total = sum(weights.tolist())  # summed left to right, not pairwise
-        names += [direction.value] * len(idx)
-        ids += row["selected_ids"]
+        names += [report.direction.value] * eb.size
+        ids += panel.ids_at(mask)
         ratios.append(ob / eb)
         shares.append(weights / total if total > 0 else weights)
-        missing.append(np.full(len(idx), not total > 0))
+        missing.append(np.full(eb.size, not total > 0))
     ratio, share, missing = (np.concatenate(parts) for parts in (ratios, shares, missing))
     table = ColumnTable([
         names, ids, ratio, MaskedColumn(share, missing), MaskedColumn(share * ratio, missing),
@@ -321,62 +230,57 @@ def _emit_density_table(path, panel, rows_by_direction):
 
 
 def _cmd_test(args) -> int:
-    run = RunConfig(
-        focus=_focus_config(args.tau_f, args.tau_s, args.alpha),
-        estimator=args.estimator,
-        direction=args.direction,
-        harmonize_mode=HarmonizeMode(args.mode),
-        rng_seed=_resolve_seed(args),
-        out_path=args.out,
-        fmt=ReportFormat(args.format),
-        col_map=parse_col_map(args.col_map) if args.col_map else None,
-        emit_snps=args.emit_snps,
-        emit_density=args.emit_density,
-    )
+    cfg = _focus_config(args.tau_f, args.tau_s, args.alpha)
+    method = _ESTIMATORS[args.estimator]
+    seed = _resolve_seed(args)
+    col_map = parse_col_map(args.col_map) if args.col_map else None
+    if args.emit_density is not None and args.estimator not in ("ivw", "overall-ivw"):
+        raise InputError("--emit-density applies to the ivw and overall-ivw estimators only")
     # the loaded files are released once harmonized: only the panel is needed
     panel = harmonize(
-        load_gwas(args.exposure, run.col_map),
-        load_gwas(args.outcome, run.col_map),
-        run.harmonize_mode,
+        load_gwas(args.exposure, col_map),
+        load_gwas(args.outcome, col_map),
+        HarmonizeMode(args.mode),
     )
-    cfg = run.focus
 
-    if run.direction == "joint":
-        half = replace(cfg, alpha=cfg.alpha / 2.0)
-        sub_rows = [
-            _run_estimator(panel, Direction.D_TO_Y, half, run.estimator),
-            _run_estimator(panel, Direction.Y_TO_D, half, run.estimator),
-        ]
-        joint_reject = bool(sub_rows[0]["reject"] or sub_rows[1]["reject"])
-        rows = sub_rows + [_joint_row(sub_rows[0]["estimator"], cfg.alpha, joint_reject)]
-        density_directions = [Direction.D_TO_Y, Direction.Y_TO_D]
+    verdict = None
+    if args.direction == "joint":
+        joint = test_joint_null(panel, cfg, method)
+        reports = [joint.d_to_y, joint.y_to_d]
+        verdict = {
+            "test": "joint", "direction": "joint", "estimator": method, "alpha": joint.alpha,
+            "reject": joint.reject, "empty_set_reject": False, "n_dropped_zero_denom": 0,
+            "bootstrap_inference": False, "selected_ids": [],
+        }
     else:
         directions = {
             "dy": [Direction.D_TO_Y],
             "yd": [Direction.Y_TO_D],
             "both": [Direction.D_TO_Y, Direction.Y_TO_D],
-        }[run.direction]
-        rows = [_run_estimator(panel, d, cfg, run.estimator) for d in directions]
-        density_directions = directions
+        }[args.direction]
+        reports = [test_direction(panel, d, cfg, method) for d in directions]
+    rows = [_result_row(report, panel) for report in reports]
+    if verdict is not None:
+        # the joint verdict has no estimate of its own: its other fields are None
+        rows.append({**dict.fromkeys(rows[0]), **verdict})
 
-    if run.emit_density is not None:
-        pairs = [(d, row) for d, row in zip(density_directions, rows) if row["selected_ids"]]
-        _emit_density_table(run.emit_density, panel, pairs)
-    if run.emit_snps is not None:
-        _emit_snp_table(run.emit_snps, panel, cfg)
+    if args.emit_density is not None:
+        _emit_density_table(args.emit_density, panel, [r for r in reports if r.selected.any()])
+    if args.emit_snps is not None:
+        _emit_snp_table(args.emit_snps, panel, cfg)
 
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": "test",
-        "seed": run.rng_seed,
+        "seed": seed,
         "n_snps": len(panel),
         "params": {
             "tau_f": cfg.tau_f,
             "tau_s": cfg.resolve_tau_s(len(panel)),
             "alpha": cfg.alpha,
-            "estimator": run.estimator,
-            "direction": run.direction,
-            "harmonize_mode": run.harmonize_mode,
+            "estimator": args.estimator,
+            "direction": args.direction,
+            "harmonize_mode": HarmonizeMode(args.mode),
         },
         "results": rows,
     }

@@ -21,6 +21,13 @@ of the panel. The focused median estimator is provided as a robust
 companion; its p-value comes from the exact distribution of the SNP-level
 bootstrap median (no resampling is drawn), which is a pragmatic default
 rather than a derived limiting distribution, and reports flag it as such.
+
+The five tests form one family, named by :class:`Method`: the focused IVW
+and focused median at a finite ``tau_f``, and the conventional overall IVW,
+MR-Median and MR-Egger on the relevance-screened set (``tau_f = inf``).
+:func:`direction_rows` runs any of them on every row of (R, p) estimates at
+once; :func:`test_direction` is that function at R = 1 and returns one
+:class:`TestReport`, the result shape of every method.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from .errors import (
     EmptyFocusedSetError,
     EmptyRelevantSetError,
     InputError,
+    RankDeficientError,
     ZeroDenominatorError,
 )
 from .model import TruthConfig
@@ -46,13 +54,11 @@ from .truncnorm import TruncSpec, std_cdf, std_quantile, std_sf, truncnorm_mean,
 __all__ = [
     "Direction",
     "DirectionRows",
-    "Estimator",
     "FocusConfig",
     "JointTestReport",
+    "Method",
     "Panel",
     "PowerForecast",
-    "SnpRecord",
-    "TauSRule",
     "TestReport",
     "bootstrap_median_sd",
     "check_separation",
@@ -78,80 +84,56 @@ class Direction(str, Enum):
     Y_TO_D = "yd"
 
 
-class Estimator(str, Enum):
+class Method(str, Enum):
+    """The directional tests; values double as report keys.
+
+    The focused methods aggregate over the focused set at ``tau_f``; the
+    conventional ones over the relevance-screened set (``tau_f = inf``).
+    """
+
     FOCUSED_IVW = "focused_ivw"
     FOCUSED_MEDIAN = "focused_median"
+    OVERALL_IVW = "overall_ivw"
+    MR_MEDIAN = "mr_median"
+    MR_EGGER = "mr_egger"
 
+    @property
+    def focused(self) -> bool:
+        """Whether the set is the focused one, at a finite ``tau_f``."""
+        return self in (Method.FOCUSED_IVW, Method.FOCUSED_MEDIAN)
 
-class TauSRule(str, Enum):
-    """How the relevance threshold is chosen: explicitly or as quantile(1 - 1/p)."""
-
-    EXPLICIT = "explicit"
-    ONE_OVER_P = "one_over_p"
-
-
-@dataclass(frozen=True)
-class SnpRecord:
-    """Harmonized per-SNP summary statistics for both traits."""
-
-    id: str
-    beta_d: float
-    se_d: float
-    beta_y: float
-    se_y: float
-
-    def __post_init__(self):
-        if not self.id:
-            raise InputError("SNP id must be nonempty")
-        for name in ("beta_d", "se_d", "beta_y", "se_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite for SNP {self.id!r}")
-        if not (self.se_d > 0.0 and self.se_y > 0.0):
-            raise InputError(f"standard errors must be positive for SNP {self.id!r}")
+    @property
+    def median(self) -> bool:
+        """Whether the scale is the exact SNP-bootstrap law of the median."""
+        return self in (Method.FOCUSED_MEDIAN, Method.MR_MEDIAN)
 
 
 class Panel:
     """Immutable, id-indexed collection of SNP summary statistics.
 
-    Stores column arrays for fast vectorized work; :attr:`records` rebuilds
-    the per-SNP view on demand. Selections are boolean masks over the panel;
+    Stores column arrays for fast vectorized work; build one with
+    :meth:`from_arrays`. Selections are boolean masks over the panel;
     :meth:`ids_at` turns one into ids.
     """
 
     __slots__ = ("ids", "beta_d", "se_d", "beta_y", "se_y", "_index", "_id_array")
 
-    def __init__(self, records: Iterable[SnpRecord]):
-        records = tuple(records)
-        self._init_from_arrays(
-            tuple(r.id for r in records),
-            np.array([r.beta_d for r in records], dtype=float),
-            np.array([r.se_d for r in records], dtype=float),
-            np.array([r.beta_y for r in records], dtype=float),
-            np.array([r.se_y for r in records], dtype=float),
-        )
-
     @classmethod
     def from_arrays(cls, ids, beta_d, se_d, beta_y, se_y) -> "Panel":
-        panel = cls.__new__(cls)
-        panel._init_from_arrays(
-            tuple(map(str, ids)),
-            np.array(beta_d, dtype=float),
-            np.array(se_d, dtype=float),
-            np.array(beta_y, dtype=float),
-            np.array(se_y, dtype=float),
-        )
-        return panel
-
-    def _init_from_arrays(self, ids, beta_d, se_d, beta_y, se_y):
+        ids = tuple(map(str, ids))
+        columns = {
+            name: np.array(arr, dtype=float)
+            for name, arr in (("beta_d", beta_d), ("se_d", se_d), ("beta_y", beta_y), ("se_y", se_y))
+        }
         p = len(ids)
         if p < 1:
             raise InputError("a panel needs at least one SNP")
-        for name, arr in (("beta_d", beta_d), ("se_d", se_d), ("beta_y", beta_y), ("se_y", se_y)):
+        for name, arr in columns.items():
             if arr.shape != (p,):
                 raise InputError(f"{name} must have length {p}")
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"{name} must be finite")
-        if not (np.all(se_d > 0.0) and np.all(se_y > 0.0)):
+        if not (np.all(columns["se_d"] > 0.0) and np.all(columns["se_y"] > 0.0)):
             raise InputError("standard errors must be positive")
         if not all(ids):
             raise InputError("SNP ids must be nonempty")
@@ -159,34 +141,18 @@ class Panel:
         if len(index) != p:
             raise InputError("SNP ids must be unique within a panel")
         id_array = np.array(ids, dtype=object)
-        for arr in (beta_d, se_d, beta_y, se_y, id_array):
+        for arr in (*columns.values(), id_array):
             arr.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "beta_d", beta_d)
-        object.__setattr__(self, "se_d", se_d)
-        object.__setattr__(self, "beta_y", beta_y)
-        object.__setattr__(self, "se_y", se_y)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_id_array", id_array)
+        panel = cls.__new__(cls)
+        for name, value in (("ids", ids), *columns.items(), ("_index", index), ("_id_array", id_array)):
+            object.__setattr__(panel, name, value)
+        return panel
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __setattr__(self, name, value):
         raise AttributeError("Panel is immutable")
-
-    @property
-    def records(self) -> tuple[SnpRecord, ...]:
-        return tuple(
-            SnpRecord(
-                self.ids[j],
-                float(self.beta_d[j]),
-                float(self.se_d[j]),
-                float(self.beta_y[j]),
-                float(self.se_y[j]),
-            )
-            for j in range(len(self))
-        )
 
     def ids_at(self, mask: np.ndarray) -> tuple[str, ...]:
         """Ids where a boolean mask over the panel is true, in panel order."""
@@ -209,29 +175,24 @@ class FocusConfig:
 
     ``tau_f`` bounds the normalized outcome association of retained SNPs
     (``inf`` disables focusing and recovers the overall estimators);
-    ``tau_s`` screens for exposure relevance, either explicitly or via the
-    ``ONE_OVER_P`` rule ``quantile(1 - 1/p)``.
+    ``tau_s`` screens for exposure relevance. ``None`` (the default) resolves
+    it per panel as ``quantile(1 - 1/p)``.
     """
 
     tau_f: float = 1.5
-    tau_s: float = 0.0
+    tau_s: float | None = None
     alpha: float = 0.05
-    tau_s_rule: TauSRule = TauSRule.ONE_OVER_P
 
     def __post_init__(self):
         if math.isnan(self.tau_f) or not self.tau_f > 0.0:
             raise InputError(f"tau_f must be positive, got {self.tau_f!r}")
-        if not self.tau_s >= 0.0:
+        if self.tau_s is not None and not self.tau_s >= 0.0:
             raise InputError(f"tau_s must be nonnegative, got {self.tau_s!r}")
-        if self.tau_s != 0.0 and self.tau_s_rule is not TauSRule.EXPLICIT:
-            raise InputError(
-                f"tau_s={self.tau_s!r} needs tau_s_rule=EXPLICIT; any other rule ignores it"
-            )
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
     def resolve_tau_s(self, p: int) -> float:
-        if self.tau_s_rule is TauSRule.EXPLICIT:
+        if self.tau_s is not None:
             return self.tau_s
         if p < 2:
             raise InputError("the 1/p relevance rule needs a panel with p >= 2")
@@ -245,6 +206,10 @@ class FocusConfig:
         configuration.
         """
         return truncnorm_var(TruncSpec(-self.tau_f, self.tau_f, 0.0))
+
+
+# The conventional methods' set: relevance screening only. Its null variance is 1.
+_UNFOCUSED = FocusConfig(tau_f=math.inf)
 
 
 def _roles(panel: Panel, direction: Direction):
@@ -724,9 +689,10 @@ class DirectionRows:
     ``selected`` is the (R, p) set each row aggregates over (after
     zero-denominator drops) and ``size`` its cardinality; ``empty_reject``
     marks rows whose empty focused set rejects by construction (p-value 0).
-    A float a row does not define is NaN: the estimate and scale of an empty
-    set, a weight share when the weights sum to zero, and ``z`` when the
-    median scale is zero. ``intercept``/``intercept_se`` are MR-Egger's only.
+    A float a row does not define is NaN: the estimate, scale and weight sum
+    of an empty set, a weight share when the weights sum to zero, ``z`` when
+    the median scale is zero, and MR-Egger's weight sum and share.
+    ``intercept``/``intercept_se`` are MR-Egger's only.
     ``errors`` maps each row that hit a degeneracy to its exception; that
     row's other fields mean nothing.
     """
@@ -750,31 +716,6 @@ class DirectionRows:
         out[list(self.errors)] = True
         return out
 
-    def row(self, r: int) -> dict:
-        """Row ``r`` as Python scalars, None where undefined; raises the row's degeneracy, if any.
-
-        ``selected`` is a read-only view of the row's mask.
-        """
-        if r in self.errors:
-            raise self.errors[r]
-
-        def scalar(column):
-            value = None if column is None else float(column[r])
-            return None if value is None or math.isnan(value) else value
-
-        selected = self.selected[r]
-        selected.setflags(write=False)
-        out = {
-            "selected": selected,
-            "size": int(self.size[r]),
-            "n_dropped": int(self.n_dropped[r]),
-            "empty_reject": bool(self.empty_reject[r]),
-            "p_value": float(self.p_value[r]),
-        }
-        for name in ("weight_sum", "max_share", "estimate", "se", "z", "intercept", "intercept_se"):
-            out[name] = scalar(getattr(self, name))
-        return out
-
 
 def direction_rows(
     exp_beta: np.ndarray,
@@ -783,57 +724,60 @@ def direction_rows(
     out_se: np.ndarray,
     cfg: FocusConfig,
     tau_s: float,
-    estimator: Estimator = Estimator.FOCUSED_IVW,
-    benchmark: bool = False,
+    method: Method = Method.FOCUSED_IVW,
 ) -> DirectionRows:
-    """The focused test in one direction on every row of (R, p) estimates at once.
+    """One method's test in one direction on every row of (R, p) estimates at once.
 
     ``exp_beta``/``out_beta`` hold one panel's exposure and outcome betas per
     row; the standard errors are (p,) vectors shared by the rows (or (R, p)).
     Masks, weights, IVW estimates, z and p are row reductions; the median
-    estimator gives each row what :func:`_median_inference` gives its set,
-    from one sort of all rows (:func:`_median_rows`). Only ``cfg.tau_f``
-    and, for IVW rows with a nonempty set, ``cfg.null_var`` are used.
+    methods give each row what :func:`_median_inference` gives its set,
+    from one sort of all rows (:func:`_median_rows`), and MR-Egger is solved
+    in closed form (:func:`_egger_rows`). Of ``cfg`` only ``tau_f`` and, for
+    focused IVW rows with a nonempty set, ``null_var`` are used.
 
-    Focused tests drop zero exposure associations from the set (counted in
-    ``n_dropped``) and reject on an empty set. With ``benchmark`` the set is
-    the conventional methods' (``tau_f = inf``): an empty one is an
-    :class:`EmptyRelevantSetError` and a zero exposure association a
-    :class:`ZeroDenominatorError`. IVW weights ``(exp_beta / out_se)^2`` that
-    all underflow to zero, or overflow, leave no null scale and are a
+    The focused methods drop zero exposure associations from the set
+    (counted in ``n_dropped``) and reject on an empty set. The conventional
+    methods take the relevance-screened set (``tau_f = inf``): an empty one
+    is an :class:`EmptyRelevantSetError` and a zero exposure association a
+    :class:`ZeroDenominatorError`. IVW weights ``(exp_beta / out_se)^2``
+    that all underflow to zero, or overflow, leave no null scale and are a
     :class:`ZeroDenominatorError` too.
     """
+    method = Method(method)
     if not tau_s >= 0.0:
         raise InputError(f"tau_s must be nonnegative, got {tau_s!r}")
+    if method is Method.MR_EGGER:
+        return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s)
+    if not method.focused:
+        cfg = _UNFOCUSED
     mask = (np.abs(out_beta) <= out_se * cfg.tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
     zero = mask & (exp_beta == 0.0)
     n_dropped = zero.sum(axis=1)
     mask &= ~zero
     size = mask.sum(axis=1)
     errors: dict[int, DegeneracyError] = {}
-    if benchmark:
+    if method.focused:
+        empty_reject = size == 0
+    else:
         for r in np.flatnonzero(size + n_dropped == 0).tolist():
-            errors[r] = EmptyRelevantSetError(
-                f"no SNP passes the relevance threshold tau_s={tau_s}"
-            )
+            errors[r] = _empty_relevant_set(tau_s)
         for r in np.flatnonzero(n_dropped).tolist():
             errors.setdefault(
                 r, ZeroDenominatorError("ratio estimates need nonzero exposure associations")
             )
         empty_reject = np.zeros(size.size, dtype=bool)
-    else:
-        empty_reject = size == 0
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = out_beta / exp_beta
         weights = np.where(mask, (exp_beta / out_se) ** 2, 0.0)
-        weight_sum = weights.sum(axis=1)
+        weight_sum = np.where(size > 0, weights.sum(axis=1), np.nan)
         max_share = np.where(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
     live = size > 0
     live[list(errors)] = False
 
     nan = np.full(size.size, np.nan)
-    if Estimator(estimator) is Estimator.FOCUSED_MEDIAN:
+    if method.median:
         estimate, se, z, p_value = nan.copy(), nan.copy(), nan.copy(), nan.copy()
         rows = np.flatnonzero(live)
         estimate[rows], se[rows] = _median_rows(ratios[rows], mask[rows], size[rows])
@@ -874,27 +818,113 @@ def direction_rows(
     )
 
 
+def _empty_relevant_set(tau_s: float) -> EmptyRelevantSetError:
+    return EmptyRelevantSetError(f"no SNP passes the relevance threshold tau_s={tau_s}")
+
+
+def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRows:
+    """MR-Egger on every row of (R, p) estimates, in closed form.
+
+    Each SNP is first oriented so its exposure association is nonnegative
+    (the regression is not invariant to per-SNP sign conventions otherwise).
+    Per row, the weighted least squares of oriented outcome on oriented
+    exposure betas with intercept, weights ``w = 1 / out_se^2``, solved on
+    centered sums: with ``W = sum w`` and weighted means ``xbar``, ``ybar``,
+
+        slope = Sxy / Sxx,  intercept = ybar - slope * xbar,
+        var(slope) = 1 / Sxx,  var(intercept) = 1 / W + xbar^2 / Sxx,
+
+    where ``Sxx = sum w (x - xbar)^2`` and ``Sxy = sum w (x - xbar)(y - ybar)``
+    (the inverse of ``X'WX``, weights taken as exact inverse variances). The
+    design ``[sqrt(w), sqrt(w) x]`` counts as rank deficient where
+    ``np.linalg.lstsq`` would: its smaller singular value is at most
+    ``eps * n`` times the larger. Those squared are the eigenvalues of
+    ``X'WX``, whose determinant is ``W * Sxx`` and trace
+    ``t = W + sum w x^2``; with ``q = det / t^2`` their ratio is
+    ``4q / (1 + sqrt(1 - 4q))^2``.
+    """
+    mask = np.abs(exp_beta) >= exp_se * tau_s
+    n = mask.sum(axis=1)
+    flip = exp_beta < 0.0
+    x = np.where(flip, -exp_beta, exp_beta)
+    y = np.where(flip, -out_beta, out_beta)
+    spread = np.where(mask, x, -np.inf).max(axis=1) - np.where(mask, x, np.inf).min(axis=1)
+
+    errors = {}
+    for r in np.flatnonzero(n < 3).tolist():
+        errors[r] = (
+            _empty_relevant_set(tau_s)
+            if n[r] == 0
+            else RankDeficientError(f"Egger regression needs at least 3 relevant SNPs, got {n[r]}")
+        )
+    for r in np.flatnonzero((n >= 3) & (spread == 0.0)).tolist():
+        errors[r] = RankDeficientError("all oriented exposure associations are equal")
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(mask, (1.0 / out_se) ** 2, 0.0)
+        w_sum = w.sum(axis=1)
+        x_bar = (w * x).sum(axis=1) / w_sum
+        y_bar = (w * y).sum(axis=1) / w_sum
+        dx = np.where(mask, x - x_bar[:, None], 0.0)
+        s_xx = (w * dx * dx).sum(axis=1)
+        s_xy = (w * dx * (y - y_bar[:, None])).sum(axis=1)
+        trace = w_sum + (w * x * x).sum(axis=1)
+        q = (w_sum / trace) * (s_xx / trace)  # det / trace^2, at most 1/4
+        eigen_ratio = 4.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q, 0.0))) ** 2
+        slope = s_xy / s_xx
+        intercept = y_bar - slope * x_bar
+        se = np.sqrt(1.0 / s_xx)
+        intercept_se = np.sqrt(1.0 / w_sum + x_bar * x_bar / s_xx)
+        z = slope / se
+    for r in np.flatnonzero(np.isinf(trace)).tolist():
+        errors.setdefault(r, RankDeficientError("Egger normal equations overflow"))
+    for r in np.flatnonzero(~(eigen_ratio > (np.finfo(float).eps * n) ** 2)).tolist():
+        errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
+
+    nan = np.full(n.size, np.nan)
+    return DirectionRows(
+        selected=mask,
+        size=n,
+        n_dropped=np.zeros(n.size, dtype=np.intp),
+        empty_reject=np.zeros(n.size, dtype=bool),
+        weight_sum=nan,
+        max_share=nan,
+        estimate=slope,
+        se=se,
+        z=z,
+        p_value=_two_sided_p(z),
+        errors=errors,
+        intercept=intercept,
+        intercept_se=intercept_se,
+    )
+
+
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one directional test.
+    """Outcome of one directional test, by any :class:`Method`.
 
     ``reject`` is equivalent to ``empty_set_reject or p_value <= alpha``.
     An empty focused set rejects by construction with ``p_value`` recorded
     as 0 and ``empty_set_reject`` set, leaving the estimate fields None.
-    ``null_sd`` is the truncated-normal scale for the IVW estimator and the
-    bootstrap scale for the median, flagged by ``bootstrap_inference``.
-    ``focused_size``, ``max_weight_share`` and ``n_dropped_zero_denom`` are
-    diagnostics: no finite-sample cutoff is enforced on them
-    (``max_weight_share`` is None when the weights sum to zero). ``selected``
-    is the focused set as a read-only boolean mask over the panel (after
+    ``null_sd`` is the scale of the estimate: the truncated-normal one for
+    the IVW methods, the exact SNP-bootstrap one for the median methods
+    (flagged by ``bootstrap_inference``), and the classical weighted
+    least-squares one for MR-Egger. ``tau_f``, ``weight_sum`` and
+    ``max_weight_share`` belong to the focused methods and are None for the
+    conventional ones, which take the relevance-screened set;
+    ``intercept``/``intercept_se`` are MR-Egger's only. ``focused_size``,
+    ``max_weight_share`` and ``n_dropped_zero_denom`` are diagnostics: no
+    finite-sample cutoff is enforced on them (``max_weight_share`` is None
+    when the weights sum to zero). ``selected`` is the set the method
+    aggregated over as a read-only boolean mask over the panel (after
     zero-denominator drops; ``Panel.ids_at`` gives its ids); it takes no
     part in ``==``, which compares the other fields.
     """
 
     direction: Direction
-    estimator: Estimator
+    method: Method
     alpha: float
-    tau_f: float
+    tau_f: float | None
     tau_s: float
     selected: np.ndarray = field(compare=False, repr=False)
     focused_size: int
@@ -908,73 +938,61 @@ class TestReport:
     max_weight_share: float | None
     n_dropped_zero_denom: int
     bootstrap_inference: bool
-
-
-def _empty_set_report(direction, estimator, cfg, tau_s, mask, n_dropped) -> TestReport:
-    return TestReport(
-        direction=direction,
-        estimator=estimator,
-        alpha=cfg.alpha,
-        tau_f=cfg.tau_f,
-        tau_s=tau_s,
-        selected=mask,
-        focused_size=0,
-        estimate=None,
-        null_sd=None,
-        z_score=None,
-        p_value=0.0,
-        reject=True,
-        empty_set_reject=True,
-        weight_sum=None,
-        max_weight_share=None,
-        n_dropped_zero_denom=n_dropped,
-        bootstrap_inference=estimator is Estimator.FOCUSED_MEDIAN,
-    )
+    intercept: float | None
+    intercept_se: float | None
 
 
 def test_direction(
     panel: Panel,
     direction: Direction,
     cfg: FocusConfig,
-    estimator: Estimator = Estimator.FOCUSED_IVW,
+    method: Method = Method.FOCUSED_IVW,
 ) -> TestReport:
     """Test the null of no causal effect in ``direction`` on a panel.
 
-    Computes the focused set, rejects outright if it is empty, and otherwise
-    compares the chosen estimator against its null scale: the
-    truncated-normal IVW standard deviation, or the exact SNP-bootstrap law
-    for the median. SNPs with an exactly zero exposure beta (possible only
-    when ``tau_s == 0``) contribute no ratio information and are dropped from
-    the set, with the count reported.
+    :func:`direction_rows` on the panel as its one row, at the panel's
+    resolved ``tau_s``; raises the row's degeneracy, if any. A focused
+    method rejects outright on an empty focused set, and otherwise compares
+    its estimate against its null scale: the truncated-normal IVW standard
+    deviation, or the exact SNP-bootstrap law for the median. SNPs with an
+    exactly zero exposure beta (possible only when ``tau_s == 0``) contribute
+    no ratio information and are dropped from the focused set, with the
+    count reported.
     """
-    estimator = Estimator(estimator)
+    method = Method(method)
     tau_s = cfg.resolve_tau_s(len(panel))
     exp_beta, exp_se, out_beta, out_se = _roles(panel, direction)
-    row = direction_rows(
-        exp_beta[None], exp_se, out_beta[None], out_se, cfg, tau_s, estimator
-    ).row(0)
-    if row["empty_reject"]:
-        return _empty_set_report(
-            direction, estimator, cfg, tau_s, row["selected"], row["n_dropped"]
-        )
+    rows = direction_rows(exp_beta[None], exp_se, out_beta[None], out_se, cfg, tau_s, method)
+    if rows.errors:
+        raise rows.errors[0]
+
+    def scalar(column, defined=True):
+        value = float(column[0]) if defined and column is not None else math.nan
+        return None if math.isnan(value) else value
+
+    selected = rows.selected[0]
+    selected.setflags(write=False)
+    p_value = float(rows.p_value[0])
     return TestReport(
         direction=direction,
-        estimator=estimator,
+        method=method,
         alpha=cfg.alpha,
-        tau_f=cfg.tau_f,
+        tau_f=cfg.tau_f if method.focused else None,
         tau_s=tau_s,
-        selected=row["selected"],
-        focused_size=row["size"],
-        estimate=row["estimate"],
-        null_sd=row["se"],
-        z_score=row["z"],
-        p_value=row["p_value"],
-        reject=row["p_value"] <= cfg.alpha,
-        empty_set_reject=False,
-        weight_sum=row["weight_sum"],
-        max_weight_share=row["max_share"],
-        n_dropped_zero_denom=row["n_dropped"],
-        bootstrap_inference=estimator is Estimator.FOCUSED_MEDIAN,
+        selected=selected,
+        focused_size=int(rows.size[0]),
+        estimate=scalar(rows.estimate),
+        null_sd=scalar(rows.se),
+        z_score=scalar(rows.z),
+        p_value=p_value,
+        reject=p_value <= cfg.alpha,
+        empty_set_reject=bool(rows.empty_reject[0]),
+        weight_sum=scalar(rows.weight_sum, method.focused),
+        max_weight_share=scalar(rows.max_share, method.focused),
+        n_dropped_zero_denom=int(rows.n_dropped[0]),
+        bootstrap_inference=method.median,
+        intercept=scalar(rows.intercept),
+        intercept_se=scalar(rows.intercept_se),
     )
 
 
@@ -995,12 +1013,12 @@ class JointTestReport:
 def test_joint_null(
     panel: Panel,
     cfg: FocusConfig,
-    estimator: Estimator = Estimator.FOCUSED_IVW,
+    method: Method = Method.FOCUSED_IVW,
 ) -> JointTestReport:
-    """Test the joint null of no causal effect in either direction."""
+    """Test the joint null of no causal effect in either direction, by any method."""
     half = replace(cfg, alpha=cfg.alpha / 2.0)
-    dy = test_direction(panel, Direction.D_TO_Y, half, estimator)
-    yd = test_direction(panel, Direction.Y_TO_D, half, estimator)
+    dy = test_direction(panel, Direction.D_TO_Y, half, method)
+    yd = test_direction(panel, Direction.Y_TO_D, half, method)
     return JointTestReport(alpha=cfg.alpha, reject=dy.reject or yd.reject, d_to_y=dy, y_to_d=yd)
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "IvClass",
     "ReducedForm",
     "TruthConfig",
-    "classify_all",
-    "classify_iv",
     "diagnose_identification",
     "direct_effects",
     "iv_class_counts",
@@ -113,24 +111,6 @@ class IvClass(Enum):
     PLEIOTROPIC = "pleiotropic"
 
 
-def classify_iv(pi_d_j: float, pi_y_j: float, zero_tol: float = 1e-12) -> IvClass:
-    """Classify one SNP from its pair of direct effects.
-
-    Effects with magnitude <= ``zero_tol`` count as zero.
-    """
-    if zero_tol < 0.0:
-        raise InputError("zero_tol must be nonnegative")
-    d_zero = abs(pi_d_j) <= zero_tol
-    y_zero = abs(pi_y_j) <= zero_tol
-    if d_zero and y_zero:
-        return IvClass.NULL
-    if y_zero:
-        return IvClass.VALID_DY
-    if d_zero:
-        return IvClass.VALID_YD
-    return IvClass.PLEIOTROPIC
-
-
 def iv_class_masks(truth: TruthConfig, zero_tol: float = 1e-12) -> dict[IvClass, np.ndarray]:
     """Boolean membership mask per class, each of length ``truth.p``."""
     return _class_masks(truth.pi_d, truth.pi_y, zero_tol)
@@ -138,8 +118,8 @@ def iv_class_masks(truth: TruthConfig, zero_tol: float = 1e-12) -> dict[IvClass,
 
 def _class_masks(pi_d: np.ndarray, pi_y: np.ndarray, zero_tol: float) -> dict[IvClass, np.ndarray]:
     """:func:`iv_class_masks` on direct-effect arrays of any matching shape, e.g. (R, p)."""
-    if zero_tol < 0.0:
-        raise InputError("zero_tol must be nonnegative")
+    if not zero_tol >= 0.0:
+        raise InputError(f"zero_tol must be nonnegative, got {zero_tol!r}")
     d_zero = np.abs(pi_d) <= zero_tol
     y_zero = np.abs(pi_y) <= zero_tol
     return {
@@ -148,16 +128,6 @@ def _class_masks(pi_d: np.ndarray, pi_y: np.ndarray, zero_tol: float) -> dict[Iv
         IvClass.VALID_YD: d_zero & ~y_zero,
         IvClass.PLEIOTROPIC: ~d_zero & ~y_zero,
     }
-
-
-def classify_all(truth: TruthConfig, zero_tol: float = 1e-12) -> list[IvClass]:
-    """Per-SNP classes in input order."""
-    masks = iv_class_masks(truth, zero_tol)
-    out: list[IvClass] = [IvClass.NULL] * truth.p
-    for cls, mask in masks.items():
-        for j in np.flatnonzero(mask):
-            out[j] = cls
-    return out
 
 
 def iv_class_counts(truth: TruthConfig, zero_tol: float = 1e-12) -> dict[IvClass, int]:

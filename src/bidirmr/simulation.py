@@ -45,26 +45,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
-from .benchmarks import mr_egger_rows, mr_median_rows, overall_ivw_rows
 from .errors import GwasParseError, InputError
-from .focusing import (
-    Direction,
-    DirectionRows,
-    Estimator,
-    FocusConfig,
-    Panel,
-    TauSRule,
-    direction_rows,
-)
+from .focusing import Direction, FocusConfig, Method, Panel, direction_rows
 from .gwasio import load_float_columns
 from .model import IvClass, TruthConfig, _class_masks, _marginal_effects, reduced_form
 
 __all__ = [
-    "Method",
     "ScenarioConfig",
     "ScenarioReport",
     "SeedEffects",
@@ -324,19 +313,12 @@ def simulate_panel(truth: TruthConfig, rng: np.random.Generator) -> Panel:
     return Panel.from_arrays(default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
 
 
-class Method(str, Enum):
-    """Estimators a scenario can run; values double as report keys."""
-
-    FOCUSED_IVW = "focused_ivw"
-    FOCUSED_MEDIAN = "focused_median"
-    OVERALL_IVW = "overall_ivw"
-    MR_MEDIAN = "mr_median"
-    MR_EGGER = "mr_egger"
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One Monte-Carlo experiment: truth process, methods, and replication count."""
+    """One Monte-Carlo experiment: truth process, methods, and replication count.
+
+    Each method may be listed once; it runs in both directions.
+    """
 
     kappa: float = 1.0
     beta_dy: float = 0.0
@@ -352,7 +334,11 @@ class ScenarioConfig:
             raise InputError("n_reps must be at least 1")
         if not self.kappa > 0.0:
             raise InputError("kappa must be positive")
-        object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
+        methods = tuple(Method(m) for m in self.methods)
+        for i, method in enumerate(methods):
+            if method in methods[:i]:
+                raise InputError(f"method {method.value!r} is listed more than once")
+        object.__setattr__(self, "methods", methods)
 
 
 _VALID_CLASS = {Direction.D_TO_Y: IvClass.VALID_DY, Direction.Y_TO_D: IvClass.VALID_YD}
@@ -381,25 +367,12 @@ class ScenarioReport:
     mean_corr_pi: float | None
 
 
-_BENCHMARK_ROWS = {
-    Method.OVERALL_IVW: overall_ivw_rows,
-    Method.MR_MEDIAN: mr_median_rows,
-    Method.MR_EGGER: mr_egger_rows,
-}
-
 _CLASS_ORDER = (IvClass.NULL, IvClass.VALID_DY, IvClass.VALID_YD, IvClass.PLEIOTROPIC)
 
 # Values per (R, p) array of a chunk: R = max(1, _CHUNK_VALUES // p)
 # replications are drawn and tested together, so memory does not grow with
 # the number of replications (nor with p beyond one replication per chunk).
 _CHUNK_VALUES = 1 << 14
-
-
-def _method_rows(method: Method, roles, focus: FocusConfig) -> DirectionRows:
-    """One method in one direction on every replication of a chunk."""
-    if method is Method.FOCUSED_IVW or method is Method.FOCUSED_MEDIAN:
-        return direction_rows(*roles, focus, focus.tau_s, Estimator(method.value))
-    return _BENCHMARK_ROWS[method](*roles, focus.tau_s)
 
 
 def _require_finite(**arrays: np.ndarray) -> None:
@@ -441,16 +414,13 @@ def _run_cells(
     and correlations are computed once per chunk, since they do not depend
     on the causal pair. Then the cells take turns on the chunk: reduced
     form, noise and every configured method in both directions, as row
-    operations (:func:`bidirmr.focusing.direction_rows` and the benchmark
-    row functions, the same code the single-panel tests run). Memory is
-    one chunk and one cell's arrays at a time, whatever the number of
-    cells. Sums over replications (valid-IV shares, class shares,
+    operations (:func:`bidirmr.focusing.direction_rows`, the same code the
+    single-panel tests run). Memory is one chunk and one cell's arrays at a
+    time, whatever the number of cells. Sums over replications (valid-IV shares, class shares,
     correlations) are added in replication order.
     """
     p = seed.p
-    focus = replace(
-        scenario.focus, tau_s=scenario.focus.resolve_tau_s(p), tau_s_rule=TauSRule.EXPLICIT
-    )
+    focus = replace(scenario.focus, tau_s=scenario.focus.resolve_tau_s(p))
     # every causal pair is checked before the first draw, as each replication's truth would
     for beta_dy, beta_yd in cells:
         TruthConfig(seed.alpha_d, seed.alpha_y, beta_dy, beta_yd, seed.se_d, seed.se_y)
@@ -502,7 +472,7 @@ def _run_cells(
             for method in scenario.methods:
                 for direction in directions:
                     key = (c, method, direction)
-                    rows = _method_rows(method, roles[direction], focus)
+                    rows = direction_rows(*roles[direction], focus, focus.tau_s, method)
                     failed = rows.failed()
                     ok = ~failed
                     reject = rows.empty_reject | (rows.p_value <= focus.alpha)

@@ -20,15 +20,15 @@ from bidirmr.cli import main
 from bidirmr.focusing import (
     Direction,
     FocusConfig,
+    Method,
     Panel,
-    TauSRule,
     focused_ivw,
     focused_median,
     null_sd_ivw,
     power_forecast,
 )
 from bidirmr.model import TruthConfig, diagnose_identification, reduced_form
-from bidirmr.simulation import Method, ScenarioConfig, run_scenario, synthetic_seed
+from bidirmr.simulation import ScenarioConfig, run_scenario, synthetic_seed
 from bidirmr.truncnorm import TruncSpec, std_cdf, std_pdf, std_quantile, truncnorm_var
 from conftest import make_random_panel, make_random_truth
 
@@ -284,7 +284,7 @@ def _conditional_mc_power(panel, mus, cfg, n_draws=10_000, seed=0):
 
 def test_criterion_08_power_forecast_matches_conditional_mc():
     """Analytic forecast within +-0.05 of a 10,000-draw conditional oracle."""
-    cfg = FocusConfig(tau_f=1.5, tau_s=0.0, alpha=0.05, tau_s_rule=TauSRule.EXPLICIT)
+    cfg = FocusConfig(tau_f=1.5, tau_s=0.0, alpha=0.05)
     results = {}
     for seed, kind in enumerate(("null", "moderate", "opposed"), start=8001):
         panel, mus = _forecast_panel(kind)

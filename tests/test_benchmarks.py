@@ -7,7 +7,7 @@ import pytest
 
 from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw
 from bidirmr.errors import EmptyRelevantSetError, RankDeficientError, ZeroDenominatorError
-from bidirmr.focusing import Direction, FocusConfig, TauSRule
+from bidirmr.focusing import Direction, FocusConfig, Method
 from bidirmr.focusing import test_direction as run_direction_test
 from conftest import make_random_panel
 
@@ -32,14 +32,12 @@ class TestOverallIvw:
         for _ in range(25):
             panel = make_random_panel(rng, p=40)
             tau_s = float(rng.uniform(0.0, 1.0))
-            cfg = FocusConfig(
-                tau_f=math.inf, tau_s=tau_s, alpha=0.05, tau_s_rule=TauSRule.EXPLICIT
-            )
+            cfg = FocusConfig(tau_f=math.inf, tau_s=tau_s, alpha=0.05)
             focused = run_direction_test(panel, Direction.D_TO_Y, cfg)
             overall = overall_ivw(panel, Direction.D_TO_Y, tau_s)
             assert overall.estimate == focused.estimate
             assert panel.ids_at(overall.selected) == panel.ids_at(focused.selected)
-            assert overall.se == pytest.approx(
+            assert overall.null_sd == pytest.approx(
                 math.sqrt(1.0 / focused.weight_sum), rel=1e-12
             )
 
@@ -60,7 +58,7 @@ class TestOverallIvw:
         from bidirmr.focusing import Panel
 
         panel = Panel.from_arrays(["a", "b"], [1e-200, -1e-190], [1.0, 1.0], [0.0, 0.3], [1.0, 2.0])
-        cfg = FocusConfig(tau_f=math.inf, tau_s_rule=TauSRule.EXPLICIT)
+        cfg = FocusConfig(tau_f=math.inf, tau_s=0.0)
         with pytest.raises(ZeroDenominatorError, match="underflow"):
             overall_ivw(panel, Direction.D_TO_Y, 0.0)
         with pytest.raises(ZeroDenominatorError, match="underflow"):
@@ -117,7 +115,7 @@ class TestMrEgger:
             intercept, slope, se_i, se_s = egger_normal_equations(x, y, 1.0 / panel.se_y**2)
             assert report.estimate == pytest.approx(slope, abs=1e-10)
             assert report.intercept == pytest.approx(intercept, abs=1e-10)
-            assert report.se == pytest.approx(se_s, rel=1e-9)
+            assert report.null_sd == pytest.approx(se_s, rel=1e-9)
             assert report.intercept_se == pytest.approx(se_i, rel=1e-9)
 
     def test_invariant_to_input_sign_convention(self, rng):
@@ -163,7 +161,7 @@ class TestNullInflation:
         # with feedback-induced invalid instruments and sign-correlated
         # pleiotropy, all three conventional methods reject a true null far
         # above the nominal 5% while the focused IVW stays near level
-        from bidirmr.simulation import Method, ScenarioConfig, run_scenario, synthetic_seed
+        from bidirmr.simulation import ScenarioConfig, run_scenario, synthetic_seed
 
         seed = synthetic_seed(394, np.random.default_rng(1))
         scenario = ScenarioConfig(

@@ -189,6 +189,19 @@ class TestDiagnoseCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["results"][0]["valid_rule"] is True
 
+    def test_nan_zero_tol_is_input_error(self, tmp_path, capsys):
+        # a NaN tolerance compares false with every magnitude: unchecked, it
+        # would class every SNP as pleiotropic
+        path = tmp_path / "truth.tsv"
+        path.write_text(
+            "pi_d\tpi_y\tse_d\tse_y\n0\t0\t0.1\t0.1\n1\t0\t0.1\t0.1\n"
+            "0\t1\t0.1\t0.1\n1\t1\t0.1\t0.1\n"
+        )
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", "--input", str(path), "--zero-tol", "nan", "--out", str(out)]) == 2
+        assert "zero_tol must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_small_synthetic_run(self, tmp_path):
@@ -246,6 +259,17 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+    def test_repeated_method_is_input_error(self, tmp_path, capsys):
+        # two spellings of one method would run it twice and count its errors twice
+        out = tmp_path / "r.json"
+        code = main(
+            ["simulate", "--synthetic", "40", "--reps", "20", "--seed", "1", "--tau-s", "12",
+             "--methods", "mr_egger,mr-egger", "--out", str(out)]
+        )
+        assert code == 2
+        assert "'mr_egger'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_is_input_error(self, tmp_path):
         code = main(

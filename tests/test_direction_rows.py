@@ -1,13 +1,14 @@
 """The row-batched direction kernel and the closed-form MR-Egger.
 
-Row ``r`` of :func:`bidirmr.focusing.direction_rows` and of the benchmark
-row functions must report what the single-panel tests report on panel ``r``
-alone: the same rejection, set and error class, and estimates within 1e-12
-relative. The focused IVW rows are also checked against a plain
-compressed-array computation, and the closed-form Egger regression against
+Row ``r`` of :func:`bidirmr.focusing.direction_rows`, for every method, must
+report what the single-panel tests report on panel ``r`` alone: the same
+rejection, set and error class, and estimates within 1e-12 relative. The
+focused IVW rows are also checked against a plain compressed-array
+computation, and the closed-form Egger regression against
 ``np.linalg.lstsq``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,14 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bidirmr.benchmarks import (  # noqa: E402
-    mr_egger,
-    mr_egger_rows,
-    mr_median,
-    mr_median_rows,
-    overall_ivw,
-    overall_ivw_rows,
-)
+from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw  # noqa: E402
 from bidirmr.errors import (  # noqa: E402
     DegeneracyError,
     EmptyRelevantSetError,
@@ -33,10 +27,9 @@ from bidirmr.errors import (  # noqa: E402
 )
 from bidirmr.focusing import (  # noqa: E402
     Direction,
-    Estimator,
     FocusConfig,
+    Method,
     Panel,
-    TauSRule,
     direction_rows,
 )
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
@@ -85,46 +78,45 @@ def _roles(beta_d, se_d, beta_y, se_y, direction):
 @given(batches())
 def test_each_row_is_the_test_on_its_panel_alone(batch):
     beta_d, se_d, beta_y, se_y, tau_f, tau_s = batch
-    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s, alpha=0.2, tau_s_rule=TauSRule.EXPLICIT)
+    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s, alpha=0.2)
     ids = [f"v{j}" for j in range(beta_d.shape[1])]
     panels = [Panel.from_arrays(ids, bd, se_d, by, se_y) for bd, by in zip(beta_d, beta_y)]
+    conventional = {
+        Method.OVERALL_IVW: overall_ivw, Method.MR_MEDIAN: mr_median, Method.MR_EGGER: mr_egger
+    }
     for direction in Direction:
         roles = _roles(beta_d, se_d, beta_y, se_y, direction)
-        for estimator in Estimator:
-            rows = direction_rows(*roles, cfg, tau_s, estimator)
+        for method in Method:
+            rows = direction_rows(*roles, cfg, tau_s, method)
             for r, panel in enumerate(panels):
-                report, error = _scalar(
-                    lambda: run_direction_test(panel, direction, cfg, estimator)
-                )
+                report, error = _scalar(lambda: run_direction_test(panel, direction, cfg, method))
                 assert type(rows.errors.get(r)) is (error or type(None))
+                if method in conventional:
+                    named, named_error = _scalar(
+                        lambda: conventional[method](panel, direction, tau_s)
+                    )
+                    assert named_error is error
+                    if not error:
+                        # the named function tests at the default level 0.05
+                        assert named == dataclasses.replace(
+                            report, alpha=0.05, reject=report.p_value <= 0.05
+                        )
+                        np.testing.assert_array_equal(named.selected, report.selected)
                 if error:
                     continue
+                assert report.method is method
                 assert bool(rows.empty_reject[r] or rows.p_value[r] <= cfg.alpha) == report.reject
                 assert bool(rows.empty_reject[r]) == report.empty_set_reject
-                assert rows.size[r] == report.focused_size
+                assert rows.size[r] == report.focused_size == np.count_nonzero(report.selected)
                 assert rows.n_dropped[r] == report.n_dropped_zero_denom
                 np.testing.assert_array_equal(rows.selected[r], report.selected)
                 if not report.empty_set_reject:
                     assert _close(rows.estimate[r], report.estimate)
                     assert _close(rows.se[r], report.null_sd)
                     assert _close(rows.z[r], report.z_score)
-        for rows_fn, single in (
-            (overall_ivw_rows, overall_ivw),
-            (mr_median_rows, mr_median),
-            (mr_egger_rows, mr_egger),
-        ):
-            rows = rows_fn(*roles, tau_s)
-            for r, panel in enumerate(panels):
-                report, error = _scalar(lambda: single(panel, direction, tau_s))
-                assert type(rows.errors.get(r)) is (error or type(None))
-                if error:
-                    continue
-                assert bool(rows.p_value[r] <= cfg.alpha) == (report.p_value <= cfg.alpha)
-                assert rows.size[r] == np.count_nonzero(report.selected)
-                np.testing.assert_array_equal(rows.selected[r], report.selected)
-                assert _close(rows.estimate[r], report.estimate)
-                assert _close(rows.se[r], report.se)
-                if report.intercept is not None:
+                assert (report.tau_f is None) == (method in conventional)
+                assert (report.intercept is None) == (method is not Method.MR_EGGER)
+                if method is Method.MR_EGGER:
                     assert _close(rows.intercept[r], report.intercept)
                     assert _close(rows.intercept_se[r], report.intercept_se)
 
@@ -133,7 +125,7 @@ def test_each_row_is_the_test_on_its_panel_alone(batch):
 @given(batches())
 def test_focused_ivw_rows_match_compressed_sums(batch):
     beta_d, se_d, beta_y, se_y, tau_f, tau_s = batch
-    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s, tau_s_rule=TauSRule.EXPLICIT)
+    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s)
     rows = direction_rows(beta_d, se_d, beta_y, se_y, cfg, tau_s)
     for r in range(beta_d.shape[0]):
         keep = (np.abs(beta_y[r]) <= se_y * tau_f) & (np.abs(beta_d[r]) >= se_d * tau_s)
@@ -160,14 +152,18 @@ def test_weights_that_underflow_are_a_zero_denominator_in_their_row_only():
     beta_d = np.array([[1e-200, -1e-190], [0.5, -0.4]])
     beta_y = np.array([[0.0, 0.3], [0.2, 0.1]])
     se = np.array([1.0, 2.0])
-    cfg = FocusConfig(tau_f=math.inf, tau_s_rule=TauSRule.EXPLICIT)
+    cfg = FocusConfig(tau_f=math.inf, tau_s=0.0)
     for rows in (direction_rows(beta_d, se, beta_y, se, cfg, 0.0),
-                 overall_ivw_rows(beta_d, se, beta_y, se, 0.0)):
+                 direction_rows(beta_d, se, beta_y, se, cfg, 0.0, Method.OVERALL_IVW)):
         assert isinstance(rows.errors[0], ZeroDenominatorError)
         assert list(rows.errors) == [0]
         assert rows.failed().tolist() == [True, False]
-    median = direction_rows(beta_d, se, beta_y, se, cfg, 0.0, Estimator.FOCUSED_MEDIAN)
+    median = direction_rows(beta_d, se, beta_y, se, cfg, 0.0, Method.FOCUSED_MEDIAN)
     assert median.errors == {} and math.isnan(median.max_share[0])
+
+
+def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s):
+    return direction_rows(exp_beta, exp_se, out_beta, out_se, FocusConfig(), tau_s, Method.MR_EGGER)
 
 
 def _egger_reference(x, y, se):
@@ -182,7 +178,7 @@ def _egger_reference(x, y, se):
 
 
 def _assert_egger_matches_lstsq(x, y, se):
-    rows = mr_egger_rows(x[None], np.ones(x.size), y[None], se, 0.0)
+    rows = _egger_rows(x[None], np.ones(x.size), y[None], se, 0.0)
     assert rows.errors == {}
     (intercept, slope), (se_intercept, se_slope), rank, cond = _egger_reference(x, y, se)
     assert rank == 2
@@ -222,16 +218,16 @@ def test_egger_rank_deficiency_is_classified_per_row():
     y = np.array([[0.1, 0.2, -0.3, 0.4]] * 4)
     se = np.array([0.1, 0.2, 0.3, 0.4])
     exp_se = np.ones(4)
-    rows = mr_egger_rows(x[:3], exp_se, y[:3], se, 0.0)
+    rows = _egger_rows(x[:3], exp_se, y[:3], se, 0.0)
     assert sorted(rows.errors) == [1, 2]
     assert "equal" in str(rows.errors[1])
     assert "rank deficient" in str(rows.errors[2])
     assert all(isinstance(e, RankDeficientError) for e in rows.errors.values())
     assert _egger_reference(x[2], y[2], se)[2] == 1  # lstsq finds rank 1 too
-    short = mr_egger_rows(x[3:], np.array([1.0, 1.0, 10.0, 10.0]), y[3:], se, 0.35)
+    short = _egger_rows(x[3:], np.array([1.0, 1.0, 10.0, 10.0]), y[3:], se, 0.35)
     assert isinstance(short.errors[0], RankDeficientError)
     assert "at least 3" in str(short.errors[0])
-    empty = mr_egger_rows(x[3:], exp_se, y[3:], se, 1e9)
+    empty = _egger_rows(x[3:], exp_se, y[3:], se, 1e9)
     assert isinstance(empty.errors[0], EmptyRelevantSetError)
 
 
@@ -239,8 +235,8 @@ def test_egger_normal_equations_that_overflow_are_a_degeneracy():
     # 1 / se^2 overflows for se = 1e-155; np.linalg.inv returned NaN standard errors here
     x = np.array([[0.5, 0.4, 0.9, 0.2]])
     y = np.array([[0.1, 0.2, -0.3, 0.4]])
-    rows = mr_egger_rows(x, np.ones(4), y, np.full(4, 1e-155), 0.0)
+    rows = _egger_rows(x, np.ones(4), y, np.full(4, 1e-155), 0.0)
     assert isinstance(rows.errors[0], RankDeficientError)
     assert "overflow" in str(rows.errors[0])
-    tiny = mr_egger_rows(x, np.ones(4), y, np.full(4, 1e-140), 0.0)
+    tiny = _egger_rows(x, np.ones(4), y, np.full(4, 1e-140), 0.0)
     assert tiny.errors == {} and tiny.estimate[0] == pytest.approx(-1.0, rel=1e-12)

@@ -17,14 +17,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw  # noqa: E402
-from bidirmr.cli import _run_estimator  # noqa: E402
+from bidirmr.cli import _ESTIMATORS, _result_row  # noqa: E402
 from bidirmr.errors import BidirMrError  # noqa: E402
 from bidirmr.focusing import (  # noqa: E402
     Direction,
-    Estimator,
     FocusConfig,
+    Method,
     Panel,
-    TauSRule,
 )
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
 
@@ -45,7 +44,7 @@ def panels(draw):
 
 configs = st.builds(
     lambda tau_f, tau_s, alpha: FocusConfig(
-        tau_f=tau_f, tau_s=tau_s, alpha=alpha, tau_s_rule=TauSRule.EXPLICIT),
+        tau_f=tau_f, tau_s=tau_s, alpha=alpha),
     st.one_of(st.just(math.inf), st.floats(0.2, 4.0)),
     st.floats(0.0, 3.0),
     st.floats(0.01, 0.5),
@@ -70,8 +69,8 @@ def method_runs(cfg: FocusConfig):
     def focused(estimator):
         return lambda panel, d: run_direction_test(panel, d, cfg, estimator)
     return {
-        "focused_ivw": focused(Estimator.FOCUSED_IVW),
-        "focused_median": focused(Estimator.FOCUSED_MEDIAN),
+        "focused_ivw": focused(Method.FOCUSED_IVW),
+        "focused_median": focused(Method.FOCUSED_MEDIAN),
         "overall_ivw": lambda panel, d: overall_ivw(panel, d, cfg.tau_s),
         "mr_median": lambda panel, d: mr_median(panel, d, cfg.tau_s),
         "mr_egger": lambda panel, d: mr_egger(panel, d, cfg.tau_s),
@@ -128,7 +127,8 @@ def test_cli_rows_list_the_ids_at_the_mask(panel, cfg):
         focused = name in ("ivw", "median")
         for direction in (DY, YD):
             try:
-                row = _run_estimator(panel, direction, cfg, name)
+                report = run_direction_test(panel, direction, cfg, _ESTIMATORS[name])
+                row = _result_row(report, panel)
             except BidirMrError:
                 continue
             keep = expected_mask(panel, direction, cfg, focused)

@@ -9,11 +9,9 @@ from bidirmr import focusing
 from bidirmr.errors import EmptyFocusedSetError, InputError, ZeroDenominatorError
 from bidirmr.focusing import (
     Direction,
-    Estimator,
     FocusConfig,
+    Method,
     Panel,
-    SnpRecord,
-    TauSRule,
     check_separation,
     focused_ivw,
     focused_median,
@@ -25,7 +23,6 @@ from bidirmr.focusing import test_direction as run_direction_test
 from bidirmr.focusing import test_joint_null as run_joint_test
 from bidirmr.model import TruthConfig, iv_class_masks, IvClass
 from bidirmr.simulation import (
-    Method,
     ScenarioConfig,
     enforce_separation,
     generate_truth,
@@ -45,7 +42,7 @@ def wls_through_origin(x, y, weights):
 
 
 def explicit_cfg(tau_f=1.5, tau_s=0.0, alpha=0.05):
-    return FocusConfig(tau_f=tau_f, tau_s=tau_s, alpha=alpha, tau_s_rule=TauSRule.EXPLICIT)
+    return FocusConfig(tau_f=tau_f, tau_s=tau_s, alpha=alpha)
 
 
 class TestPanel:
@@ -57,13 +54,14 @@ class TestPanel:
         with pytest.raises(InputError):
             Panel.from_arrays(["a"], [0.1], [0.0], [0.0], [0.1])
 
-    def test_records_round_trip(self):
-        records = (
-            SnpRecord("a", 0.5, 0.1, 0.01, 0.1),
-            SnpRecord("b", -0.2, 0.05, 0.3, 0.2),
-        )
-        panel = Panel(records)
-        assert panel.records == records
+    def test_from_arrays_round_trip(self):
+        panel = Panel.from_arrays(["a", "b"], [0.5, -0.2], [0.1, 0.05], [0.01, 0.3], [0.1, 0.2])
+        assert panel.ids == ("a", "b")
+        for name, want in (
+            ("beta_d", [0.5, -0.2]), ("se_d", [0.1, 0.05]), ("beta_y", [0.01, 0.3]), ("se_y", [0.1, 0.2])
+        ):
+            column = getattr(panel, name)
+            assert column.dtype == np.float64 and column.tolist() == want
 
     def test_immutable(self):
         panel = Panel.from_arrays(["a"], [0.1], [0.1], [0.0], [0.1])
@@ -120,16 +118,14 @@ class TestFocusedSet:
     def test_one_over_p_rule(self):
         p = 100
         panel = make_random_panel(np.random.default_rng(0), p=p)
-        cfg = FocusConfig(tau_f=1.5, alpha=0.05, tau_s_rule=TauSRule.ONE_OVER_P)
+        cfg = FocusConfig(tau_f=1.5, alpha=0.05)
         assert cfg.resolve_tau_s(p) == pytest.approx(std_quantile(1.0 - 1.0 / p), abs=1e-12)
         focused_set(panel, Direction.D_TO_Y, cfg)  # smoke: rule resolves inside selection
 
-    def test_explicit_tau_s_needs_explicit_rule(self):
-        with pytest.raises(InputError):
-            FocusConfig(tau_s=2.0)
-        with pytest.raises(InputError):
-            FocusConfig(tau_s=2.0, tau_s_rule=TauSRule.ONE_OVER_P)
-        assert FocusConfig(tau_s=2.0, tau_s_rule=TauSRule.EXPLICIT).resolve_tau_s(100) == 2.0
+    def test_explicit_tau_s_is_used_as_given(self):
+        assert FocusConfig().tau_s is None
+        assert FocusConfig(tau_s=2.0).resolve_tau_s(100) == 2.0
+        assert FocusConfig(tau_s=0.0).resolve_tau_s(1) == 0.0
 
 
 class TestEstimators:
@@ -259,7 +255,7 @@ class TestTestDirection:
         # a single ratio resamples to itself: zero scale, a nonzero median rejects
         panel = Panel.from_arrays(["a"], [0.5], [0.1], [0.05], [0.1])
         report = run_direction_test(
-            panel, Direction.D_TO_Y, explicit_cfg(), Estimator.FOCUSED_MEDIAN
+            panel, Direction.D_TO_Y, explicit_cfg(), Method.FOCUSED_MEDIAN
         )
         assert report.estimate == pytest.approx(0.1, abs=1e-15)
         assert report.null_sd == 0.0
@@ -269,9 +265,9 @@ class TestTestDirection:
     def test_median_with_underflowing_weights_reports_no_share(self):
         # (1e-200 / 1)^2 underflows: the weights sum to zero
         panel = Panel.from_arrays(["a", "b"], [1e-200, -1e-190], [1.0, 1.0], [0.0, 0.3], [1.0, 2.0])
-        cfg = FocusConfig(tau_f=math.inf, alpha=0.5, tau_s_rule=TauSRule.EXPLICIT)
+        cfg = FocusConfig(tau_f=math.inf, tau_s=0.0, alpha=0.5)
         runs = [
-            run_direction_test(panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN)
+            run_direction_test(panel, Direction.D_TO_Y, cfg, Method.FOCUSED_MEDIAN)
             for _ in range(2)
         ]
         assert runs[0].weight_sum == 0.0
@@ -281,8 +277,8 @@ class TestTestDirection:
     def test_median_bootstrap_deterministic(self, rng):
         panel = make_random_panel(rng, p=40)
         cfg = explicit_cfg(tau_s=0.2)
-        r1 = run_direction_test(panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN)
-        r2 = run_direction_test(panel, Direction.D_TO_Y, cfg, Estimator.FOCUSED_MEDIAN)
+        r1 = run_direction_test(panel, Direction.D_TO_Y, cfg, Method.FOCUSED_MEDIAN)
+        r2 = run_direction_test(panel, Direction.D_TO_Y, cfg, Method.FOCUSED_MEDIAN)
         assert r1 == r2
         np.testing.assert_array_equal(r1.selected, r2.selected)
         assert r1.bootstrap_inference
@@ -358,7 +354,7 @@ class TestPowerForecast:
     def test_degenerate_weights_are_a_zero_denominator(self, beta_d):
         # (1e-200 / 1)^2 underflows to zero; (1e200 / 1)^2 overflows
         panel = Panel.from_arrays(["a", "b"], beta_d, [1, 1], [0, 0.3], [1, 2])
-        cfg = FocusConfig(tau_f=math.inf, tau_s=0.0, tau_s_rule=TauSRule.EXPLICIT)
+        cfg = FocusConfig(tau_f=math.inf, tau_s=0.0)
         with pytest.raises(ZeroDenominatorError):
             power_forecast(panel, ["a", "b"], {"a": 0.0, "b": 0.0}, cfg)
 

@@ -18,9 +18,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bidirmr import simulation  # noqa: E402
-from bidirmr.focusing import FocusConfig, TauSRule  # noqa: E402
+from bidirmr.focusing import FocusConfig, Method  # noqa: E402
 from bidirmr.simulation import (  # noqa: E402
-    Method,
     ScenarioConfig,
     SeedEffects,
     run_grid,
@@ -52,11 +51,7 @@ def random_seed(p: int, entropy: int) -> SeedEffects:
     rows=st.sampled_from([1, 3, None]),
 )
 def test_each_grid_cell_equals_its_own_scenario(p, entropy, pairs, n_reps, c1, tau_s, rows):
-    focus = (
-        FocusConfig(tau_f=1.5)
-        if tau_s is None
-        else FocusConfig(tau_f=1.5, tau_s=tau_s, tau_s_rule=TauSRule.EXPLICIT)
-    )
+    focus = FocusConfig(tau_f=1.5, tau_s=tau_s)
     seed = random_seed(p, entropy)
     scenario = ScenarioConfig(
         kappa=0.8, n_reps=n_reps, focus=focus, methods=tuple(Method), rng_seed=entropy,

@@ -17,7 +17,7 @@ import pytest
 
 from bidirmr import focusing
 from bidirmr.errors import EmptyFocusedSetError, InputError
-from bidirmr.focusing import FocusConfig, TauSRule, exact_bootstrap_median_sd
+from bidirmr.focusing import FocusConfig, Method, exact_bootstrap_median_sd
 from bidirmr.truncnorm import std_cdf
 
 LO, HI = std_cdf(-1.0), std_cdf(1.0)
@@ -154,10 +154,8 @@ def test_chunk_sorted_rows_match_the_per_row_inference(seed):
     out_beta[rng.random((R, p)) < 0.1] = 0.0
     out_beta[::7] = rng.integers(-1, 2, size=(len(out_beta[::7]), p))
     se = np.ones(p)
-    cfg = FocusConfig(tau_f=1.5, tau_s_rule=TauSRule.EXPLICIT)
-    rows = focusing.direction_rows(
-        exp_beta, se, out_beta, se, cfg, 0.0, focusing.Estimator.FOCUSED_MEDIAN
-    )
+    cfg = FocusConfig(tau_f=1.5, tau_s=0.0)
+    rows = focusing.direction_rows(exp_beta, se, out_beta, se, cfg, 0.0, Method.FOCUSED_MEDIAN)
     assert len(set(rows.size.tolist())) > 30 and rows.errors == {}
     live = np.flatnonzero(rows.size)
     with np.errstate(divide="ignore", over="ignore"):

@@ -7,15 +7,25 @@ from bidirmr.errors import InputError
 from bidirmr.model import (
     IvClass,
     TruthConfig,
-    classify_all,
-    classify_iv,
     diagnose_identification,
     direct_effects,
     iv_class_counts,
+    iv_class_masks,
     reduced_form,
     reverse_equivalent_truth,
 )
 from conftest import make_random_truth
+
+
+def classes_of(truth, zero_tol):
+    """Each SNP's class by :func:`iv_class_masks`, which must place it in exactly one."""
+    masks = iv_class_masks(truth, zero_tol)
+    assert (sum(mask.astype(int) for mask in masks.values()) == 1).all()
+    return [next(cls for cls, mask in masks.items() if mask[j]) for j in range(truth.p)]
+
+
+def truth_of(pi_d, pi_y):
+    return TruthConfig(pi_d, pi_y, 0.0, 0.0, [0.1] * len(pi_d), [0.1] * len(pi_d))
 
 
 def reduced_form_oracle(truth: TruthConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +97,7 @@ class TestReducedForm:
         for _ in range(1000):
             truth = make_random_truth(rng, p=10)
             rf = reduced_form(truth)
-            classes = classify_all(truth, zero_tol=0.0)
+            classes = classes_of(truth, zero_tol=0.0)
             for j, cls in enumerate(classes):
                 if cls is IvClass.VALID_DY and rf.gamma_d[j] != 0.0:
                     assert rf.gamma_y[j] / rf.gamma_d[j] == pytest.approx(
@@ -101,14 +111,20 @@ class TestReducedForm:
 
 class TestClassification:
     def test_examples(self):
-        assert classify_iv(0.0, 0.0) is IvClass.NULL
-        assert classify_iv(0.1, 0.0) is IvClass.VALID_DY
-        assert classify_iv(0.0, -0.3) is IvClass.VALID_YD
-        assert classify_iv(0.1, -0.2) is IvClass.PLEIOTROPIC
+        truth = truth_of([0.0, 0.1, 0.0, 0.1], [0.0, 0.0, -0.3, -0.2])
+        assert classes_of(truth, 1e-12) == [
+            IvClass.NULL, IvClass.VALID_DY, IvClass.VALID_YD, IvClass.PLEIOTROPIC
+        ]
 
     def test_tolerance(self):
-        assert classify_iv(1e-13, 0.5, zero_tol=1e-12) is IvClass.VALID_YD
-        assert classify_iv(1e-13, 0.5, zero_tol=0.0) is IvClass.PLEIOTROPIC
+        truth = truth_of([1e-13], [0.5])
+        assert classes_of(truth, zero_tol=1e-12) == [IvClass.VALID_YD]
+        assert classes_of(truth, zero_tol=0.0) == [IvClass.PLEIOTROPIC]
+
+    @pytest.mark.parametrize("zero_tol", [-1e-12, float("nan")])
+    def test_tolerance_must_be_nonnegative(self, zero_tol):
+        with pytest.raises(InputError, match="zero_tol must be nonnegative"):
+            iv_class_masks(truth_of([0.0, 0.1], [0.0, 0.0]), zero_tol)
 
     def test_counts_partition(self, rng):
         truth = make_random_truth(rng, p=40)
@@ -220,7 +236,7 @@ class TestReverseEquivalentTruth:
     def test_valid_classes_swap(self):
         truth = TruthConfig([1.0, 0.0], [0.0, 1.0], 0.3, 0.2, [0.1] * 2, [0.1] * 2)
         alt = reverse_equivalent_truth(truth)
-        assert classify_all(alt, 1e-12) == [IvClass.VALID_YD, IvClass.VALID_DY]
+        assert classes_of(alt, 1e-12) == [IvClass.VALID_YD, IvClass.VALID_DY]
 
     def test_three_snp_mixed_case(self, rng):
         truth = TruthConfig(

@@ -11,13 +11,12 @@ from bidirmr.errors import GwasParseError, InputError
 from bidirmr.focusing import (
     Direction,
     FocusConfig,
-    TauSRule,
+    Method,
     check_separation,
     relevant_mask,
 )
 from bidirmr.model import IvClass, iv_class_counts, iv_class_masks, reduced_form
 from bidirmr.simulation import (
-    Method,
     ScenarioConfig,
     SeedEffects,
     enforce_separation,
@@ -313,7 +312,7 @@ class TestRunScenario:
         seed = synthetic_seed(40, np.random.default_rng(19))
         scenario = self._scenario(
             methods=(Method.MR_EGGER,),
-            focus=FocusConfig(tau_f=1.5, tau_s=1e9, alpha=0.05, tau_s_rule=TauSRule.EXPLICIT),
+            focus=FocusConfig(tau_f=1.5, tau_s=1e9, alpha=0.05),
             n_reps=5,
             enforce_separation_c1=None,
         )
@@ -331,7 +330,7 @@ class TestRunScenario:
         )
         scenario = self._scenario(
             methods=(Method.FOCUSED_IVW, Method.OVERALL_IVW, Method.FOCUSED_MEDIAN),
-            focus=FocusConfig(tau_f=math.inf, tau_s=0.0, tau_s_rule=TauSRule.EXPLICIT),
+            focus=FocusConfig(tau_f=math.inf, tau_s=0.0),
             n_reps=7,
             enforce_separation_c1=None,
         )
@@ -419,7 +418,7 @@ class TestChunks:
             )
             for focus in (
                 FocusConfig(tau_f=1.5, alpha=0.05),
-                FocusConfig(tau_f=2.0, tau_s=2.5, alpha=0.1, tau_s_rule=TauSRule.EXPLICIT),
+                FocusConfig(tau_f=2.0, tau_s=2.5, alpha=0.1),
             )
         ]
         default = [repr(run_scenario(seed, scenario)) for scenario in scenarios]
@@ -482,7 +481,7 @@ class TestChunks:
 
     def test_one_snp_panel(self):
         seed = SeedEffects(alpha_d=[0.5], alpha_y=[0.2], se_d=[0.1], se_y=[0.1])
-        focus = FocusConfig(tau_s=0.0, tau_s_rule=TauSRule.EXPLICIT)
+        focus = FocusConfig(tau_s=0.0)
         report = run_scenario(seed, ScenarioConfig(n_reps=5, methods=tuple(Method), focus=focus))
         assert report.mean_corr_pi is None
         assert report.error_counts["mr_egger"] == {"dy": 5, "yd": 5}
