@@ -34,12 +34,7 @@ from .focusing import (
     PowerForecast,
     TestReport,
     check_separation,
-    focused_ivw,
-    focused_median,
-    focused_set,
-    null_sd_ivw,
     power_forecast,
-    relevant_set,
     test_direction,
     test_joint_null,
 )
@@ -59,7 +54,6 @@ from .model import (
     TruthConfig,
     diagnose_identification,
     direct_effects,
-    iv_class_counts,
     iv_class_masks,
     reduced_form,
     reverse_equivalent_truth,

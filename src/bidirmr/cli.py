@@ -23,6 +23,7 @@ from .focusing import (
     FocusConfig,
     Method,
     TestReport,
+    _panel_roles,
     focused_mask,
     relevant_mask,
     test_direction,
@@ -93,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--synthetic", type=int, default=None, metavar="P", help="synthetic seed with P SNPs")
     src.add_argument("--seed-file", default=None, help="TSV with alpha_d, alpha_y, se_d, se_y columns")
     p_sim.add_argument("--kappa", type=float, default=1.0, help="activation-probability exponent")
-    p_sim.add_argument("--beta-dy", type=float, default=0.0)
-    p_sim.add_argument("--beta-yd", type=float, default=0.0)
+    p_sim.add_argument("--beta-dy", type=float, default=None, help="causal effect (0 if absent)")
+    p_sim.add_argument("--beta-yd", type=float, default=None, help="causal effect (0 if absent)")
     p_sim.add_argument("--reps", type=int, default=1000)
     p_sim.add_argument("--methods", default="focused_ivw", help="comma list of methods to run")
     p_sim.add_argument("--tau-f", type=float, default=1.5)
@@ -211,10 +212,7 @@ def _emit_density_table(path, panel, reports):
     names, ids, ratios, shares, missing = [], [], [np.empty(0)], [np.empty(0)], [np.empty(0, bool)]
     for report in reports:
         mask = report.selected
-        if report.direction is Direction.D_TO_Y:
-            eb, ob, os_ = panel.beta_d[mask], panel.beta_y[mask], panel.se_y[mask]
-        else:
-            eb, ob, os_ = panel.beta_y[mask], panel.beta_d[mask], panel.se_d[mask]
+        eb, _, ob, os_ = (column[mask] for column in _panel_roles(panel, report.direction))
         weights = (eb / os_) ** 2
         total = sum(weights.tolist())  # summed left to right, not pairwise
         names += [report.direction.value] * eb.size
@@ -344,6 +342,10 @@ def _scenario_rows(report, beta_dy, beta_yd):
 
 
 def _cmd_simulate(args) -> int:
+    if args.grid is not None and (args.beta_dy is not None or args.beta_yd is not None):
+        raise InputError("--beta-dy and --beta-yd do not apply with --grid, whose pairs set both")
+    beta_dy = 0.0 if args.beta_dy is None else args.beta_dy
+    beta_yd = 0.0 if args.beta_yd is None else args.beta_yd
     seed = _resolve_seed(args)
     if args.synthetic is not None:
         seed_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -353,8 +355,8 @@ def _cmd_simulate(args) -> int:
     cfg = _focus_config(args.tau_f, args.tau_s, args.alpha)
     scenario = ScenarioConfig(
         kappa=args.kappa,
-        beta_dy=args.beta_dy,
-        beta_yd=args.beta_yd,
+        beta_dy=beta_dy,
+        beta_yd=beta_yd,
         n_reps=args.reps,
         focus=cfg,
         methods=_parse_methods(args.methods),
@@ -371,6 +373,7 @@ def _cmd_simulate(args) -> int:
         "methods": [m.value for m in scenario.methods],
         "enforce_separation_c1": args.enforce_separation,
     }
+    document = {"schema_version": SCHEMA_VERSION, "command": "simulate", "seed": seed, "params": params}
     if args.grid is not None:
         rows = []
         summaries = []
@@ -384,63 +387,54 @@ def _cmd_simulate(args) -> int:
                     "mean_corr_pi": report.mean_corr_pi,
                 }
             )
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "seed": seed,
-            "params": params,
-            "cells": summaries,
-            "results": rows,
-        }
+        document.update(cells=summaries, results=rows)
     else:
         report = run_scenario(effects, scenario)
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "seed": seed,
-            "params": params,
-            "mean_rho": list(report.mean_rho),
-            "mean_corr_pi": report.mean_corr_pi,
-            "results": _scenario_rows(report, args.beta_dy, args.beta_yd),
-        }
+        document.update(
+            mean_rho=list(report.mean_rho),
+            mean_corr_pi=report.mean_corr_pi,
+            results=_scenario_rows(report, beta_dy, beta_yd),
+        )
     _emit(document, args)
     return 0
 
 
+_TRUTH_VECTORS = ("pi_d", "pi_y", "se_d", "se_y")
+
+
+def _is_json_number(value) -> bool:
+    # json gives int or float for a number; bool is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_truth(args) -> TruthConfig:
-    path = args.input
+    path, payload = args.input, {}
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
+                # the decoder recurses once per nested array or object
                 raise InputError(f"{path}: invalid JSON ({exc})") from None
             except UnicodeDecodeError as exc:
                 raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if not isinstance(payload, dict):
             raise InputError(f"{path}: expected a JSON object")
-        missing = [k for k in ("pi_d", "pi_y", "se_d", "se_y") if k not in payload]
+        missing = [k for k in _TRUTH_VECTORS if k not in payload]
         if missing:
             raise InputError(f"{path}: missing keys {missing}")
-        beta_dy = args.beta_dy if args.beta_dy is not None else payload.get("beta_dy", 0.0)
-        beta_yd = args.beta_yd if args.beta_yd is not None else payload.get("beta_yd", 0.0)
-        return TruthConfig(
-            pi_d=payload["pi_d"],
-            pi_y=payload["pi_y"],
-            beta_dy=beta_dy,
-            beta_yd=beta_yd,
-            se_d=payload["se_d"],
-            se_y=payload["se_y"],
-        )
-    columns = load_float_columns(path, ("pi_d", "pi_y", "se_d", "se_y"))
-    return TruthConfig(
-        pi_d=columns["pi_d"],
-        pi_y=columns["pi_y"],
-        beta_dy=args.beta_dy if args.beta_dy is not None else 0.0,
-        beta_yd=args.beta_yd if args.beta_yd is not None else 0.0,
-        se_d=columns["se_d"],
-        se_y=columns["se_y"],
-    )
+        for key in _TRUTH_VECTORS:
+            if not (isinstance(payload[key], list) and all(map(_is_json_number, payload[key]))):
+                raise InputError(f"{path}: {key} must be a list of JSON numbers")
+        for key in ("beta_dy", "beta_yd"):
+            if key in payload and not _is_json_number(payload[key]):
+                raise InputError(f"{path}: {key} must be a JSON number")
+        columns = {key: payload[key] for key in _TRUTH_VECTORS}
+    else:
+        columns = load_float_columns(path, _TRUTH_VECTORS)
+    beta_dy = args.beta_dy if args.beta_dy is not None else payload.get("beta_dy", 0.0)
+    beta_yd = args.beta_yd if args.beta_yd is not None else payload.get("beta_yd", 0.0)
+    return TruthConfig(**columns, beta_dy=beta_dy, beta_yd=beta_yd)
 
 
 def _direction_row(direction: str, diag) -> dict:

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,14 +64,9 @@ __all__ = [
     "check_separation",
     "direction_rows",
     "exact_bootstrap_median_sd",
-    "focused_ivw",
     "focused_mask",
-    "focused_median",
-    "focused_set",
-    "null_sd_ivw",
     "power_forecast",
     "relevant_mask",
-    "relevant_set",
     "test_direction",
     "test_joint_null",
 ]
@@ -159,7 +154,11 @@ class Panel:
         return tuple(self._id_array[mask])
 
     def indices_of(self, snp_ids: Sequence[str]) -> np.ndarray:
-        """Positions of the given ids, preserving their order; ids must be unique."""
+        """Positions of the given ids, preserving their order; ids must be unique.
+
+        The package itself selects by mask; the benchmark's tracer
+        (``bench/tracing.py``) still wraps this by name.
+        """
         if len(set(snp_ids)) != len(snp_ids):
             raise InputError("SNP id subset must not contain duplicates")
         try:
@@ -212,93 +211,45 @@ class FocusConfig:
 _UNFOCUSED = FocusConfig(tau_f=math.inf)
 
 
-def _roles(panel: Panel, direction: Direction):
-    """(exposure_beta, exposure_se, outcome_beta, outcome_se) for a direction."""
+def _roles(direction: Direction, d, se_d, y, se_y):
+    """``(exposure, exposure se, outcome, outcome se)`` from trait D's and Y's columns."""
     if direction is Direction.D_TO_Y:
-        return panel.beta_d, panel.se_d, panel.beta_y, panel.se_y
+        return d, se_d, y, se_y
     if direction is Direction.Y_TO_D:
-        return panel.beta_y, panel.se_y, panel.beta_d, panel.se_d
+        return y, se_y, d, se_d
     raise InputError(f"unknown direction {direction!r}")
+
+
+def _panel_roles(panel: Panel, direction: Direction):
+    return _roles(direction, panel.beta_d, panel.se_d, panel.beta_y, panel.se_y)
+
+
+def _set_mask(exp_beta, exp_se, out_beta, out_se, tau_f: float, tau_s: float) -> np.ndarray:
+    """The set a method aggregates over, on arrays of any matching shape.
+
+    ``|out_beta| <= out_se * tau_f`` and ``|exp_beta| >= exp_se * tau_s``,
+    both inclusive; ``tau_f = inf`` leaves relevance screening alone.
+    """
+    return (np.abs(out_beta) <= out_se * tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
 
 
 def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarray:
     """Boolean mask of SNPs with |exposure beta| >= se * tau_s."""
     if not tau_s >= 0.0:
         raise InputError(f"tau_s must be nonnegative, got {tau_s!r}")
-    exp_beta, exp_se, _, _ = _roles(panel, direction)
-    return np.abs(exp_beta) >= exp_se * tau_s
-
-
-def relevant_set(panel: Panel, direction: Direction, tau_s: float) -> tuple[str, ...]:
-    """Ids of relevance-screened SNPs, in panel order."""
-    return panel.ids_at(relevant_mask(panel, direction, tau_s))
+    return _set_mask(*_panel_roles(panel, direction), math.inf, tau_s)
 
 
 def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.ndarray:
     """Boolean mask of the focused set; both boundary comparisons are inclusive."""
-    exp_beta, exp_se, out_beta, out_se = _roles(panel, direction)
-    tau_s = cfg.resolve_tau_s(len(panel))
-    return (np.abs(out_beta) <= out_se * cfg.tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
+    return _set_mask(*_panel_roles(panel, direction), cfg.tau_f, cfg.resolve_tau_s(len(panel)))
 
 
-def focused_set(panel: Panel, direction: Direction, cfg: FocusConfig) -> tuple[str, ...]:
-    """Ids of the focused set for a direction, in panel order (may be empty)."""
-    return panel.ids_at(focused_mask(panel, direction, cfg))
-
-
-def _subset_arrays(panel: Panel, snp_ids: Sequence[str], direction: Direction):
-    if len(snp_ids) == 0:
-        raise EmptyFocusedSetError("the focused set is empty")
-    idx = panel.indices_of(snp_ids)
-    exp_beta, exp_se, out_beta, out_se = _roles(panel, direction)
-    return exp_beta[idx], exp_se[idx], out_beta[idx], out_se[idx]
-
-
-def focused_ivw(
-    panel: Panel, snp_ids: Sequence[str], direction: Direction = Direction.D_TO_Y
-) -> tuple[float, float]:
-    """Inverse-variance weighted ratio estimate over a given SNP set.
-
-    Returns ``(estimate, weight_sum)`` with weights
-    ``exposure_beta^2 / outcome_se^2``; equals the slope of the
-    through-origin weighted least squares of outcome on exposure betas.
-    """
-    exp_beta, _, out_beta, out_se = _subset_arrays(panel, snp_ids, direction)
-    if np.any(exp_beta == 0.0):
-        raise ZeroDenominatorError("ratio estimates need nonzero exposure associations")
-    weights = (exp_beta / out_se) ** 2
-    estimate = float(np.sum(weights * (out_beta / exp_beta)) / np.sum(weights))
-    return estimate, float(np.sum(weights))
-
-
-def focused_median(
-    panel: Panel, snp_ids: Sequence[str], direction: Direction = Direction.D_TO_Y
-) -> float:
-    """Sample median of per-SNP ratio estimates over a given SNP set.
-
-    Even cardinality averages the two central order statistics.
-    """
-    exp_beta, _, out_beta, _ = _subset_arrays(panel, snp_ids, direction)
-    if np.any(exp_beta == 0.0):
-        raise ZeroDenominatorError("ratio estimates need nonzero exposure associations")
-    return float(np.median(out_beta / exp_beta))
-
-
-def null_sd_ivw(weight_sum: float, tau_f: float) -> float:
-    """Null standard deviation of the focused IVW statistic.
-
-    The retained normalized outcome scores are truncated to
-    ``[-tau_f, tau_f]`` under the null, so the scale is
-    ``sqrt(var(trunc) / weight_sum)``; ``tau_f = inf`` recovers the
-    unconditional ``sqrt(1 / weight_sum)``.
-    """
-    return _null_sd(weight_sum, truncnorm_var(TruncSpec(-tau_f, tau_f, 0.0)))
-
-
-def _null_sd(weight_sum: float, null_var: float) -> float:
-    if not weight_sum > 0.0:
-        raise InputError(f"weight_sum must be positive, got {weight_sum!r}")
-    return math.sqrt(null_var / weight_sum)
+def _separation_threshold(p: int, tau_f: float, c1: float) -> float:
+    """``c1 * tau_f * sqrt(log p)`` noise units, for a positive ``c1``."""
+    if not c1 > 0.0:
+        raise InputError(f"c1 must be positive, got {c1!r}")
+    return c1 * tau_f * math.sqrt(math.log(p))
 
 
 # Percentiles spanning +-1 standard deviation of a normal; the bootstrap
@@ -751,7 +702,7 @@ def direction_rows(
         return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s)
     if not method.focused:
         cfg = _UNFOCUSED
-    mask = (np.abs(out_beta) <= out_se * cfg.tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
+    mask = _set_mask(exp_beta, exp_se, out_beta, out_se, cfg.tau_f, tau_s)
     zero = mask & (exp_beta == 0.0)
     n_dropped = zero.sum(axis=1)
     mask &= ~zero
@@ -843,7 +794,7 @@ def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRo
     ``t = W + sum w x^2``; with ``q = det / t^2`` their ratio is
     ``4q / (1 + sqrt(1 - 4q))^2``.
     """
-    mask = np.abs(exp_beta) >= exp_se * tau_s
+    mask = _set_mask(exp_beta, exp_se, out_beta, out_se, math.inf, tau_s)
     n = mask.sum(axis=1)
     flip = exp_beta < 0.0
     x = np.where(flip, -exp_beta, exp_beta)
@@ -961,7 +912,7 @@ def test_direction(
     """
     method = Method(method)
     tau_s = cfg.resolve_tau_s(len(panel))
-    exp_beta, exp_se, out_beta, out_se = _roles(panel, direction)
+    exp_beta, exp_se, out_beta, out_se = _panel_roles(panel, direction)
     rows = direction_rows(exp_beta[None], exp_se, out_beta[None], out_se, cfg, tau_s, method)
     if rows.errors:
         raise rows.errors[0]
@@ -1034,49 +985,55 @@ class PowerForecast:
 
 def power_forecast(
     panel: Panel,
-    snp_ids: Sequence[str],
-    mus: Mapping[str, float],
+    selected: np.ndarray,
+    snr: np.ndarray,
     cfg: FocusConfig,
     direction: Direction = Direction.D_TO_Y,
 ) -> PowerForecast:
     """Forecast rejection probability given hypothesized per-SNP signal.
 
-    ``mus`` maps each id in ``snp_ids`` to its outcome signal-to-noise ratio
-    (true outcome association over its standard error). Conditional on
-    selection each normalized outcome estimate is a unit-variance normal
-    with that location truncated to ``[-tau_f, tau_f]``, so the focused IVW
-    statistic is approximately normal with
+    ``selected`` is a boolean mask over the panel, the set the forecast
+    conditions on; ``snr`` holds each SNP's outcome signal-to-noise ratio
+    (true outcome association over its standard error), of length
+    ``len(panel)`` and read under the mask. Conditional on selection each
+    normalized outcome estimate is a unit-variance normal with that location
+    truncated to ``[-tau_f, tau_f]``, so the focused IVW statistic is
+    approximately normal with
 
         mu    = sum_j w_j (se_out_j / beta_exp_j) E[trunc_j] / sum_j w_j
         sigma = sqrt( sum_j w_j var(trunc_j) ) / sum_j w_j
 
     and the forecast is the probability that such a normal lands beyond the
-    null rejection threshold. With all ``mus`` zero this reproduces the null
-    scale and the forecast equals ``alpha``. Weights that all underflow to
-    zero, or whose sum overflows, are a :class:`ZeroDenominatorError`.
+    null rejection threshold, ``sqrt(cfg.null_var / sum_j w_j)`` standard
+    units. With all ``snr`` zero this reproduces the null scale and the
+    forecast equals ``alpha``. An empty mask is an
+    :class:`EmptyFocusedSetError`; a zero exposure association, or weights
+    that all underflow to zero or whose sum overflows, a
+    :class:`ZeroDenominatorError`.
     """
-    exp_beta, _, _, out_se = _subset_arrays(panel, snp_ids, direction)
+    selected = np.asarray(selected)
+    snr = np.asarray(snr, dtype=float)
+    if selected.dtype != bool or selected.shape != (len(panel),):
+        raise InputError(f"selected must be a boolean mask of length {len(panel)}")
+    if snr.shape != (len(panel),):
+        raise InputError(f"snr must have length {len(panel)}, got shape {snr.shape}")
+    if not selected.any():
+        raise EmptyFocusedSetError("the focused set is empty")
+    exp_beta, _, _, out_se = (column[selected] for column in _panel_roles(panel, direction))
     if np.any(exp_beta == 0.0):
         raise ZeroDenominatorError("ratio estimates need nonzero exposure associations")
-    try:
-        mu_vec = np.array([float(mus[i]) for i in snp_ids], dtype=float)
-    except KeyError as exc:
-        raise InputError(f"missing signal-to-noise entry for SNP {exc.args[0]!r}") from None
 
     with np.errstate(over="ignore"):
         weights = (exp_beta / out_se) ** 2
         weight_sum = float(np.sum(weights))
     if weight_sum == 0.0 or math.isinf(weight_sum):
         raise _degenerate_weights(weight_sum)
-    tn_mean = np.array(
-        [truncnorm_mean(TruncSpec(-cfg.tau_f, cfg.tau_f, m)) for m in mu_vec], dtype=float
-    )
-    tn_var = np.array(
-        [truncnorm_var(TruncSpec(-cfg.tau_f, cfg.tau_f, m)) for m in mu_vec], dtype=float
-    )
+    specs = [TruncSpec(-cfg.tau_f, cfg.tau_f, m) for m in snr[selected].tolist()]
+    tn_mean = np.array([truncnorm_mean(spec) for spec in specs], dtype=float)
+    tn_var = np.array([truncnorm_var(spec) for spec in specs], dtype=float)
     mu_alt = float(np.sum(weights * (out_se / exp_beta) * tn_mean) / weight_sum)
     sigma_alt = float(math.sqrt(np.sum(weights * tn_var)) / weight_sum)
-    threshold = std_quantile(1.0 - cfg.alpha / 2.0) * _null_sd(weight_sum, cfg.null_var)
+    threshold = std_quantile(1.0 - cfg.alpha / 2.0) * math.sqrt(cfg.null_var / weight_sum)
     power = std_sf((threshold - mu_alt) / sigma_alt) + std_cdf((-threshold - mu_alt) / sigma_alt)
     return PowerForecast(
         mu_alt=mu_alt,
@@ -1097,15 +1054,13 @@ def check_separation(
     The focusing filter reliably excludes SNPs with a direct effect on the
     outcome only if those effects are large against their noise level:
     every SNP with a nonzero direct outcome effect must satisfy
-    ``|pi / se| >= c1 * tau_f * sqrt(log p)``. Vacuously true when no such
-    SNP exists. Ground-truth zeros are compared exactly.
+    ``|pi / se| >= c1 * tau_f * sqrt(log p)``, for a positive ``c1``.
+    Vacuously true when no such SNP exists. Ground-truth zeros are compared
+    exactly.
     """
-    if direction is Direction.D_TO_Y:
-        pi, se = truth.pi_y, truth.se_y
-    else:
-        pi, se = truth.pi_d, truth.se_d
+    threshold = _separation_threshold(truth.p, cfg.tau_f, c1)
+    _, _, pi, se = _roles(direction, truth.pi_d, truth.se_d, truth.pi_y, truth.se_y)
     active = pi != 0.0
     if not active.any():
         return True
-    threshold = c1 * cfg.tau_f * math.sqrt(math.log(truth.p))
     return bool(np.min(np.abs(pi[active]) / se[active]) >= threshold)

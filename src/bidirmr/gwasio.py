@@ -1,9 +1,12 @@
 """GWAS summary-statistics ingestion, harmonization, and report serialization.
 
-Input files are UTF-8, tab-separated text with a header naming at least
-``id``, ``beta`` and ``se`` (arbitrary file headers can be remapped onto
-those names). They are parsed, and per-SNP tables are written, a fixed
-number of rows at a time, each chunk held as NumPy columns.
+Input files are UTF-8, tab-separated text with a header. One parser reads
+them all: GWAS files, whose header names at least ``id``, ``beta`` and
+``se`` (arbitrary file headers can be remapped onto those names), and the
+numeric seed-effect and ground-truth tables of the simulator and the
+diagnostics. Files are parsed, and per-SNP tables are written, a fixed
+number of rows at a time, each chunk held as NumPy columns, and every file
+fails the same way, naming the line a bad record starts on.
 Harmonization inner-joins two files on variant id, optionally reconciling
 effect alleles: when the outcome file reports the swapped allele pair the
 outcome beta changes sign, while palindromic (A/T, C/G) and
@@ -113,17 +116,41 @@ def load_gwas(path: str, col_map: Mapping[str, str] | None = None) -> GwasFile:
     ``col_map`` renames file headers onto the canonical names before the
     required-column check; a canonical column named twice is an error.
     Allele columns are honored only when both are present. The file must be
-    UTF-8. Non-numeric, non-finite, or nonpositive-SE rows and duplicate ids
-    fail with the physical line the offending row starts on. Rows are read
-    and validated in chunks of ``_CHUNK_ROWS``, each turned into columns at
-    once.
+    UTF-8. Non-numeric, non-finite, or nonpositive-SE rows and empty or
+    duplicate ids fail with the physical line the offending row starts on.
     """
-    col_map = dict(col_map or {})
+    columns = _read_columns(path, _REQUIRED_COLUMNS, _ALLELE_COLUMNS, col_map)
+    gwas = GwasFile(ids=columns.pop("id"), **columns)
+    logger.info("loaded %d variants from %s", gwas.n, path)
+    return gwas
+
+
+def load_float_columns(path: str, required: Sequence[str]) -> dict[str, np.ndarray]:
+    """The named columns of a UTF-8 TSV of numbers (seed effects, ground truths).
+
+    Every row must have as many fields as the header and a finite number in
+    each required column; a required column named twice is an error. The
+    file is read as :func:`load_gwas` reads one, and fails the same way.
+    """
+    return _read_columns(path, tuple(required))
+
+
+def _read_columns(path: str, required, optional=(), col_map=None) -> dict[str, Any]:
+    """The required columns of a UTF-8 TSV, and the optional ones if all are present.
+
+    ``id`` is read as stripped, nonempty, unique strings (a tuple), the
+    allele columns as upper-cased string arrays, ``se`` as positive floats
+    and any other column as finite floats. Rows are read and validated in
+    chunks of ``_CHUNK_ROWS``, each turned into columns at once; only a
+    chunk that fails is checked row by row. Errors are
+    :class:`GwasParseError` naming the physical line the offending record
+    starts on (a quoted field may hold a newline).
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh, _gc_paused():
             reader = csv.reader(fh, delimiter="\t")
             try:
-                gwas = _read_columns(reader, col_map, path)
+                return _parse_columns(reader, required, optional, col_map or {}, path)
             except csv.Error as exc:
                 raise GwasParseError(
                     f"malformed TSV ({exc})", path=path, line=reader.line_num
@@ -138,67 +165,6 @@ def load_gwas(path: str, col_map: Mapping[str, str] | None = None) -> GwasFile:
         raise GwasParseError(
             f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)
         ) from None
-    logger.info("loaded %d variants from %s", gwas.n, path)
-    return gwas
-
-
-def load_float_columns(path: str, required: Sequence[str]) -> dict[str, np.ndarray]:
-    """The named columns of a small UTF-8 TSV of numbers (seed effects, ground truths).
-
-    Every row must have as many fields as the header and a finite number in
-    each required column; a required column named twice is an error. Errors
-    are :class:`GwasParseError` naming the physical line the offending record
-    starts on (a quoted field may hold a newline).
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter="\t")
-            try:
-                return _float_columns(reader, required, path)
-            except csv.Error as exc:
-                raise GwasParseError(
-                    f"malformed TSV ({exc})", path=path, line=reader.line_num
-                ) from None
-    except UnicodeDecodeError as exc:
-        raise GwasParseError(
-            f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)
-        ) from None
-
-
-def _float_columns(reader, required: Sequence[str], path: str) -> dict[str, np.ndarray]:
-    header = next(reader, None)
-    if header is None:
-        raise GwasParseError("file is empty", path=path)
-    names = [h.strip() for h in header]
-    missing = [c for c in required if c not in names]
-    if missing:
-        raise GwasParseError(f"missing required columns {missing}", path=path, line=1)
-    repeated = [c for c in required if names.count(c) > 1]
-    if repeated:
-        raise GwasParseError(f"columns {repeated} appear more than once", path=path, line=1)
-    pos = {c: names.index(c) for c in required}
-    columns: dict[str, list[float]] = {c: [] for c in required}
-    line = reader.line_num + 1
-    for row in reader:
-        if len(row) != len(names):
-            raise GwasParseError(
-                f"expected {len(names)} fields, got {len(row)}", path=path, line=line
-            )
-        for name in required:
-            raw = row[pos[name]].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                raise GwasParseError(
-                    f"column {name!r} has non-numeric value {raw!r}", path=path, line=line
-                ) from None
-            if not math.isfinite(value):
-                raise GwasParseError(
-                    f"column {name!r} has non-finite value {raw!r}", path=path, line=line
-                )
-            columns[name].append(value)
-        line = reader.line_num + 1
-    return {name: np.array(values, dtype=float) for name, values in columns.items()}
 
 
 @contextmanager
@@ -214,73 +180,71 @@ def _gc_paused():
             gc.enable()
 
 
-def _read_columns(reader, col_map: dict[str, str], path: str) -> GwasFile:
+def _parse_columns(reader, required, optional, col_map: dict[str, str], path: str) -> dict:
     header = next(reader, None)
     if header is None:
         raise GwasParseError("file is empty", path=path)
     names = [col_map.get(h.strip(), h.strip()) for h in header]
-    missing = [c for c in _REQUIRED_COLUMNS if c not in names]
+    missing = [c for c in required if c not in names]
     if missing:
         raise GwasParseError(f"missing required columns {missing}", path=path, line=1)
-    repeated = [c for c in _REQUIRED_COLUMNS + _ALLELE_COLUMNS if names.count(c) > 1]
+    repeated = [c for c in required + optional if names.count(c) > 1]
     if repeated:
         raise GwasParseError(f"columns {repeated} appear more than once", path=path, line=1)
-    pos = {c: names.index(c) for c in _REQUIRED_COLUMNS + _ALLELE_COLUMNS if c in names}
-    with_alleles = all(c in pos for c in _ALLELE_COLUMNS)
+    wanted = required + optional if all(c in names for c in optional) else required
+    pos = {c: names.index(c) for c in wanted}
     width = len(names)
 
     chunks = []
     first_line = 2
     while rows := list(islice(reader, _CHUNK_ROWS)):
-        chunk = _chunk_columns(rows, width, pos, with_alleles)
+        chunk = _chunk_columns(rows, width, pos)
         if chunk is None:
-            ids = tuple(chain.from_iterable(c[0] for c in chunks))
+            ids = _chunk_ids(chunks)
             raise _duplicate_error(ids, path) or _first_row_error(
                 rows, first_line, width, pos, set(ids), path
             )
         chunks.append(chunk)
         first_line += len(rows)
-    ids = tuple(chain.from_iterable(c[0] for c in chunks))
+    ids = _chunk_ids(chunks)
     error = _duplicate_error(ids, path)
     if error is not None:
         raise error
-
-    def column(k, empty):
-        return np.concatenate([c[k] for c in chunks]) if chunks else empty
-
-    return GwasFile(
-        ids=ids,
-        beta=column(1, np.empty(0)),
-        se=column(2, np.empty(0)),
-        effect_allele=column(3, np.empty(0, dtype=str)) if with_alleles else None,
-        other_allele=column(4, np.empty(0, dtype=str)) if with_alleles else None,
-    )
+    empty = {name: np.empty(0, dtype=str if name in _ALLELE_COLUMNS else float) for name in pos}
+    return {
+        name: ids if name == "id" else np.concatenate([empty[name]] + [c[name] for c in chunks])
+        for name in pos
+    }
 
 
-def _chunk_columns(rows: list[list[str]], width: int, pos: dict[str, int], with_alleles: bool):
-    """``(ids, beta, se, effect_allele, other_allele)`` of a chunk of rows, or
+def _chunk_ids(chunks: list[dict]) -> tuple[str, ...]:
+    return tuple(chain.from_iterable(c.get("id", ()) for c in chunks))
+
+
+def _chunk_columns(rows: list[list[str]], width: int, pos: dict[str, int]) -> dict | None:
+    """The columns of a chunk of rows, as :func:`_read_columns` reads them, or
     None if a row is invalid. Duplicate ids are left to :func:`_duplicate_error`."""
     if set(map(len, rows)) != {width}:
         return None
-    columns = list(zip(*rows))
-    ids = tuple(map(str.strip, columns[pos["id"]]))
-    if not all(ids):
-        return None
-    try:
-        # Converts each string with float(), as the per-row check does.
-        beta = np.array(columns[pos["beta"]], dtype=float)
-        se = np.array(columns[pos["se"]], dtype=float)
-    except ValueError:
-        return None
-    if not (np.isfinite(beta).all() and np.isfinite(se).all() and (se > 0.0).all()):
-        return None
-    if not with_alleles:
-        return ids, beta, se, None, None
-    ea, oa = (
-        np.array(list(map(str.upper, map(str.strip, columns[pos[name]]))), dtype=str)
-        for name in _ALLELE_COLUMNS
-    )
-    return ids, beta, se, ea, oa
+    fields = list(zip(*rows))
+    chunk: dict[str, Any] = {}
+    for name, k in pos.items():
+        if name == "id":
+            chunk[name] = ids = tuple(map(str.strip, fields[k]))
+            if not all(ids):
+                return None
+        elif name in _ALLELE_COLUMNS:
+            chunk[name] = np.array(list(map(str.upper, map(str.strip, fields[k]))), dtype=str)
+        else:
+            try:
+                # Converts each string with float(), as the per-row check does.
+                values = np.array(fields[k], dtype=float)
+            except ValueError:
+                return None
+            if not np.isfinite(values).all() or (name == "se" and not (values > 0.0).all()):
+                return None
+            chunk[name] = values
+    return chunk
 
 
 def _duplicate_error(ids: tuple[str, ...], path: str) -> DuplicateVariantError | None:
@@ -307,17 +271,22 @@ def _first_row_error(rows, first_line, width, pos, seen, path) -> GwasParseError
 
 
 def _row_error(row, line_no, width, pos, seen, path) -> GwasParseError | None:
-    """Check one data row; adds its id to ``seen``."""
+    """Check one data row as :func:`_chunk_columns` does; adds its id to ``seen``."""
     if len(row) != width:
         return GwasParseError(f"expected {width} fields, got {len(row)}", path=path, line=line_no)
-    variant = row[pos["id"]].strip()
-    if not variant:
-        return GwasParseError("empty variant id", path=path, line=line_no)
-    if variant in seen:
-        return DuplicateVariantError(f"duplicate variant id {variant!r}", path=path, line=line_no)
-    seen.add(variant)
-    for name in ("beta", "se"):
-        raw = row[pos[name]].strip()
+    if "id" in pos:
+        variant = row[pos["id"]].strip()
+        if not variant:
+            return GwasParseError("empty variant id", path=path, line=line_no)
+        if variant in seen:
+            return DuplicateVariantError(
+                f"duplicate variant id {variant!r}", path=path, line=line_no
+            )
+        seen.add(variant)
+    for name, k in pos.items():
+        if name == "id" or name in _ALLELE_COLUMNS:
+            continue
+        raw = row[k].strip()
         try:
             value = float(raw)
         except ValueError:
@@ -328,10 +297,10 @@ def _row_error(row, line_no, width, pos, seen, path) -> GwasParseError | None:
             return GwasParseError(
                 f"column {name!r} has non-finite value {raw!r}", path=path, line=line_no
             )
-    if value <= 0.0:  # the se, parsed last
-        return NonPositiveSEError(
-            f"standard error must be positive, got {value}", path=path, line=line_no
-        )
+        if name == "se" and value <= 0.0:
+            return NonPositiveSEError(
+                f"standard error must be positive, got {value}", path=path, line=line_no
+            )
     return None
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "TruthConfig",
     "diagnose_identification",
     "direct_effects",
-    "iv_class_counts",
     "iv_class_masks",
     "reduced_form",
     "reverse_equivalent_truth",
@@ -128,11 +127,6 @@ def _class_masks(pi_d: np.ndarray, pi_y: np.ndarray, zero_tol: float) -> dict[Iv
         IvClass.VALID_YD: d_zero & ~y_zero,
         IvClass.PLEIOTROPIC: ~d_zero & ~y_zero,
     }
-
-
-def iv_class_counts(truth: TruthConfig, zero_tol: float = 1e-12) -> dict[IvClass, int]:
-    """Number of SNPs in each class; counts sum to ``truth.p``."""
-    return {cls: int(mask.sum()) for cls, mask in iv_class_masks(truth, zero_tol).items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +273,7 @@ def diagnose_identification(truth: TruthConfig, zero_tol: float = 1e-12) -> Diag
     taken over ratio groups rounded to multiples of ``zero_tol``, with ties
     counting against plurality.
     """
-    counts = iv_class_counts(truth, zero_tol)
+    counts = {cls: int(mask.sum()) for cls, mask in iv_class_masks(truth, zero_tol).items()}
     rf = reduced_form(truth)
     d_to_y = _diagnose_direction(
         exposure_gamma=rf.gamma_d,
@@ -320,8 +314,8 @@ def reverse_equivalent_truth(truth: TruthConfig, zero_tol: float = 1e-12) -> Tru
     Requires both valid-instrument classes nonempty and both causal effects
     nonzero (the swap inverts them).
     """
-    counts = iv_class_counts(truth, zero_tol)
-    if counts[IvClass.VALID_DY] == 0 or counts[IvClass.VALID_YD] == 0:
+    masks = iv_class_masks(truth, zero_tol)
+    if not (masks[IvClass.VALID_DY].any() and masks[IvClass.VALID_YD].any()):
         raise InputError("both valid-instrument classes must be nonempty for the role swap")
     if truth.beta_yd == 0.0 or truth.beta_dy == 0.0:
         raise InputError("the role swap inverts the causal effects; both must be nonzero")

@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import GwasParseError, InputError
 from .focusing import Direction, FocusConfig, Method, Panel, direction_rows
+from .focusing import _roles, _separation_threshold
 from .gwasio import load_float_columns
 from .model import IvClass, TruthConfig, _class_masks, _marginal_effects, reduced_form
 
@@ -266,10 +267,8 @@ def _amplified(pi: np.ndarray, se: np.ndarray, threshold: float) -> np.ndarray:
 
 def _separation_floor(p: int, cfg: FocusConfig, c1: float) -> float:
     """``c1 * tau_f * sqrt(log p)`` noise units, the floor of :func:`enforce_separation`."""
-    if not c1 > 0.0:
-        raise InputError(f"c1 must be positive, got {c1!r}")
     # slight overshoot so the amplified |pi| / se round-trips above the bound
-    floor = c1 * cfg.tau_f * math.sqrt(math.log(p)) * (1.0 + 1e-9)
+    floor = _separation_threshold(p, cfg.tau_f, c1) * (1.0 + 1e-9)
     if not math.isfinite(floor):
         raise InputError(
             f"--enforce-separation {c1!r} with --tau-f {cfg.tau_f!r} gives no finite "
@@ -465,14 +464,11 @@ def _run_cells(
             gamma_d, gamma_y = _marginal_effects(pi_d, pi_y, beta_dy, beta_yd)
             beta_d, beta_y = _with_noise(gamma_d, gamma_y, seed.se_d, seed.se_y, draws[:, 2:])
             _require_finite(beta_d=beta_d, beta_y=beta_y)
-            roles = {
-                Direction.D_TO_Y: (beta_d, seed.se_d, beta_y, seed.se_y),
-                Direction.Y_TO_D: (beta_y, seed.se_y, beta_d, seed.se_d),
-            }
+            columns = (beta_d, seed.se_d, beta_y, seed.se_y)
             for method in scenario.methods:
                 for direction in directions:
                     key = (c, method, direction)
-                    rows = direction_rows(*roles[direction], focus, focus.tau_s, method)
+                    rows = direction_rows(*_roles(direction, *columns), focus, focus.tau_s, method)
                     failed = rows.failed()
                     ok = ~failed
                     reject = rows.empty_reject | (rows.p_value <= focus.alpha)

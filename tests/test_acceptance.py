@@ -15,16 +15,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bidirmr.benchmarks import mr_egger
+from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw
 from bidirmr.cli import main
 from bidirmr.focusing import (
     Direction,
     FocusConfig,
     Method,
     Panel,
-    focused_ivw,
-    focused_median,
-    null_sd_ivw,
     power_forecast,
 )
 from bidirmr.model import TruthConfig, diagnose_identification, reduced_form
@@ -241,7 +238,7 @@ def test_criterion_07_benchmark_inflation_focused_level(kappa07_run):
     )
 
 
-def _forecast_panel(kind: str) -> tuple[Panel, dict[str, float]]:
+def _forecast_panel(kind: str) -> tuple[Panel, np.ndarray]:
     """Hand-built 20-SNP panels spanning low, moderate, and high power."""
     p = 20
     rng = np.random.default_rng({"null": 80, "moderate": 81, "opposed": 82}[kind])
@@ -264,21 +261,20 @@ def _forecast_panel(kind: str) -> tuple[Panel, dict[str, float]]:
     # set); fill them consistently with the hypothesized signal
     beta_y = mus * se_y
     panel = Panel.from_arrays(ids, beta_d, np.full(p, 0.05), beta_y, se_y)
-    return panel, dict(zip(ids, mus))
+    return panel, mus
 
 
 def _conditional_mc_power(panel, mus, cfg, n_draws=10_000, seed=0):
     """Oracle: conditional draws of the retained outcome statistics."""
-    mu = np.array([mus[i] for i in panel.ids])
-    a, b = -cfg.tau_f - mu, cfg.tau_f - mu
+    a, b = -cfg.tau_f - mus, cfg.tau_f - mus
     z = stats.truncnorm.rvs(
-        a, b, loc=mu, scale=1.0, size=(n_draws, len(panel)),
+        a, b, loc=mus, scale=1.0, size=(n_draws, len(panel)),
         random_state=np.random.default_rng(seed),
     )
     weights = (panel.beta_d / panel.se_y) ** 2
     ratios = (z * panel.se_y) / panel.beta_d
     psi = (ratios * weights).sum(axis=1) / weights.sum()
-    threshold = std_quantile(1.0 - cfg.alpha / 2.0) * null_sd_ivw(float(weights.sum()), cfg.tau_f)
+    threshold = std_quantile(1.0 - cfg.alpha / 2.0) * math.sqrt(cfg.null_var / float(weights.sum()))
     return float(np.mean(np.abs(psi) >= threshold))
 
 
@@ -288,7 +284,8 @@ def test_criterion_08_power_forecast_matches_conditional_mc():
     results = {}
     for seed, kind in enumerate(("null", "moderate", "opposed"), start=8001):
         panel, mus = _forecast_panel(kind)
-        forecast = power_forecast(panel, panel.ids, mus, cfg, Direction.D_TO_Y)
+        everything = np.ones(len(panel), dtype=bool)
+        forecast = power_forecast(panel, everything, mus, cfg, Direction.D_TO_Y)
         mc = _conditional_mc_power(panel, mus, cfg, seed=seed)
         assert abs(forecast.predicted_power - mc) <= 0.05, (kind, forecast.predicted_power, mc)
         results[kind] = (round(forecast.predicted_power, 3), round(mc, 3))
@@ -301,7 +298,10 @@ def test_criterion_09_estimator_oracle_equivalences():
     rng = np.random.default_rng(909)
     for _ in range(100):
         panel = make_random_panel(rng, p=20)
-        est, _ = focused_ivw(panel, panel.ids, Direction.D_TO_Y)
+        # at tau_s = 0 the conventional methods aggregate over every SNP
+        ivw = overall_ivw(panel, Direction.D_TO_Y, 0.0)
+        assert ivw.focused_size == len(panel)
+        est = ivw.estimate
         sw = 1.0 / panel.se_y
         coef, *_ = np.linalg.lstsq((sw * panel.beta_d)[:, None], sw * panel.beta_y, rcond=None)
         assert est == pytest.approx(float(coef[0]), abs=1e-12)
@@ -317,7 +317,9 @@ def test_criterion_09_estimator_oracle_equivalences():
         assert egger.estimate == pytest.approx((sw_ * sxy - sx * sy) / det, abs=1e-10)
         assert egger.intercept == pytest.approx((sxx * sy - sx * sxy) / det, abs=1e-10)
 
-        med = focused_median(panel, panel.ids, Direction.D_TO_Y)
+        med = mr_median(panel, Direction.D_TO_Y, 0.0)
+        assert med.focused_size == len(panel)
+        med = med.estimate
         ratios = sorted(panel.beta_y / panel.beta_d)
         assert med == (ratios[9] + ratios[10]) / 2.0
     print("\nPASS criterion 9: IVW/WLS 1e-12, Egger 1e-10, median exact on 100 panels")

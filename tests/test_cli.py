@@ -189,6 +189,27 @@ class TestDiagnoseCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["results"][0]["valid_rule"] is True
 
+    @pytest.mark.parametrize("key, value", [
+        ("pi_d", [True, False, 0.5]), ("pi_y", ["0.1", 0, 0.2]), ("se_d", [1, None, 1]),
+        ("beta_dy", True), ("beta_yd", "0.25"),
+    ])
+    def test_json_accepts_only_numbers(self, tmp_path, capsys, key, value):
+        # booleans and numeric strings would otherwise be read as numbers
+        payload = {"pi_d": [1, 0, 0.5], "pi_y": [0.1, 0, 0.2], "se_d": [1, 1, 1],
+                   "se_y": [1, 1, 1], "beta_dy": 0, "beta_yd": 0.25, key: value}
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload))
+        assert main(["diagnose", "--input", str(path), "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {key} must be ") and "JSON number" in err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "truth.json"
+        path.write_text('{"pi_d": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["diagnose", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON")
+
     def test_nan_zero_tol_is_input_error(self, tmp_path, capsys):
         # a NaN tolerance compares false with every magnitude: unchecked, it
         # would class every SNP as pleiotropic
@@ -233,6 +254,19 @@ class TestSimulateCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("beta_dy\tbeta_yd\tmethod\tdirection")
         assert len(lines) == 1 + 2 * 2  # two cells x one method x two directions
+
+    @pytest.mark.parametrize("flag", ["--beta-dy", "--beta-yd"])
+    def test_beta_flag_with_grid_is_input_error(self, tmp_path, capsys, flag):
+        # the grid's pairs set both effects: a flag beside it would be dropped silently
+        out = tmp_path / "grid.json"
+        code = main(
+            ["simulate", "--synthetic", "40", "--reps", "5", "--seed", "1", flag, "0.5",
+             "--grid", "0:0", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--beta-dy" in err and "--beta-yd" in err and "--grid" in err
+        assert not out.exists()
 
     def test_seed_file_source(self, tmp_path):
         seed_path = tmp_path / "seed.tsv"

@@ -131,6 +131,10 @@ def invocations(draw):
                 '{"pi_d": [[1], [1, 2]], "pi_y": [0], "se_d": [1], "se_y": [1]}',
                 '{"pi_d": [1], "pi_y": [0], "se_d": [1], "se_y": [1], "beta_dy": null}',
                 '{"pi_d": [1], "pi_y": [0], "se_d": [1], "se_y": [1], "beta_yd": "x"}',
+                '{"pi_d": [true, false, 0.5], "pi_y": [0.1, 0, 0.2], "se_d": [1, 1, 1], '
+                '"se_y": [1, 1, 1], "beta_dy": true}',
+                '{"pi_d": [1, 0, 0.5], "pi_y": ["0.1", 0, 0.2], "se_d": [1, 1, 1], '
+                '"se_y": [1, 1, 1], "beta_yd": "0.25"}',
                 '{"pi_d": [1%s], "pi_y": [0], "se_d": [1], "se_y": [1]}' % ("0" * 400),
                 '{"pi_d": [1], "pi_y": [0], "se_d": [1], "se_y": [1], "beta_dy": 1%s}' % ("0" * 400),
             ]))

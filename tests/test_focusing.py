@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from bidirmr import focusing
-from bidirmr.errors import EmptyFocusedSetError, InputError, ZeroDenominatorError
+from bidirmr.errors import (
+    EmptyFocusedSetError,
+    EmptyRelevantSetError,
+    InputError,
+    ZeroDenominatorError,
+)
 from bidirmr.focusing import (
     Direction,
     FocusConfig,
     Method,
     Panel,
     check_separation,
-    focused_ivw,
-    focused_median,
-    focused_set,
-    null_sd_ivw,
+    direction_rows,
+    focused_mask,
     power_forecast,
 )
 from bidirmr.focusing import test_direction as run_direction_test
@@ -43,6 +46,11 @@ def wls_through_origin(x, y, weights):
 
 def explicit_cfg(tau_f=1.5, tau_s=0.0, alpha=0.05):
     return FocusConfig(tau_f=tau_f, tau_s=tau_s, alpha=alpha)
+
+
+def focused_set(panel, direction, cfg):
+    """Ids of the focused set, in panel order."""
+    return panel.ids_at(focused_mask(panel, direction, cfg))
 
 
 class TestPanel:
@@ -128,73 +136,97 @@ class TestFocusedSet:
         assert FocusConfig(tau_s=0.0).resolve_tau_s(1) == 0.0
 
 
+# Focusing off and relevance screening off: the set is every SNP (minus zero exposure betas).
+EVERY_SNP = FocusConfig(tau_f=math.inf, tau_s=0.0)
+
+
+def one_snp_panel(weight):
+    """One SNP with IVW weight ``(beta_d / se_y)^2 == weight`` and a null outcome beta."""
+    return Panel.from_arrays(["a"], [math.sqrt(weight)], [0.1], [0.0], [1.0])
+
+
 class TestEstimators:
     def test_single_snp_ratio(self):
         panel = Panel.from_arrays(["a"], [0.5], [0.1], [0.15], [0.2])
-        est, _ = focused_ivw(panel, ("a",), Direction.D_TO_Y)
-        assert est == pytest.approx(0.3, abs=1e-15)
+        report = run_direction_test(panel, Direction.D_TO_Y, EVERY_SNP)
+        assert report.estimate == pytest.approx(0.3, abs=1e-15)
 
     def test_equal_weights_average_ratios(self):
         # same |beta_d| and se_y -> equal weights, estimate is the mean ratio
         panel = Panel.from_arrays(
             ["a", "b"], [0.5, 0.5], [0.1, 0.1], [0.1, 0.2], [0.1, 0.1]
         )
-        est, weight_sum = focused_ivw(panel, ("a", "b"), Direction.D_TO_Y)
-        assert est == pytest.approx(0.3, abs=1e-14)
-        assert weight_sum == pytest.approx(2 * 0.5**2 / 0.1**2, rel=1e-12)
+        report = run_direction_test(panel, Direction.D_TO_Y, EVERY_SNP)
+        assert report.estimate == pytest.approx(0.3, abs=1e-14)
+        assert report.weight_sum == pytest.approx(2 * 0.5**2 / 0.1**2, rel=1e-12)
 
     def test_ivw_equals_wls_through_origin(self, rng):
         for _ in range(100):
             panel = make_random_panel(rng, p=50)
-            est, _ = focused_ivw(panel, panel.ids, Direction.D_TO_Y)
+            report = run_direction_test(panel, Direction.D_TO_Y, EVERY_SNP)
+            assert report.focused_size == len(panel)
             oracle = wls_through_origin(panel.beta_d, panel.beta_y, 1.0 / panel.se_y**2)
-            assert est == pytest.approx(oracle, abs=1e-12)
+            assert report.estimate == pytest.approx(oracle, abs=1e-12)
 
     def test_ivw_zero_denominator(self):
         panel = Panel.from_arrays(["a", "b"], [0.0, 0.5], [0.1, 0.1], [0.1, 0.1], [0.1, 0.1])
         with pytest.raises(ZeroDenominatorError):
-            focused_ivw(panel, ("a", "b"), Direction.D_TO_Y)
+            run_direction_test(panel, Direction.D_TO_Y, EVERY_SNP, Method.OVERALL_IVW)
 
     def test_ivw_empty_set(self):
-        panel = Panel.from_arrays(["a"], [0.5], [0.1], [0.1], [0.1])
-        with pytest.raises(EmptyFocusedSetError):
-            focused_ivw(panel, (), Direction.D_TO_Y)
+        # no SNP passes: the focused IVW rejects outright, the overall IVW has no set
+        beta, se = np.array([[0.5]]), np.array([0.1])
+        rows = direction_rows(beta, se, beta, se, FocusConfig(tau_f=1.5), 0.0)
+        assert rows.size[0] == 0 and rows.empty_reject[0] and not rows.errors
+        assert np.isnan(rows.estimate[0]) and np.isnan(rows.weight_sum[0])
+        rows = direction_rows(beta, se, beta, se, EVERY_SNP, 10.0, Method.OVERALL_IVW)
+        assert isinstance(rows.errors[0], EmptyRelevantSetError)
 
     def test_median_odd_and_even(self):
         panel = Panel.from_arrays(
             ["a", "b", "c"], [1.0, 1.0, 1.0], [0.1] * 3, [0.1, 0.3, 0.5], [0.1] * 3
         )
-        assert focused_median(panel, ("a", "b", "c"), Direction.D_TO_Y) == pytest.approx(0.3)
-        assert focused_median(panel, ("a", "b"), Direction.D_TO_Y) == pytest.approx(0.2)
+        pair = Panel.from_arrays(["a", "b"], [1.0, 1.0], [0.1] * 2, [0.1, 0.3], [0.1] * 2)
+        for p, want in ((panel, 0.3), (pair, 0.2)):
+            report = run_direction_test(p, Direction.D_TO_Y, EVERY_SNP, Method.MR_MEDIAN)
+            assert report.estimate == pytest.approx(want)
 
     def test_median_matches_sort_oracle(self, rng):
         panel = make_random_panel(rng, p=50)
-        got = focused_median(panel, panel.ids, Direction.D_TO_Y)
+        got = run_direction_test(panel, Direction.D_TO_Y, EVERY_SNP, Method.MR_MEDIAN)
         ratios = sorted(panel.beta_y / panel.beta_d)
         oracle = (ratios[24] + ratios[25]) / 2.0
-        assert got == oracle
+        assert got.focused_size == 50 and got.estimate == oracle
 
 
 class TestNullSd:
+    """The IVW null scale ``sqrt(null_var / weight_sum)``, as :func:`test_direction` reports it."""
+
+    def null_sd(self, weight, tau_f):
+        cfg = FocusConfig(tau_f=tau_f, tau_s=0.0)
+        return run_direction_test(one_snp_panel(weight), Direction.D_TO_Y, cfg).null_sd
+
     def test_untruncated_unit(self):
-        assert null_sd_ivw(1.0, math.inf) == pytest.approx(1.0, abs=1e-15)
+        assert self.null_sd(1.0, math.inf) == pytest.approx(1.0, abs=1e-15)
 
     def test_truncated_value(self):
         expected = math.sqrt(0.5515244157615513 / 4.0)
-        assert null_sd_ivw(4.0, 1.5) == pytest.approx(expected, rel=1e-12)
+        assert self.null_sd(4.0, 1.5) == pytest.approx(expected, rel=1e-12)
 
     def test_inverse_square_root_scaling(self):
-        assert null_sd_ivw(100.0, 1.5) == pytest.approx(null_sd_ivw(1.0, 1.5) / 10.0, rel=1e-12)
+        assert self.null_sd(100.0, 1.5) == pytest.approx(self.null_sd(1.0, 1.5) / 10.0, rel=1e-12)
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(InputError):
-            null_sd_ivw(0.0, 1.5)
+        # (1e-200 / 1)^2 underflows: the weights sum to zero and leave no scale
+        panel = Panel.from_arrays(["a"], [1e-200], [1.0], [0.0], [1.0])
+        with pytest.raises(ZeroDenominatorError, match="underflow"):
+            run_direction_test(panel, Direction.D_TO_Y, EVERY_SNP)
 
     def test_config_null_var_is_the_truncated_variance(self):
         for tau_f in (0.5, 1.5, math.inf):
             cfg = FocusConfig(tau_f=tau_f)
             assert cfg.null_var == truncnorm_var(TruncSpec(-tau_f, tau_f, 0.0))
-            assert math.sqrt(cfg.null_var / 4.0) == null_sd_ivw(4.0, tau_f)
+            assert math.sqrt(cfg.null_var / 4.0) == self.null_sd(4.0, tau_f)
 
 
 class TestBootstrapMedianSd:
@@ -340,15 +372,25 @@ class TestPowerForecast:
     def test_null_signal_recovers_alpha(self, rng):
         panel = make_random_panel(rng, p=20)
         cfg = explicit_cfg(tau_f=1.5, tau_s=0.0, alpha=0.05)
-        ids = tuple(i for i, b in zip(panel.ids, panel.beta_d) if b != 0.0)
-        forecast = power_forecast(panel, ids, {i: 0.0 for i in ids}, cfg)
+        mask = panel.beta_d != 0.0
+        forecast = power_forecast(panel, mask, np.zeros(len(panel)), cfg)
         assert forecast.mu_alt == pytest.approx(0.0, abs=1e-15)
-        _, weight_sum = focused_ivw(panel, ids, Direction.D_TO_Y)
+        weight_sum = np.sum((panel.beta_d[mask] / panel.se_y[mask]) ** 2)
         expected_sigma = math.sqrt(
             truncnorm_var(TruncSpec(-1.5, 1.5, 0.0)) / weight_sum
         )
         assert forecast.sigma_alt == pytest.approx(expected_sigma, rel=1e-12)
         assert forecast.predicted_power == pytest.approx(0.05, abs=1e-12)
+
+    def test_reads_the_snr_under_the_mask(self, rng):
+        panel = make_random_panel(rng, p=20)
+        cfg = explicit_cfg()
+        mask = np.arange(20) % 3 == 0
+        snr = rng.uniform(0.5, 1.0, 20)
+        sub = Panel.from_arrays(*(np.asarray(c)[mask] for c in (
+            panel.ids, panel.beta_d, panel.se_d, panel.beta_y, panel.se_y)))
+        whole = power_forecast(sub, np.ones(mask.sum(), dtype=bool), snr[mask], cfg)
+        assert power_forecast(panel, mask, snr, cfg) == whole
 
     @pytest.mark.parametrize("beta_d", [(1e-200, -1e-190), (1e200, 1e190)])
     def test_degenerate_weights_are_a_zero_denominator(self, beta_d):
@@ -356,13 +398,24 @@ class TestPowerForecast:
         panel = Panel.from_arrays(["a", "b"], beta_d, [1, 1], [0, 0.3], [1, 2])
         cfg = FocusConfig(tau_f=math.inf, tau_s=0.0)
         with pytest.raises(ZeroDenominatorError):
-            power_forecast(panel, ["a", "b"], {"a": 0.0, "b": 0.0}, cfg)
+            power_forecast(panel, np.ones(2, dtype=bool), np.zeros(2), cfg)
 
     def test_missing_snr_entry(self, rng):
         panel = make_random_panel(rng, p=5)
         cfg = explicit_cfg()
-        with pytest.raises(InputError):
-            power_forecast(panel, panel.ids, {}, cfg)
+        with pytest.raises(InputError, match="snr must have length 5"):
+            power_forecast(panel, np.ones(5, dtype=bool), np.zeros(4), cfg)
+
+    def test_mask_errors(self, rng):
+        panel = Panel.from_arrays(["a", "b"], [0.0, 0.5], [0.1, 0.1], [0.1, 0.1], [0.1, 0.1])
+        cfg, snr = explicit_cfg(), np.zeros(2)
+        for bad in ([True], np.array([1, 1]), np.ones((1, 2), dtype=bool)):
+            with pytest.raises(InputError, match="boolean mask of length 2"):
+                power_forecast(panel, bad, snr, cfg)
+        with pytest.raises(EmptyFocusedSetError):
+            power_forecast(panel, np.zeros(2, dtype=bool), snr, cfg)
+        with pytest.raises(ZeroDenominatorError, match="nonzero exposure"):
+            power_forecast(panel, np.ones(2, dtype=bool), snr, cfg)
 
 
 class TestCheckSeparation:
@@ -384,6 +437,13 @@ class TestCheckSeparation:
         assert check_separation(self._truth(10.0), cfg, c1=1.0)
         assert not check_separation(self._truth(10.0), cfg, c1=3.0)
 
+    @pytest.mark.parametrize("c1", [-1.0, 0.0, math.nan])
+    def test_rejects_nonpositive_c1(self, c1):
+        # as enforce_separation does, also where no outcome effect is active
+        for truth in (self._truth(10.0), TruthConfig([1.0], [0.0], 0.0, 0.0, [0.1], [0.1])):
+            with pytest.raises(InputError, match="c1 must be positive"):
+                check_separation(truth, explicit_cfg(), c1=c1)
+
 
 class TestSamplingBehavior:
     """Monte-Carlo properties of the focused tests on simulated panels."""
@@ -403,9 +463,7 @@ class TestSamplingBehavior:
             panel = simulate_panel(truth, rng)
             masks = iv_class_masks(truth, zero_tol=0.0)
             invalid = masks[IvClass.VALID_YD] | masks[IvClass.PLEIOTROPIC]
-            ids = focused_set(panel, Direction.D_TO_Y, cfg)
-            idx = panel.indices_of(ids)
-            clean += not invalid[idx].any()
+            clean += not invalid[focused_mask(panel, Direction.D_TO_Y, cfg)].any()
         assert clean / reps >= 0.99
 
     def test_power_at_least_alpha_across_effect_grid(self):

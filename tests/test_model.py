@@ -9,7 +9,6 @@ from bidirmr.model import (
     TruthConfig,
     diagnose_identification,
     direct_effects,
-    iv_class_counts,
     iv_class_masks,
     reduced_form,
     reverse_equivalent_truth,
@@ -127,9 +126,10 @@ class TestClassification:
             iv_class_masks(truth_of([0.0, 0.1], [0.0, 0.0]), zero_tol)
 
     def test_counts_partition(self, rng):
+        # every SNP is in exactly one class
         truth = make_random_truth(rng, p=40)
-        counts = iv_class_counts(truth, zero_tol=0.0)
-        assert sum(counts.values()) == truth.p
+        masks = iv_class_masks(truth, zero_tol=0.0)
+        assert (sum(m.astype(int) for m in masks.values()) == 1).all()
 
 
 class TestDiagnostics:

@@ -15,7 +15,7 @@ from bidirmr.focusing import (
     check_separation,
     relevant_mask,
 )
-from bidirmr.model import IvClass, iv_class_counts, iv_class_masks, reduced_form
+from bidirmr.model import IvClass, iv_class_masks, reduced_form
 from bidirmr.simulation import (
     ScenarioConfig,
     SeedEffects,
@@ -33,13 +33,13 @@ def mean_rho_over_draws(seed, kappa, n_draws, seed0=0):
     total = np.zeros(4)
     for i in range(n_draws):
         truth = generate_truth(seed, kappa, np.random.default_rng(seed0 + i))
-        counts = iv_class_counts(truth, zero_tol=0.0)
+        masks = iv_class_masks(truth, zero_tol=0.0)
         total += np.array(
             [
-                counts[IvClass.NULL],
-                counts[IvClass.VALID_DY],
-                counts[IvClass.VALID_YD],
-                counts[IvClass.PLEIOTROPIC],
+                masks[IvClass.NULL].sum(),
+                masks[IvClass.VALID_DY].sum(),
+                masks[IvClass.VALID_YD].sum(),
+                masks[IvClass.PLEIOTROPIC].sum(),
             ]
         ) / truth.p
     return total / n_draws
@@ -114,8 +114,8 @@ class TestGenerateTruth:
         seed = synthetic_seed(60, np.random.default_rng(7))
         for i in range(50):
             truth = generate_truth(seed, 0.9, np.random.default_rng(i))
-            counts = iv_class_counts(truth, zero_tol=0.0)
-            assert sum(counts.values()) == truth.p
+            masks = iv_class_masks(truth, zero_tol=0.0)
+            assert (sum(m.astype(int) for m in masks.values()) == 1).all()
 
     def test_rank_ties_broken_by_input_order(self):
         # identical seed magnitudes: activation probabilities are the rank
