@@ -268,6 +268,9 @@ _CANDIDATES_PER_VALUE = 4
 # (n, q) order-statistic brackets kept by :func:`_brackets`: a scenario asks
 # for two per distinct set size n <= p, and ``test`` for at most four.
 _BRACKETS_SIZE = 4096
+# Even sizes whose :func:`_even_terms` are kept: at most 512 tables, 13 MB in
+# all. A larger n computes its own, in time its quantile searches outweigh.
+_TERMS_KEPT_N = 1024
 
 # log(s!) for s = 0, 1, ...: one table for every law, grown to the largest n seen.
 _log_fact = np.empty(0)
@@ -367,6 +370,297 @@ def _brackets(n: int, q: float) -> tuple[int, int]:
     return hi, hi if n % 2 else tails._first_reaching(tails.m, q, z, hi)
 
 
+@lru_cache(maxsize=None)
+def _even_terms(n: int) -> np.ndarray:
+    """The logs the even-n law is built from, as a read-only ``(3, n + 1)`` array.
+
+    With ``m = n // 2``, for ``s = 0..n``: row 0 is the log weight of the
+    term of sorted position ``s + 1``, ``log(C(n, m) (((s+1)/n)^m - (s/n)^m))``;
+    row 1 is ``(n - m) log(1 - s/n)``, the log-probability that the
+    ``n - m`` upper draws all lie beyond position ``s``; row 2 is
+    ``log(1 - exp(row1[s] - row1[s - 1]))``, the log of the share that goes
+    when ``s - 1`` steps up to ``s``. Row 0 at ``s = n`` and row 2 at
+    ``s = 0`` are unused. They depend on n alone, so they are kept per n up
+    to ``_TERMS_KEPT_N``, like :func:`_brackets` (``_even_terms.__wrapped__``
+    computes them without keeping them).
+    """
+    m = n // 2
+    log_fact = _log_factorials(n)
+    i = np.arange(1, n + 1)
+    out = np.full((3, n + 1), np.nan)
+    with np.errstate(divide="ignore"):
+        out[0, :n] = (
+            (log_fact[n] - log_fact[m] - log_fact[n - m])
+            + m * np.log(i / n)
+            + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
+        )
+        out[1] = (n - m) * np.log1p(-np.arange(n + 1) / n)
+        out[2, 1:] = np.log(-np.expm1(out[1, 1:] - out[1, :-1]))
+    out.flags.writeable = False
+    return out
+
+
+def _search(go, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise, the first ``j`` in ``[lo, hi]`` where ``go(j)`` is false (``hi`` if none is).
+
+    ``go`` holds on a prefix of each range. Every range is bisected within
+    its own bounds, all in lockstep; ``go`` may be called at ``hi``. Callers
+    search flat positions of a row-major matrix, each within its own row.
+    """
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        step = go(mid)
+        lo = np.where(step, mid + 1, lo)
+        hi = np.where(step, hi, mid)
+    return hi
+
+
+def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, offset)`` over the concatenated ranges ``0 .. lengths[e] - 1``."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    return owner, np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
+
+
+def _segment_sums(values: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
+    """``np.sum`` of each of ``count`` consecutive segments of ``values``, bit for bit.
+
+    ``owner`` is each value's segment, nondecreasing. NumPy sums pairwise,
+    in a tree that depends on the length, so each segment is summed whole
+    and alone: as a segment of ``np.add.reduceat`` led by the zero that
+    ``np.sum`` starts from.
+    """
+    segment = np.arange(count)
+    padded = np.zeros(values.size + count)
+    padded[np.arange(values.size) + owner + 1] = values
+    return np.add.reduceat(padded, np.searchsorted(owner, segment) + segment)
+
+
+def _row_order(values: np.ndarray, owner: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """``np.lexsort((values, owner))`` for NaN-free values grouped by ``owner``
+    (nondecreasing), ``offset`` being each value's position in its group.
+
+    Sorts by owner, then value, ties in index order, as one fast unstable
+    sort of a unique integer key: the owner, the value's rank among all
+    values (equal values share one) and the offset.
+    """
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    ranks = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[by_value] = ranks
+    return np.argsort((owner * (ranks[-1] + 1) + rank) * (offset.max() + 1) + offset)
+
+
+class _EvenLaws:
+    """The laws of ``np.median`` of n-out-of-n resamples of many even-size samples at once.
+
+    Row ``e`` of ``xs`` holds a sample of ``size[e]`` values, sorted and
+    followed by at least one ``+inf`` column of padding. Every search runs
+    within its own row's n, so padding never meets a genuine ``+inf``, and
+    every sum is taken over one row's own terms, whole and in order, so each
+    float is the one the law of that sample alone gives. Rows move through
+    the quantile search in lockstep. Memory is O(rows x max n), besides the
+    candidate pair means of the rows being enumerated.
+
+    ``_d`` holds each value's pair mean with itself: the value, unless twice
+    it overflows, when it is the ``+-inf`` that ``np.median`` gives. The law
+    and its search read positions through it, so that overflowing pair
+    means are counted as ``np.median`` computes them.
+    """
+
+    def __init__(self, xs: np.ndarray, size: np.ndarray):
+        self.width = xs.shape[1]
+        self.size = size
+        self._x = xs.ravel()
+        with np.errstate(over="ignore"):
+            self._d = _pair_mean(self._x, self._x)
+        self._log_fact = _log_factorials(int(size.max(initial=0)))
+        # _even_terms(n)[:, s] of the sizes present, at _terms[:, _terms_at[n] + s]
+        ns = np.unique(size[size % 2 == 0])
+        self._terms = np.concatenate(
+            [(_even_terms if n <= _TERMS_KEPT_N else _even_terms.__wrapped__)(n) for n in ns.tolist()],
+            axis=1,
+        )
+        self._terms_at = np.zeros(self._log_fact.size, dtype=np.intp)
+        self._terms_at[ns] = np.cumsum(ns + 1) - (ns + 1)
+
+    def _tail(self, n: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``P(N(r) >= n // 2)`` for ``N(r) ~ Binomial(n, r/n)``, elementwise."""
+        out = np.where(r >= n, 1.0, 0.0)
+        inner = np.flatnonzero((r > 0) & (r < n))
+        if inner.size:
+            n, m = n[inner], n[inner] // 2
+            p = r[inner] / n
+            own, s = _ranges(n - m + 1)
+            n, s = n[own], s + m[own]
+            log_fact = self._log_fact
+            log_pmf = (
+                (log_fact[n] - log_fact[s] - log_fact[n - s])
+                + s * np.log(p)[own]
+                + (n - s) * np.log1p(-p)[own]
+            )
+            out[inner] = _segment_sums(np.exp(log_pmf), own, inner.size)
+        return out
+
+    def _pair_counts(self, at, xi, t, lo, n, strict: bool = False) -> np.ndarray:
+        """For each value ``xi`` of the row starting at flat index ``at``, the number of
+        sample values j with pair mean ``<= t`` (``< t`` if strict), all j below ``lo`` among them."""
+        x, within = self._x, np.less if strict else np.less_equal
+        return _search(lambda j: within(_pair_mean(xi, x[j]), t), at + lo, at + n) - at
+
+    def _at_most(self, at, t, lo, n) -> np.ndarray:
+        """The number of values of the row at flat ``at`` whose pair mean with itself is
+        at most ``t``, all below position ``lo`` among them."""
+        d = self._d
+        out = lo.copy()
+        # the padding column makes position n readable; a search runs only past a tie
+        more = np.flatnonzero(d[at + lo] <= t)
+        at, t = at[more], t[more]
+        out[more] = _search(lambda j: d[j] <= t, at + lo[more], at + n[more]) - at
+        return out
+
+    def cdf(self, rows: np.ndarray, t: np.ndarray, r: np.ndarray | None = None,
+            upper: np.ndarray | None = None):
+        """``(P(median of a resample of row rows[e] <= t[e]), k)`` for every e.
+
+        ``r[e]`` is the number of values whose pair mean with themselves is
+        at most ``t[e]`` (searched for unless given); ``k`` holds the pair
+        counts at ``t[e]`` of the values ``i < r[e]``, concatenated over e,
+        each at most its entry of ``upper`` when that is given.
+        """
+        n, at = self.size[rows], rows * self.width
+        if r is None:
+            r = self._at_most(at, t, np.zeros_like(n), n)
+        own, i = _ranges(r)
+        n_i = n[own]
+        # every j < r counts: its pair mean with i is at most that of the larger with itself
+        k = self._pair_counts(
+            at[own], self._x[at[own] + i], t[own], r[own], n_i if upper is None else upper
+        )
+        weight, beyond = self._terms[:2]
+        at_n = self._terms_at[n_i]
+        beyond = np.exp(weight[at_n + i] + beyond[at_n + k])
+        return self._tail(n, r) - _segment_sums(beyond, own, r.size), k
+
+    def quantiles(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The ``q[e]``-quantile of the law of row ``rows[e]``: the smallest median value
+        ``t`` with ``cdf(t) >= q[e]`` (the left-continuous inverse)."""
+        n, at, d = self.size[rows], rows * self.width, self._d
+        hi, lo = np.array([_brackets(k, p) for k, p in zip(n.tolist(), q.tolist())], dtype=np.intp).T
+        # X*_(m) <= A <= X*_(m+1) brackets the sorted position where cdf reaches q
+        start = d[at + lo - 1]
+        tied = np.flatnonzero(d[at + np.maximum(lo - 2, 0)] == start)
+        at_tied, start_tied = at[tied], start[tied]
+        lo[tied] = _search(lambda j: d[j] < start_tied, at_tied, at_tied + lo[tied] - 1) - at_tied + 1
+        # each row's last cdf evaluation: its sorted position (0 if none), value and pair counts
+        seen = np.zeros_like(lo)
+        f_seen = np.zeros(rows.size)
+        k_seen = np.zeros((rows.size, self.width), dtype=np.intp)
+        while (lo < hi).any():
+            act = np.flatnonzero(lo < hi)
+            mid = (lo[act] + hi[act]) >> 1
+            t = d[at[act] + mid - 1]
+            r = self._at_most(at[act], t, mid, n[act])
+            f, k = self.cdf(rows[act], t, r)
+            own, i = _ranges(r)
+            k_seen[act[own], i] = k
+            f_seen[act], seen[act] = f, mid
+            reached = f >= q[act]
+            hi[act] = np.where(reached, mid, hi[act])
+            lo[act] = np.where(reached, lo[act], mid + 1)
+        out = d[at]
+        rest = np.flatnonzero(lo > 1)
+        if rest.size:
+            out[rest] = self._pair_mean_quantiles(
+                rows[rest], q[rest], lo[rest] - 1, seen[rest], f_seen[rest], k_seen[rest]
+            )
+        return out
+
+    def _pair_mean_quantiles(self, rows, q, r, seen, f_seen, k_seen) -> np.ndarray:
+        """The quantiles, given ``cdf(lo_t) < q <= cdf(hi_t)`` with ``lo_t < hi_t`` the pair
+        means with themselves of the adjacent sorted positions ``r`` and ``r + 1``.
+
+        The cdf jumps in between only where a pair mean ``(x_i + x_j)/2``
+        with ``i < r <= j`` lies, by the change of the i-th term as ``k_i``
+        steps up. Those pair means are enumerated, sorted and accumulated; a
+        bracket holding more than ``_CANDIDATES_PER_VALUE * n`` of them is
+        first split at the weighted median of its per-value middle pair
+        means, which removes at least a quarter of them each time.
+
+        A row's last evaluation in the bisection (``seen``, ``f_seen``,
+        ``k_seen``) sat at ``lo_t`` or ``hi_t``, if it had one: at ``lo_t`` it
+        is ``cdf(lo_t)`` with its pair counts; at ``hi_t`` its pair counts
+        bound every count taken at or below ``hi_t``.
+        """
+        x, n, at, d = self._x, self.size[rows], rows * self.width, self._d
+        lo_t, hi_t = d[at + r - 1], d[at + r]
+        own, i = _ranges(r)
+        first = np.cumsum(r) - r
+        at_i, xi = at[own], x[at[own] + i]
+        upper = np.where(seen[own] == r[own] + 1, k_seen[own, i], n[own])
+        f_lo, lo_k = f_seen, k_seen[own, i]
+        fresh = np.flatnonzero(seen != r)
+        if fresh.size:
+            sel = np.flatnonzero(seen[own] != r[own])
+            f_lo[fresh], lo_k[sel] = self.cdf(rows[fresh], lo_t[fresh], r[fresh], upper[sel])
+        hi_k = self._pair_counts(at_i, xi, hi_t[own], lo_k, upper, strict=True)
+        while True:
+            count = hi_k - lo_k
+            total = np.add.reduceat(count, first)
+            split = np.flatnonzero(total > _CANDIDATES_PER_VALUE * n)
+            if not split.size:
+                break
+            in_split = np.zeros(rows.size, dtype=bool)
+            in_split[split] = True
+            # each value's middle candidate, weighted by its count, sorted within its row
+            each = np.flatnonzero(in_split[own] & (count > 0))
+            middle = _pair_mean(xi[each], x[at_i[each] + lo_k[each] + (count[each] - 1) // 2])
+            lengths = np.bincount(own[each], minlength=rows.size)[split]
+            seg, offset = _ranges(lengths)
+            order = _row_order(middle, seg, offset)
+            middle, weight = middle[order], count[each][order]
+            starts = np.cumsum(lengths) - lengths
+            cum = np.cumsum(weight)
+            cum -= (cum[starts] - weight[starts])[seg]
+            pivot = middle[starts + np.add.reduceat(cum < total[split][seg] / 2.0, starts, dtype=np.intp)]
+            sel = np.flatnonzero(in_split[own])
+            f_pivot, k_pivot = self.cdf(rows[split], pivot, r[split], upper[sel])
+            reached = f_pivot >= q[split]
+            hi_t[split] = np.where(reached, pivot, hi_t[split])
+            f_lo[split] = np.where(reached, f_lo[split], f_pivot)
+            moved = np.zeros(rows.size, dtype=bool)
+            moved[split[~reached]] = True
+            lo_k[sel] = np.where(moved[own[sel]], k_pivot, lo_k[sel])
+            hi_k[sel] = self._pair_counts(
+                at_i[sel], xi[sel], hi_t[own[sel]], lo_k[sel], upper[sel], strict=True
+            )
+        return self._enumerate(q, n, f_lo, hi_t, own, i, xi, at_i, lo_k, count, total)
+
+    def _enumerate(self, q, n, f_lo, hi_t, own, i, xi, at_i, lo_k, count, total) -> np.ndarray:
+        """Enumerate each row's candidate pair means, their cdf jumps, and the first
+        that brings ``f_lo`` to ``q`` (``hi_t`` when none does)."""
+        out = hi_t.copy()
+        if not total.any():
+            return out
+        each, step = _ranges(count)
+        # candidates come grouped by row: row[c] and col[c], c's position in its row
+        row, col = _ranges(total)
+        j = lo_k[each] + step + 1
+        values = _pair_mean(xi[each], self._x[at_i[each] + j - 1])
+        weight, beyond, share = self._terms
+        at_n = self._terms_at[n[row]]
+        jump = np.exp(weight[at_n + i[each]] + beyond[at_n + j - 1] + share[at_n + j])
+        order = _row_order(values, row, col)
+        # running sums restart at each row: one row per line of a zero-padded matrix,
+        # where the padding adds zeros, so the first sum to reach q is a candidate's
+        running = np.zeros((total.size, int(total.max())))
+        running[row, col] = jump[order]
+        reached = f_lo[:, None] + np.cumsum(running, axis=1) >= q[:, None]
+        hit = np.flatnonzero(reached.any(axis=1) & (total > 0))
+        out[hit] = values[order][(np.cumsum(total) - total)[hit] + reached[hit].argmax(axis=1)]
+        return out
+
+
 class _ResampledMedianLaw(_BinomialTails):
     """Exact distribution of ``np.median`` of an n-out-of-n resample of ``x``.
 
@@ -380,151 +674,43 @@ class _ResampledMedianLaw(_BinomialTails):
           P(A <= t) = P(N(r) >= m)
                       - C(n, m) sum_{i <= r} ((i/n)^m - ((i-1)/n)^m) (1 - k_i/n)^(n-m)
 
-      with ``r = #{x_i <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``; the
-      i-th term is the probability that ``X*_(m)`` sits at position ``i``
-      while ``X*_(m+1)`` lies beyond position ``k_i``.
+      with ``r = #{x_i : (x_i + x_i)/2 <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``;
+      the i-th term is the probability that ``X*_(m)`` sits at position
+      ``i`` while ``X*_(m+1)`` lies beyond position ``k_i``.
 
-    Pair means are compared as ``np.median`` computes them, so the law is
-    that of the floating-point medians. Probabilities are summed from
-    log-space terms (no term is dropped). What depends on n alone is shared
-    between laws: the log-factorials come from one module table (8 bytes
-    per entry up to the largest n seen), and the sorted positions bracketing
-    each quantile from :func:`_brackets`, an LRU of ``_BRACKETS_SIZE``
-    (n, q) pairs. Once those are known, an odd-n quantile is one lookup;
-    an even-n one bisects inside its bracket and enumerates pair means, in
-    O(n log n) time for typical samples and O(n log^2 n) at worst. Memory
-    is O(n), and ``cdf`` is evaluated at most once per ``t``. ``x`` given
-    ``is_sorted`` (ascending, NaN-free) is used as it is.
+    Pair means are compared as ``np.median`` computes them, overflow to
+    ``+-inf`` included, so the law is that of the floating-point medians.
+    Probabilities are summed from log-space terms (no term is dropped). What
+    depends on n alone is shared between laws: the log-factorials come from
+    one module table (8 bytes per entry up to the largest n seen), the
+    sorted positions bracketing each quantile from :func:`_brackets`, an LRU
+    of ``_BRACKETS_SIZE`` (n, q) pairs, and the even-n log terms from
+    :func:`_even_terms`. Once those are known, an odd-n quantile is one
+    lookup; an even-n one is :class:`_EvenLaws` on one row, which bisects
+    inside its bracket and enumerates pair means, in O(n log n) time for
+    typical samples and O(n log^2 n) at worst, and O(n) memory.
     """
 
-    def __init__(self, x: np.ndarray, is_sorted: bool = False):
+    def __init__(self, x: np.ndarray):
         super().__init__(x.size)
-        self.x = x if is_sorted else np.sort(x)
-        self._cdf_memo: dict[float, float] = {}
-        n, m = self.n, self.m
-        if n % 2 == 0:
-            i = np.arange(1, n + 1)
-            with np.errstate(divide="ignore"):
-                # log of C(n, m) ((i/n)^m - ((i-1)/n)^m)
-                self._log_central = (
-                    self._log_choose[0]
-                    + m * np.log(i / n)
-                    + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
-                )
-
-    def _pair_counts(self, xi: np.ndarray, t: float, strict: bool = False) -> np.ndarray:
-        """For each value of ``xi``, the number of j with ``pair mean <= t`` (``< t`` if strict).
-
-        A search on ``2t - xi`` gives a first count; rounding of the pair
-        means can move the boundary, so it is then moved over whole blocks of
-        tied values until the pair means on either side agree with ``t``.
-        """
-        x, n = self.x, self.n
-        within = np.less if strict else np.less_equal
-        g = np.searchsorted(x, 2.0 * t - xi, side="left" if strict else "right")
-        while True:
-            down = (g > 0) & ~within(_pair_mean(xi, x[np.maximum(g - 1, 0)]), t)
-            if not down.any():
-                break
-            g[down] = np.searchsorted(x, x[g[down] - 1], side="left")
-        while True:
-            up = (g < n) & within(_pair_mean(xi, x[np.minimum(g, n - 1)]), t)
-            if not up.any():
-                break
-            g[up] = np.searchsorted(x, x[g[up]], side="right")
-        return g
+        self.x = np.sort(x)
+        if self.n % 2 == 0:
+            self._even = _EvenLaws(np.append(self.x, np.inf)[None], np.array([self.n]))
 
     def cdf(self, t: float) -> float:
         """``P(median of a resample <= t)``."""
-        f = self._cdf_memo.get(t)
-        if f is None:
-            f = self._cdf_memo[t] = self._cdf(t)
-        return f
-
-    def _cdf(self, t: float) -> float:
-        n, m, x = self.n, self.m, self.x
-        r = int(np.searchsorted(x, t, side="right"))
-        if n % 2:
-            return float(self._tail(m + 1, np.array([r]))[0])
-        if r == 0:
-            return 0.0
-        k = self._pair_counts(x[:r], t)
-        with np.errstate(divide="ignore"):
-            beyond = np.exp(self._log_central[:r] + (n - m) * np.log1p(-k / n))
-        return float(self._tail(m, np.array([r]))[0] - beyond.sum())
+        if self.n % 2:
+            r = int(np.searchsorted(self.x, t, side="right"))
+            return float(self._tail(self.m + 1, np.array([r]))[0])
+        with np.errstate(all="ignore"):
+            return float(self._even.cdf(np.zeros(1, dtype=np.intp), np.array([float(t)]))[0][0])
 
     def quantile(self, q: float) -> float:
         """Smallest median value ``t`` with ``cdf(t) >= q`` (the left-continuous inverse)."""
-        x = self.x
-        # X*_(m) <= A <= X*_(m+1) brackets the sorted position where cdf reaches q
-        hi, lo = _brackets(self.n, q)
         if self.n % 2:
-            return float(x[hi - 1])
-        if math.isinf(x[0]) or math.isinf(x[-1]):
-            # a pair mean (inf + -inf) or a search key (2t - x_i at
-            # t = x_i = inf) can be NaN, which compares false: the law counts
-            # it so, and only the warning is silenced. Finite samples skip
-            # this, since every ufunc call runs slower inside np.errstate.
-            with np.errstate(invalid="ignore"):
-                return self._even_quantile(q, lo, hi)
-        return self._even_quantile(q, lo, hi)
-
-    def _even_quantile(self, q: float, lo: int, hi: int) -> float:
-        """:meth:`quantile` for even n, bracketed by the sorted positions ``lo <= hi``."""
-        x = self.x
-        lo = int(np.searchsorted(x, x[lo - 1], side="left")) + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.cdf(x[mid - 1]) >= q:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == 1:
-            return float(x[0])
-        return self._pair_mean_quantile(x[lo - 2], x[lo - 1], lo - 1, q)
-
-    def _pair_mean_quantile(self, lo_t: float, hi_t: float, r: int, q: float) -> float:
-        """The quantile, given ``cdf(lo_t) < q <= cdf(hi_t)`` with ``lo_t < hi_t`` adjacent
-        sample values and ``r`` values at or below ``lo_t``.
-
-        The cdf jumps in between only where a pair mean ``(x_i + x_j)/2``
-        with ``i <= r < j`` lies, by the change of the i-th term as ``k_i``
-        steps up. Those pair means are enumerated, sorted and accumulated;
-        a bracket holding more than ``_CANDIDATES_PER_VALUE * n`` of them is first
-        split at the weighted median of its per-row middle pair means, which
-        removes at least a quarter of them each time.
-        """
-        n, m, x = self.n, self.m, self.x
-        xi = x[:r]
-        f_lo = self.cdf(lo_t)
-        while True:
-            lo_k = self._pair_counts(xi, lo_t)
-            count = self._pair_counts(xi, hi_t, strict=True) - lo_k
-            total = int(count.sum())
-            if total <= _CANDIDATES_PER_VALUE * n:
-                break
-            rows = np.flatnonzero(count)
-            middle = _pair_mean(xi[rows], x[lo_k[rows] + (count[rows] - 1) // 2])
-            order = np.argsort(middle, kind="stable")
-            weight = np.cumsum(count[rows][order])
-            pivot = middle[order][np.searchsorted(weight, weight[-1] / 2.0)]
-            f_pivot = self.cdf(pivot)
-            if f_pivot >= q:
-                hi_t = pivot
-            else:
-                lo_t, f_lo = pivot, f_pivot
-        if total == 0:
-            return float(hi_t)
-        rows = np.repeat(np.arange(r), count)
-        j = lo_k[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count) + 1
-        values = _pair_mean(xi[rows], x[j - 1])
-        with np.errstate(divide="ignore"):
-            before = (n - m) * np.log1p(-(j - 1) / n)
-            after = (n - m) * np.log1p(-j / n)
-            jump = np.exp(self._log_central[rows] + before + np.log(-np.expm1(after - before)))
-        order = np.argsort(values, kind="stable")
-        reached = np.flatnonzero(f_lo + np.cumsum(jump[order]) >= q)
-        return float(values[order][reached[0]]) if reached.size else float(hi_t)
+            return float(self.x[_brackets(self.n, q)[0] - 1])
+        with np.errstate(all="ignore"):
+            return float(self._even.quantiles(np.zeros(1, dtype=np.intp), np.array([q]))[0])
 
     def sd(self) -> float:
         """Half the span between the ``std_cdf(-1)`` and ``std_cdf(1)`` quantiles."""
@@ -593,30 +779,35 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
     """``(estimate, sd)`` arrays of ``_median_inference(ratios[r, mask[r]])`` for every row.
 
     One sort serves all rows: each row's set is packed to the left of a
-    ``(rows, max(size))`` array padded with ``+inf``, so after sorting a row's
-    first ``size[r]`` values are its set in order, handed to the law as they
-    are. The median is read as ``np.median`` computes it; an odd-n row's two
-    quantiles are gathered at the positions :func:`_brackets` keeps for its n.
-    The sort may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so
+    ``(rows, max(size) + 1)`` array padded with ``+inf``, so after sorting a
+    row's first ``size[r]`` values are its set in order. The median is read
+    as ``np.median`` computes it; an odd-n row's two quantiles are gathered
+    at the positions :func:`_brackets` keeps for its n, and the even-n rows'
+    scales are computed all at once, both quantiles of every row in one
+    lockstep search (:class:`_EvenLaws`), in O(rows x max n) memory. The
+    sort may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so
     rows with a zero ratio run :func:`_median_inference` on their set instead.
     """
-    xs = np.full((size.size, size.max(initial=0)), np.inf)
+    xs = np.full((size.size, size.max(initial=0) + 1), np.inf)
     xs[np.arange(xs.shape[1]) < size[:, None]] = ratios[mask]
     xs.sort(axis=1)
     r = np.arange(size.size)
     m = size // 2
     odd = size % 2 == 1
-    with np.errstate(invalid="ignore"):
+    zero = (xs == 0.0).any(axis=1)
+    even = np.flatnonzero(~odd & ~zero)
+    sd = np.empty(size.size)
+    with np.errstate(all="ignore"):
         estimate = np.where(odd, xs[r, m], _pair_mean(xs[r, m - 1], xs[r, m]))
-        sd = np.empty(size.size)
         if odd.any():
             n_odd = size[odd].tolist()
             lo = np.array([_brackets(n, _PCTL_LO)[0] for n in n_odd]) - 1
             hi = np.array([_brackets(n, _PCTL_HI)[0] for n in n_odd]) - 1
             sd[odd] = (xs[r[odd], hi] - xs[r[odd], lo]) / 2.0
-    zero = (xs == 0.0).any(axis=1)
-    for i in np.flatnonzero(~odd & ~zero).tolist():
-        sd[i] = _ResampledMedianLaw(xs[i, : size[i]], is_sorted=True).sd()
+        if even.size:
+            q = np.repeat([_PCTL_HI, _PCTL_LO], even.size)
+            quantile = _EvenLaws(xs, size).quantiles(np.concatenate((even, even)), q)
+            sd[even] = (quantile[: even.size] - quantile[even.size:]) / 2.0
     for i in np.flatnonzero(zero).tolist():
         estimate[i], sd[i] = _median_inference(ratios[i, mask[i]])[:2]
     return estimate, sd

@@ -6,6 +6,16 @@ import pytest
 from bidirmr.focusing import Panel
 from bidirmr.model import TruthConfig
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # More examples for the properties that set no count of their own (the
+    # batched median law against its per-row oracle). CI runs tier-1 with
+    # `--hypothesis-profile=ci`; a local run keeps hypothesis' default.
+    settings.register_profile("ci", max_examples=1000)
+
 
 def make_random_truth(
     rng: np.random.Generator,

@@ -2,22 +2,26 @@
 
 For n up to 7 every one of the n^n resamples is enumerated: the law's CDF
 must match the enumerated one at every attainable median to 1e-12, and its
-one-sigma percentile SD must equal the enumerated one exactly. At n of 60 and
-150 the SD must agree with a Monte-Carlo bootstrap of 10^5 resamples within
-four Monte-Carlo standard errors. Hypothesis checks invariance to
-permutation and translation, scaling by |c| and nonnegativity.
+one-sigma percentile SD must equal the enumerated one exactly, also where
+pair means overflow to +-inf. At n of 60 and 150 the SD must agree with a
+Monte-Carlo bootstrap of 10^5 resamples within four Monte-Carlo standard
+errors. Hypothesis checks invariance to permutation and translation, scaling
+by |c| and nonnegativity, and that the batched even-n search gives, hex for
+hex, the quantiles of the per-row law it replaced (kept here as an oracle).
 """
 
 import math
+import warnings
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from bidirmr import focusing
 from bidirmr.errors import EmptyFocusedSetError, InputError
-from bidirmr.focusing import FocusConfig, Method, exact_bootstrap_median_sd
+from bidirmr.focusing import FocusConfig, Method, _brackets, _pair_mean, exact_bootstrap_median_sd
 from bidirmr.truncnorm import std_cdf
 
 LO, HI = std_cdf(-1.0), std_cdf(1.0)
@@ -31,7 +35,8 @@ def enumerated_law(x):
     medians = []
     for first in range(n):  # one block of n^(n-1) resamples at a time
         idx = np.column_stack((np.full(len(rest), first), rest))
-        medians.append(np.median(x[idx], axis=1))
+        with np.errstate(over="ignore"):  # pair means may overflow, as the law counts them
+            medians.append(np.median(x[idx], axis=1))
     values, counts = np.unique(np.concatenate(medians), return_counts=True)
     return values, np.cumsum(counts) / n**n
 
@@ -47,6 +52,11 @@ def small_vectors():
         yield f"n{n}-ties", rng.integers(0, 3, size=n).astype(float)
         yield f"n{n}-constant", np.full(n, -1.25)
         yield f"n{n}-cauchy", rng.standard_cauchy(size=n)
+    # twice a value overflows, so a pair mean is +-inf where the values are not
+    yield "overflow-positive", np.array([9e307, 9.5e307, 1.0, 2.0])
+    yield "overflow-both-signs", np.array([1e308, -1e308, 1e308, 1e308])
+    yield "overflow-odd", np.array([1.7e308, 1e307, -3.0, 5.0, 1.6e308])
+    yield "overflow-negative", np.array([-1.7e308, -1e308, 3.0, 4.0, 2.0, -2.0])
 
 
 SMALL = dict(small_vectors())
@@ -59,11 +69,21 @@ def test_matches_enumeration_of_every_resample(case):
     law = focusing._ResampledMedianLaw(x)
     got = np.array([law.cdf(v) for v in values])
     np.testing.assert_allclose(got, cdf, rtol=0, atol=1e-12)
-    assert law.cdf(values[0] - 1.0) == 0.0
+    if values[0] > -np.inf:  # an overflowing pair mean leaves no value below -inf
+        assert law.cdf(values[0] - 1.0) == 0.0
     for q in (0.01, LO, 0.5, HI, 0.99):
         assert law.quantile(q) == left_inverse(values, cdf, q)
     expected = (left_inverse(values, cdf, HI) - left_inverse(values, cdf, LO)) / 2.0
     assert exact_bootstrap_median_sd(x) == expected
+
+
+@pytest.mark.parametrize("case", sorted(k for k in SMALL if k.startswith("overflow")))
+def test_overflowing_pair_means_warn_nothing(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact_bootstrap_median_sd(SMALL[case])
+        focusing._median_rows(SMALL[case][None], np.ones((1, SMALL[case].size), dtype=bool),
+                              np.array([SMALL[case].size]))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -192,6 +212,142 @@ def test_agrees_with_monte_carlo_bootstrap(n, seed):
     assert abs(exact_bootstrap_median_sd(x) - mc) <= 4.0 * se
 
 
+class PerRowLaw(focusing._BinomialTails):
+    """The per-row even-n law the batched search replaced, kept verbatim as an oracle.
+
+    One sample at a time: a bisection over its sorted values with a memoized
+    scalar cdf, then a pair-mean enumeration inside the final bracket. It
+    reads positions through the sample values, so it is exact only where no
+    pair mean overflows.
+    """
+
+    def __init__(self, x: np.ndarray):
+        super().__init__(x.size)
+        self.x = np.sort(x)
+        self._cdf_memo: dict[float, float] = {}
+        n, m = self.n, self.m
+        if n % 2 == 0:
+            i = np.arange(1, n + 1)
+            with np.errstate(divide="ignore"):
+                # log of C(n, m) ((i/n)^m - ((i-1)/n)^m)
+                self._log_central = (
+                    self._log_choose[0]
+                    + m * np.log(i / n)
+                    + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
+                )
+
+    def _pair_counts(self, xi: np.ndarray, t: float, strict: bool = False) -> np.ndarray:
+        """For each value of ``xi``, the number of j with ``pair mean <= t`` (``< t`` if strict).
+
+        A search on ``2t - xi`` gives a first count; rounding of the pair
+        means can move the boundary, so it is then moved over whole blocks of
+        tied values until the pair means on either side agree with ``t``.
+        """
+        x, n = self.x, self.n
+        within = np.less if strict else np.less_equal
+        g = np.searchsorted(x, 2.0 * t - xi, side="left" if strict else "right")
+        while True:
+            down = (g > 0) & ~within(_pair_mean(xi, x[np.maximum(g - 1, 0)]), t)
+            if not down.any():
+                break
+            g[down] = np.searchsorted(x, x[g[down] - 1], side="left")
+        while True:
+            up = (g < n) & within(_pair_mean(xi, x[np.minimum(g, n - 1)]), t)
+            if not up.any():
+                break
+            g[up] = np.searchsorted(x, x[g[up]], side="right")
+        return g
+
+    def cdf(self, t: float) -> float:
+        """``P(median of a resample <= t)``."""
+        f = self._cdf_memo.get(t)
+        if f is None:
+            f = self._cdf_memo[t] = self._cdf(t)
+        return f
+
+    def _cdf(self, t: float) -> float:
+        n, m, x = self.n, self.m, self.x
+        r = int(np.searchsorted(x, t, side="right"))
+        if n % 2:
+            return float(self._tail(m + 1, np.array([r]))[0])
+        if r == 0:
+            return 0.0
+        k = self._pair_counts(x[:r], t)
+        with np.errstate(divide="ignore"):
+            beyond = np.exp(self._log_central[:r] + (n - m) * np.log1p(-k / n))
+        return float(self._tail(m, np.array([r]))[0] - beyond.sum())
+
+    def quantile(self, q: float) -> float:
+        """Smallest median value ``t`` with ``cdf(t) >= q`` (the left-continuous inverse)."""
+        x = self.x
+        # X*_(m) <= A <= X*_(m+1) brackets the sorted position where cdf reaches q
+        hi, lo = _brackets(self.n, q)
+        if self.n % 2:
+            return float(x[hi - 1])
+        with np.errstate(invalid="ignore"):
+            return self._even_quantile(q, lo, hi)
+
+    def _even_quantile(self, q: float, lo: int, hi: int) -> float:
+        """:meth:`quantile` for even n, bracketed by the sorted positions ``lo <= hi``."""
+        x = self.x
+        lo = int(np.searchsorted(x, x[lo - 1], side="left")) + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.cdf(x[mid - 1]) >= q:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == 1:
+            return float(x[0])
+        return self._pair_mean_quantile(x[lo - 2], x[lo - 1], lo - 1, q)
+
+    def _pair_mean_quantile(self, lo_t: float, hi_t: float, r: int, q: float) -> float:
+        """The quantile, given ``cdf(lo_t) < q <= cdf(hi_t)`` with ``lo_t < hi_t`` adjacent
+        sample values and ``r`` values at or below ``lo_t``.
+
+        The cdf jumps in between only where a pair mean ``(x_i + x_j)/2``
+        with ``i <= r < j`` lies, by the change of the i-th term as ``k_i``
+        steps up. Those pair means are enumerated, sorted and accumulated;
+        a bracket holding more than ``_CANDIDATES_PER_VALUE * n`` of them is first
+        split at the weighted median of its per-row middle pair means, which
+        removes at least a quarter of them each time.
+        """
+        n, m, x = self.n, self.m, self.x
+        xi = x[:r]
+        f_lo = self.cdf(lo_t)
+        while True:
+            lo_k = self._pair_counts(xi, lo_t)
+            count = self._pair_counts(xi, hi_t, strict=True) - lo_k
+            total = int(count.sum())
+            if total <= focusing._CANDIDATES_PER_VALUE * n:
+                break
+            rows = np.flatnonzero(count)
+            middle = _pair_mean(xi[rows], x[lo_k[rows] + (count[rows] - 1) // 2])
+            order = np.argsort(middle, kind="stable")
+            weight = np.cumsum(count[rows][order])
+            pivot = middle[order][np.searchsorted(weight, weight[-1] / 2.0)]
+            f_pivot = self.cdf(pivot)
+            if f_pivot >= q:
+                hi_t = pivot
+            else:
+                lo_t, f_lo = pivot, f_pivot
+        if total == 0:
+            return float(hi_t)
+        rows = np.repeat(np.arange(r), count)
+        j = lo_k[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count) + 1
+        values = _pair_mean(xi[rows], x[j - 1])
+        with np.errstate(divide="ignore"):
+            before = (n - m) * np.log1p(-(j - 1) / n)
+            after = (n - m) * np.log1p(-j / n)
+            jump = np.exp(self._log_central[rows] + before + np.log(-np.expm1(after - before)))
+        order = np.argsort(values, kind="stable")
+        reached = np.flatnonzero(f_lo + np.cumsum(jump[order]) >= q)
+        return float(values[order][reached[0]]) if reached.size else float(hi_t)
+
+    def sd(self) -> float:
+        return (self.quantile(HI) - self.quantile(LO)) / 2.0
+
+
 def test_empty_ratio_set_is_degenerate():
     with pytest.raises(EmptyFocusedSetError):
         exact_bootstrap_median_sd(np.empty(0))
@@ -258,3 +414,92 @@ def test_scales_with_absolute_factor(values, factor):
     assert sd >= 0.0
     scale = (float(np.max(np.abs(x))) + 1.0) * abs(factor)
     assert close(exact_bootstrap_median_sd(factor * x), abs(factor) * sd, scale)
+
+
+# finite values well away from overflow, with ties, zeros and +-inf
+law_values = st.one_of(
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+    st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+    st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
+)
+samples = st.lists(law_values, min_size=1, max_size=48)
+candidates_per_value = st.sampled_from([None, 0, 10**6])
+
+
+def hexes(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def candidates(limit):
+    """Patch ``_CANDIDATES_PER_VALUE`` (0 splits every bracket to the end, 10**6 never)."""
+    if limit is None:
+        return mock.patch.object(focusing, "_CANDIDATES_PER_VALUE", focusing._CANDIDATES_PER_VALUE)
+    return mock.patch.object(focusing, "_CANDIDATES_PER_VALUE", limit)
+
+
+@settings(deadline=None)
+@given(samples, candidates_per_value)
+def test_batched_law_matches_the_per_row_law_on_one_row(values, limit):
+    x = np.array(values)
+    oracle = PerRowLaw(x)
+    with candidates(limit):
+        law = focusing._ResampledMedianLaw(x)
+        for q in (0.05, LO, 0.5, HI, 0.95):
+            assert float.hex(law.quantile(q)) == float.hex(oracle.quantile(q))
+        assert float.hex(exact_bootstrap_median_sd(x)) == float.hex(oracle.sd())
+
+
+@settings(deadline=None)
+@given(st.lists(samples, min_size=1, max_size=12), candidates_per_value)
+def test_batched_law_matches_the_per_row_law_on_a_chunk(rows, limit):
+    # rows of mixed even and odd sizes, packed as the scenario engine packs a chunk
+    size = np.array([len(r) for r in rows])
+    ratios = np.full((size.size, size.max()), np.nan)
+    mask = np.arange(size.max()) < size[:, None]
+    ratios[mask] = np.concatenate(rows)
+    with candidates(limit):
+        estimate, sd = focusing._median_rows(ratios, mask, size)
+        want = [PerRowLaw(np.array(r)).sd() for r in rows]
+    assert hexes(sd) == hexes(want)
+    with np.errstate(invalid="ignore"):  # the median of -inf and inf is NaN
+        assert hexes(estimate) == hexes(np.median(np.array(r)) for r in rows)
+
+
+def test_segment_sums_are_numpy_sums():
+    # pairwise summation changes tree at 8 and 128 terms: cover lengths across both
+    rng = np.random.default_rng(5)
+    lengths = np.concatenate(([0, 1, 7, 8, 9, 127, 128, 129, 300], rng.integers(0, 400, 40)))
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    values = np.exp(rng.normal(0.0, 5.0, owner.size))
+    got = focusing._segment_sums(values, owner, lengths.size)
+    starts = np.cumsum(lengths) - lengths
+    assert hexes(got) == hexes(np.sum(values[a:a + k]) for a, k in zip(starts, lengths))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 2.5]) | st.floats(-9.0, 9.0),
+                         min_size=1, max_size=30), min_size=1, max_size=8))
+def test_row_order_is_a_stable_sort_within_each_row(rows):
+    values = np.concatenate([np.array(r, dtype=float) for r in rows])
+    owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    offset = np.concatenate([np.arange(len(r)) for r in rows])
+    got = focusing._row_order(values, owner, offset)
+    np.testing.assert_array_equal(got, np.lexsort((values, owner)))
+
+
+@settings(deadline=None)
+@given(st.lists(samples.map(lambda v: v + v[:1] if len(v) % 2 else v), min_size=1, max_size=8),
+       st.data())
+def test_batched_cdf_matches_the_per_row_cdf(rows, data):
+    # cdf bits feed every comparison with q, so they are locked too, not only the quantiles
+    size = np.array([len(r) for r in rows])
+    xs = np.full((size.size, size.max() + 1), np.inf)
+    xs[np.arange(size.max() + 1) < size[:, None]] = np.concatenate(rows)
+    xs.sort(axis=1)
+    laws = focusing._EvenLaws(xs, size)
+    row = np.array(data.draw(st.lists(st.integers(0, size.size - 1), min_size=1, max_size=20)))
+    t = np.array([data.draw(st.sampled_from(xs[e, : size[e]].tolist()) | law_values) for e in row])
+    with np.errstate(all="ignore"):
+        got = laws.cdf(row, t)[0]
+        want = [PerRowLaw(np.array(rows[e])).cdf(v) for e, v in zip(row, t)]
+    assert hexes(got) == hexes(want)
