@@ -256,20 +256,15 @@ def _separation_threshold(p: int, tau_f: float, c1: float) -> float:
 # spread is read off this central span rather than a raw standard deviation.
 _PCTL_LO = std_cdf(-1.0)
 _PCTL_HI = std_cdf(1.0)
-# Their standard normal quantiles, where the order-statistic searches start.
-_Z = {_PCTL_LO: std_quantile(_PCTL_LO), _PCTL_HI: std_quantile(_PCTL_HI)}
 
-# Binomial probabilities evaluated at a time (rows x terms) when a quantile
-# search has to scan a wide range of order statistics.
-_TAIL_BLOCK_VALUES = 1 << 18
 # Pair means enumerated at once, per sample value; a typical sample has
 # fewer than n of them between the two sample values bracketing a quantile.
 _CANDIDATES_PER_VALUE = 4
 # (n, q) order-statistic brackets kept by :func:`_brackets`: a scenario asks
 # for two per distinct set size n <= p, and ``test`` for at most four.
 _BRACKETS_SIZE = 4096
-# Even sizes whose :func:`_even_terms` are kept: at most 512 tables, 13 MB in
-# all. A larger n computes its own, in time its quantile searches outweigh.
+# Even sizes whose :func:`_even_terms` are kept (512 tables, 13 MB at most);
+# a larger n computes its own, in time its quantile searches outweigh.
 _TERMS_KEPT_N = 1024
 
 # log(s!) for s = 0, 1, ...: one table for every law, grown to the largest n seen.
@@ -290,122 +285,29 @@ def _pair_mean(a, b):
     return (a + b) / 2.0
 
 
-class _BinomialTails:
-    """``P(N(k) >= a)`` for ``N(k) ~ Binomial(n, k/n)`` and ``a`` = m or m + 1, ``m = n // 2``.
+def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, offset)`` over the concatenated ranges ``0 .. lengths[e] - 1``."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    return owner, np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
 
-    The part of :class:`_ResampledMedianLaw` that depends on n alone.
+
+def _segment_sums(values: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
+    """``np.sum`` of each of ``count`` consecutive segments (``owner`` nondecreasing), bit for bit.
+
+    NumPy sums pairwise in a tree set by the length, so each segment is summed
+    whole and alone, led by the zero ``np.sum`` starts from.
     """
-
-    def __init__(self, n: int):
-        m = n // 2
-        log_fact = _log_factorials(n)
-        s = np.arange(m, n + 1)
-        self.n, self.m = n, m
-        # log C(n, s) for s = m..n: binomial tails from m or m + 1 draws
-        self._s = s
-        self._log_choose = log_fact[n] - log_fact[s] - log_fact[n - s]
-
-    def _tail(self, a: int, ks: np.ndarray) -> np.ndarray:
-        """``P(N(k) >= a)`` for each k in ``ks``; ``a`` is m or m + 1."""
-        n = self.n
-        out = np.where(ks >= n, 1.0, 0.0)
-        inner = (ks > 0) & (ks < n)
-        if inner.any():
-            p = ks[inner, None] / n
-            start = a - self.m
-            s = self._s[start:]
-            log_pmf = self._log_choose[start:] + s * np.log(p) + (n - s) * np.log1p(-p)
-            out[inner] = np.exp(log_pmf).sum(axis=1)
-        return out
-
-    def _first_reaching(self, a: int, q: float, z: float, hi: int) -> int:
-        """Smallest k in [1, hi] with ``P(N(k) >= a) >= q``, which holds at ``hi``.
-
-        ``k / n`` is then the q-quantile of Beta(a, n - a + 1), the law of the
-        a-th of n uniform order statistics. A window around its normal
-        approximation (``z`` is the standard normal q-quantile) is tried
-        first; if the answer lies outside, the rest of the range is scanned
-        in blocks.
-        """
-        n = self.n
-        mean = a / (n + 1.0)
-        guess = round(n * (mean + z * math.sqrt(mean * (1.0 - mean) / (n + 2.0))))
-        lo = 1
-        w_lo, w_hi = max(lo, guess - 4), min(hi, guess + 4)
-        if w_lo <= w_hi:
-            ks = np.arange(w_lo - 1, w_hi + 1)
-            reached = self._tail(a, ks) >= q
-            if reached[0]:
-                hi = w_lo - 1
-            elif not reached[-1]:
-                lo = w_hi + 1
-            else:
-                return int(ks[np.argmax(reached)])
-        rows = max(8, _TAIL_BLOCK_VALUES // (n - a + 1))
-        while lo < hi:
-            ks = np.unique(np.linspace(lo, hi - 1, num=min(rows, hi - lo)).astype(np.intp))
-            reached = self._tail(a, ks) >= q
-            if reached.any():
-                first = int(np.argmax(reached))
-                hi = int(ks[first])
-                if first:
-                    lo = int(ks[first - 1]) + 1
-            else:
-                lo = int(ks[-1]) + 1
-        return lo
-
-
-@lru_cache(maxsize=_BRACKETS_SIZE)
-def _brackets(n: int, q: float) -> tuple[int, int]:
-    """1-based sorted positions ``(hi, lo)`` bounding the q-quantile of the resampled median.
-
-    ``hi`` is the first k with ``P(N(k) >= m + 1) >= q``: for odd n the
-    quantile is ``x_(hi)`` (and ``lo == hi``). For even n it lies between
-    ``x_(lo)`` and ``x_(hi)``, ``lo`` the first k with ``P(N(k) >= m) >= q``.
-    Both depend on n and q alone, so they are computed once per pair.
-    """
-    tails = _BinomialTails(n)
-    z = _Z[q] if q in _Z else std_quantile(q)
-    hi = tails._first_reaching(tails.m + 1, q, z, n)
-    return hi, hi if n % 2 else tails._first_reaching(tails.m, q, z, hi)
-
-
-@lru_cache(maxsize=None)
-def _even_terms(n: int) -> np.ndarray:
-    """The logs the even-n law is built from, as a read-only ``(3, n + 1)`` array.
-
-    With ``m = n // 2``, for ``s = 0..n``: row 0 is the log weight of the
-    term of sorted position ``s + 1``, ``log(C(n, m) (((s+1)/n)^m - (s/n)^m))``;
-    row 1 is ``(n - m) log(1 - s/n)``, the log-probability that the
-    ``n - m`` upper draws all lie beyond position ``s``; row 2 is
-    ``log(1 - exp(row1[s] - row1[s - 1]))``, the log of the share that goes
-    when ``s - 1`` steps up to ``s``. Row 0 at ``s = n`` and row 2 at
-    ``s = 0`` are unused. They depend on n alone, so they are kept per n up
-    to ``_TERMS_KEPT_N``, like :func:`_brackets` (``_even_terms.__wrapped__``
-    computes them without keeping them).
-    """
-    m = n // 2
-    log_fact = _log_factorials(n)
-    i = np.arange(1, n + 1)
-    out = np.full((3, n + 1), np.nan)
-    with np.errstate(divide="ignore"):
-        out[0, :n] = (
-            (log_fact[n] - log_fact[m] - log_fact[n - m])
-            + m * np.log(i / n)
-            + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
-        )
-        out[1] = (n - m) * np.log1p(-np.arange(n + 1) / n)
-        out[2, 1:] = np.log(-np.expm1(out[1, 1:] - out[1, :-1]))
-    out.flags.writeable = False
-    return out
+    segment = np.arange(count)
+    padded = np.zeros(values.size + count)
+    padded[np.arange(values.size) + owner + 1] = values
+    return np.add.reduceat(padded, np.searchsorted(owner, segment) + segment)
 
 
 def _search(go, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Elementwise, the first ``j`` in ``[lo, hi]`` where ``go(j)`` is false (``hi`` if none is).
 
-    ``go`` holds on a prefix of each range. Every range is bisected within
-    its own bounds, all in lockstep; ``go`` may be called at ``hi``. Callers
-    search flat positions of a row-major matrix, each within its own row.
+    ``go`` holds on a prefix of each range; every range is bisected in its own
+    bounds, in lockstep, and ``go`` may be called at ``hi``.
     """
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = (lo + hi) >> 1
@@ -415,34 +317,61 @@ def _search(go, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(owner, offset)`` over the concatenated ranges ``0 .. lengths[e] - 1``."""
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    return owner, np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
+def _tails(n, a, k) -> np.ndarray:
+    """``P(N >= a)``, ``N ~ Binomial(n, k/n)``, elementwise; each summed alone in log space."""
+    n, a, k = np.broadcast_arrays(n, a, k)
+    out = np.where(k >= n, 1.0, 0.0)
+    inner = np.flatnonzero((k > 0) & (k < n))
+    if inner.size:
+        n, a, p = n[inner], a[inner], k[inner] / n[inner]
+        own, s = _ranges(n - a + 1)
+        n, s = n[own], s + a[own]
+        log_fact = _log_factorials(int(n.max()))
+        log_pmf = (log_fact[n] - log_fact[s] - log_fact[n - s]) + s * np.log(p)[own]
+        out[inner] = _segment_sums(np.exp(log_pmf + (n - s) * np.log1p(-p)[own]), own, inner.size)
+    return out
 
 
-def _segment_sums(values: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
-    """``np.sum`` of each of ``count`` consecutive segments of ``values``, bit for bit.
+@lru_cache(maxsize=_BRACKETS_SIZE)
+def _brackets(n: int, q: float) -> tuple[int, int]:
+    """1-based sorted positions ``(hi, lo)`` bounding the q-quantile of the resampled median.
 
-    ``owner`` is each value's segment, nondecreasing. NumPy sums pairwise,
-    in a tree that depends on the length, so each segment is summed whole
-    and alone: as a segment of ``np.add.reduceat`` led by the zero that
-    ``np.sum`` starts from.
+    ``hi`` is the first k with ``P(N(k) >= m + 1) >= q``: for odd n the
+    quantile is ``x_(hi)`` (and ``lo == hi``). For even n it lies between
+    ``x_(lo)`` and ``x_(hi)``, ``lo`` the first k with ``P(N(k) >= m) >= q``.
+    Both depend on n and q alone: one search over k, where the tails increase.
     """
-    segment = np.arange(count)
-    padded = np.zeros(values.size + count)
-    padded[np.arange(values.size) + owner + 1] = values
-    return np.add.reduceat(padded, np.searchsorted(owner, segment) + segment)
+    a = np.array([n // 2 + 1, (n + 1) // 2])
+    hi, lo = _search(lambda k: _tails(n, a, k) < q, np.ones_like(a), np.full_like(a, n)).tolist()
+    return hi, lo
+
+
+@lru_cache(maxsize=None)
+def _even_terms(n: int) -> np.ndarray:
+    """The logs of the even-n law's terms, a read-only ``(3, n + 1)`` array; ``m = n // 2``.
+
+    For ``s = 0..n``: row 0 is ``log(C(n, m) (((s+1)/n)^m - (s/n)^m))``, row 1
+    ``(n - m) log(1 - s/n)`` and row 2 ``log(1 - exp(row1[s] - row1[s - 1]))``
+    (row 0 at ``s = n`` and row 2 at ``s = 0`` unused). Kept per n up to
+    ``_TERMS_KEPT_N``; ``_even_terms.__wrapped__`` keeps nothing.
+    """
+    m = n // 2
+    log_fact = _log_factorials(n)
+    i = np.arange(1, n + 1)
+    out = np.full((3, n + 1), np.nan)
+    with np.errstate(divide="ignore"):
+        out[0, :n] = (log_fact[n] - log_fact[m] - log_fact[n - m]) + m * np.log(i / n)
+        out[0, :n] += np.log(-np.expm1(m * np.log1p(-1.0 / i)))
+        out[1] = (n - m) * np.log1p(-np.arange(n + 1) / n)
+        out[2, 1:] = np.log(-np.expm1(out[1, 1:] - out[1, :-1]))
+    out.flags.writeable = False
+    return out
 
 
 def _row_order(values: np.ndarray, owner: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """``np.lexsort((values, owner))`` for NaN-free values grouped by ``owner``
-    (nondecreasing), ``offset`` being each value's position in its group.
-
-    Sorts by owner, then value, ties in index order, as one fast unstable
-    sort of a unique integer key: the owner, the value's rank among all
-    values (equal values share one) and the offset.
-    """
+    """``np.lexsort((values, owner))`` for NaN-free values grouped by ``owner``, ``offset``
+    being each one's position in its group: one fast sort of a unique integer key
+    made of the owner, the value's rank (shared by equal values) and the offset."""
     by_value = np.argsort(values)
     ordered = values[by_value]
     ranks = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
@@ -454,113 +383,71 @@ def _row_order(values: np.ndarray, owner: np.ndarray, offset: np.ndarray) -> np.
 class _EvenLaws:
     """The laws of ``np.median`` of n-out-of-n resamples of many even-size samples at once.
 
-    Row ``e`` of ``xs`` holds a sample of ``size[e]`` values, sorted and
-    followed by at least one ``+inf`` column of padding. Every search runs
-    within its own row's n, so padding never meets a genuine ``+inf``, and
-    every sum is taken over one row's own terms, whole and in order, so each
-    float is the one the law of that sample alone gives. Rows move through
-    the quantile search in lockstep. Memory is O(rows x max n), besides the
-    candidate pair means of the rows being enumerated.
-
-    ``_d`` holds each value's pair mean with itself: the value, unless twice
-    it overflows, when it is the ``+-inf`` that ``np.median`` gives. The law
-    and its search read positions through it, so that overflowing pair
-    means are counted as ``np.median`` computes them.
+    Row ``e`` of ``xs`` holds a sample of ``size[e]`` values, sorted, then at
+    least one ``+inf`` of padding. The rows search in lockstep, each within its
+    own n (padding never meets a genuine ``+inf``) and each sum over one row's
+    own terms, whole and in order, so every float is the one of that sample's
+    law alone. Memory is O(rows x max n) besides the enumerated pair means.
+    Positions are read through ``_d``, each value's pair mean with itself:
+    the value, unless twice it overflows to ``np.median``'s ``+-inf``.
     """
 
     def __init__(self, xs: np.ndarray, size: np.ndarray):
-        self.width = xs.shape[1]
-        self.size = size
+        self.width, self.size = xs.shape[1], size
         self._x = xs.ravel()
         with np.errstate(over="ignore"):
             self._d = _pair_mean(self._x, self._x)
-        self._log_fact = _log_factorials(int(size.max(initial=0)))
         # _even_terms(n)[:, s] of the sizes present, at _terms[:, _terms_at[n] + s]
         ns = np.unique(size[size % 2 == 0])
-        self._terms = np.concatenate(
-            [(_even_terms if n <= _TERMS_KEPT_N else _even_terms.__wrapped__)(n) for n in ns.tolist()],
-            axis=1,
-        )
-        self._terms_at = np.zeros(self._log_fact.size, dtype=np.intp)
+        self._terms = np.concatenate([
+            _even_terms(n) if n <= _TERMS_KEPT_N else _even_terms.__wrapped__(n)
+            for n in ns.tolist()], axis=1)
+        self._terms_at = np.zeros(ns[-1] + 1, dtype=np.intp)
         self._terms_at[ns] = np.cumsum(ns + 1) - (ns + 1)
 
-    def _tail(self, n: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``P(N(r) >= n // 2)`` for ``N(r) ~ Binomial(n, r/n)``, elementwise."""
-        out = np.where(r >= n, 1.0, 0.0)
-        inner = np.flatnonzero((r > 0) & (r < n))
-        if inner.size:
-            n, m = n[inner], n[inner] // 2
-            p = r[inner] / n
-            own, s = _ranges(n - m + 1)
-            n, s = n[own], s + m[own]
-            log_fact = self._log_fact
-            log_pmf = (
-                (log_fact[n] - log_fact[s] - log_fact[n - s])
-                + s * np.log(p)[own]
-                + (n - s) * np.log1p(-p)[own]
-            )
-            out[inner] = _segment_sums(np.exp(log_pmf), own, inner.size)
-        return out
-
     def _pair_counts(self, at, xi, t, lo, n, strict: bool = False) -> np.ndarray:
-        """For each value ``xi`` of the row starting at flat index ``at``, the number of
-        sample values j with pair mean ``<= t`` (``< t`` if strict), all j below ``lo`` among them."""
+        """For each value ``xi`` of the row at flat ``at``, the number of j with pair mean
+        ``<= t`` (``< t`` if strict); every j below ``lo`` counts."""
         x, within = self._x, np.less if strict else np.less_equal
         return _search(lambda j: within(_pair_mean(xi, x[j]), t), at + lo, at + n) - at
-
-    def _at_most(self, at, t, lo, n) -> np.ndarray:
-        """The number of values of the row at flat ``at`` whose pair mean with itself is
-        at most ``t``, all below position ``lo`` among them."""
-        d = self._d
-        out = lo.copy()
-        # the padding column makes position n readable; a search runs only past a tie
-        more = np.flatnonzero(d[at + lo] <= t)
-        at, t = at[more], t[more]
-        out[more] = _search(lambda j: d[j] <= t, at + lo[more], at + n[more]) - at
-        return out
 
     def cdf(self, rows: np.ndarray, t: np.ndarray, r: np.ndarray | None = None,
             upper: np.ndarray | None = None):
         """``(P(median of a resample of row rows[e] <= t[e]), k)`` for every e.
 
-        ``r[e]`` is the number of values whose pair mean with themselves is
-        at most ``t[e]`` (searched for unless given); ``k`` holds the pair
-        counts at ``t[e]`` of the values ``i < r[e]``, concatenated over e,
-        each at most its entry of ``upper`` when that is given.
+        ``r[e]`` (searched for unless given) counts the values whose pair mean
+        with themselves is at most ``t[e]``; ``k`` concatenates the pair counts
+        at ``t[e]`` of the values ``i < r[e]``, each at most ``upper`` if given.
         """
-        n, at = self.size[rows], rows * self.width
+        n, at, d = self.size[rows], rows * self.width, self._d
         if r is None:
-            r = self._at_most(at, t, np.zeros_like(n), n)
+            r = _search(lambda j: d[j] <= t, at, at + n) - at
         own, i = _ranges(r)
-        n_i = n[own]
-        # every j < r counts: its pair mean with i is at most that of the larger with itself
-        k = self._pair_counts(
-            at[own], self._x[at[own] + i], t[own], r[own], n_i if upper is None else upper
-        )
-        weight, beyond = self._terms[:2]
+        n_i, t_i, at_i = n[own], t[own], at[own]
+        # every j < r counts, its pair mean with i being at most the larger's with itself,
+        # unless t = +inf, where -inf and +inf pair to NaN: then the count starts past i
+        lower = np.where(t_i == np.inf, i + 1, r[own])
+        k = self._pair_counts(at_i, self._x[at_i + i], t_i, lower, n_i if upper is None else upper)
         at_n = self._terms_at[n_i]
-        beyond = np.exp(weight[at_n + i] + beyond[at_n + k])
-        return self._tail(n, r) - _segment_sums(beyond, own, r.size), k
+        beyond = np.exp(self._terms[0][at_n + i] + self._terms[1][at_n + k])
+        return _tails(n, n // 2, r) - _segment_sums(beyond, own, r.size), k
 
     def quantiles(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The ``q[e]``-quantile of the law of row ``rows[e]``: the smallest median value
         ``t`` with ``cdf(t) >= q[e]`` (the left-continuous inverse)."""
         n, at, d = self.size[rows], rows * self.width, self._d
-        hi, lo = np.array([_brackets(k, p) for k, p in zip(n.tolist(), q.tolist())], dtype=np.intp).T
+        hi, lo = np.array(list(map(_brackets, n.tolist(), q.tolist())), dtype=np.intp).T
         # X*_(m) <= A <= X*_(m+1) brackets the sorted position where cdf reaches q
         start = d[at + lo - 1]
-        tied = np.flatnonzero(d[at + np.maximum(lo - 2, 0)] == start)
-        at_tied, start_tied = at[tied], start[tied]
-        lo[tied] = _search(lambda j: d[j] < start_tied, at_tied, at_tied + lo[tied] - 1) - at_tied + 1
+        lo = _search(lambda j: d[j] < start, at, at + lo - 1) - at + 1
         # each row's last cdf evaluation: its sorted position (0 if none), value and pair counts
-        seen = np.zeros_like(lo)
-        f_seen = np.zeros(rows.size)
+        seen, f_seen = np.zeros_like(lo), np.zeros(rows.size)
         k_seen = np.zeros((rows.size, self.width), dtype=np.intp)
         while (lo < hi).any():
             act = np.flatnonzero(lo < hi)
             mid = (lo[act] + hi[act]) >> 1
             t = d[at[act] + mid - 1]
-            r = self._at_most(at[act], t, mid, n[act])
+            r = _search(lambda j: d[j] <= t, at[act] + mid, at[act] + n[act]) - at[act]
             f, k = self.cdf(rows[act], t, r)
             own, i = _ranges(r)
             k_seen[act[own], i] = k
@@ -580,22 +467,16 @@ class _EvenLaws:
         """The quantiles, given ``cdf(lo_t) < q <= cdf(hi_t)`` with ``lo_t < hi_t`` the pair
         means with themselves of the adjacent sorted positions ``r`` and ``r + 1``.
 
-        The cdf jumps in between only where a pair mean ``(x_i + x_j)/2``
-        with ``i < r <= j`` lies, by the change of the i-th term as ``k_i``
-        steps up. Those pair means are enumerated, sorted and accumulated; a
-        bracket holding more than ``_CANDIDATES_PER_VALUE * n`` of them is
-        first split at the weighted median of its per-value middle pair
-        means, which removes at least a quarter of them each time.
-
-        A row's last evaluation in the bisection (``seen``, ``f_seen``,
-        ``k_seen``) sat at ``lo_t`` or ``hi_t``, if it had one: at ``lo_t`` it
-        is ``cdf(lo_t)`` with its pair counts; at ``hi_t`` its pair counts
-        bound every count taken at or below ``hi_t``.
+        The cdf jumps in between only at pair means ``(x_i + x_j)/2`` with ``i < r <= j``,
+        by the change of the i-th term as ``k_i`` steps up: they are enumerated,
+        sorted and accumulated, once a bracket holding over ``_CANDIDATES_PER_VALUE
+        * n`` of them is split at the weighted median of its per-value middle
+        pair means (a quarter or more goes each time). A row's last bisection
+        step, if any, was ``cdf(lo_t)`` or at ``hi_t``, whose counts bound these.
         """
         x, n, at, d = self._x, self.size[rows], rows * self.width, self._d
         lo_t, hi_t = d[at + r - 1], d[at + r]
         own, i = _ranges(r)
-        first = np.cumsum(r) - r
         at_i, xi = at[own], x[at[own] + i]
         upper = np.where(seen[own] == r[own] + 1, k_seen[own, i], n[own])
         f_lo, lo_k = f_seen, k_seen[own, i]
@@ -603,56 +484,43 @@ class _EvenLaws:
         if fresh.size:
             sel = np.flatnonzero(seen[own] != r[own])
             f_lo[fresh], lo_k[sel] = self.cdf(rows[fresh], lo_t[fresh], r[fresh], upper[sel])
-        hi_k = self._pair_counts(at_i, xi, hi_t[own], lo_k, upper, strict=True)
         while True:
-            count = hi_k - lo_k
-            total = np.add.reduceat(count, first)
+            count = self._pair_counts(at_i, xi, hi_t[own], lo_k, upper, strict=True) - lo_k
+            total = np.add.reduceat(count, np.cumsum(r) - r)
             split = np.flatnonzero(total > _CANDIDATES_PER_VALUE * n)
             if not split.size:
                 break
-            in_split = np.zeros(rows.size, dtype=bool)
-            in_split[split] = True
+            in_split = np.isin(np.arange(rows.size), split)
             # each value's middle candidate, weighted by its count, sorted within its row
             each = np.flatnonzero(in_split[own] & (count > 0))
             middle = _pair_mean(xi[each], x[at_i[each] + lo_k[each] + (count[each] - 1) // 2])
             lengths = np.bincount(own[each], minlength=rows.size)[split]
             seg, offset = _ranges(lengths)
             order = _row_order(middle, seg, offset)
-            middle, weight = middle[order], count[each][order]
-            starts = np.cumsum(lengths) - lengths
+            middle, weight, starts = middle[order], count[each][order], np.cumsum(lengths) - lengths
             cum = np.cumsum(weight)
             cum -= (cum[starts] - weight[starts])[seg]
-            pivot = middle[starts + np.add.reduceat(cum < total[split][seg] / 2.0, starts, dtype=np.intp)]
+            pivot = middle[starts + np.add.reduceat(cum < total[split][seg] / 2.0, starts, dtype=int)]
             sel = np.flatnonzero(in_split[own])
             f_pivot, k_pivot = self.cdf(rows[split], pivot, r[split], upper[sel])
             reached = f_pivot >= q[split]
             hi_t[split] = np.where(reached, pivot, hi_t[split])
             f_lo[split] = np.where(reached, f_lo[split], f_pivot)
-            moved = np.zeros(rows.size, dtype=bool)
-            moved[split[~reached]] = True
-            lo_k[sel] = np.where(moved[own[sel]], k_pivot, lo_k[sel])
-            hi_k[sel] = self._pair_counts(
-                at_i[sel], xi[sel], hi_t[own[sel]], lo_k[sel], upper[sel], strict=True
-            )
-        return self._enumerate(q, n, f_lo, hi_t, own, i, xi, at_i, lo_k, count, total)
-
-    def _enumerate(self, q, n, f_lo, hi_t, own, i, xi, at_i, lo_k, count, total) -> np.ndarray:
-        """Enumerate each row's candidate pair means, their cdf jumps, and the first
-        that brings ``f_lo`` to ``q`` (``hi_t`` when none does)."""
+            lo_k[sel] = np.where(np.repeat(reached, r[split]), lo_k[sel], k_pivot)
         out = hi_t.copy()
         if not total.any():
             return out
         each, step = _ranges(count)
-        # candidates come grouped by row: row[c] and col[c], c's position in its row
+        # the candidates, grouped by row: row[c], and col[c], c's position in its row
         row, col = _ranges(total)
         j = lo_k[each] + step + 1
-        values = _pair_mean(xi[each], self._x[at_i[each] + j - 1])
+        values = _pair_mean(xi[each], x[at_i[each] + j - 1])
         weight, beyond, share = self._terms
         at_n = self._terms_at[n[row]]
         jump = np.exp(weight[at_n + i[each]] + beyond[at_n + j - 1] + share[at_n + j])
         order = _row_order(values, row, col)
         # running sums restart at each row: one row per line of a zero-padded matrix,
-        # where the padding adds zeros, so the first sum to reach q is a candidate's
+        # whose padding adds zeros, so the first sum to reach q is a candidate's
         running = np.zeros((total.size, int(total.max())))
         running[row, col] = jump[order]
         reached = f_lo[:, None] + np.cumsum(running, axis=1) >= q[:, None]
@@ -661,7 +529,7 @@ class _EvenLaws:
         return out
 
 
-class _ResampledMedianLaw(_BinomialTails):
+class _ResampledMedianLaw:
     """Exact distribution of ``np.median`` of an n-out-of-n resample of ``x``.
 
     With ``x`` sorted and ``N(k) ~ Binomial(n, k/n)`` the number of draws at
@@ -674,34 +542,29 @@ class _ResampledMedianLaw(_BinomialTails):
           P(A <= t) = P(N(r) >= m)
                       - C(n, m) sum_{i <= r} ((i/n)^m - ((i-1)/n)^m) (1 - k_i/n)^(n-m)
 
-      with ``r = #{x_i : (x_i + x_i)/2 <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``;
+      with ``r = #{i : (x_i + x_i)/2 <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``;
       the i-th term is the probability that ``X*_(m)`` sits at position
       ``i`` while ``X*_(m+1)`` lies beyond position ``k_i``.
 
     Pair means are compared as ``np.median`` computes them, overflow to
     ``+-inf`` included, so the law is that of the floating-point medians.
-    Probabilities are summed from log-space terms (no term is dropped). What
-    depends on n alone is shared between laws: the log-factorials come from
-    one module table (8 bytes per entry up to the largest n seen), the
-    sorted positions bracketing each quantile from :func:`_brackets`, an LRU
-    of ``_BRACKETS_SIZE`` (n, q) pairs, and the even-n log terms from
-    :func:`_even_terms`. Once those are known, an odd-n quantile is one
-    lookup; an even-n one is :class:`_EvenLaws` on one row, which bisects
-    inside its bracket and enumerates pair means, in O(n log n) time for
-    typical samples and O(n log^2 n) at worst, and O(n) memory.
+    What depends on n alone is shared between laws: the log-factorials (one
+    table, 8 bytes per entry up to the largest n seen), the quantile brackets
+    (:func:`_brackets`) and the even-n log terms (:func:`_even_terms`). An
+    odd-n quantile is then one lookup; an even-n one is :class:`_EvenLaws` on
+    one row, in O(n log n) time for typical samples, O(n log^2 n) at worst.
     """
 
     def __init__(self, x: np.ndarray):
-        super().__init__(x.size)
         self.x = np.sort(x)
+        self.n, self.m = x.size, x.size // 2
         if self.n % 2 == 0:
             self._even = _EvenLaws(np.append(self.x, np.inf)[None], np.array([self.n]))
 
     def cdf(self, t: float) -> float:
         """``P(median of a resample <= t)``."""
         if self.n % 2:
-            r = int(np.searchsorted(self.x, t, side="right"))
-            return float(self._tail(self.m + 1, np.array([r]))[0])
+            return float(_tails(self.n, self.m + 1, np.searchsorted(self.x, [t], side="right"))[0])
         with np.errstate(all="ignore"):
             return float(self._even.cdf(np.zeros(1, dtype=np.intp), np.array([float(t)]))[0][0])
 
@@ -779,20 +642,17 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
     """``(estimate, sd)`` arrays of ``_median_inference(ratios[r, mask[r]])`` for every row.
 
     One sort serves all rows: each row's set is packed to the left of a
-    ``(rows, max(size) + 1)`` array padded with ``+inf``, so after sorting a
-    row's first ``size[r]`` values are its set in order. The median is read
-    as ``np.median`` computes it; an odd-n row's two quantiles are gathered
-    at the positions :func:`_brackets` keeps for its n, and the even-n rows'
-    scales are computed all at once, both quantiles of every row in one
-    lockstep search (:class:`_EvenLaws`), in O(rows x max n) memory. The
-    sort may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so
-    rows with a zero ratio run :func:`_median_inference` on their set instead.
+    ``(rows, max(size) + 1)`` array padded with ``+inf``. The median is read as
+    ``np.median`` computes it; an odd-n row's quantiles are gathered at the
+    positions :func:`_brackets` keeps, and the even-n rows' scales come all at
+    once, both quantiles of every row in one lockstep search (:class:`_EvenLaws`),
+    in O(rows x max n) memory. The sort may order ``+0.0`` and ``-0.0`` unlike a
+    sort of the set alone, so rows with a zero run :func:`_median_inference`.
     """
     xs = np.full((size.size, size.max(initial=0) + 1), np.inf)
     xs[np.arange(xs.shape[1]) < size[:, None]] = ratios[mask]
     xs.sort(axis=1)
-    r = np.arange(size.size)
-    m = size // 2
+    r, m = np.arange(size.size), size // 2
     odd = size % 2 == 1
     zero = (xs == 0.0).any(axis=1)
     even = np.flatnonzero(~odd & ~zero)

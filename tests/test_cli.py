@@ -365,6 +365,30 @@ class TestDegenerateWeights:
         assert row["weight_sum"] == 0.0 and row["max_weight_share"] is None
 
 
+class TestExtremeRatios:
+    """Ratio sets whose medians overflow or are NaN end the median tests with exit 0."""
+
+    _run = TestDegenerateWeights._run
+
+    @pytest.mark.parametrize("estimator", ["median", "mr-median"])
+    def test_median_of_overflowing_pair_means_is_infinite(self, tmp_path, estimator):
+        # ratios 9e307, 9.5e307, 1 and 2: np.median of the two largest overflows to inf
+        exposure, outcome = "a\t1e-300\t1\nb\t1e-300\t1\nc\t1\t1\nd\t1\t1\n", (
+            "a\t9e7\t1\nb\t9.5e7\t1\nc\t1\t1\nd\t2\t1\n")
+        assert self._run(tmp_path, exposure, outcome, estimator) == 0
+        row = json.loads((tmp_path / "r.json").read_text())["results"][0]
+        assert row["estimate"] == 4.5e307 and row["se"] is None  # inf is reported as null
+
+    @pytest.mark.parametrize("estimator", ["median", "mr-median"])
+    def test_median_of_infinite_ratios_of_both_signs_exits_0(self, tmp_path, estimator):
+        # -inf and +inf pair to NaN medians, so no scale reaches the upper quantile
+        exposure, outcome = "a\t1e-310\t1\nb\t1e-310\t1\nc\t1e-310\t1\nd\t1e-310\t1\n", (
+            "a\t1\t1\nb\t2\t1\nc\t-1\t1\nd\t-2\t1\n")
+        assert self._run(tmp_path, exposure, outcome, estimator) == 0
+        row = json.loads((tmp_path / "r.json").read_text())["results"][0]
+        assert row["estimate"] is None and row["se"] is None
+
+
 # (command line before the input path, header, a column of the header)
 NUMERIC_TSV_COMMANDS = {
     "simulate": (["simulate", "--reps", "2", "--seed", "1", "--seed-file"],

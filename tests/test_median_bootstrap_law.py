@@ -77,6 +77,27 @@ def test_matches_enumeration_of_every_resample(case):
     assert exact_bootstrap_median_sd(x) == expected
 
 
+@pytest.mark.parametrize("x", [
+    [0.0, math.inf, math.inf, math.inf, -math.inf, -math.inf],
+    [-math.inf, 1.0, math.inf, 2.0],
+    [math.inf, -math.inf, -math.inf, 0.5, math.inf],
+    [-math.inf, math.inf, 3.0, -1.0, math.inf, -math.inf],
+])
+def test_matches_enumeration_with_both_infinities(x):
+    # -inf and +inf pair to a NaN median, which is at no t, so the cdf stays below 1
+    x = np.array(x)
+    with np.errstate(invalid="ignore"):
+        values, cdf = enumerated_law(x)
+    law = focusing._ResampledMedianLaw(x)
+    defined = ~np.isnan(values)
+    got = np.array([law.cdf(v) for v in values[defined]])
+    np.testing.assert_allclose(got, cdf[defined], rtol=0, atol=1e-12)
+    for q in (0.01, LO, 0.5, HI, 0.99):
+        want = left_inverse(values, cdf, q)
+        if not np.isnan(want):  # past the last defined median no t reaches q
+            assert law.quantile(q) == want
+
+
 @pytest.mark.parametrize("case", sorted(k for k in SMALL if k.startswith("overflow")))
 def test_overflowing_pair_means_warn_nothing(case):
     with warnings.catch_warnings():
@@ -106,15 +127,13 @@ def test_two_clusters_split_and_enumerate_alike(monkeypatch):
     assert exact_bootstrap_median_sd(x) == split
 
 
-@pytest.mark.parametrize("n", [9, 10, 101, 1000])
-@pytest.mark.parametrize("z", [-6.0, 0.0, 6.0])
-def test_order_statistic_search_survives_a_wrong_start(n, z):
-    # a start far from the answer sends the search into its block scan
-    law = focusing._ResampledMedianLaw(np.arange(float(n)))
-    for a in (n // 2, n // 2 + 1):
-        tails = law._tail(a, np.arange(n + 1))
-        for q in (0.1, LO, 0.5, HI, 0.9):
-            assert law._first_reaching(a, q, z, n) == int(np.argmax(tails >= q))
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 101, 1000])
+def test_brackets_are_the_first_order_statistics_reaching_q(n):
+    tails = [focusing._tails(n, a, np.arange(n + 1)) for a in (n // 2 + 1, n // 2)]
+    for q in (0.01, 0.1, LO, 0.5, HI, 0.9, 0.99):
+        hi, lo = focusing._brackets(n, q)
+        assert hi == int(np.argmax(tails[0] >= q))
+        assert lo == (hi if n % 2 else int(np.argmax(tails[1] >= q)))
 
 
 def cache_samples():
@@ -125,8 +144,9 @@ def cache_samples():
 
 
 def cold(x, monkeypatch):
-    """The scale with both module caches emptied first."""
+    """The scale with every module cache emptied first."""
     focusing._brackets.cache_clear()
+    focusing._even_terms.cache_clear()
     monkeypatch.setattr(focusing, "_log_fact", np.empty(0))
     return exact_bootstrap_median_sd(x)
 
@@ -212,7 +232,7 @@ def test_agrees_with_monte_carlo_bootstrap(n, seed):
     assert abs(exact_bootstrap_median_sd(x) - mc) <= 4.0 * se
 
 
-class PerRowLaw(focusing._BinomialTails):
+class PerRowLaw:
     """The per-row even-n law the batched search replaced, kept verbatim as an oracle.
 
     One sample at a time: a bisection over its sorted values with a memoized
@@ -222,10 +242,12 @@ class PerRowLaw(focusing._BinomialTails):
     """
 
     def __init__(self, x: np.ndarray):
-        super().__init__(x.size)
+        self.n, self.m = n, m = x.size, x.size // 2
         self.x = np.sort(x)
         self._cdf_memo: dict[float, float] = {}
-        n, m = self.n, self.m
+        log_fact = focusing._log_factorials(n)
+        s = np.arange(m, n + 1)
+        self._log_choose = log_fact[n] - log_fact[s] - log_fact[n - s]
         if n % 2 == 0:
             i = np.arange(1, n + 1)
             with np.errstate(divide="ignore"):
@@ -235,6 +257,9 @@ class PerRowLaw(focusing._BinomialTails):
                     + m * np.log(i / n)
                     + np.log(-np.expm1(m * np.log1p(-1.0 / i)))
                 )
+
+    def _tail(self, a: int, ks: np.ndarray) -> np.ndarray:
+        return focusing._tails(self.n, a, ks)
 
     def _pair_counts(self, xi: np.ndarray, t: float, strict: bool = False) -> np.ndarray:
         """For each value of ``xi``, the number of j with ``pair mean <= t`` (``< t`` if strict).
@@ -375,7 +400,7 @@ def test_large_panel_stays_finite():
 
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 vectors = st.one_of(
@@ -430,6 +455,15 @@ def hexes(values):
     return [float.hex(float(v)) for v in values]
 
 
+def per_row(answer):
+    """The per-row law's answer. Where NaN medians (-inf with +inf) keep its cdf
+    below q up to +inf, it repeats a negative count and raises: no bits to keep."""
+    try:
+        return answer()
+    except ValueError:
+        assume(False)
+
+
 def candidates(limit):
     """Patch ``_CANDIDATES_PER_VALUE`` (0 splits every bracket to the end, 10**6 never)."""
     if limit is None:
@@ -445,8 +479,8 @@ def test_batched_law_matches_the_per_row_law_on_one_row(values, limit):
     with candidates(limit):
         law = focusing._ResampledMedianLaw(x)
         for q in (0.05, LO, 0.5, HI, 0.95):
-            assert float.hex(law.quantile(q)) == float.hex(oracle.quantile(q))
-        assert float.hex(exact_bootstrap_median_sd(x)) == float.hex(oracle.sd())
+            assert float.hex(law.quantile(q)) == float.hex(per_row(lambda: oracle.quantile(q)))
+        assert float.hex(exact_bootstrap_median_sd(x)) == float.hex(per_row(oracle.sd))
 
 
 @settings(deadline=None)
@@ -459,7 +493,7 @@ def test_batched_law_matches_the_per_row_law_on_a_chunk(rows, limit):
     ratios[mask] = np.concatenate(rows)
     with candidates(limit):
         estimate, sd = focusing._median_rows(ratios, mask, size)
-        want = [PerRowLaw(np.array(r)).sd() for r in rows]
+        want = [per_row(PerRowLaw(np.array(r)).sd) for r in rows]
     assert hexes(sd) == hexes(want)
     with np.errstate(invalid="ignore"):  # the median of -inf and inf is NaN
         assert hexes(estimate) == hexes(np.median(np.array(r)) for r in rows)
