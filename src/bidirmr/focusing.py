@@ -439,7 +439,9 @@ class _EvenLaws:
         hi, lo = np.array(list(map(_brackets, n.tolist(), q.tolist())), dtype=np.intp).T
         # X*_(m) <= A <= X*_(m+1) brackets the sorted position where cdf reaches q
         start = d[at + lo - 1]
-        lo = _search(lambda j: d[j] < start, at, at + lo - 1) - at + 1
+        tied = np.flatnonzero(d[at + np.maximum(lo - 2, 0)] == start)  # a search only past a tie
+        at_t, start_t = at[tied], start[tied]
+        lo[tied] = _search(lambda j: d[j] < start_t, at_t, at_t + lo[tied] - 1) - at_t + 1
         # each row's last cdf evaluation: its sorted position (0 if none), value and pair counts
         seen, f_seen = np.zeros_like(lo), np.zeros(rows.size)
         k_seen = np.zeros((rows.size, self.width), dtype=np.intp)
@@ -447,7 +449,9 @@ class _EvenLaws:
             act = np.flatnonzero(lo < hi)
             mid = (lo[act] + hi[act]) >> 1
             t = d[at[act] + mid - 1]
-            r = _search(lambda j: d[j] <= t, at[act] + mid, at[act] + n[act]) - at[act]
+            r, tied = mid.copy(), np.flatnonzero(d[at[act] + mid] <= t)  # mid = n reads padding
+            at_t, t_t = at[act][tied], t[tied]
+            r[tied] = _search(lambda j: d[j] <= t_t, at_t + mid[tied], at_t + n[act][tied]) - at_t
             f, k = self.cdf(rows[act], t, r)
             own, i = _ranges(r)
             k_seen[act[own], i] = k
@@ -455,8 +459,7 @@ class _EvenLaws:
             reached = f >= q[act]
             hi[act] = np.where(reached, mid, hi[act])
             lo[act] = np.where(reached, lo[act], mid + 1)
-        out = d[at]
-        rest = np.flatnonzero(lo > 1)
+        out, rest = d[at], np.flatnonzero(lo > 1)
         if rest.size:
             out[rest] = self._pair_mean_quantiles(
                 rows[rest], q[rest], lo[rest] - 1, seen[rest], f_seen[rest], k_seen[rest]
@@ -575,10 +578,6 @@ class _ResampledMedianLaw:
         with np.errstate(all="ignore"):
             return float(self._even.quantiles(np.zeros(1, dtype=np.intp), np.array([q]))[0])
 
-    def sd(self) -> float:
-        """Half the span between the ``std_cdf(-1)`` and ``std_cdf(1)`` quantiles."""
-        return (self.quantile(_PCTL_HI) - self.quantile(_PCTL_LO)) / 2.0
-
 
 def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
     """Percentile SD of the SNP-bootstrap median, from its exact distribution.
@@ -593,7 +592,8 @@ def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
         raise EmptyFocusedSetError("cannot bootstrap an empty ratio set")
     if np.isnan(ratios).any():
         raise InputError("ratios must not be NaN")
-    return _ResampledMedianLaw(ratios).sd()
+    law = _ResampledMedianLaw(ratios)
+    return (law.quantile(_PCTL_HI) - law.quantile(_PCTL_LO)) / 2.0
 
 
 # Resampled values gathered at a time: bounds the memory the Monte-Carlo

@@ -128,9 +128,11 @@ def test_two_clusters_split_and_enumerate_alike(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 101, 1000])
-def test_brackets_are_the_first_order_statistics_reaching_q(n):
+@pytest.mark.parametrize("z", [-6.0, 0.0, 6.0])
+def test_order_statistic_search_survives_a_wrong_start(n, z):
+    # the bisection over k starts mid-range; std_cdf(+-6) puts the answer at its ends
     tails = [focusing._tails(n, a, np.arange(n + 1)) for a in (n // 2 + 1, n // 2)]
-    for q in (0.01, 0.1, LO, 0.5, HI, 0.9, 0.99):
+    for q in (std_cdf(z), 0.1, LO, 0.5, HI, 0.9):
         hi, lo = focusing._brackets(n, q)
         assert hi == int(np.argmax(tails[0] >= q))
         assert lo == (hi if n % 2 else int(np.argmax(tails[1] >= q)))
