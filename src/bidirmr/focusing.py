@@ -339,11 +339,17 @@ def _brackets(n: int, q: float) -> tuple[int, int]:
     ``hi`` is the first k with ``P(N(k) >= m + 1) >= q``: for odd n the
     quantile is ``x_(hi)`` (and ``lo == hi``). For even n it lies between
     ``x_(lo)`` and ``x_(hi)``, ``lo`` the first k with ``P(N(k) >= m) >= q``.
-    Both depend on n and q alone: one search over k, where the tails increase.
+    Both depend on n and q alone. ``k / n`` is the q-quantile of Beta(a, n - a + 1), so a
+    window around its normal approximation mostly holds them; else one search over k finds them.
     """
     a = np.array([n // 2 + 1, (n + 1) // 2])
-    hi, lo = _search(lambda k: _tails(n, a, k) < q, np.ones_like(a), np.full_like(a, n)).tolist()
-    return hi, lo
+    mean = a / (n + 1.0)
+    guess = np.rint(n * (mean + std_quantile(q) * np.sqrt(mean * (1.0 - mean) / (n + 2.0))))
+    ks = np.clip(guess.astype(np.intp)[:, None] + np.arange(-5, 5), 0, n)
+    reached = (_tails(n, np.repeat(a, 10), ks.ravel()) >= q).reshape(2, 10)
+    if (reached[:, -1] & ~reached[:, 0]).all():
+        return tuple(ks[[0, 1], reached.argmax(axis=1)].tolist())
+    return tuple(_search(lambda k: _tails(n, a, k) < q, np.ones_like(a), np.full_like(a, n)).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -393,8 +399,7 @@ class _EvenLaws:
     """
 
     def __init__(self, xs: np.ndarray, size: np.ndarray):
-        self.width, self.size = xs.shape[1], size
-        self._x = xs.ravel()
+        self.width, self.size, self._x = xs.shape[1], size, xs.ravel()
         with np.errstate(over="ignore"):
             self._d = _pair_mean(self._x, self._x)
         # _even_terms(n)[:, s] of the sizes present, at _terms[:, _terms_at[n] + s]
@@ -460,10 +465,8 @@ class _EvenLaws:
             hi[act] = np.where(reached, mid, hi[act])
             lo[act] = np.where(reached, lo[act], mid + 1)
         out, rest = d[at], np.flatnonzero(lo > 1)
-        if rest.size:
-            out[rest] = self._pair_mean_quantiles(
-                rows[rest], q[rest], lo[rest] - 1, seen[rest], f_seen[rest], k_seen[rest]
-            )
+        out[rest] = self._pair_mean_quantiles(
+            rows[rest], q[rest], lo[rest] - 1, seen[rest], f_seen[rest], k_seen[rest])
         return out
 
     def _pair_mean_quantiles(self, rows, q, r, seen, f_seen, k_seen) -> np.ndarray:
@@ -483,10 +486,8 @@ class _EvenLaws:
         at_i, xi = at[own], x[at[own] + i]
         upper = np.where(seen[own] == r[own] + 1, k_seen[own, i], n[own])
         f_lo, lo_k = f_seen, k_seen[own, i]
-        fresh = np.flatnonzero(seen != r)
-        if fresh.size:
-            sel = np.flatnonzero(seen[own] != r[own])
-            f_lo[fresh], lo_k[sel] = self.cdf(rows[fresh], lo_t[fresh], r[fresh], upper[sel])
+        fresh, sel = np.flatnonzero(seen != r), np.flatnonzero(seen[own] != r[own])
+        f_lo[fresh], lo_k[sel] = self.cdf(rows[fresh], lo_t[fresh], r[fresh], upper[sel])
         while True:
             count = self._pair_counts(at_i, xi, hi_t[own], lo_k, upper, strict=True) - lo_k
             total = np.add.reduceat(count, np.cumsum(r) - r)
@@ -518,9 +519,9 @@ class _EvenLaws:
         row, col = _ranges(total)
         j = lo_k[each] + step + 1
         values = _pair_mean(xi[each], x[at_i[each] + j - 1])
-        weight, beyond, share = self._terms
+        central, beyond, share = self._terms
         at_n = self._terms_at[n[row]]
-        jump = np.exp(weight[at_n + i[each]] + beyond[at_n + j - 1] + share[at_n + j])
+        jump = np.exp(central[at_n + i[each]] + beyond[at_n + j - 1] + share[at_n + j])
         order = _row_order(values, row, col)
         # running sums restart at each row: one row per line of a zero-padded matrix,
         # whose padding adds zeros, so the first sum to reach q is a candidate's
@@ -559,8 +560,7 @@ class _ResampledMedianLaw:
     """
 
     def __init__(self, x: np.ndarray):
-        self.x = np.sort(x)
-        self.n, self.m = x.size, x.size // 2
+        self.x, self.n, self.m = np.sort(x), x.size, x.size // 2
         if self.n % 2 == 0:
             self._even = _EvenLaws(np.append(self.x, np.inf)[None], np.array([self.n]))
 
