@@ -304,11 +304,8 @@ def _segment_sums(values: np.ndarray, owner: np.ndarray, count: int) -> np.ndarr
 
 
 def _search(go, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Elementwise, the first ``j`` in ``[lo, hi]`` where ``go(j)`` is false (``hi`` if none is).
-
-    ``go`` holds on a prefix of each range; every range is bisected in its own
-    bounds, in lockstep, and ``go`` may be called at ``hi``.
-    """
+    """Elementwise, the first ``j`` in ``[lo, hi]`` where ``go(j)``, true on a prefix of each
+    range, is false (else ``hi``): all ranges bisected in lockstep; ``go`` may see ``hi``."""
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = (lo + hi) >> 1
         step = go(mid)
@@ -339,8 +336,8 @@ def _brackets(n: int, q: float) -> tuple[int, int]:
     ``hi`` is the first k with ``P(N(k) >= m + 1) >= q``: for odd n the
     quantile is ``x_(hi)`` (and ``lo == hi``). For even n it lies between
     ``x_(lo)`` and ``x_(hi)``, ``lo`` the first k with ``P(N(k) >= m) >= q``.
-    Both depend on n and q alone. ``k / n`` is the q-quantile of Beta(a, n - a + 1), so a
-    window around its normal approximation mostly holds them; else one search over k finds them.
+    Both depend on n and q alone; a window around the normal approximation to the
+    Beta(a, n - a + 1) q-quantile mostly holds them, else one search over k finds them.
     """
     a = np.array([n // 2 + 1, (n + 1) // 2])
     mean = a / (n + 1.0)
@@ -488,8 +485,11 @@ class _EvenLaws:
         f_lo, lo_k = f_seen, k_seen[own, i]
         fresh, sel = np.flatnonzero(seen != r), np.flatnonzero(seen[own] != r[own])
         f_lo[fresh], lo_k[sel] = self.cdf(rows[fresh], lo_t[fresh], r[fresh], upper[sel])
+        hi_k, sel = lo_k.copy(), np.arange(own.size)  # the entries whose strict counts are due
         while True:
-            count = self._pair_counts(at_i, xi, hi_t[own], lo_k, upper, strict=True) - lo_k
+            hi_k[sel] = self._pair_counts(
+                at_i[sel], xi[sel], hi_t[own[sel]], lo_k[sel], upper[sel], strict=True)
+            count = hi_k - lo_k
             total = np.add.reduceat(count, np.cumsum(r) - r)
             split = np.flatnonzero(total > _CANDIDATES_PER_VALUE * n)
             if not split.size:
@@ -641,13 +641,12 @@ def _median_inference(ratios: np.ndarray) -> tuple[float, float, float | None, f
 def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
     """``(estimate, sd)`` arrays of ``_median_inference(ratios[r, mask[r]])`` for every row.
 
-    One sort serves all rows: each row's set is packed to the left of a
-    ``(rows, max(size) + 1)`` array padded with ``+inf``. The median is read as
-    ``np.median`` computes it; an odd-n row's quantiles are gathered at the
-    positions :func:`_brackets` keeps, and the even-n rows' scales come all at
-    once, both quantiles of every row in one lockstep search (:class:`_EvenLaws`),
-    in O(rows x max n) memory. The sort may order ``+0.0`` and ``-0.0`` unlike a
-    sort of the set alone, so rows with a zero run :func:`_median_inference`.
+    One sort serves all rows, each set packed to the left of a ``(rows, max(size) + 1)``
+    array padded with ``+inf``; the median is read as ``np.median`` computes it. An odd-n
+    row's quantiles are gathered where :func:`_brackets` points; the even-n rows' come all
+    at once, in one lockstep search (:class:`_EvenLaws`) in O(rows x max n) memory. The sort
+    may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so rows with a zero run
+    :func:`_median_inference`.
     """
     xs = np.full((size.size, size.max(initial=0) + 1), np.inf)
     xs[np.arange(xs.shape[1]) < size[:, None]] = ratios[mask]
