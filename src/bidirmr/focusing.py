@@ -527,7 +527,8 @@ class _EvenLaws:
         # whose padding adds zeros, so the first sum to reach q is a candidate's
         running = np.zeros((total.size, int(total.max())))
         running[row, col] = jump[order]
-        reached = f_lo[:, None] + np.cumsum(running, axis=1) >= q[:, None]
+        np.cumsum(running, axis=1, out=running)
+        reached = np.add(running, f_lo[:, None], out=running) >= q[:, None]
         hit = np.flatnonzero(reached.any(axis=1) & (total > 0))
         out[hit] = values[order][(np.cumsum(total) - total)[hit] + reached[hit].argmax(axis=1)]
         return out
