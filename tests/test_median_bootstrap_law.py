@@ -10,6 +10,7 @@ by |c| and nonnegativity, and that the batched even-n search gives, hex for
 hex, the quantiles of the per-row law it replaced (kept here as an oracle).
 """
 
+import contextlib
 import math
 import warnings
 from functools import lru_cache
@@ -467,9 +468,10 @@ def per_row(answer):
 
 
 def candidates(limit):
-    """Patch ``_CANDIDATES_PER_VALUE`` (0 splits every bracket to the end, 10**6 never)."""
+    """Patch ``_CANDIDATES_PER_VALUE`` (0 splits every bracket to the end, 10**6 never);
+    None keeps its value."""
     if limit is None:
-        return mock.patch.object(focusing, "_CANDIDATES_PER_VALUE", focusing._CANDIDATES_PER_VALUE)
+        return contextlib.nullcontext()
     return mock.patch.object(focusing, "_CANDIDATES_PER_VALUE", limit)
 
 
