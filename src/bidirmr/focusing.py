@@ -386,6 +386,19 @@ def _row_order(values: np.ndarray, owner: np.ndarray, offset: np.ndarray) -> np.
 class _EvenLaws:
     """The laws of ``np.median`` of n-out-of-n resamples of many even-size samples at once.
 
+    With a sample sorted, ``n = 2m`` and ``N(k) ~ Binomial(n, k/n)`` the number of
+    draws at sorted positions ``<= k``, the median is ``A = (X*_(m) + X*_(m+1)) / 2``
+    and (Maritz & Jarrett 1978, JASA 73:194; Efron 1979, Ann. Stat. 7:1)
+
+        P(A <= t) = P(N(r) >= m)
+                    - C(n, m) sum_{i <= r} ((i/n)^m - ((i-1)/n)^m) (1 - k_i/n)^(n-m)
+
+    with ``r = #{i : (x_i + x_i)/2 <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``;
+    the i-th term is the probability that ``X*_(m)`` sits at position ``i`` while
+    ``X*_(m+1)`` lies beyond position ``k_i``. Pair means are compared as
+    ``np.median`` computes them, overflow to ``+-inf`` included, so the law is
+    that of the floating-point medians.
+
     Row ``e`` of ``xs`` holds a sample of ``size[e]`` values, sorted, then at
     least one ``+inf`` of padding. The rows search in lockstep, each within its
     own n (padding never meets a genuine ``+inf``) and each sum over one row's
@@ -534,67 +547,23 @@ class _EvenLaws:
         return out
 
 
-class _ResampledMedianLaw:
-    """Exact distribution of ``np.median`` of an n-out-of-n resample of ``x``.
-
-    With ``x`` sorted and ``N(k) ~ Binomial(n, k/n)`` the number of draws at
-    sorted positions ``<= k`` (Maritz & Jarrett 1978, JASA 73:194; Efron
-    1979, Ann. Stat. 7:1):
-
-    * odd ``n = 2m + 1``: ``P(med* <= x_(k)) = P(N(k) >= m + 1)``;
-    * even ``n = 2m``: the median is ``A = (X*_(m) + X*_(m+1)) / 2`` and
-
-          P(A <= t) = P(N(r) >= m)
-                      - C(n, m) sum_{i <= r} ((i/n)^m - ((i-1)/n)^m) (1 - k_i/n)^(n-m)
-
-      with ``r = #{i : (x_i + x_i)/2 <= t}`` and ``k_i = #{j : (x_i + x_j)/2 <= t}``;
-      the i-th term is the probability that ``X*_(m)`` sits at position
-      ``i`` while ``X*_(m+1)`` lies beyond position ``k_i``.
-
-    Pair means are compared as ``np.median`` computes them, overflow to
-    ``+-inf`` included, so the law is that of the floating-point medians.
-    What depends on n alone is shared between laws: the log-factorials (one
-    table, 8 bytes per entry up to the largest n seen), the quantile brackets
-    (:func:`_brackets`) and the even-n log terms (:func:`_even_terms`). An
-    odd-n quantile is then one lookup; an even-n one is :class:`_EvenLaws` on
-    one row, in O(n log n) time for typical samples, O(n log^2 n) at worst.
-    """
-
-    def __init__(self, x: np.ndarray):
-        self.x, self.n, self.m = np.sort(x), x.size, x.size // 2
-        if self.n % 2 == 0:
-            self._even = _EvenLaws(np.append(self.x, np.inf)[None], np.array([self.n]))
-
-    def cdf(self, t: float) -> float:
-        """``P(median of a resample <= t)``."""
-        if self.n % 2:
-            return float(_tails(self.n, self.m + 1, np.searchsorted(self.x, [t], side="right"))[0])
-        with np.errstate(all="ignore"):
-            return float(self._even.cdf(np.zeros(1, dtype=np.intp), np.array([float(t)]))[0][0])
-
-    def quantile(self, q: float) -> float:
-        """Smallest median value ``t`` with ``cdf(t) >= q`` (the left-continuous inverse)."""
-        if self.n % 2:
-            return float(self.x[_brackets(self.n, q)[0] - 1])
-        with np.errstate(all="ignore"):
-            return float(self._even.quantiles(np.zeros(1, dtype=np.intp), np.array([q]))[0])
-
-
 def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
     """Percentile SD of the SNP-bootstrap median, from its exact distribution.
 
     Half the span between the ``std_cdf(-1)`` and ``std_cdf(1)`` quantiles
     of ``np.median`` over n-out-of-n resamples of ``ratios``: the limit, as
     the number of resamples grows, of :func:`bootstrap_median_sd`. Uses no
-    random numbers.
+    random numbers. :func:`_median_rows` on ``ratios`` as its one row.
     """
     ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1:
+        raise InputError(f"ratios must be one-dimensional, got shape {ratios.shape}")
     if ratios.size == 0:
         raise EmptyFocusedSetError("cannot bootstrap an empty ratio set")
     if np.isnan(ratios).any():
         raise InputError("ratios must not be NaN")
-    law = _ResampledMedianLaw(ratios)
-    return (law.quantile(_PCTL_HI) - law.quantile(_PCTL_LO)) / 2.0
+    one_row = np.ones((1, ratios.size), dtype=bool)
+    return float(_median_rows(ratios[None], one_row, np.array([ratios.size]))[1][0])
 
 
 # Resampled values gathered at a time: bounds the memory the Monte-Carlo
@@ -625,40 +594,31 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
     return float((hi - lo) / 2.0)
 
 
-def _median_inference(ratios: np.ndarray) -> tuple[float, float, float | None, float]:
-    """``(estimate, sd, z, p_value)`` of the median of ``ratios`` against zero.
-
-    The scale is :func:`exact_bootstrap_median_sd`. A zero scale leaves
-    ``z`` None, with p-value 1 for a zero median and 0 otherwise.
-    """
-    estimate = float(np.median(ratios))
-    sd = exact_bootstrap_median_sd(ratios)
-    if sd > 0.0:
-        z = estimate / sd
-        return estimate, sd, z, 2.0 * std_sf(abs(z))
-    return estimate, sd, None, 1.0 if estimate == 0.0 else 0.0
-
-
 def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
-    """``(estimate, sd)`` arrays of ``_median_inference(ratios[r, mask[r]])`` for every row.
+    """``(estimate, sd)`` arrays: for every row, ``np.median`` of its set ``ratios[r, mask[r]]``
+    and the scale :func:`exact_bootstrap_median_sd` gives that set.
 
-    One sort serves all rows, each set packed to the left of a ``(rows, max(size) + 1)``
-    array padded with ``+inf``; the median is read as ``np.median`` computes it. An odd-n
-    row's quantiles are gathered where :func:`_brackets` points; the even-n rows' come all
-    at once, in one lockstep search (:class:`_EvenLaws`) in O(rows x max n) memory. The sort
-    may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so rows with a zero run
-    :func:`_median_inference`.
+    With the set sorted and ``N(k) ~ Binomial(n, k/n)`` draws at positions ``<= k``, odd
+    ``n = 2m + 1`` has ``P(med* <= x_(k)) = P(N(k) >= m + 1)`` (Maritz & Jarrett 1978;
+    Efron 1979): its quantiles are gathered where :func:`_brackets` points. The even-n rows'
+    come all at once, in one lockstep search (:class:`_EvenLaws`) in O(rows x max n) memory.
+    One sort serves all rows, each set packed left in a ``(rows, max(size) + 1)`` array padded
+    with ``+inf``. It may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so a row
+    holding a zero is sorted alone and takes ``np.median``'s estimate, zeros signed as alone.
     """
     xs = np.full((size.size, size.max(initial=0) + 1), np.inf)
     xs[np.arange(xs.shape[1]) < size[:, None]] = ratios[mask]
     xs.sort(axis=1)
     r, m = np.arange(size.size), size // 2
     odd = size % 2 == 1
-    zero = (xs == 0.0).any(axis=1)
-    even = np.flatnonzero(~odd & ~zero)
+    even = np.flatnonzero(~odd)
     sd = np.empty(size.size)
     with np.errstate(all="ignore"):
         estimate = np.where(odd, xs[r, m], _pair_mean(xs[r, m - 1], xs[r, m]))
+        for i in np.flatnonzero((xs == 0.0).any(axis=1)).tolist():
+            own = ratios[i, mask[i]]
+            xs[i, : size[i]] = np.sort(own)
+            estimate[i] = np.median(own)
         if odd.any():
             n_odd = size[odd].tolist()
             lo = np.array([_brackets(n, _PCTL_LO)[0] for n in n_odd]) - 1
@@ -668,8 +628,6 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
             q = np.repeat([_PCTL_HI, _PCTL_LO], even.size)
             quantile = _EvenLaws(xs, size).quantiles(np.concatenate((even, even)), q)
             sd[even] = (quantile[: even.size] - quantile[even.size:]) / 2.0
-    for i in np.flatnonzero(zero).tolist():
-        estimate[i], sd[i] = _median_inference(ratios[i, mask[i]])[:2]
     return estimate, sd
 
 
@@ -733,8 +691,8 @@ def direction_rows(
     ``exp_beta``/``out_beta`` hold one panel's exposure and outcome betas per
     row; the standard errors are (p,) vectors shared by the rows (or (R, p)).
     Masks, weights, IVW estimates, z and p are row reductions; the median
-    methods give each row what :func:`_median_inference` gives its set,
-    from one sort of all rows (:func:`_median_rows`), and MR-Egger is solved
+    methods take each row's median and its exact SNP-bootstrap scale from
+    one sort of all rows (:func:`_median_rows`), and MR-Egger is solved
     in closed form (:func:`_egger_rows`). Of ``cfg`` only ``tau_f`` and, for
     focused IVW rows with a nonempty set, ``null_var`` are used.
 
@@ -783,7 +741,7 @@ def direction_rows(
         estimate, se, z, p_value = nan.copy(), nan.copy(), nan.copy(), nan.copy()
         rows = np.flatnonzero(live)
         estimate[rows], se[rows] = _median_rows(ratios[rows], mask[rows], size[rows])
-        # as _median_inference: a zero scale leaves z undefined, p 1 at a zero median, else 0
+        # a zero scale leaves z undefined, p 1 at a zero median, else 0
         scaled = rows[se[rows] > 0.0]
         with np.errstate(invalid="ignore"):
             z[scaled] = estimate[scaled] / se[scaled]

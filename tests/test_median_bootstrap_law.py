@@ -23,7 +23,7 @@ import pytest
 from bidirmr import focusing
 from bidirmr.errors import EmptyFocusedSetError, InputError
 from bidirmr.focusing import FocusConfig, Method, _brackets, _pair_mean, exact_bootstrap_median_sd
-from bidirmr.truncnorm import std_cdf
+from bidirmr.truncnorm import std_cdf, std_sf
 
 LO, HI = std_cdf(-1.0), std_cdf(1.0)
 
@@ -63,11 +63,34 @@ def small_vectors():
 SMALL = dict(small_vectors())
 
 
+class OneRowLaw:
+    """The package's exact law of one sample, as cdf and quantile: odd n by ``_tails`` and
+    ``_brackets``, even n by a one-row ``_EvenLaws``."""
+
+    def __init__(self, x):
+        self.x, self.n = np.sort(x), x.size
+        if self.n % 2 == 0:
+            self._even = focusing._EvenLaws(np.append(self.x, np.inf)[None], np.array([self.n]))
+
+    def cdf(self, t):
+        if self.n % 2:
+            return float(focusing._tails(self.n, self.n // 2 + 1,
+                                         np.searchsorted(self.x, [t], side="right"))[0])
+        with np.errstate(all="ignore"):
+            return float(self._even.cdf(np.zeros(1, dtype=np.intp), np.array([float(t)]))[0][0])
+
+    def quantile(self, q):
+        if self.n % 2:
+            return float(self.x[_brackets(self.n, q)[0] - 1])
+        with np.errstate(all="ignore"):
+            return float(self._even.quantiles(np.zeros(1, dtype=np.intp), np.array([q]))[0])
+
+
 @pytest.mark.parametrize("case", sorted(SMALL))
 def test_matches_enumeration_of_every_resample(case):
     x = SMALL[case]
     values, cdf = enumerated_law(x)
-    law = focusing._ResampledMedianLaw(x)
+    law = OneRowLaw(x)
     got = np.array([law.cdf(v) for v in values])
     np.testing.assert_allclose(got, cdf, rtol=0, atol=1e-12)
     if values[0] > -np.inf:  # an overflowing pair mean leaves no value below -inf
@@ -89,7 +112,7 @@ def test_matches_enumeration_with_both_infinities(x):
     x = np.array(x)
     with np.errstate(invalid="ignore"):
         values, cdf = enumerated_law(x)
-    law = focusing._ResampledMedianLaw(x)
+    law = OneRowLaw(x)
     defined = ~np.isnan(values)
     got = np.array([law.cdf(v) for v in values[defined]])
     np.testing.assert_allclose(got, cdf[defined], rtol=0, atol=1e-12)
@@ -114,7 +137,7 @@ def test_split_brackets_give_the_same_quantiles(monkeypatch, n):
     x = np.random.default_rng(n).normal(size=n).round(1)
     values, cdf = enumerated_law(x)
     monkeypatch.setattr(focusing, "_CANDIDATES_PER_VALUE", 0)
-    law = focusing._ResampledMedianLaw(x)
+    law = OneRowLaw(x)
     for q in (0.05, LO, 0.5, HI, 0.95):
         assert law.quantile(q) == left_inverse(values, cdf, q)
 
@@ -204,11 +227,19 @@ def test_chunk_sorted_rows_match_the_per_row_inference(seed):
     with np.errstate(divide="ignore", over="ignore"):
         ratios = out_beta / exp_beta
     assert np.isinf(ratios[rows.selected]).any()
-    want = [focusing._median_inference(ratios[r, rows.selected[r]]) for r in live]
-    same_floats(rows.estimate[live], [w[0] for w in want])
-    same_floats(rows.se[live], [w[1] for w in want])
-    same_floats(rows.z[live], [np.nan if w[2] is None else w[2] for w in want])
-    same_floats(rows.p_value[live], [w[3] for w in want])
+    sets = [ratios[r, rows.selected[r]] for r in live]
+    with np.errstate(invalid="ignore"):  # the median of -inf and inf is NaN
+        estimate = np.array([np.median(x) for x in sets])
+    sd = np.array([PerRowLaw(x).sd() for x in sets])
+    # a zero scale leaves z undefined, with p-value 1 at a zero median and 0 otherwise
+    scaled = sd > 0.0
+    z = np.where(scaled, estimate / np.where(scaled, sd, 1.0), np.nan)
+    p_value = np.where(estimate == 0.0, 1.0, 0.0)
+    p_value[scaled] = [2.0 * std_sf(abs(v)) for v in z[scaled]]
+    same_floats(rows.estimate[live], estimate)
+    same_floats(rows.se[live], sd)
+    same_floats(rows.z[live], z)
+    same_floats(rows.p_value[live], p_value)
 
 
 def monte_carlo_sd(x, n_boot, seed, block=5_000):
@@ -386,6 +417,28 @@ def test_nan_ratio_is_input_error():
         exact_bootstrap_median_sd(np.array([1.0, np.nan, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("ratios", [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 2.0, [[0.5]]])
+def test_ratios_that_are_not_one_dimensional_are_input_errors(ratios):
+    with pytest.raises(InputError):
+        exact_bootstrap_median_sd(np.array(ratios))
+
+
+def test_rows_holding_zeros_share_one_even_law():
+    # each row holds a signed zero and is sorted alone, but the even rows still search together
+    rng = np.random.default_rng(9)
+    size = np.array([2, 4, 5, 6, 7, 8, 9, 10, 12, 13])
+    ratios = np.full((size.size, size.max()), np.nan)
+    mask = np.arange(size.max()) < size[:, None]
+    ratios[mask] = rng.normal(size=size.sum()).round(1)
+    ratios[:, 0] = rng.choice([0.0, -0.0], size=size.size)
+    with mock.patch.object(focusing, "_EvenLaws", wraps=focusing._EvenLaws) as laws:
+        estimate, sd = focusing._median_rows(ratios, mask, size)
+    assert laws.call_count == 1
+    sets = [ratios[r, mask[r]] for r in range(size.size)]
+    same_floats(estimate, [np.median(x) for x in sets])
+    same_floats(sd, [PerRowLaw(x).sd() for x in sets])
+
+
 def test_leaves_input_untouched():
     ratios = np.random.default_rng(4).normal(size=26)
     before = ratios.copy()
@@ -481,7 +534,7 @@ def test_batched_law_matches_the_per_row_law_on_one_row(values, limit):
     x = np.array(values)
     oracle = PerRowLaw(x)
     with candidates(limit):
-        law = focusing._ResampledMedianLaw(x)
+        law = OneRowLaw(x)
         for q in (0.05, LO, 0.5, HI, 0.95):
             assert float.hex(law.quantile(q)) == float.hex(per_row(lambda: oracle.quantile(q)))
         assert float.hex(exact_bootstrap_median_sd(x)) == float.hex(per_row(oracle.sd))
