@@ -233,6 +233,25 @@ def _set_mask(exp_beta, exp_se, out_beta, out_se, tau_f: float, tau_s: float) ->
     return (np.abs(out_beta) <= out_se * tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
 
 
+def _select(mask: np.ndarray, a, b) -> np.ndarray:
+    """``np.where(mask, a, b)`` on float64, bit for bit, without a branch per element.
+
+    The mask widens to all-ones ``uint64`` words and each result is
+    ``b ^ ((a ^ b) & ones)`` on the values' bits, so ±0, ±inf and NaN payloads
+    come through as ``np.where`` gives them. ``np.where`` picks element by
+    element, and on a dense, unpredictable mask that costs several plain
+    passes; this costs the same whatever the mask. ``a`` and ``b`` broadcast
+    against ``mask``, which has the result's shape.
+    """
+    ones = mask.astype(np.uint64)
+    np.negative(ones, out=ones)
+    a_bits = np.asarray(a, dtype=np.float64).view(np.uint64)
+    b_bits = np.asarray(b, dtype=np.float64).view(np.uint64)
+    np.bitwise_and(ones, a_bits ^ b_bits, out=ones)
+    ones ^= b_bits
+    return ones.view(np.float64)
+
+
 def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarray:
     """Boolean mask of SNPs with |exposure beta| >= se * tau_s."""
     if not tau_s >= 0.0:
@@ -547,6 +566,18 @@ class _EvenLaws:
         return out
 
 
+def _ratio_set(ratios) -> np.ndarray:
+    """``ratios`` as a float array the median laws take: one-dimensional, nonempty, no NaN."""
+    ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1:
+        raise InputError(f"ratios must be one-dimensional, got shape {ratios.shape}")
+    if ratios.size == 0:
+        raise EmptyFocusedSetError("cannot bootstrap an empty ratio set")
+    if np.isnan(ratios).any():
+        raise InputError("ratios must not be NaN")
+    return ratios
+
+
 def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
     """Percentile SD of the SNP-bootstrap median, from its exact distribution.
 
@@ -555,13 +586,7 @@ def exact_bootstrap_median_sd(ratios: np.ndarray) -> float:
     the number of resamples grows, of :func:`bootstrap_median_sd`. Uses no
     random numbers. :func:`_median_rows` on ``ratios`` as its one row.
     """
-    ratios = np.asarray(ratios, dtype=float)
-    if ratios.ndim != 1:
-        raise InputError(f"ratios must be one-dimensional, got shape {ratios.shape}")
-    if ratios.size == 0:
-        raise EmptyFocusedSetError("cannot bootstrap an empty ratio set")
-    if np.isnan(ratios).any():
-        raise InputError("ratios must not be NaN")
+    ratios = _ratio_set(ratios)
     one_row = np.ones((1, ratios.size), dtype=bool)
     return float(_median_rows(ratios[None], one_row, np.array([ratios.size]))[1][0])
 
@@ -577,11 +602,10 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
     Resamples SNPs with replacement and returns half the central
     one-sigma percentile span of the bootstrap medians. The estimators use
     the exact law; this form stays as a public reference, and the
-    benchmark's tracer (``bench/tracing.py``) wraps it by name.
+    benchmark's tracer (``bench/tracing.py``) wraps it by name. It takes
+    the ratio sets :func:`exact_bootstrap_median_sd` takes.
     """
-    ratios = np.asarray(ratios, dtype=float)
-    if ratios.size == 0:
-        raise EmptyFocusedSetError("cannot bootstrap an empty ratio set")
+    ratios = _ratio_set(ratios)
     if n_boot < 2:
         raise InputError("n_boot must be at least 2")
     idx = rng.integers(0, ratios.size, size=(n_boot, ratios.size))
@@ -730,9 +754,9 @@ def direction_rows(
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = out_beta / exp_beta
-        weights = np.where(mask, (exp_beta / out_se) ** 2, 0.0)
-        weight_sum = np.where(size > 0, weights.sum(axis=1), np.nan)
-        max_share = np.where(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
+        weights = _select(mask, (exp_beta / out_se) ** 2, 0.0)
+        weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
+        max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
     live = size > 0
     live[list(errors)] = False
 
@@ -758,7 +782,7 @@ def direction_rows(
         for r in np.flatnonzero(live & ((weight_sum == 0.0) | np.isinf(weight_sum))).tolist():
             errors.setdefault(r, _degenerate_weights(weight_sum[r]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            estimate = np.where(mask, weights * ratios, 0.0).sum(axis=1) / weight_sum
+            estimate = _select(mask, weights * ratios, 0.0).sum(axis=1) / weight_sum
             se = np.sqrt(null_var / weight_sum)
             z = estimate / se
         p_value = _two_sided_p(z)
@@ -786,7 +810,13 @@ def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRo
     """MR-Egger on every row of (R, p) estimates, in closed form.
 
     Each SNP is first oriented so its exposure association is nonnegative
-    (the regression is not invariant to per-SNP sign conventions otherwise).
+    (the regression is not invariant to per-SNP sign conventions otherwise):
+    both its betas are multiplied by -1 where ``exp_beta < 0`` and by 1
+    elsewhere, which for any beta but NaN gives the bits negation gives,
+    ``-0.0`` included. Masked values are picked by bit selects (:func:`_select`),
+    ``w * x`` serves both ``xbar`` and the trace below, ``w * (x - xbar)``
+    both ``Sxx`` and ``Sxy``, and every sum runs over a row in its own order,
+    so every float is what the same formulas give through ``np.where``.
     Per row, the weighted least squares of oriented outcome on oriented
     exposure betas with intercept, weights ``w = 1 / out_se^2``, solved on
     centered sums: with ``W = sum w`` and weighted means ``xbar``, ``ybar``,
@@ -805,10 +835,12 @@ def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRo
     """
     mask = _set_mask(exp_beta, exp_se, out_beta, out_se, math.inf, tau_s)
     n = mask.sum(axis=1)
-    flip = exp_beta < 0.0
-    x = np.where(flip, -exp_beta, exp_beta)
-    y = np.where(flip, -out_beta, out_beta)
-    spread = np.where(mask, x, -np.inf).max(axis=1) - np.where(mask, x, np.inf).min(axis=1)
+    # -1 where exp_beta < 0, else 1: a product with it orients as negation does
+    sign = (exp_beta < 0.0) * -2.0
+    sign += 1.0
+    x = exp_beta * sign
+    y = np.multiply(out_beta, sign, out=sign)
+    spread = _select(mask, x, -np.inf).max(axis=1) - _select(mask, x, np.inf).min(axis=1)
 
     errors = {}
     for r in np.flatnonzero(n < 3).tolist():
@@ -821,14 +853,18 @@ def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRo
         errors[r] = RankDeficientError("all oriented exposure associations are equal")
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = np.where(mask, (1.0 / out_se) ** 2, 0.0)
+        w = _select(mask, (1.0 / out_se) ** 2, 0.0)
         w_sum = w.sum(axis=1)
-        x_bar = (w * x).sum(axis=1) / w_sum
-        y_bar = (w * y).sum(axis=1) / w_sum
-        dx = np.where(mask, x - x_bar[:, None], 0.0)
-        s_xx = (w * dx * dx).sum(axis=1)
-        s_xy = (w * dx * (y - y_bar[:, None])).sum(axis=1)
-        trace = w_sum + (w * x * x).sum(axis=1)
+        wx = w * x
+        x_bar = wx.sum(axis=1) / w_sum
+        trace = w_sum + np.multiply(wx, x, out=wx).sum(axis=1)
+        y_bar = np.multiply(w, y, out=wx).sum(axis=1) / w_sum
+        x -= x_bar[:, None]
+        dx = _select(mask, x, 0.0)
+        wdx = np.multiply(w, dx, out=w)
+        s_xx = np.multiply(wdx, dx, out=dx).sum(axis=1)
+        y -= y_bar[:, None]
+        s_xy = np.multiply(wdx, y, out=y).sum(axis=1)
         q = (w_sum / trace) * (s_xx / trace)  # det / trace^2, at most 1/4
         eigen_ratio = 4.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q, 0.0))) ** 2
         slope = s_xy / s_xx

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import GwasParseError, InputError
 from .focusing import Direction, FocusConfig, Method, Panel, direction_rows
-from .focusing import _roles, _separation_threshold
+from .focusing import _roles, _select, _separation_threshold
 from .gwasio import load_float_columns
 from .model import IvClass, TruthConfig, _class_masks, _marginal_effects, reduced_form
 
@@ -243,8 +243,8 @@ def generate_truth(
 def _activated(seed: SeedEffects, kappa: float, uniforms: np.ndarray, min_snr: float | None):
     """``(pi_d, pi_y)`` from draws 1 and 2, the activation uniforms ``uniforms[..., 0:2, :]``."""
     prob_d, prob_y = seed.activation_probabilities(kappa)
-    pi_d = np.where(uniforms[..., 0, :] < prob_d, seed.alpha_d, 0.0)
-    pi_y = np.where(uniforms[..., 1, :] < prob_y, seed.alpha_y, 0.0)
+    pi_d = _select(uniforms[..., 0, :] < prob_d, seed.alpha_d, 0.0)
+    pi_y = _select(uniforms[..., 1, :] < prob_y, seed.alpha_y, 0.0)
     if min_snr is not None:
         pi_d = _amplified(pi_d, seed.se_d, min_snr)
         pi_y = _amplified(pi_y, seed.se_y, min_snr)
@@ -262,7 +262,7 @@ def _with_noise(gamma_d, gamma_y, se_d, se_y, normals: np.ndarray):
 def _amplified(pi: np.ndarray, se: np.ndarray, threshold: float) -> np.ndarray:
     floor = threshold * se
     weak = (pi != 0.0) & (np.abs(pi) < floor)
-    return np.where(weak, np.sign(pi) * floor, pi)
+    return _select(weak, np.sign(pi) * floor, pi)
 
 
 def _separation_floor(p: int, cfg: FocusConfig, c1: float) -> float:

@@ -5,7 +5,9 @@ report what the single-panel tests report on panel ``r`` alone: the same
 rejection, set and error class, and estimates within 1e-12 relative. The
 focused IVW rows are also checked against a plain compressed-array
 computation, and the closed-form Egger regression against
-``np.linalg.lstsq``.
+``np.linalg.lstsq``. The row kernels pick masked values by bit selects and
+orient MR-Egger's SNPs by multiplying by ±1; local copies of their
+``np.where`` forms are the oracle for every float bit and every error.
 """
 
 import dataclasses
@@ -25,11 +27,13 @@ from bidirmr.errors import (  # noqa: E402
     RankDeficientError,
     ZeroDenominatorError,
 )
+from bidirmr import focusing  # noqa: E402
 from bidirmr.focusing import (  # noqa: E402
     Direction,
     FocusConfig,
     Method,
     Panel,
+    _select,
     direction_rows,
 )
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
@@ -240,3 +244,187 @@ def test_egger_normal_equations_that_overflow_are_a_degeneracy():
     assert "overflow" in str(rows.errors[0])
     tiny = _egger_rows(x, np.ones(4), y, np.full(4, 1e-140), 0.0)
     assert tiny.errors == {} and tiny.estimate[0] == pytest.approx(-1.0, rel=1e-12)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# raw words cover NaN payloads of both signs, subnormals and everything else;
+# the named values make sure the edges come up in every run
+words = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([
+        int(_bits(v)) for v in (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.0)
+    ] + [0x7FF0000000000001, 0xFFF8000000000123, 0x7FF4000000000000]),
+)
+
+
+@st.composite
+def selects(draw):
+    rows = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 6))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows * p, max_size=rows * p)))
+
+    def operand():
+        shape = draw(st.sampled_from([(rows, p), (p,), ()]))
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(words, min_size=size, max_size=size)),
+                        dtype=np.uint64).reshape(shape).view(np.float64)
+
+    return mask.reshape(rows, p), operand(), operand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(selects())
+def test_select_is_np_where_bit_for_bit(case):
+    mask, a, b = case
+    np.testing.assert_array_equal(_bits(_select(mask, a, b)), _bits(np.where(mask, a, b)))
+
+
+def _where_ivw(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method):
+    """The IVW fields of ``direction_rows`` as the kernel computed them with ``np.where``."""
+    if not method.focused:
+        cfg = FocusConfig(tau_f=math.inf)
+    mask = focusing._set_mask(exp_beta, exp_se, out_beta, out_se, cfg.tau_f, tau_s)
+    zero = mask & (exp_beta == 0.0)
+    n_dropped = zero.sum(axis=1)
+    mask &= ~zero
+    size = mask.sum(axis=1)
+    errors = {}
+    if not method.focused:
+        for r in np.flatnonzero(size + n_dropped == 0).tolist():
+            errors[r] = focusing._empty_relevant_set(tau_s)
+        for r in np.flatnonzero(n_dropped).tolist():
+            errors.setdefault(
+                r, ZeroDenominatorError("ratio estimates need nonzero exposure associations")
+            )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = out_beta / exp_beta
+        weights = np.where(mask, (exp_beta / out_se) ** 2, 0.0)
+        weight_sum = np.where(size > 0, weights.sum(axis=1), np.nan)
+        max_share = np.where(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
+        live = size > 0
+        live[list(errors)] = False
+        null_var = cfg.null_var if live.any() else math.nan
+        for r in np.flatnonzero(live & ((weight_sum == 0.0) | np.isinf(weight_sum))).tolist():
+            errors.setdefault(r, focusing._degenerate_weights(weight_sum[r]))
+        estimate = np.where(mask, weights * ratios, 0.0).sum(axis=1) / weight_sum
+        se = np.sqrt(null_var / weight_sum)
+        z = estimate / se
+    p_value = focusing._two_sided_p(z)
+    if method.focused:
+        p_value[size == 0] = 0.0
+    floats = dict(weight_sum=weight_sum, max_share=max_share, estimate=estimate, se=se, z=z,
+                  p_value=p_value)
+    return mask, size, floats, errors
+
+
+def _where_egger(exp_beta, exp_se, out_beta, out_se, tau_s):
+    """``_egger_rows`` as it computed with ``np.where``: negated betas and masked selects."""
+    mask = focusing._set_mask(exp_beta, exp_se, out_beta, out_se, math.inf, tau_s)
+    n = mask.sum(axis=1)
+    flip = exp_beta < 0.0
+    x = np.where(flip, -exp_beta, exp_beta)
+    y = np.where(flip, -out_beta, out_beta)
+    spread = np.where(mask, x, -np.inf).max(axis=1) - np.where(mask, x, np.inf).min(axis=1)
+    errors = {}
+    for r in np.flatnonzero(n < 3).tolist():
+        errors[r] = (
+            focusing._empty_relevant_set(tau_s)
+            if n[r] == 0
+            else RankDeficientError(f"Egger regression needs at least 3 relevant SNPs, got {n[r]}")
+        )
+    for r in np.flatnonzero((n >= 3) & (spread == 0.0)).tolist():
+        errors[r] = RankDeficientError("all oriented exposure associations are equal")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(mask, (1.0 / out_se) ** 2, 0.0)
+        w_sum = w.sum(axis=1)
+        x_bar = (w * x).sum(axis=1) / w_sum
+        y_bar = (w * y).sum(axis=1) / w_sum
+        dx = np.where(mask, x - x_bar[:, None], 0.0)
+        s_xx = (w * dx * dx).sum(axis=1)
+        s_xy = (w * dx * (y - y_bar[:, None])).sum(axis=1)
+        trace = w_sum + (w * x * x).sum(axis=1)
+        q = (w_sum / trace) * (s_xx / trace)
+        eigen_ratio = 4.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q, 0.0))) ** 2
+        slope = s_xy / s_xx
+        intercept = y_bar - slope * x_bar
+        se = np.sqrt(1.0 / s_xx)
+        intercept_se = np.sqrt(1.0 / w_sum + x_bar * x_bar / s_xx)
+        z = slope / se
+    for r in np.flatnonzero(np.isinf(trace)).tolist():
+        errors.setdefault(r, RankDeficientError("Egger normal equations overflow"))
+    for r in np.flatnonzero(~(eigen_ratio > (np.finfo(float).eps * n) ** 2)).tolist():
+        errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
+    floats = dict(weight_sum=np.full(n.size, np.nan), max_share=np.full(n.size, np.nan),
+                  estimate=slope, se=se, z=z, p_value=focusing._two_sided_p(z),
+                  intercept=intercept, intercept_se=intercept_se)
+    return mask, n, floats, errors
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_subnormal=False))
+
+
+@st.composite
+def chunks(draw):
+    """(R, p) estimates whose relevance sets are empty, sparse or full row by row.
+
+    Exposure betas take both signs and ±0.0, a row may be scaled so its IVW
+    weights underflow, and outcome standard errors as small as 1e-200 make
+    weights overflow.
+    """
+    rows = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 10))
+    tau_s = draw(st.sampled_from([0.0, 1.0]))
+    exp_se = np.array(draw(st.lists(st.floats(0.25, 2.0), min_size=p, max_size=p)))
+    out_se = np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=p, max_size=p)))
+    if draw(st.booleans()):
+        tiny = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+        out_se[tiny] = draw(st.sampled_from([1e-200, 1e-160, 1e-155]))
+    exp_beta = np.empty((rows, p))
+    for r in range(rows):
+        kind = draw(st.sampled_from(["empty", "sparse", "full"]))
+        raw = np.array(draw(st.lists(signed, min_size=p, max_size=p)))
+        relevant = {
+            "empty": np.zeros(p, dtype=bool),
+            "full": np.ones(p, dtype=bool),
+            "sparse": np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p))),
+        }[kind]
+        # |beta| >= exp_se * tau_s exactly where relevant; at tau_s = 0 every SNP is
+        beta = np.where(
+            relevant, np.copysign(exp_se * (tau_s + np.abs(raw)), raw), raw * exp_se * tau_s / 4.0
+        )
+        exp_beta[r] = beta * draw(st.sampled_from([1.0, 1.0, 1.0, 1e-170]))
+    out_beta = np.array(draw(st.lists(signed, min_size=rows * p, max_size=rows * p)))
+    out_beta = out_beta.reshape(rows, p) * out_se
+    tau_f = draw(st.sampled_from([0.5, 1.5, math.inf]))
+    return exp_beta, exp_se, out_beta, out_se, tau_f, tau_s
+
+
+def _assert_same_rows(rows, mask, size, floats, errors):
+    np.testing.assert_array_equal(rows.selected, mask)
+    np.testing.assert_array_equal(rows.size, size)
+    for name, expected in floats.items():
+        np.testing.assert_array_equal(_bits(getattr(rows, name)), _bits(expected), err_msg=name)
+    assert {r: (type(e), str(e)) for r, e in rows.errors.items()} == {
+        r: (type(e), str(e)) for r, e in errors.items()
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunks())
+def test_row_kernels_keep_every_bit_of_the_np_where_forms(chunk):
+    exp_beta, exp_se, out_beta, out_se, tau_f, tau_s = chunk
+    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s)
+    for method in (Method.FOCUSED_IVW, Method.OVERALL_IVW):
+        rows = direction_rows(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method)
+        _assert_same_rows(rows, *_where_ivw(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method))
+    rows = direction_rows(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, Method.MR_EGGER)
+    _assert_same_rows(rows, *_where_egger(exp_beta, exp_se, out_beta, out_se, tau_s))
+    # the median methods share the IVW weights' sum and largest share
+    for method in (Method.FOCUSED_MEDIAN, Method.MR_MEDIAN):
+        rows = direction_rows(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method)
+        _, _, floats, _ = _where_ivw(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method)
+        for name in ("weight_sum", "max_share"):
+            np.testing.assert_array_equal(_bits(getattr(rows, name)), _bits(floats[name]))

@@ -246,6 +246,17 @@ class TestBootstrapMedianSd:
         focusing.bootstrap_median_sd(ratios, np.random.default_rng(1), n_boot=50)
         np.testing.assert_array_equal(ratios, before)
 
+    @pytest.mark.parametrize(
+        "ratios",
+        [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 2.0, [[0.5]], [1.0, np.nan]],
+        ids=["2-d", "0-d", "one-by-one", "nan"],
+    )
+    def test_rejects_what_the_exact_law_rejects(self, ratios):
+        with pytest.raises(InputError):
+            focusing.exact_bootstrap_median_sd(ratios)
+        with pytest.raises(InputError):
+            focusing.bootstrap_median_sd(ratios, np.random.default_rng(1), n_boot=50)
+
 
 class TestTestDirection:
     def test_empty_set_rejects_with_flag(self):
