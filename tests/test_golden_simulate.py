@@ -37,6 +37,11 @@ CASES = {
         "--reps", "50", "--seed", "3"],
     "median.json": _SEPARATED + [
         "--beta-dy", "0.3", "--methods", "focused_median,mr_median", "--reps", "10", "--seed", "4"],
+    "median_null.json": _SEPARATED + [
+        "--beta-dy", "0", "--methods", "focused_median,mr_median", "--reps", "200", "--seed", "12"],
+    "median_tiny_alpha.json": _SEPARATED + [
+        "--beta-dy", "0.3", "--methods", "focused_median,mr_median", "--alpha", "1e-20",
+        "--reps", "40", "--seed", "13"],
     "seed_file.json": [
         "--seed-file", str(FIXTURES / "seed_effects_60.tsv"), "--kappa", "0.7",
         "--beta-yd", "0.2", "--methods", _ALL_METHODS, "--reps", "20",
