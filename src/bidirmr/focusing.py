@@ -49,7 +49,8 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .model import TruthConfig
-from .truncnorm import TruncSpec, std_cdf, std_quantile, std_sf, truncnorm_mean, truncnorm_var
+from .truncnorm import _SQRT2, TruncSpec, std_cdf, std_quantile, std_sf
+from .truncnorm import truncnorm_mean, truncnorm_var
 
 __all__ = [
     "Direction",
@@ -618,9 +619,10 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
     return float((hi - lo) / 2.0)
 
 
-def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
-    """``(estimate, sd)`` arrays: for every row, ``np.median`` of its set ``ratios[r, mask[r]]``
-    and the scale :func:`exact_bootstrap_median_sd` gives that set.
+def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
+                 alpha: float | None = None):
+    """``(estimate, sd, settled, reject)`` arrays: for every row, ``np.median`` of its set
+    ``ratios[r, mask[r]]`` and the scale :func:`exact_bootstrap_median_sd` gives that set.
 
     With the set sorted and ``N(k) ~ Binomial(n, k/n)`` draws at positions ``<= k``, odd
     ``n = 2m + 1`` has ``P(med* <= x_(k)) = P(N(k) >= m + 1)`` (Maritz & Jarrett 1978;
@@ -629,6 +631,12 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
     One sort serves all rows, each set packed left in a ``(rows, max(size) + 1)`` array padded
     with ``+inf``. It may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so a row
     holding a zero is sorted alone and takes ``np.median``'s estimate, zeros signed as alone.
+
+    Given ``alpha``, only the decision ``p <= alpha`` of the z-test ``estimate / sd`` is
+    wanted: an even-n row whose :func:`_scale_bounds` put its ``|z|`` beyond
+    :func:`_critical_band` on either side is ``settled`` without the law, its ``sd`` NaN and
+    its decision in ``reject``. Every other row, and every row without ``alpha``, has its
+    ``sd`` and neither flag.
     """
     xs = np.full((size.size, size.max(initial=0) + 1), np.inf)
     xs[np.arange(xs.shape[1]) < size[:, None]] = ratios[mask]
@@ -637,6 +645,8 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
     odd = size % 2 == 1
     even = np.flatnonzero(~odd)
     sd = np.empty(size.size)
+    settled, reject = np.zeros(size.size, dtype=bool), np.zeros(size.size, dtype=bool)
+    band = None if alpha is None else _critical_band(alpha)
     with np.errstate(all="ignore"):
         estimate = np.where(odd, xs[r, m], _pair_mean(xs[r, m - 1], xs[r, m]))
         for i in np.flatnonzero((xs == 0.0).any(axis=1)).tolist():
@@ -648,11 +658,45 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray):
             lo = np.array([_brackets(n, _PCTL_LO)[0] for n in n_odd]) - 1
             hi = np.array([_brackets(n, _PCTL_HI)[0] for n in n_odd]) - 1
             sd[odd] = (xs[r[odd], hi] - xs[r[odd], lo]) / 2.0
+        if even.size and band is not None:
+            s_min, s_max = _scale_bounds(xs[even], size[even])
+            z_min, z_max = np.abs(estimate[even]) / s_max, np.abs(estimate[even]) / s_min
+            bounded = (s_min > 0.0) & np.isfinite(s_max)
+            reject[even] = bounded & (z_min >= band[1])
+            settled[even] = reject[even] | (bounded & (z_max <= band[0]))
+            sd[settled] = np.nan
+            even = even[~settled[even]]
         if even.size:
             q = np.repeat([_PCTL_HI, _PCTL_LO], even.size)
             quantile = _EvenLaws(xs, size).quantiles(np.concatenate((even, even)), q)
             sd[even] = (quantile[: even.size] - quantile[even.size:]) / 2.0
-    return estimate, sd
+    return estimate, sd, settled, reject
+
+
+def _scale_bounds(xs: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s_min, s_max)``: bounds on the scale :class:`_EvenLaws` gives each even-n row of ``xs``.
+
+    Row e holds its sample of ``n[e]`` values sorted, as the law reads it. With
+    ``(hi, lo) = _brackets(n, q)`` the law's q-quantile lies in ``[d_(lo), d_(hi)]``, where
+    ``d_(k)`` is the pair mean of the k-th value with itself (``+-inf`` where twice it
+    overflows), so ``d`` is nondecreasing along the row. For ``m = n / 2`` the resampled
+    median is ``A = fl((X*_(m) + X*_(m+1)) / 2)``, and rounding is monotone, so
+    ``d(X*_(m)) <= A <= d(X*_(m+1))``. Upper end: ``X*_(m+1) <= x_(hi)`` gives
+    ``A <= d_(hi)`` and has probability ``P(N(hi) >= m + 1) >= q``. Lower end: for
+    ``t < d_(lo)``, ``A <= t`` needs ``d(X*_(m)) <= t``, so ``X*_(m)`` at a position below
+    ``lo``, of probability at most ``P(N(lo - 1) >= m) < q``. The scale
+    ``fl(fl(q_hi - q_lo) / 2)`` is monotone in both quantiles, so it lies between the same
+    expression at the bracket ends, wherever those are not NaN.
+    """
+    n = n.tolist()
+    hi_hi, lo_hi = np.array([_brackets(k, _PCTL_HI) for k in n], dtype=np.intp).T - 1
+    hi_lo, lo_lo = np.array([_brackets(k, _PCTL_LO) for k in n], dtype=np.intp).T - 1
+    r = np.arange(len(n))
+
+    def d(at):
+        return _pair_mean(xs[r, at], xs[r, at])
+
+    return (d(lo_hi) - d(hi_lo)) / 2.0, (d(hi_hi) - d(lo_lo)) / 2.0
 
 
 def _degenerate_weights(weight_sum: float) -> ZeroDenominatorError:
@@ -662,8 +706,36 @@ def _degenerate_weights(weight_sum: float) -> ZeroDenominatorError:
 
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
-    # std_sf is scalar (math.erfc); NaN stays NaN
-    return np.array([2.0 * std_sf(abs(v)) for v in z.tolist()])
+    """``2.0 * std_sf(abs(v))`` for every v of ``z``, bit for bit: the same operations in the
+    same order, with only ``math.erfc`` taken one value at a time. NaN stays NaN."""
+    with np.errstate(invalid="ignore"):  # a signaling NaN divides quietly, as in Python
+        scaled = np.abs(z) / _SQRT2
+    return 2.0 * (0.5 * np.fromiter(map(math.erfc, scaled.tolist()), float, scaled.size))
+
+
+@lru_cache
+def _critical_band(alpha: float) -> tuple[float, float] | None:
+    """``(z_lo, z_hi)`` with ``_two_sided_p > alpha`` at every ``|z| <= z_lo`` and
+    ``<= alpha`` at every ``|z| >= z_hi``; None where no such band is certain.
+
+    Bisection on ``2 * std_sf`` itself (a quantile of ``1 - alpha / 2`` would round to 1
+    for alpha below about 1e-16) brackets the crossing between adjacent floats, which are
+    then moved apart by a relative 1e-6. Across that margin p moves by a relative
+    ``1e-6 * z * 2 std_pdf(z) / p(z)``, about 1e-6 at the usual levels: far above the
+    few ulps ``math.erfc`` may err by, so the computed p-function, which the ends must
+    confirm by a relative 1e-12, cannot recross alpha beyond them. Only a subnormal
+    alpha, or one so close to 1 that the margin moves p by less, gets no band.
+    """
+    lo, hi = 0.0, 64.0  # 2 * std_sf is 1 at 0 and underflows to 0 well before 64
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        if 2.0 * std_sf(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    z_lo, z_hi = lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)
+    p_lo, p_hi = _two_sided_p(np.array([z_lo, z_hi])).tolist()
+    certain = p_lo > alpha * (1.0 + 1e-12) and p_hi < alpha * (1.0 - 1e-12)
+    return (z_lo, z_hi) if certain and alpha >= np.finfo(float).tiny else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,9 +745,14 @@ class DirectionRows:
     ``selected`` is the (R, p) set each row aggregates over (after
     zero-denominator drops) and ``size`` its cardinality; ``empty_reject``
     marks rows whose empty focused set rejects by construction (p-value 0).
+    ``reject`` is the test's decision at the caller's ``alpha``,
+    ``empty_reject | (p_value <= alpha)``.
     A float a row does not define is NaN: the estimate, scale and weight sum
     of an empty set, a weight share when the weights sum to zero, ``z`` when
-    the median scale is zero, and MR-Egger's weight sum and share.
+    the median scale is zero, and MR-Egger's weight sum and share. Rows of a
+    median method computed without scales (``direction_rows(..., scales=False)``)
+    may be settled from bounds on their scale: their ``se``, ``z`` and
+    ``p_value`` are NaN, and ``reject`` alone holds their decision.
     ``intercept``/``intercept_se`` are MR-Egger's only.
     ``errors`` maps each row that hit a degeneracy to its exception; that
     row's other fields mean nothing.
@@ -691,6 +768,7 @@ class DirectionRows:
     se: np.ndarray
     z: np.ndarray
     p_value: np.ndarray
+    reject: np.ndarray
     errors: dict[int, DegeneracyError]
     intercept: np.ndarray | None = None
     intercept_se: np.ndarray | None = None
@@ -709,6 +787,8 @@ def direction_rows(
     cfg: FocusConfig,
     tau_s: float,
     method: Method = Method.FOCUSED_IVW,
+    *,
+    scales: bool = True,
 ) -> DirectionRows:
     """One method's test in one direction on every row of (R, p) estimates at once.
 
@@ -717,8 +797,15 @@ def direction_rows(
     Masks, weights, IVW estimates, z and p are row reductions; the median
     methods take each row's median and its exact SNP-bootstrap scale from
     one sort of all rows (:func:`_median_rows`), and MR-Egger is solved
-    in closed form (:func:`_egger_rows`). Of ``cfg`` only ``tau_f`` and, for
-    focused IVW rows with a nonempty set, ``null_var`` are used.
+    in closed form (:func:`_egger_rows`). Of ``cfg`` only ``alpha``, which
+    sets ``reject``, ``tau_f`` and, for focused IVW rows with a nonempty set,
+    ``null_var`` are used.
+
+    ``scales=False`` asks for the decisions alone, as a rejection rate needs:
+    a median row whose scale the cached order-statistic brackets bound
+    tightly enough to settle ``p <= alpha`` skips the exact law, and carries
+    NaN ``se``, ``z`` and ``p_value`` (:func:`_median_rows`). ``reject`` is
+    the same either way; the other methods ignore the flag.
 
     The focused methods drop zero exposure associations from the set
     (counted in ``n_dropped``) and reject on an empty set. The conventional
@@ -728,11 +815,11 @@ def direction_rows(
     that all underflow to zero, or overflow, leave no null scale and are a
     :class:`ZeroDenominatorError` too.
     """
-    method = Method(method)
+    method, alpha = Method(method), cfg.alpha
     if not tau_s >= 0.0:
         raise InputError(f"tau_s must be nonnegative, got {tau_s!r}")
     if method is Method.MR_EGGER:
-        return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s)
+        return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s, alpha)
     if not method.focused:
         cfg = _UNFOCUSED
     mask = _set_mask(exp_beta, exp_se, out_beta, out_se, cfg.tau_f, tau_s)
@@ -761,10 +848,13 @@ def direction_rows(
     live[list(errors)] = False
 
     nan = np.full(size.size, np.nan)
+    settled_reject = np.zeros(size.size, dtype=bool)
     if method.median:
         estimate, se, z, p_value = nan.copy(), nan.copy(), nan.copy(), nan.copy()
         rows = np.flatnonzero(live)
-        estimate[rows], se[rows] = _median_rows(ratios[rows], mask[rows], size[rows])
+        estimate[rows], se[rows], settled, settled_reject[rows] = _median_rows(
+            ratios[rows], mask[rows], size[rows], None if scales else alpha)
+        rows = rows[~settled]
         # a zero scale leaves z undefined, p 1 at a zero median, else 0
         scaled = rows[se[rows] > 0.0]
         with np.errstate(invalid="ignore"):
@@ -798,6 +888,7 @@ def direction_rows(
         se=se,
         z=z,
         p_value=p_value,
+        reject=empty_reject | settled_reject | (p_value <= alpha),
         errors=errors,
     )
 
@@ -806,7 +897,7 @@ def _empty_relevant_set(tau_s: float) -> EmptyRelevantSetError:
     return EmptyRelevantSetError(f"no SNP passes the relevance threshold tau_s={tau_s}")
 
 
-def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRows:
+def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float, alpha: float) -> DirectionRows:
     """MR-Egger on every row of (R, p) estimates, in closed form.
 
     Each SNP is first oriented so its exposure association is nonnegative
@@ -878,6 +969,7 @@ def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRo
         errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
 
     nan = np.full(n.size, np.nan)
+    p_value = _two_sided_p(z)
     return DirectionRows(
         selected=mask,
         size=n,
@@ -888,7 +980,8 @@ def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float) -> DirectionRo
         estimate=slope,
         se=se,
         z=z,
-        p_value=_two_sided_p(z),
+        p_value=p_value,
+        reject=p_value <= alpha,
         errors=errors,
         intercept=intercept,
         intercept_se=intercept_se,
@@ -968,7 +1061,6 @@ def test_direction(
 
     selected = rows.selected[0]
     selected.setflags(write=False)
-    p_value = float(rows.p_value[0])
     return TestReport(
         direction=direction,
         method=method,
@@ -980,8 +1072,8 @@ def test_direction(
         estimate=scalar(rows.estimate),
         null_sd=scalar(rows.se),
         z_score=scalar(rows.z),
-        p_value=p_value,
-        reject=p_value <= cfg.alpha,
+        p_value=float(rows.p_value[0]),
+        reject=bool(rows.reject[0]),
         empty_set_reject=bool(rows.empty_reject[0]),
         weight_sum=scalar(rows.weight_sum, method.focused),
         max_weight_share=scalar(rows.max_share, method.focused),

@@ -7,7 +7,9 @@ focused IVW rows are also checked against a plain compressed-array
 computation, and the closed-form Egger regression against
 ``np.linalg.lstsq``. The row kernels pick masked values by bit selects and
 orient MR-Egger's SNPs by multiplying by ±1; local copies of their
-``np.where`` forms are the oracle for every float bit and every error.
+``np.where`` forms are the oracle for every float bit and every error. The
+vectorized two-sided p-value must give ``2 * std_sf(|z|)`` bit for bit on
+any float64 word.
 """
 
 import dataclasses
@@ -37,6 +39,7 @@ from bidirmr.focusing import (  # noqa: E402
     direction_rows,
 )
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
+from bidirmr.truncnorm import std_sf  # noqa: E402
 
 REL = 1e-12
 values = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False))
@@ -280,6 +283,24 @@ def selects(draw):
 def test_select_is_np_where_bit_for_bit(case):
     mask, a, b = case
     np.testing.assert_array_equal(_bits(_select(mask, a, b)), _bits(np.where(mask, a, b)))
+
+
+# every NaN word (either sign, any payload, quiet or signaling) and every subnormal one
+_MANTISSA = st.integers(1, 2**52 - 1)
+_SIGN = st.sampled_from([0, 1 << 63])
+p_words = st.one_of(
+    words,
+    st.builds(lambda s, m: s | 0x7FF0000000000000 | m, _SIGN, _MANTISSA),
+    st.builds(lambda s, m: s | m, _SIGN, _MANTISSA),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(p_words, max_size=20))
+def test_two_sided_p_is_std_sf_bit_for_bit(z_words):
+    z = np.array(z_words, dtype=np.uint64).view(np.float64)
+    want = np.array([2.0 * std_sf(abs(v)) for v in z.tolist()], dtype=np.float64)
+    np.testing.assert_array_equal(_bits(focusing._two_sided_p(z)), _bits(want))
 
 
 def _where_ivw(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method):

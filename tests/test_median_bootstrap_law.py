@@ -8,6 +8,9 @@ Monte-Carlo bootstrap of 10^5 resamples within four Monte-Carlo standard
 errors. Hypothesis checks invariance to permutation and translation, scaling
 by |c| and nonnegativity, and that the batched even-n search gives, hex for
 hex, the quantiles of the per-row law it replaced (kept here as an oracle).
+The rejection decisions settled without the law, from the order-statistic
+brackets, must be the law's own decisions, in a chunk and row by row, and
+must settle all but a few of a scenario's even-n rows.
 """
 
 import contextlib
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from bidirmr import focusing
+from bidirmr.cli import main
 from bidirmr.errors import EmptyFocusedSetError, InputError
 from bidirmr.focusing import FocusConfig, Method, _brackets, _pair_mean, exact_bootstrap_median_sd
 from bidirmr.truncnorm import std_cdf, std_sf
@@ -432,7 +436,7 @@ def test_rows_holding_zeros_share_one_even_law():
     ratios[mask] = rng.normal(size=size.sum()).round(1)
     ratios[:, 0] = rng.choice([0.0, -0.0], size=size.size)
     with mock.patch.object(focusing, "_EvenLaws", wraps=focusing._EvenLaws) as laws:
-        estimate, sd = focusing._median_rows(ratios, mask, size)
+        estimate, sd, _, _ = focusing._median_rows(ratios, mask, size)
     assert laws.call_count == 1
     sets = [ratios[r, mask[r]] for r in range(size.size)]
     same_floats(estimate, [np.median(x) for x in sets])
@@ -549,7 +553,7 @@ def test_batched_law_matches_the_per_row_law_on_a_chunk(rows, limit):
     mask = np.arange(size.max()) < size[:, None]
     ratios[mask] = np.concatenate(rows)
     with candidates(limit):
-        estimate, sd = focusing._median_rows(ratios, mask, size)
+        estimate, sd, _, _ = focusing._median_rows(ratios, mask, size)
         want = [per_row(PerRowLaw(np.array(r)).sd) for r in rows]
     assert hexes(sd) == hexes(want)
     with np.errstate(invalid="ignore"):  # the median of -inf and inf is NaN
@@ -594,3 +598,145 @@ def test_batched_cdf_matches_the_per_row_cdf(rows, data):
         got = laws.cdf(row, t)[0]
         want = [PerRowLaw(np.array(rows[e])).cdf(v) for e, v in zip(row, t)]
     assert hexes(got) == hexes(want)
+
+
+def critical_z(alpha):
+    """The |z| where ``2 * std_sf`` crosses alpha, by bisection to adjacent floats."""
+    lo, hi = 0.0, 64.0
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (mid, hi) if 2.0 * std_sf(mid) > alpha else (lo, mid)
+    return hi
+
+
+ALPHAS = [0.5, 0.1, 0.05, 1e-6, 1e-20]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_critical_band_brackets_the_crossing(alpha):
+    # 1 - 1e-20 / 2 rounds to 1, so no quantile of it exists: the band searches std_sf
+    z_lo, z_hi = focusing._critical_band(alpha)
+    z = critical_z(alpha)
+    assert z_lo < z <= z_hi and z_hi / z_lo < 1.0 + 3e-6
+    grid = np.concatenate((np.linspace(0.0, z_lo, 2001), z_hi * np.linspace(1.0, 1.5, 2001)))
+    p = focusing._two_sided_p(grid)
+    assert (p[:2001] > alpha).all() and (p[2001:] <= alpha).all()
+
+
+def test_no_critical_band_where_p_cannot_be_trusted_to_cross_once():
+    assert focusing._critical_band(1e-310) is None  # subnormal alpha
+    assert focusing._critical_band(1.0 - 1e-13) is None  # the margin moves p by under an ulp
+
+
+# values, with ties, signed zeros, +-inf and values whose doubled pair mean overflows
+bound_values = st.one_of(law_values, st.sampled_from([1.7e308, -1.7e308, 9e307, -1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(bound_values, min_size=2, max_size=60).map(lambda v: v[: len(v) // 2 * 2]))
+def test_brackets_bound_the_even_law_and_its_scale(values):
+    x = np.sort(np.array(values))
+    n = x.size
+    law = OneRowLaw(x)
+    with np.errstate(over="ignore"):
+        d = _pair_mean(x, x)
+    for q in (LO, HI):
+        hi, lo = _brackets(n, q)
+        quantile = law.quantile(q)
+        assume(not np.isnan(quantile))  # -inf with +inf: no median value reaches q
+        assert d[lo - 1] <= quantile <= d[hi - 1]
+    with np.errstate(all="ignore"):
+        s_min, s_max = focusing._scale_bounds(np.append(x, np.inf)[None], np.array([n]))
+        sd = exact_bootstrap_median_sd(x)
+    assert not s_min[0] > sd and not sd > s_max[0]
+
+
+def near_critical(x, alpha, offset):
+    """``x`` translated so that its |z| = median / scale sits ``offset`` (relative) from the
+    critical value; a zero scale is left alone."""
+    with np.errstate(all="ignore"):
+        sd = exact_bootstrap_median_sd(x)
+        shift = critical_z(alpha) * (1.0 + offset) * sd - np.median(x)
+        return x + shift if sd > 0.0 and np.isfinite(shift) else x
+
+
+@st.composite
+def decision_chunks(draw):
+    """``(alpha, rows)``: rows of even and odd sizes from 2 to 600, with ties, signed zeros
+    and overflowing pair means, many translated to within 1e-9 to 1e-3 of the critical |z|."""
+    alpha = draw(st.sampled_from(ALPHAS))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.one_of(st.integers(2, 24), st.integers(2, 600)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["normal", "ties", "zeros", "overflow"]))
+        x = rng.normal(draw(st.floats(-3.0, 3.0)), 1.0, n)
+        if kind == "ties":
+            x = np.round(x * 2.0) / 2.0
+        elif kind == "zeros":
+            x[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+        elif kind == "overflow":
+            x[rng.random(n) < 0.5] = rng.choice([1.7e308, -1.7e308, 9e307])
+        if draw(st.booleans()):
+            offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -3.0))
+            x = near_critical(x, alpha, offset)
+        rows.append(x)
+    return alpha, rows
+
+
+def median_chunk(rows):
+    """(R, p) betas whose MR-Median / focused-median sets are exactly ``rows``, ratios exact."""
+    size = np.array([r.size for r in rows])
+    inside = np.arange(size.max()) < size[:, None]
+    out_beta = np.zeros(inside.shape)
+    out_beta[inside] = np.concatenate(rows)
+    exp_beta = np.where(inside, 1.0, 0.5)  # below tau_s = 1 outside the set
+    return exp_beta, out_beta, np.ones(size.max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(decision_chunks())
+def test_decisions_without_scales_are_the_laws(chunk):
+    alpha, rows = chunk
+    exp_beta, out_beta, se = median_chunk(rows)
+    # the conventional methods' set is the relevance-screened one; alpha is still the caller's
+    cfg = FocusConfig(tau_f=math.inf, tau_s=1.0, alpha=alpha)
+    for method in (Method.FOCUSED_MEDIAN, Method.MR_MEDIAN):
+        full = focusing.direction_rows(exp_beta, se, out_beta, se, cfg, 1.0, method)
+        fast = focusing.direction_rows(exp_beta, se, out_beta, se, cfg, 1.0, method, scales=False)
+        assert full.errors == {} and fast.errors == {}
+        np.testing.assert_array_equal(full.reject, full.p_value <= alpha)
+        np.testing.assert_array_equal(fast.reject, full.reject)
+        # a row not settled carries the full scale, z and p; a settled one, of even n, NaN
+        settled = np.isnan(fast.p_value) & ~np.isnan(full.p_value)
+        assert (full.size[settled] % 2 == 0).all()
+        for name in ("se", "z", "p_value"):
+            same_floats(getattr(fast, name)[~settled], getattr(full, name)[~settled])
+            assert np.isnan(getattr(fast, name)[settled]).all()
+        for r in range(len(rows)):
+            alone = focusing.direction_rows(exp_beta[r:r + 1], se, out_beta[r:r + 1], se, cfg,
+                                            1.0, method, scales=False)
+            assert alone.reject[0] == full.reject[r]
+
+
+def test_a_scenario_settles_most_even_rows_without_the_law(tmp_path):
+    # the argv of the sim-median benchmark workload: most even-n rows never reach the law
+    counts = {"even": 0, "law": 0}
+    rows_of, quantiles = focusing._median_rows, focusing._EvenLaws.quantiles
+
+    def counting_rows(ratios, mask, size, alpha=None):
+        counts["even"] += int((size % 2 == 0).sum())
+        return rows_of(ratios, mask, size, alpha)
+
+    def counting_quantiles(self, rows, q):
+        counts["law"] += rows.size // 2  # each row asks for two quantiles
+        return quantiles(self, rows, q)
+
+    argv = ["simulate", "--synthetic", "394", "--kappa", "1", "--tau-f", "1.5",
+            "--enforce-separation", "2.0", "--beta-dy", "0.3",
+            "--methods", "focused_median,mr_median", "--reps", "200", "--seed", "1",
+            "--out", str(tmp_path / "sim.json")]
+    with mock.patch.object(focusing, "_median_rows", counting_rows), \
+            mock.patch.object(focusing._EvenLaws, "quantiles", counting_quantiles):
+        assert main(argv) == 0
+    assert counts["even"] > 300
+    assert counts["law"] <= 0.1 * counts["even"]
