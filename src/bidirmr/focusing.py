@@ -633,7 +633,7 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
     holding a zero is sorted alone and takes ``np.median``'s estimate, zeros signed as alone.
 
     Given ``alpha``, only the decision ``p <= alpha`` of the z-test ``estimate / sd`` is
-    wanted: an even-n row whose :func:`_scale_bounds` put its ``|z|`` beyond
+    wanted: an even-n row whose scale bounds (:func:`_scale_bounds`) put its ``|z|`` beyond
     :func:`_critical_band` on either side is ``settled`` without the law, its ``sd`` NaN and
     its decision in ``reject``. Every other row, and every row without ``alpha``, has its
     ``sd`` and neither flag.
@@ -723,8 +723,8 @@ def _critical_band(alpha: float) -> tuple[float, float] | None:
     then moved apart by a relative 1e-6. Across that margin p moves by a relative
     ``1e-6 * z * 2 std_pdf(z) / p(z)``, about 1e-6 at the usual levels: far above the
     few ulps ``math.erfc`` may err by, so the computed p-function, which the ends must
-    confirm by a relative 1e-12, cannot recross alpha beyond them. Only a subnormal
-    alpha, or one so close to 1 that the margin moves p by less, gets no band.
+    confirm by a relative 1e-12, cannot recross alpha beyond them. A subnormal alpha,
+    or one within about 1e-6 of 1, where the margin moves p by less, gets no band.
     """
     lo, hi = 0.0, 64.0  # 2 * std_sf is 1 at 0 and underflows to 0 well before 64
     while lo < (mid := (lo + hi) / 2.0) < hi:

@@ -28,11 +28,12 @@ SNP-bootstrap median.
 One engine runs both :func:`run_scenario` (one cell) and :func:`run_grid`
 (a list of (beta_dy, beta_yd) cells). It takes replications in chunks of
 ``R = max(1, _CHUNK_VALUES // p)`` (32768 values; R = 83 at p = 394): each
-replication's four draws fill one row of (R, p) arrays, and everything after the draws is computed for the
-whole chunk at once. The draws, the activated direct effects, their class
-masks and shares and their correlation do not depend on the causal pair,
-so grid cells share them: each is computed once per chunk, which is why a
-grid reports the same ``mean_rho`` and ``mean_corr_pi`` in every cell.
+replication's four draws fill one row of (R, p) arrays, and everything
+after the draws is computed for the whole chunk at once. The draws, the
+activated direct effects, their class masks and shares and their
+correlation do not depend on the causal pair, so grid cells share them:
+each is computed once per chunk, which is why a grid reports the same
+``mean_rho`` and ``mean_corr_pi`` in every cell.
 Then the cells take turns on the chunk (reduced form, noise, methods), and
 each cell's report equals :func:`run_scenario` on that cell alone. Memory
 is bounded by the chunk and one cell's arrays, whatever the number of
@@ -418,9 +419,9 @@ def _run_cells(
     operations (:func:`bidirmr.focusing.direction_rows`, the same code the
     single-panel tests run). A rejection rate needs each row's decision
     alone, so the rows are asked for no scales: most median decisions are
-    settled without the exact law, and every decision is the law's.
-    Memory is one chunk and one cell's arrays at a
-    time, whatever the number of cells. Sums over replications (valid-IV shares, class shares,
+    settled without the exact law, and every decision is the law's. Memory
+    is one chunk and one cell's arrays at a time, whatever the number of
+    cells. Sums over replications (valid-IV shares, class shares,
     correlations) are added in replication order.
     """
     p = seed.p
