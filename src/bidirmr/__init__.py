@@ -62,11 +62,9 @@ from .simulation import (
     ScenarioConfig,
     ScenarioReport,
     SeedEffects,
-    SeedProfile,
     enforce_separation,
     generate_truth,
     load_seed_effects,
-    run_grid,
     run_scenario,
     simulate_panel,
     synthetic_seed,

@@ -43,7 +43,7 @@ from .gwasio import (
     write_tsv_rows,
 )
 from .model import TruthConfig, diagnose_identification
-from .simulation import ScenarioConfig, load_seed_effects, run_grid, run_scenario, synthetic_seed
+from .simulation import ScenarioConfig, load_seed_effects, run_scenario, synthetic_seed
 from .truncnorm import TruncSpec, truncnorm_mean, truncnorm_var
 
 # ``test --estimator`` spellings; ``simulate --methods`` takes the method values
@@ -346,6 +346,7 @@ def _cmd_simulate(args) -> int:
         raise InputError("--beta-dy and --beta-yd do not apply with --grid, whose pairs set both")
     beta_dy = 0.0 if args.beta_dy is None else args.beta_dy
     beta_yd = 0.0 if args.beta_yd is None else args.beta_yd
+    cells = [(beta_dy, beta_yd)] if args.grid is None else _parse_grid(args.grid)
     seed = _resolve_seed(args)
     if args.synthetic is not None:
         seed_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -355,8 +356,7 @@ def _cmd_simulate(args) -> int:
     cfg = _focus_config(args.tau_f, args.tau_s, args.alpha)
     scenario = ScenarioConfig(
         kappa=args.kappa,
-        beta_dy=beta_dy,
-        beta_yd=beta_yd,
+        cells=cells,
         n_reps=args.reps,
         focus=cfg,
         methods=_parse_methods(args.methods),
@@ -374,26 +374,27 @@ def _cmd_simulate(args) -> int:
         "enforce_separation_c1": args.enforce_separation,
     }
     document = {"schema_version": SCHEMA_VERSION, "command": "simulate", "seed": seed, "params": params}
+    reports = run_scenario(effects, scenario)
+    rows = []
+    summaries = []
+    for (beta_dy, beta_yd), report in zip(scenario.cells, reports):
+        rows.extend(_scenario_rows(report, beta_dy, beta_yd))
+        summaries.append(
+            {
+                "beta_dy": beta_dy,
+                "beta_yd": beta_yd,
+                "mean_rho": list(report.mean_rho),
+                "mean_corr_pi": report.mean_corr_pi,
+            }
+        )
     if args.grid is not None:
-        rows = []
-        summaries = []
-        for (beta_dy, beta_yd), report in run_grid(effects, scenario, _parse_grid(args.grid)):
-            rows.extend(_scenario_rows(report, beta_dy, beta_yd))
-            summaries.append(
-                {
-                    "beta_dy": beta_dy,
-                    "beta_yd": beta_yd,
-                    "mean_rho": list(report.mean_rho),
-                    "mean_corr_pi": report.mean_corr_pi,
-                }
-            )
         document.update(cells=summaries, results=rows)
     else:
-        report = run_scenario(effects, scenario)
+        [report] = reports
         document.update(
             mean_rho=list(report.mean_rho),
             mean_corr_pi=report.mean_corr_pi,
-            results=_scenario_rows(report, beta_dy, beta_yd),
+            results=rows,
         )
     _emit(document, args)
     return 0

@@ -112,7 +112,7 @@ class Panel:
     :meth:`ids_at` turns one into ids.
     """
 
-    __slots__ = ("ids", "beta_d", "se_d", "beta_y", "se_y", "_index", "_id_array")
+    __slots__ = ("ids", "beta_d", "se_d", "beta_y", "se_y", "_id_array")
 
     @classmethod
     def from_arrays(cls, ids, beta_d, se_d, beta_y, se_y) -> "Panel":
@@ -133,14 +133,13 @@ class Panel:
             raise InputError("standard errors must be positive")
         if not all(ids):
             raise InputError("SNP ids must be nonempty")
-        index = dict(zip(ids, range(p)))
-        if len(index) != p:
+        if len(set(ids)) != p:
             raise InputError("SNP ids must be unique within a panel")
         id_array = np.array(ids, dtype=object)
         for arr in (*columns.values(), id_array):
             arr.setflags(write=False)
         panel = cls.__new__(cls)
-        for name, value in (("ids", ids), *columns.items(), ("_index", index), ("_id_array", id_array)):
+        for name, value in (("ids", ids), *columns.items(), ("_id_array", id_array)):
             object.__setattr__(panel, name, value)
         return panel
 
@@ -162,8 +161,9 @@ class Panel:
         """
         if len(set(snp_ids)) != len(snp_ids):
             raise InputError("SNP id subset must not contain duplicates")
+        index = dict(zip(self.ids, range(len(self.ids))))
         try:
-            idx = np.fromiter((self._index[i] for i in snp_ids), dtype=np.intp, count=len(snp_ids))
+            idx = np.fromiter((index[i] for i in snp_ids), dtype=np.intp, count=len(snp_ids))
         except KeyError as exc:
             raise InputError(f"SNP id {exc.args[0]!r} is not in the panel") from None
         return idx

@@ -25,17 +25,17 @@ what ``Generator.normal(gamma, se)`` returns, bit for bit. The estimators
 draw nothing: the median methods read their scale off the exact law of the
 SNP-bootstrap median.
 
-One engine runs both :func:`run_scenario` (one cell) and :func:`run_grid`
-(a list of (beta_dy, beta_yd) cells). It takes replications in chunks of
-``R = max(1, _CHUNK_VALUES // p)`` (32768 values; R = 83 at p = 394): each
-replication's four draws fill one row of (R, p) arrays, and everything
-after the draws is computed for the whole chunk at once. The draws, the
-activated direct effects, their class masks and shares and their
-correlation do not depend on the causal pair, so grid cells share them:
-each is computed once per chunk, which is why a grid reports the same
-``mean_rho`` and ``mean_corr_pi`` in every cell.
+One engine, :func:`run_scenario`, runs a scenario's (beta_dy, beta_yd)
+cells (``ScenarioConfig.cells``; one cell is a grid of one). It takes
+replications in chunks of ``R = max(1, _CHUNK_VALUES // p)`` (32768 values;
+R = 83 at p = 394): each replication's four draws fill one row of (R, p)
+arrays, and everything after the draws is computed for the whole chunk at
+once. The draws, the activated direct effects, their class masks and shares
+and their correlation do not depend on the causal pair, so the cells share
+them: each is computed once per chunk, which is why every cell of a scenario
+reports the same ``mean_rho`` and ``mean_corr_pi``.
 Then the cells take turns on the chunk (reduced form, noise, methods), and
-each cell's report equals :func:`run_scenario` on that cell alone. Memory
+each cell's report equals the scenario run on that cell alone. Memory
 is bounded by the chunk and one cell's arrays, whatever the number of
 replications or cells; the chunk size does not change any result.
 :func:`generate_truth` and :func:`simulate_panel` are the same draws and
@@ -45,6 +45,8 @@ arithmetic for one replication (draws 1-2 and 3-4).
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,12 +61,9 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioReport",
     "SeedEffects",
-    "SeedProfile",
-    "default_snp_ids",
     "enforce_separation",
     "generate_truth",
     "load_seed_effects",
-    "run_grid",
     "run_scenario",
     "simulate_panel",
     "synthetic_seed",
@@ -122,40 +121,23 @@ class SeedEffects:
         return self._activation[1]
 
 
-@dataclass(frozen=True)
-class SeedProfile:
-    """Shape of the synthetic seed generator.
-
-    Standard errors are of order ``1 / sqrt(n)`` for the pseudo sample sizes
-    with a mild lognormal spread. Effect magnitudes (in signal-to-noise
-    units) come from a two-component mixture, mostly modest with a heavy
-    minority. ``magnitude_rank_corr`` couples the two traits' magnitude
-    ranks through a Gaussian copula: GWAS panels assembled from SNPs that
-    are strong for at least one trait show negatively dependent ranks.
-    ``sign_corr`` correlates the signs of the two traits' effects, which is
-    what makes pleiotropy directional rather than balanced.
-    """
-
-    n_exposure: float = 1.0e5
-    n_outcome: float = 1.0e5
-    se_log_spread: float = 0.08
-    frac_large: float = 0.25
-    large_snr: tuple[float, float] = (9.0, 14.0)
-    small_snr: tuple[float, float] = (1.0, 6.0)
-    magnitude_rank_corr: float = -0.4
-    sign_corr: float = 0.75
-
-    def __post_init__(self):
-        if not (self.n_exposure > 0 and self.n_outcome > 0):
-            raise InputError("pseudo sample sizes must be positive")
-        if not 0.0 <= self.frac_large <= 1.0:
-            raise InputError("frac_large must lie in [0, 1]")
-        for name in ("magnitude_rank_corr", "sign_corr"):
-            if not -1.0 < getattr(self, name) < 1.0:
-                raise InputError(f"{name} must lie in (-1, 1)")
-
-
-DEFAULT_SEED_PROFILE = SeedProfile()
+# Shape of the synthetic seed. Standard errors are of order 1 / sqrt(n) for
+# the pseudo sample sizes, with a mild lognormal spread. Effect magnitudes
+# (in signal-to-noise units) come from a two-component mixture, mostly
+# modest with a heavy minority. The magnitude rank correlation couples the
+# two traits' magnitude ranks through a Gaussian copula: GWAS panels
+# assembled from SNPs that are strong for at least one trait show
+# negatively dependent ranks. The sign correlation correlates the signs of
+# the two traits' effects, which is what makes pleiotropy directional
+# rather than balanced.
+_N_EXPOSURE = 1.0e5
+_N_OUTCOME = 1.0e5
+_SE_LOG_SPREAD = 0.08
+_FRAC_LARGE = 0.25
+_LARGE_SNR = (9.0, 14.0)
+_SMALL_SNR = (1.0, 6.0)
+_MAGNITUDE_RANK_CORR = -0.4
+_SIGN_CORR = 0.75
 
 
 def _correlated_pair(p: int, corr: float, rng: np.random.Generator):
@@ -164,35 +146,32 @@ def _correlated_pair(p: int, corr: float, rng: np.random.Generator):
     return z1, corr * z1 + math.sqrt(1.0 - corr * corr) * z2
 
 
-def _mixture_magnitudes(p: int, profile: SeedProfile, rng: np.random.Generator) -> np.ndarray:
-    large = rng.random(p) < profile.frac_large
-    lo_s, hi_s = profile.small_snr
-    lo_l, hi_l = profile.large_snr
+def _mixture_magnitudes(p: int, rng: np.random.Generator) -> np.ndarray:
+    large = rng.random(p) < _FRAC_LARGE
+    lo_s, hi_s = _SMALL_SNR
+    lo_l, hi_l = _LARGE_SNR
     mags = rng.uniform(lo_s, hi_s, size=p)
     mags[large] = rng.uniform(lo_l, hi_l, size=int(large.sum()))
     return mags
 
 
-def synthetic_seed(
-    p: int, rng: np.random.Generator, profile: SeedProfile | None = None
-) -> SeedEffects:
+def synthetic_seed(p: int, rng: np.random.Generator) -> SeedEffects:
     """Generate a deterministic synthetic stand-in for a real GWAS seed.
 
-    Magnitudes for the two traits are drawn independently from the profile
-    mixture and then re-paired along a Gaussian copula of the configured
-    rank correlation; signs come from a second correlated Gaussian pair.
+    Magnitudes for the two traits are drawn independently from a fixed
+    mixture and then re-paired along a Gaussian copula of a fixed rank
+    correlation; signs come from a second correlated Gaussian pair.
     """
     if p < 10:
         raise InputError(f"a synthetic seed needs p >= 10 SNPs, got {p}")
-    profile = profile or DEFAULT_SEED_PROFILE
 
-    lat_d, lat_y = _correlated_pair(p, profile.magnitude_rank_corr, rng)
-    sign_d_lat, sign_y_lat = _correlated_pair(p, profile.sign_corr, rng)
-    mag_d = np.sort(_mixture_magnitudes(p, profile, rng))[_rank_smallest_first(lat_d) - 1]
-    mag_y = np.sort(_mixture_magnitudes(p, profile, rng))[_rank_smallest_first(lat_y) - 1]
+    lat_d, lat_y = _correlated_pair(p, _MAGNITUDE_RANK_CORR, rng)
+    sign_d_lat, sign_y_lat = _correlated_pair(p, _SIGN_CORR, rng)
+    mag_d = np.sort(_mixture_magnitudes(p, rng))[_rank_smallest_first(lat_d) - 1]
+    mag_y = np.sort(_mixture_magnitudes(p, rng))[_rank_smallest_first(lat_y) - 1]
 
-    se_d = np.exp(rng.normal(0.0, profile.se_log_spread, size=p)) / math.sqrt(profile.n_exposure)
-    se_y = np.exp(rng.normal(0.0, profile.se_log_spread, size=p)) / math.sqrt(profile.n_outcome)
+    se_d = np.exp(rng.normal(0.0, _SE_LOG_SPREAD, size=p)) / math.sqrt(_N_EXPOSURE)
+    se_y = np.exp(rng.normal(0.0, _SE_LOG_SPREAD, size=p)) / math.sqrt(_N_OUTCOME)
     alpha_d = np.where(sign_d_lat >= 0.0, 1.0, -1.0) * mag_d * se_d
     alpha_y = np.where(sign_y_lat >= 0.0, 1.0, -1.0) * mag_y * se_y
     return SeedEffects(alpha_d=alpha_d, alpha_y=alpha_y, se_d=se_d, se_y=se_y)
@@ -221,7 +200,6 @@ def generate_truth(
     rng: np.random.Generator,
     beta_dy: float = 0.0,
     beta_yd: float = 0.0,
-    min_snr: float | None = None,
 ) -> TruthConfig:
     """Draw one ground truth by rank-probability activation of seed effects.
 
@@ -229,13 +207,11 @@ def generate_truth(
     probability ``(rank / p) ** kappa`` (rank 1 = smallest ``|alpha| / se``)
     and zero otherwise; activations are independent across SNPs and traits.
     Smaller ``kappa`` activates more SNPs. Exposure-trait draws precede
-    outcome-trait draws on the stream. With ``min_snr`` every active effect
-    is raised to at least that many noise units before the truth is built,
-    as :func:`enforce_separation` raises them afterwards.
+    outcome-trait draws on the stream.
     """
     if not kappa > 0.0:
         raise InputError(f"kappa must be positive, got {kappa!r}")
-    pi_d, pi_y = _activated(seed, kappa, rng.random((2, seed.p)), min_snr)
+    pi_d, pi_y = _activated(seed, kappa, rng.random((2, seed.p)), None)
     return TruthConfig(
         pi_d=pi_d, pi_y=pi_y, beta_dy=beta_dy, beta_yd=beta_yd, se_d=seed.se_d, se_y=seed.se_y
     )
@@ -293,7 +269,7 @@ def enforce_separation(truth: TruthConfig, cfg: FocusConfig, c1: float) -> Truth
     )
 
 
-def default_snp_ids(p: int) -> tuple[str, ...]:
+def _default_snp_ids(p: int) -> tuple[str, ...]:
     width = len(str(p))
     return tuple(f"s{j:0{width}d}" for j in range(1, p + 1))
 
@@ -304,25 +280,26 @@ def simulate_panel(truth: TruthConfig, rng: np.random.Generator) -> Panel:
     Estimates are the reduced-form associations plus independent normal
     noise with the truth's standard errors (exposure trait drawn first);
     the standard errors themselves are copied into the panel, and the ids
-    are ``default_snp_ids``.
+    are ``s1`` to ``s<p>``, zero-padded to one width.
     """
     rf = reduced_form(truth)
     beta_d, beta_y = _with_noise(
         rf.gamma_d, rf.gamma_y, truth.se_d, truth.se_y, rng.standard_normal((2, truth.p))
     )
-    return Panel.from_arrays(default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
+    return Panel.from_arrays(_default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One Monte-Carlo experiment: truth process, methods, and replication count.
+    """One Monte-Carlo experiment: truth process, causal pairs, methods, and replication count.
 
-    Each method may be listed once; it runs in both directions.
+    ``cells`` lists the (beta_dy, beta_yd) pairs to run, in order, as
+    floats (``-0.0`` kept); a pair may repeat, and one pair is a grid of
+    one. Each method may be listed once; it runs in both directions.
     """
 
     kappa: float = 1.0
-    beta_dy: float = 0.0
-    beta_yd: float = 0.0
+    cells: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
     n_reps: int = 100
     focus: FocusConfig = FocusConfig()
     methods: tuple[Method, ...] = (Method.FOCUSED_IVW,)
@@ -330,14 +307,33 @@ class ScenarioConfig:
     enforce_separation_c1: float | None = None
 
     def __post_init__(self):
-        if self.n_reps < 1:
+        try:
+            n_reps = operator.index(self.n_reps)
+        except TypeError:
+            raise InputError(f"n_reps must be an integer, got {self.n_reps!r}") from None
+        if n_reps < 1:
             raise InputError("n_reps must be at least 1")
-        if not self.kappa > 0.0:
-            raise InputError("kappa must be positive")
-        methods = tuple(Method(m) for m in self.methods)
+        if not (isinstance(self.kappa, numbers.Real) and self.kappa > 0.0):
+            raise InputError(f"kappa must be a positive number, got {self.kappa!r}")
+        if not (isinstance(self.cells, (tuple, list)) and self.cells):
+            raise InputError("cells must be a nonempty sequence of (beta_dy, beta_yd) pairs")
+        for cell in self.cells:
+            pair = isinstance(cell, (tuple, list)) and len(cell) == 2
+            if not (pair and all(isinstance(beta, numbers.Real) for beta in cell)):
+                raise InputError(f"cell {cell!r} is not a (beta_dy, beta_yd) pair of numbers")
+        try:
+            cells = tuple((float(dy), float(yd)) for dy, yd in self.cells)
+        except OverflowError:
+            raise InputError("a cell's beta_dy or beta_yd is too large for a float") from None
+        try:
+            methods = tuple(Method(m) for m in self.methods)
+        except ValueError as exc:
+            raise InputError(f"{exc}; choose from " + ", ".join(m.value for m in Method)) from None
         for i, method in enumerate(methods):
             if method in methods[:i]:
                 raise InputError(f"method {method.value!r} is listed more than once")
+        object.__setattr__(self, "n_reps", n_reps)
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "methods", methods)
 
 
@@ -406,15 +402,15 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(c[:, 0, 1] / sd_a / sd_b, -1.0, 1.0)
 
 
-def _run_cells(
-    seed: SeedEffects, scenario: ScenarioConfig, cells: list[tuple[float, float]]
-) -> list[ScenarioReport]:
-    """The scenario once per (beta_dy, beta_yd) cell, every cell on the same draws.
+def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioReport]:
+    """Run a scenario and aggregate rejections and selection quality, one report per cell.
 
-    Replications go in chunks of R: each one's four draws fill one row of
-    (R, p) arrays, and the truths' activations, class masks, class shares
-    and correlations are computed once per chunk, since they do not depend
-    on the causal pair. Then the cells take turns on the chunk: reduced
+    The reports follow ``scenario.cells``, and every cell runs on the same
+    draws. Replications go in chunks of R: each one's four draws fill one
+    row of (R, p) arrays, and the truths' activations, class masks, class
+    shares and correlations are computed once per chunk, since they do not
+    depend on the causal pair; so ``mean_rho`` and ``mean_corr_pi`` are
+    equal across cells. Then the cells take turns on the chunk: reduced
     form, noise and every configured method in both directions, as row
     operations (:func:`bidirmr.focusing.direction_rows`, the same code the
     single-panel tests run). A rejection rate needs each row's decision
@@ -422,10 +418,15 @@ def _run_cells(
     settled without the exact law, and every decision is the law's. Memory
     is one chunk and one cell's arrays at a time, whatever the number of
     cells. Sums over replications (valid-IV shares, class shares,
-    correlations) are added in replication order.
+    correlations) are added in replication order. Each cell's report
+    equals the scenario run on that cell alone, and the whole is fully
+    reproducible from ``scenario.rng_seed``: each replication's stream is
+    keyed by its index, so the result depends neither on scheduling nor on
+    the chunk size.
     """
     p = seed.p
     focus = replace(scenario.focus, tau_s=scenario.focus.resolve_tau_s(p))
+    cells = scenario.cells
     # every causal pair is checked before the first draw, as each replication's truth would
     for beta_dy, beta_yd in cells:
         TruthConfig(seed.alpha_d, seed.alpha_y, beta_dy, beta_yd, seed.se_d, seed.se_y)
@@ -510,29 +511,3 @@ def _run_cells(
         )
         for c in range(len(cells))
     ]
-
-
-def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> ScenarioReport:
-    """Run a full scenario and aggregate rejections and selection quality.
-
-    The grid engine on the single cell ``(scenario.beta_dy, scenario.beta_yd)``.
-    Fully reproducible from ``scenario.rng_seed``; each replication's stream
-    is keyed by its index, so the result depends neither on scheduling nor
-    on the chunk size.
-    """
-    return _run_cells(seed, scenario, [(scenario.beta_dy, scenario.beta_yd)])[0]
-
-
-def run_grid(
-    seed: SeedEffects,
-    scenario: ScenarioConfig,
-    beta_pairs: list[tuple[float, float]],
-) -> list[tuple[tuple[float, float], ScenarioReport]]:
-    """Run the scenario once per (beta_dy, beta_yd) pair, every pair on the same draws.
-
-    Each cell's report equals :func:`run_scenario` on that cell alone; the
-    cells share each replication's draws, activations, class shares and
-    correlation, so ``mean_rho`` and ``mean_corr_pi`` are equal across cells.
-    """
-    cells = [(float(beta_dy), float(beta_yd)) for beta_dy, beta_yd in beta_pairs]
-    return list(zip(cells, _run_cells(seed, scenario, cells)))

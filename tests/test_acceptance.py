@@ -44,7 +44,7 @@ def seed394():
 
 def _timed_scenario(seed, **kwargs):
     start = time.perf_counter()
-    report = run_scenario(seed, ScenarioConfig(**kwargs))
+    [report] = run_scenario(seed, ScenarioConfig(**kwargs))
     return report, time.perf_counter() - start
 
 
@@ -59,8 +59,7 @@ def null_runs(seed394):
         runs[tau_f] = _timed_scenario(
             seed394,
             kappa=1.0,
-            beta_dy=0.0,
-            beta_yd=0.0,
+            cells=((0.0, 0.0),),
             n_reps=N_REPS,
             focus=FocusConfig(tau_f=tau_f, alpha=ALPHA),
             methods=methods,
@@ -76,8 +75,7 @@ def power_run(seed394):
     report, _ = _timed_scenario(
         seed394,
         kappa=1.0,
-        beta_dy=0.3,
-        beta_yd=0.0,
+        cells=((0.3, 0.0),),
         n_reps=N_REPS,
         focus=FocusConfig(tau_f=1.5, alpha=ALPHA),
         methods=(Method.FOCUSED_IVW, Method.FOCUSED_MEDIAN),
@@ -93,8 +91,7 @@ def kappa07_run(seed394):
     report, _ = _timed_scenario(
         seed394,
         kappa=0.7,
-        beta_dy=0.0,
-        beta_yd=0.0,
+        cells=((0.0, 0.0),),
         n_reps=2000,
         focus=FocusConfig(tau_f=1.5, alpha=ALPHA),
         methods=(Method.MR_MEDIAN, Method.FOCUSED_IVW),

@@ -166,8 +166,7 @@ class TestNullInflation:
         seed = synthetic_seed(394, np.random.default_rng(1))
         scenario = ScenarioConfig(
             kappa=1.0,
-            beta_dy=0.0,
-            beta_yd=0.0,
+            cells=((0.0, 0.0),),
             n_reps=300,
             focus=FocusConfig(tau_f=1.5, alpha=0.05),
             methods=(
@@ -179,7 +178,7 @@ class TestNullInflation:
             rng_seed=77,
             enforce_separation_c1=2.0,
         )
-        report = run_scenario(seed, scenario)
+        [report] = run_scenario(seed, scenario)
         assert report.rejection_rates["overall_ivw"]["dy"] > 0.10
         assert report.rejection_rates["mr_median"]["dy"] > 0.10
         assert report.rejection_rates["mr_egger"]["dy"] > 0.10

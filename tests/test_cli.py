@@ -255,6 +255,20 @@ class TestSimulateCommand:
         assert lines[0].startswith("beta_dy\tbeta_yd\tmethod\tdirection")
         assert len(lines) == 1 + 2 * 2  # two cells x one method x two directions
 
+    @pytest.mark.parametrize("beta", ["0.3", "-0"])
+    def test_beta_flag_run_equals_its_grid_of_one(self, tmp_path, beta):
+        # a grid cell's rows equal a run with --beta-dy/--beta-yd set to that cell
+        common = ["simulate", "--synthetic", "40", "--reps", "6", "--seed", "4",
+                  "--methods", "focused_ivw,mr_egger"]
+        single, grid = tmp_path / "single.json", tmp_path / "grid.json"
+        assert main([*common, "--beta-dy", beta, "--out", str(single)]) == 0
+        assert main([*common, f"--grid={beta}:0", "--out", str(grid)]) == 0
+        single, grid = json.loads(single.read_text()), json.loads(grid.read_text())
+        # compared as JSON text, so a -0.0 must stay -0.0 on both sides
+        assert json.dumps(single["results"]) == json.dumps(grid["results"])
+        assert json.dumps(single["results"][0]["beta_dy"]) == json.dumps(float(beta))
+        assert single["mean_rho"] == grid["cells"][0]["mean_rho"]
+
     @pytest.mark.parametrize("flag", ["--beta-dy", "--beta-yd"])
     def test_beta_flag_with_grid_is_input_error(self, tmp_path, capsys, flag):
         # the grid's pairs set both effects: a flag beside it would be dropped silently

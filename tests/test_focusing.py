@@ -89,6 +89,15 @@ class TestPanel:
         assert panel.ids_at(np.array([True, False, True])) == ("c", "b")
         assert panel.ids_at(np.zeros(3, dtype=bool)) == ()
 
+    def test_indices_of_in_the_given_order(self):
+        panel = Panel.from_arrays(["c", "a", "b"], [0.1] * 3, [0.1] * 3, [0.0] * 3, [0.1] * 3)
+        assert panel.indices_of(["b", "c"]).tolist() == [2, 0]
+        assert panel.indices_of([]).dtype == np.intp
+        with pytest.raises(InputError, match="must not contain duplicates"):
+            panel.indices_of(["a", "a"])
+        with pytest.raises(InputError, match="SNP id 'd' is not in the panel"):
+            panel.indices_of(["a", "d"])
+
 
 class TestFocusedSet:
     def test_inclusion_example(self):
@@ -484,15 +493,14 @@ class TestSamplingBehavior:
         for rng_seed, beta in enumerate((-0.3, -0.1, -0.05, 0.05, 0.1, 0.3), start=3601):
             scenario = ScenarioConfig(
                 kappa=1.0,
-                beta_dy=beta,
-                beta_yd=0.0,
+                cells=((beta, 0.0),),
                 n_reps=400,
                 focus=FocusConfig(tau_f=1.5, alpha=0.05),
                 methods=(Method.FOCUSED_IVW,),
                 rng_seed=rng_seed,
                 enforce_separation_c1=2.0,
             )
-            report = run_scenario(seed, scenario)
+            [report] = run_scenario(seed, scenario)
             assert report.rejection_rates["focused_ivw"]["dy"] >= 0.05 - 0.01
 
     def test_joint_null_type_i_at_most_nominal(self):

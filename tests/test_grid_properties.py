@@ -1,7 +1,7 @@
 """A grid cell's report equals the scenario run on that cell alone.
 
-``run_grid`` draws each chunk once and shares the activations, class shares
-and correlation between its (beta_dy, beta_yd) cells; no cell may see
+``run_scenario`` draws each chunk once and shares the activations, class
+shares and correlation between its (beta_dy, beta_yd) cells; no cell may see
 another's work. Generated seeds (3 to 200 SNPs), 1 to 5 cells with
 duplicates, every method, with and without separation, and 1, 3 or the
 default number of replications per chunk.
@@ -22,7 +22,6 @@ from bidirmr.focusing import FocusConfig, Method  # noqa: E402
 from bidirmr.simulation import (  # noqa: E402
     ScenarioConfig,
     SeedEffects,
-    run_grid,
     run_scenario,
 )
 
@@ -54,13 +53,13 @@ def test_each_grid_cell_equals_its_own_scenario(p, entropy, pairs, n_reps, c1, t
     focus = FocusConfig(tau_f=1.5, tau_s=tau_s)
     seed = random_seed(p, entropy)
     scenario = ScenarioConfig(
-        kappa=0.8, n_reps=n_reps, focus=focus, methods=tuple(Method), rng_seed=entropy,
-        enforce_separation_c1=c1,
+        kappa=0.8, cells=tuple(pairs), n_reps=n_reps, focus=focus, methods=tuple(Method),
+        rng_seed=entropy, enforce_separation_c1=c1,
     )
     chunk_values = simulation._CHUNK_VALUES if rows is None else rows * p
     with mock.patch.object(simulation, "_CHUNK_VALUES", chunk_values):
-        cells = run_grid(seed, scenario, pairs)
-    assert [betas for betas, _ in cells] == pairs
-    for (beta_dy, beta_yd), report in cells:
-        alone = run_scenario(seed, replace(scenario, beta_dy=beta_dy, beta_yd=beta_yd))
+        reports = run_scenario(seed, scenario)
+    assert len(reports) == len(pairs)
+    for pair, report in zip(pairs, reports):
+        [alone] = run_scenario(seed, replace(scenario, cells=(pair,)))
         assert repr(report) == repr(alone)

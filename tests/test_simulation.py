@@ -15,14 +15,13 @@ from bidirmr.focusing import (
     check_separation,
     relevant_mask,
 )
-from bidirmr.model import IvClass, iv_class_masks, reduced_form
+from bidirmr.model import IvClass, TruthConfig, iv_class_masks, reduced_form
 from bidirmr.simulation import (
     ScenarioConfig,
     SeedEffects,
     enforce_separation,
     generate_truth,
     load_seed_effects,
-    run_grid,
     run_scenario,
     simulate_panel,
     synthetic_seed,
@@ -156,7 +155,9 @@ class TestEnforceSeparation:
         cfg = FocusConfig(tau_f=1.5, alpha=0.05)
         floor = simulation._separation_floor(seed.p, cfg, 2.0)
         for i in range(10):
-            drawn = generate_truth(seed, 0.8, np.random.default_rng(i), 0.3, -0.1, min_snr=floor)
+            uniforms = np.random.default_rng(i).random((2, seed.p))
+            pi_d, pi_y = simulation._activated(seed, 0.8, uniforms, floor)
+            drawn = TruthConfig(pi_d, pi_y, 0.3, -0.1, seed.se_d, seed.se_y)
             after = enforce_separation(
                 generate_truth(seed, 0.8, np.random.default_rng(i), 0.3, -0.1), cfg, c1=2.0
             )
@@ -183,8 +184,6 @@ class TestEnforceSeparation:
 
 class TestSimulatePanel:
     def test_vanishing_noise_recovers_reduced_form(self):
-        from bidirmr.model import TruthConfig
-
         truth = TruthConfig([0.5, 0.0], [0.0, 0.4], 0.3, 0.1,
                             [1e-12, 1e-12], [1e-12, 1e-12])
         panel = simulate_panel(truth, np.random.default_rng(0))
@@ -193,8 +192,6 @@ class TestSimulatePanel:
         np.testing.assert_allclose(panel.beta_y, rf.gamma_y, atol=1e-10)
 
     def test_noise_mean_and_variance(self):
-        from bidirmr.model import TruthConfig
-
         p, reps = 5, 10_000
         truth = TruthConfig(
             [0.5, -0.2, 0.0, 0.1, 0.3], [0.0, 0.3, 0.2, 0.0, -0.4], 0.2, 0.1,
@@ -254,12 +251,40 @@ class TestReplicationStreams:
             np.testing.assert_array_equal(a.generate_state(8), b.generate_state(8))
 
 
+class TestScenarioConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_reps", 2.5, "n_reps must be an integer"),
+            ("n_reps", "3", "n_reps must be an integer"),
+            ("kappa", "1", "kappa must be a positive number"),
+            ("kappa", 0.0, "kappa must be a positive number"),
+            ("methods", ("nope",), "'nope' is not a valid Method; choose from focused_ivw"),
+            ("cells", (), "nonempty sequence"),
+            ("cells", (0.3, 0.0), "cell 0.3 is not"),
+            ("cells", ((0.3,),), "is not a \\(beta_dy, beta_yd\\) pair"),
+            ("cells", ((0.3, "0"),), "is not a \\(beta_dy, beta_yd\\) pair"),
+            ("cells", ((0.0, 0.0), (0.3, 0.0, 0.1)), "is not a \\(beta_dy, beta_yd\\) pair"),
+            ("cells", ((10**400, 0.0),), "too large for a float"),
+        ],
+    )
+    def test_bad_field_is_an_input_error_when_built(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            ScenarioConfig(**{field: value})
+
+    def test_cells_become_float_pairs_keeping_signed_zeros(self):
+        scenario = ScenarioConfig(cells=[(0, -0.0), [np.float64(0.3), 1]], n_reps=np.int64(3))
+        assert scenario.cells == ((0.0, -0.0), (0.3, 1.0))
+        assert all(type(beta) is float for cell in scenario.cells for beta in cell)
+        assert math.copysign(1.0, scenario.cells[0][1]) == -1.0
+        assert type(scenario.n_reps) is int and scenario.n_reps == 3
+
+
 class TestRunScenario:
     def _scenario(self, **overrides):
         base = dict(
             kappa=1.0,
-            beta_dy=0.0,
-            beta_yd=0.0,
+            cells=((0.0, 0.0),),
             n_reps=25,
             focus=FocusConfig(tau_f=1.5, alpha=0.05),
             methods=(Method.FOCUSED_IVW, Method.FOCUSED_MEDIAN, Method.OVERALL_IVW),
@@ -276,12 +301,12 @@ class TestRunScenario:
 
     def test_rho_components_sum_to_one(self):
         seed = synthetic_seed(80, np.random.default_rng(16))
-        report = run_scenario(seed, self._scenario(n_reps=40))
+        [report] = run_scenario(seed, self._scenario(n_reps=40))
         assert sum(report.mean_rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_valid_proportion_focused_exceeds_overall_under_null(self):
         seed = synthetic_seed(200, np.random.default_rng(17))
-        report = run_scenario(seed, self._scenario(n_reps=60))
+        [report] = run_scenario(seed, self._scenario(n_reps=60))
         focused = report.valid_iv_proportions["focused_ivw"]["dy"]
         overall = report.valid_iv_proportions["overall_ivw"]["dy"]
         assert focused > overall
@@ -316,7 +341,7 @@ class TestRunScenario:
             n_reps=5,
             enforce_separation_c1=None,
         )
-        report = run_scenario(seed, scenario)
+        [report] = run_scenario(seed, scenario)
         assert report.error_counts["mr_egger"]["dy"] == 5
         assert report.rejection_rates["mr_egger"]["dy"] is None
 
@@ -334,7 +359,7 @@ class TestRunScenario:
             n_reps=7,
             enforce_separation_c1=None,
         )
-        report = run_scenario(seed, scenario)
+        [report] = run_scenario(seed, scenario)
         assert report.error_counts["focused_ivw"]["dy"] == 7
         assert report.error_counts["overall_ivw"]["dy"] == 7
         assert report.rejection_rates["focused_ivw"]["dy"] is None
@@ -342,10 +367,11 @@ class TestRunScenario:
 
     def test_grid_runs_each_cell(self):
         seed = synthetic_seed(60, np.random.default_rng(20))
-        scenario = self._scenario(methods=(Method.FOCUSED_IVW,), n_reps=10)
-        cells = run_grid(seed, scenario, [(0.0, 0.0), (0.3, 0.0)])
-        assert [betas for betas, _ in cells] == [(0.0, 0.0), (0.3, 0.0)]
-        assert all(rep.n_reps == 10 for _, rep in cells)
+        cells = ((0.0, 0.0), (0.3, 0.0))
+        scenario = self._scenario(methods=(Method.FOCUSED_IVW,), n_reps=10, cells=cells)
+        reports = run_scenario(seed, scenario)
+        assert len(reports) == len(cells)
+        assert all(rep.n_reps == 10 for rep in reports)
 
 
 class TestGrid:
@@ -362,14 +388,14 @@ class TestGrid:
     def test_each_cell_equals_its_own_scenario(self):
         seed = synthetic_seed(50, np.random.default_rng(25))
         scenario = self._scenario()
-        pairs = [(0.0, 0.0), (0.3, -0.2), (0.0, 0.0), (-0.5, 0.4)]
-        cells = run_grid(seed, scenario, pairs)
-        assert [betas for betas, _ in cells] == pairs
-        for (beta_dy, beta_yd), report in cells:
-            alone = run_scenario(seed, replace(scenario, beta_dy=beta_dy, beta_yd=beta_yd))
+        pairs = ((0.0, 0.0), (0.3, -0.2), (0.0, 0.0), (-0.5, 0.4))
+        reports = run_scenario(seed, replace(scenario, cells=pairs))
+        assert len(reports) == len(pairs)
+        for pair, report in zip(pairs, reports):
+            [alone] = run_scenario(seed, replace(scenario, cells=(pair,)))
             assert repr(report) == repr(alone)
-        assert repr(cells[0][1]) == repr(cells[2][1])
-        assert cells[0][1].rejection_rates != cells[3][1].rejection_rates
+        assert repr(reports[0]) == repr(reports[2])
+        assert reports[0].rejection_rates != reports[3].rejection_rates
 
     def test_pair_free_work_runs_once_per_chunk(self, monkeypatch):
         activated, marginal = [], []
@@ -387,8 +413,8 @@ class TestGrid:
         monkeypatch.setattr(simulation, "_marginal_effects", spy_marginal)
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", 100)
         seed = synthetic_seed(40, np.random.default_rng(26))
-        pairs = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3)]
-        run_grid(seed, self._scenario(n_reps=5, methods=(Method.FOCUSED_IVW,)), pairs)
+        pairs = ((0.0, 0.0), (0.3, 0.0), (0.0, 0.3))
+        run_scenario(seed, self._scenario(n_reps=5, methods=(Method.FOCUSED_IVW,), cells=pairs))
         # chunks of 2, 2 and 1 replications, each drawn and activated once
         assert activated == [(2, 2, 40), (2, 2, 40), (1, 2, 40)]
         # and the cells take turns on each chunk, one (R, p) array at a time
@@ -399,7 +425,7 @@ class TestGrid:
         seed = synthetic_seed(40, np.random.default_rng(27))
         monkeypatch.setattr(np.random, "default_rng", _no_draws)
         with pytest.raises(InputError, match="beta_"):
-            run_grid(seed, self._scenario(), [(0.0, 0.0), (0.3, 0.0), bad])
+            run_scenario(seed, self._scenario(cells=((0.0, 0.0), (0.3, 0.0), bad)))
 
 
 def _no_draws(*args, **kwargs):
@@ -414,7 +440,8 @@ class TestChunks:
         seed = synthetic_seed(90, np.random.default_rng(21))
         scenarios = [
             ScenarioConfig(
-                kappa=0.8, beta_dy=0.2, n_reps=23, focus=focus, methods=tuple(Method), rng_seed=4,
+                kappa=0.8, cells=((0.2, 0.0),), n_reps=23, focus=focus, methods=tuple(Method),
+                rng_seed=4,
             )
             for focus in (
                 FocusConfig(tau_f=1.5, alpha=0.05),
@@ -482,7 +509,7 @@ class TestChunks:
     def test_one_snp_panel(self):
         seed = SeedEffects(alpha_d=[0.5], alpha_y=[0.2], se_d=[0.1], se_y=[0.1])
         focus = FocusConfig(tau_s=0.0)
-        report = run_scenario(seed, ScenarioConfig(n_reps=5, methods=tuple(Method), focus=focus))
+        [report] = run_scenario(seed, ScenarioConfig(n_reps=5, methods=tuple(Method), focus=focus))
         assert report.mean_corr_pi is None
         assert report.error_counts["mr_egger"] == {"dy": 5, "yd": 5}
 
