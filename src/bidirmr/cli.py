@@ -183,7 +183,8 @@ def _result_row(report: TestReport, panel) -> dict:
 
 def _ratio_column(numerator, denominator) -> MaskedColumn:
     zero = denominator == 0.0
-    ratio = np.divide(numerator, denominator, out=np.zeros_like(numerator), where=~zero)
+    with np.errstate(over="ignore"):  # an overflowing ratio is written as inf
+        ratio = np.divide(numerator, denominator, out=np.zeros_like(numerator), where=~zero)
     return MaskedColumn(ratio, zero)
 
 
@@ -207,23 +208,25 @@ def _emit_snp_table(path, panel, cfg):
 
 def _emit_density_table(path, panel, reports):
     # Per-SNP IVW pieces for density plots of the normalized contributions;
-    # a direction whose weights sum to zero gets empty shares.
+    # a direction whose weights sum to zero gets empty shares. An overflow
+    # is written as inf, and a zero share of an infinite ratio as nan.
     columns = ["direction", "id", "ratio", "weight", "contribution"]
     names, ids, ratios, shares, missing = [], [], [np.empty(0)], [np.empty(0)], [np.empty(0, bool)]
-    for report in reports:
-        mask = report.selected
-        eb, _, ob, os_ = (column[mask] for column in _panel_roles(panel, report.direction))
-        weights = (eb / os_) ** 2
-        total = sum(weights.tolist())  # summed left to right, not pairwise
-        names += [report.direction.value] * eb.size
-        ids += panel.ids_at(mask)
-        ratios.append(ob / eb)
-        shares.append(weights / total if total > 0 else weights)
-        missing.append(np.full(eb.size, not total > 0))
-    ratio, share, missing = (np.concatenate(parts) for parts in (ratios, shares, missing))
-    table = ColumnTable([
-        names, ids, ratio, MaskedColumn(share, missing), MaskedColumn(share * ratio, missing),
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for report in reports:
+            mask = report.selected
+            eb, _, ob, os_ = (column[mask] for column in _panel_roles(panel, report.direction))
+            weights = (eb / os_) ** 2
+            total = sum(weights.tolist())  # summed left to right, not pairwise
+            names += [report.direction.value] * eb.size
+            ids += panel.ids_at(mask)
+            ratios.append(ob / eb)
+            shares.append(weights / total if total > 0 else weights)
+            missing.append(np.full(eb.size, not total > 0))
+        ratio, share, missing = (np.concatenate(parts) for parts in (ratios, shares, missing))
+        table = ColumnTable([
+            names, ids, ratio, MaskedColumn(share, missing), MaskedColumn(share * ratio, missing),
+        ])
     write_tsv_rows(path, columns, table)
 
 
@@ -286,39 +289,25 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _parse_methods(spec: str) -> tuple[Method, ...]:
-    methods = []
-    for item in spec.split(","):
-        name = item.strip().replace("-", "_")
-        if not name:
-            continue
-        try:
-            methods.append(Method(name))
-        except ValueError:
-            raise InputError(
-                f"unknown method {item.strip()!r}; choose from "
-                + ", ".join(m.value for m in Method)
-            ) from None
+def _parse_methods(spec: str) -> tuple[str, ...]:
+    # the names, with "-" for "_"; ScenarioConfig checks each against Method
+    methods = tuple(item.strip().replace("-", "_") for item in spec.split(",") if item.strip())
     if not methods:
         raise InputError("--methods must name at least one method")
-    return tuple(methods)
+    return methods
 
 
-def _parse_grid(spec: str) -> list[tuple[float, float]]:
+def _parse_grid(spec: str) -> list[tuple[float, ...]]:
+    # the BETA_DY:BETA_YD entries as numbers; ScenarioConfig checks that each is a pair
     pairs = []
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise InputError(f"grid entry {item!r} is not of the form BETA_DY:BETA_YD")
         try:
-            pairs.append((float(parts[0]), float(parts[1])))
+            pairs.append(tuple(map(float, item.split(":"))))
         except ValueError:
             raise InputError(f"grid entry {item!r} has non-numeric parts") from None
-    if not pairs:
-        raise InputError("--grid must contain at least one BETA_DY:BETA_YD pair")
     return pairs
 
 

@@ -1,10 +1,20 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checkers that raise input errors.
 
 Two error families matter to callers: :class:`InputError` for anything wrong
 with user-supplied data or configuration, and :class:`DegeneracyError` for
 numerically degenerate situations encountered during an otherwise valid
 computation. The command-line interface maps them to exit codes 2 and 3.
+
+The value types (``Panel``, ``SeedEffects``, ``TruthConfig``, ``FocusConfig``,
+``ScenarioConfig`` and ``TruncSpec``) check every field, and functions their
+scalar arguments, with :func:`_number`, :func:`_count` and :func:`_vectors`:
+a refused value is an :class:`InputError` ``"<field> must be <what>, got <value!r>"``.
 """
+
+import numbers
+import reprlib
+
+import numpy as np
 
 
 class BidirMrError(Exception):
@@ -68,3 +78,54 @@ class ZeroDenominatorError(DegeneracyError):
 
 class RankDeficientError(DegeneracyError):
     """A regression design matrix does not have full column rank."""
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut short as by :func:`reprlib.repr`."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # an int past the interpreter's limit on digits
+        return "an integer too long to print"
+
+
+def _refused(name: str, what: str, value) -> InputError:
+    return InputError(f"{name} must be {what}, got {_shown(value)}")
+
+
+def _number(name: str, value, ok, what: str) -> float:
+    """``value`` as a float, if it is a real number other than a bool for which ``ok`` holds."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise InputError(f"{name} must be {what}, got a number too large for a float") from None
+        if ok(number):
+            return number
+    raise _refused(name, what, value)
+
+
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an int, if it is an integer other than a bool and at least ``low``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise _refused(name, f"an integer of at least {low}", value)
+
+
+def _vectors(owner, size: int | None, positive: tuple[str, ...], **columns) -> None:
+    """Set each column on ``owner`` as a read-only float64 copy of ``size`` values (the first
+    column's count if ``None``, and at least one), finite, and positive if named in ``positive``."""
+    for name, value in columns.items():
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise _refused(name, "a vector of numbers", value) from None
+        size = arr.size if size is None else size
+        _count(f"the SNP count of {type(owner).__name__}", size, 1)
+        if arr.shape != (size,):
+            raise InputError(f"{name} must have length {size}, got shape {arr.shape}")
+        ok = np.isfinite(arr) & (arr > 0.0) if name in positive else np.isfinite(arr)
+        if not ok.all():
+            what = "finite and positive" if name in positive else "finite"
+            raise _refused(name, what, float(arr[~ok][0]))
+        arr.setflags(write=False)
+        object.__setattr__(owner, name, arr)

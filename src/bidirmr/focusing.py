@@ -48,6 +48,7 @@ from .errors import (
     RankDeficientError,
     ZeroDenominatorError,
 )
+from .errors import _count, _number, _refused, _vectors
 from .model import TruthConfig
 from .truncnorm import _SQRT2, TruncSpec, std_cdf, std_quantile, std_sf
 from .truncnorm import truncnorm_mean, truncnorm_var
@@ -116,31 +117,22 @@ class Panel:
 
     @classmethod
     def from_arrays(cls, ids, beta_d, se_d, beta_y, se_y) -> "Panel":
-        ids = tuple(map(str, ids))
-        columns = {
-            name: np.array(arr, dtype=float)
-            for name, arr in (("beta_d", beta_d), ("se_d", se_d), ("beta_y", beta_y), ("se_y", se_y))
-        }
-        p = len(ids)
-        if p < 1:
-            raise InputError("a panel needs at least one SNP")
-        for name, arr in columns.items():
-            if arr.shape != (p,):
-                raise InputError(f"{name} must have length {p}")
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} must be finite")
-        if not (np.all(columns["se_d"] > 0.0) and np.all(columns["se_y"] > 0.0)):
-            raise InputError("standard errors must be positive")
+        try:
+            ids = tuple(map(str, ids))
+        except TypeError:
+            raise _refused("ids", "a sequence of SNP ids", ids) from None
+        panel = cls.__new__(cls)
+        _vectors(
+            panel, len(ids), ("se_d", "se_y"), beta_d=beta_d, se_d=se_d, beta_y=beta_y, se_y=se_y
+        )
         if not all(ids):
             raise InputError("SNP ids must be nonempty")
-        if len(set(ids)) != p:
+        if len(set(ids)) != len(ids):
             raise InputError("SNP ids must be unique within a panel")
         id_array = np.array(ids, dtype=object)
-        for arr in (*columns.values(), id_array):
-            arr.setflags(write=False)
-        panel = cls.__new__(cls)
-        for name, value in (("ids", ids), *columns.items(), ("_id_array", id_array)):
-            object.__setattr__(panel, name, value)
+        id_array.setflags(write=False)
+        object.__setattr__(panel, "ids", ids)
+        object.__setattr__(panel, "_id_array", id_array)
         return panel
 
     def __len__(self) -> int:
@@ -184,12 +176,10 @@ class FocusConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if math.isnan(self.tau_f) or not self.tau_f > 0.0:
-            raise InputError(f"tau_f must be positive, got {self.tau_f!r}")
-        if self.tau_s is not None and not self.tau_s >= 0.0:
-            raise InputError(f"tau_s must be nonnegative, got {self.tau_s!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _number("tau_f", self.tau_f, lambda x: x > 0.0, "positive")
+        if self.tau_s is not None:
+            _number("tau_s", self.tau_s, lambda x: x >= 0.0, "nonnegative")
+        _number("alpha", self.alpha, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 
     def resolve_tau_s(self, p: int) -> float:
         if self.tau_s is not None:
@@ -255,8 +245,7 @@ def _select(mask: np.ndarray, a, b) -> np.ndarray:
 
 def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarray:
     """Boolean mask of SNPs with |exposure beta| >= se * tau_s."""
-    if not tau_s >= 0.0:
-        raise InputError(f"tau_s must be nonnegative, got {tau_s!r}")
+    _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
     return _set_mask(*_panel_roles(panel, direction), math.inf, tau_s)
 
 
@@ -267,8 +256,7 @@ def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.nda
 
 def _separation_threshold(p: int, tau_f: float, c1: float) -> float:
     """``c1 * tau_f * sqrt(log p)`` noise units, for a positive ``c1``."""
-    if not c1 > 0.0:
-        raise InputError(f"c1 must be positive, got {c1!r}")
+    _number("c1", c1, lambda x: x > 0.0, "positive")
     return c1 * tau_f * math.sqrt(math.log(p))
 
 
@@ -607,8 +595,7 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
     the ratio sets :func:`exact_bootstrap_median_sd` takes.
     """
     ratios = _ratio_set(ratios)
-    if n_boot < 2:
-        raise InputError("n_boot must be at least 2")
+    _count("n_boot", n_boot, 2)
     idx = rng.integers(0, ratios.size, size=(n_boot, ratios.size))
     rows = max(1, _BOOT_BLOCK_VALUES // ratios.size)
     medians = np.empty(n_boot)
@@ -816,8 +803,7 @@ def direction_rows(
     :class:`ZeroDenominatorError` too.
     """
     method, alpha = Method(method), cfg.alpha
-    if not tau_s >= 0.0:
-        raise InputError(f"tau_s must be nonnegative, got {tau_s!r}")
+    _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
     if method is Method.MR_EGGER:
         return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s, alpha)
     if not method.focused:

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _number, _vectors
 
 __all__ = [
     "DiagnosticsReport",
@@ -38,17 +38,13 @@ __all__ = [
 ]
 
 
-def _as_float_vector(value, name: str) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name} must be a vector of finite numbers") from None
-    if arr.ndim != 1:
-        raise InputError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+def _causal_pair(beta_dy, beta_yd) -> tuple[float, float]:
+    """``(beta_dy, beta_yd)`` as floats: both finite, with a product other than 1."""
+    beta_dy = _number("beta_dy", beta_dy, np.isfinite, "a finite number")
+    beta_yd = _number("beta_yd", beta_yd, np.isfinite, "a finite number")
+    if beta_dy * beta_yd == 1.0:
+        raise InputError(f"beta_dy * beta_yd must be other than 1, got {beta_dy!r} * {beta_yd!r}")
+    return beta_dy, beta_yd
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,26 +71,13 @@ class TruthConfig:
     se_y: np.ndarray
 
     def __post_init__(self):
-        for name in ("pi_d", "pi_y", "se_d", "se_y"):
-            object.__setattr__(self, name, _as_float_vector(getattr(self, name), name))
-        p = self.pi_d.size
-        if p < 1:
-            raise InputError("a truth configuration needs at least one SNP")
-        for name in ("pi_y", "se_d", "se_y"):
-            if getattr(self, name).size != p:
-                raise InputError(f"{name} has length {getattr(self, name).size}, expected {p}")
-        for name in ("se_d", "se_y"):
-            if not np.all(getattr(self, name) > 0.0):
-                raise InputError(f"{name} must be strictly positive")
-        for name in ("beta_dy", "beta_yd"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError, OverflowError):
-                raise InputError(f"{name} must be a finite number") from None
-            if not np.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite")
-        if self.beta_dy * self.beta_yd == 1.0:
-            raise InputError("beta_dy * beta_yd must differ from 1")
+        _vectors(
+            self, None, ("se_d", "se_y"),
+            pi_d=self.pi_d, pi_y=self.pi_y, se_d=self.se_d, se_y=self.se_y,
+        )
+        beta_dy, beta_yd = _causal_pair(self.beta_dy, self.beta_yd)
+        object.__setattr__(self, "beta_dy", beta_dy)
+        object.__setattr__(self, "beta_yd", beta_yd)
 
     @property
     def p(self) -> int:
@@ -117,8 +100,7 @@ def iv_class_masks(truth: TruthConfig, zero_tol: float = 1e-12) -> dict[IvClass,
 
 def _class_masks(pi_d: np.ndarray, pi_y: np.ndarray, zero_tol: float) -> dict[IvClass, np.ndarray]:
     """:func:`iv_class_masks` on direct-effect arrays of any matching shape, e.g. (R, p)."""
-    if not zero_tol >= 0.0:
-        raise InputError(f"zero_tol must be nonnegative, got {zero_tol!r}")
+    _number("zero_tol", zero_tol, lambda x: x >= 0.0, "nonnegative")
     d_zero = np.abs(pi_d) <= zero_tol
     y_zero = np.abs(pi_y) <= zero_tol
     return {

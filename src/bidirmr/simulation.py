@@ -45,17 +45,16 @@ arithmetic for one replication (draws 1-2 and 3-4).
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GwasParseError, InputError
+from .errors import GwasParseError, InputError, _count, _number, _refused, _shown, _vectors
 from .focusing import Direction, FocusConfig, Method, Panel, direction_rows
 from .focusing import _roles, _select, _separation_threshold
 from .gwasio import load_float_columns
-from .model import IvClass, TruthConfig, _class_masks, _marginal_effects, reduced_form
+from .model import IvClass, TruthConfig, _causal_pair, _class_masks, _marginal_effects
+from .model import reduced_form
 
 __all__ = [
     "ScenarioConfig",
@@ -80,24 +79,10 @@ class SeedEffects:
     se_y: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("alpha_d", "alpha_y", "se_d", "se_y"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise InputError(f"{name} must be a 1-D vector")
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} must be finite")
-            arrays[name] = arr
-        p = arrays["alpha_d"].size
-        if p < 1:
-            raise InputError("seed effects need at least one SNP")
-        if any(arr.size != p for arr in arrays.values()):
-            raise InputError("seed effect vectors must share one length")
-        if not (np.all(arrays["se_d"] > 0.0) and np.all(arrays["se_y"] > 0.0)):
-            raise InputError("seed standard errors must be positive")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _vectors(
+            self, None, ("se_d", "se_y"),
+            alpha_d=self.alpha_d, alpha_y=self.alpha_y, se_d=self.se_d, se_y=self.se_y,
+        )
         object.__setattr__(self, "_activation", None)
 
     @property
@@ -162,8 +147,7 @@ def synthetic_seed(p: int, rng: np.random.Generator) -> SeedEffects:
     mixture and then re-paired along a Gaussian copula of a fixed rank
     correlation; signs come from a second correlated Gaussian pair.
     """
-    if p < 10:
-        raise InputError(f"a synthetic seed needs p >= 10 SNPs, got {p}")
+    _count("p", p, 10)
 
     lat_d, lat_y = _correlated_pair(p, _MAGNITUDE_RANK_CORR, rng)
     sign_d_lat, sign_y_lat = _correlated_pair(p, _SIGN_CORR, rng)
@@ -209,8 +193,7 @@ def generate_truth(
     Smaller ``kappa`` activates more SNPs. Exposure-trait draws precede
     outcome-trait draws on the stream.
     """
-    if not kappa > 0.0:
-        raise InputError(f"kappa must be positive, got {kappa!r}")
+    _number("kappa", kappa, lambda x: x > 0.0, "a positive number")
     pi_d, pi_y = _activated(seed, kappa, rng.random((2, seed.p)), None)
     return TruthConfig(
         pi_d=pi_d, pi_y=pi_y, beta_dy=beta_dy, beta_yd=beta_yd, se_d=seed.se_d, se_y=seed.se_y
@@ -307,34 +290,39 @@ class ScenarioConfig:
     enforce_separation_c1: float | None = None
 
     def __post_init__(self):
+        n_reps = _count("n_reps", self.n_reps, 1)
+        _number("kappa", self.kappa, lambda x: x > 0.0, "a positive number")
+        cells = tuple(map(_cell, self.cells)) if isinstance(self.cells, (tuple, list)) else ()
+        if not cells:
+            raise _refused("cells", "a nonempty sequence of (beta_dy, beta_yd) pairs", self.cells)
+        if not isinstance(self.focus, FocusConfig):
+            raise _refused("focus", "a FocusConfig", self.focus)
         try:
-            n_reps = operator.index(self.n_reps)
-        except TypeError:
-            raise InputError(f"n_reps must be an integer, got {self.n_reps!r}") from None
-        if n_reps < 1:
-            raise InputError("n_reps must be at least 1")
-        if not (isinstance(self.kappa, numbers.Real) and self.kappa > 0.0):
-            raise InputError(f"kappa must be a positive number, got {self.kappa!r}")
-        if not (isinstance(self.cells, (tuple, list)) and self.cells):
-            raise InputError("cells must be a nonempty sequence of (beta_dy, beta_yd) pairs")
-        for cell in self.cells:
-            pair = isinstance(cell, (tuple, list)) and len(cell) == 2
-            if not (pair and all(isinstance(beta, numbers.Real) for beta in cell)):
-                raise InputError(f"cell {cell!r} is not a (beta_dy, beta_yd) pair of numbers")
-        try:
-            cells = tuple((float(dy), float(yd)) for dy, yd in self.cells)
-        except OverflowError:
-            raise InputError("a cell's beta_dy or beta_yd is too large for a float") from None
-        try:
-            methods = tuple(Method(m) for m in self.methods)
+            methods = tuple(map(Method, self.methods))
+        except TypeError:  # not iterable
+            raise _refused("methods", "a sequence of methods", self.methods) from None
         except ValueError as exc:
             raise InputError(f"{exc}; choose from " + ", ".join(m.value for m in Method)) from None
         for i, method in enumerate(methods):
             if method in methods[:i]:
                 raise InputError(f"method {method.value!r} is listed more than once")
-        object.__setattr__(self, "n_reps", n_reps)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "methods", methods)
+        _count("rng_seed", self.rng_seed, 0)
+        if self.enforce_separation_c1 is not None:
+            _number("enforce_separation_c1", self.enforce_separation_c1, lambda x: x > 0.0, "positive")
+        for name, value in (("n_reps", n_reps), ("cells", cells), ("methods", methods)):
+            object.__setattr__(self, name, value)
+
+
+def _cell(cell) -> tuple[float, float]:
+    """One of ``ScenarioConfig.cells`` as floats, by the rule of a truth's causal pair."""
+    try:
+        beta_dy, beta_yd = cell
+    except (TypeError, ValueError):  # not two values
+        raise InputError(f"cell {_shown(cell)} is not a (beta_dy, beta_yd) pair of numbers") from None
+    try:
+        return _causal_pair(beta_dy, beta_yd)
+    except InputError as exc:
+        raise InputError(f"cell {_shown(cell)} is not a (beta_dy, beta_yd) pair: {exc}") from None
 
 
 _VALID_CLASS = {Direction.D_TO_Y: IvClass.VALID_DY, Direction.Y_TO_D: IvClass.VALID_YD}
@@ -427,9 +415,6 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     p = seed.p
     focus = replace(scenario.focus, tau_s=scenario.focus.resolve_tau_s(p))
     cells = scenario.cells
-    # every causal pair is checked before the first draw, as each replication's truth would
-    for beta_dy, beta_yd in cells:
-        TruthConfig(seed.alpha_d, seed.alpha_y, beta_dy, beta_yd, seed.se_d, seed.se_y)
     c1 = scenario.enforce_separation_c1
     min_snr = None if c1 is None else _separation_floor(p, focus, c1)
     directions = (Direction.D_TO_Y, Direction.Y_TO_D)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTruncationError, InputError
+from .errors import DegenerateTruncationError, InputError, _number
 
 __all__ = [
     "DEGENERATE_MASS",
@@ -65,8 +65,7 @@ def std_quantile(p: float) -> float:
     Newton iteration on the cdf with a bisection safeguard; converges to
     machine precision for every representable ``p`` in (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise InputError(f"quantile requires 0 < p < 1, got {p!r}")
+    _number("p", p, lambda x: 0.0 < x < 1.0, "in (0, 1)")
     if p == 0.5:
         return 0.0
     lo, hi = -40.0, 40.0
@@ -103,14 +102,11 @@ class TruncSpec:
     mu: float = 0.0
 
     def __post_init__(self):
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise InputError("truncation bounds must not be NaN")
+        for name in ("lower", "upper"):
+            _number(name, getattr(self, name), lambda x: not math.isnan(x), "a number, not NaN")
         if not self.lower < self.upper:
-            raise InputError(
-                f"truncation requires lower < upper, got [{self.lower}, {self.upper}]"
-            )
-        if not math.isfinite(self.mu):
-            raise InputError(f"location mu must be finite, got {self.mu!r}")
+            raise InputError(f"upper must be above lower, got [{self.lower}, {self.upper}]")
+        _number("mu", self.mu, math.isfinite, "finite")
 
 
 def _window_mass(alpha: float, beta: float) -> float:

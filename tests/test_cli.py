@@ -402,6 +402,21 @@ class TestExtremeRatios:
         row = json.loads((tmp_path / "r.json").read_text())["results"][0]
         assert row["estimate"] is None and row["se"] is None
 
+    def test_density_table_writes_an_overflowing_ratio_as_inf(self, tmp_path):
+        # b's ratio 1e200 / 1e-200 overflows and its weight (1e-200 / 0.05)^2
+        # underflows to 0, so its contribution 0 * inf is nan
+        exposure, outcome = tmp_path / "e.tsv", tmp_path / "o.tsv"
+        exposure.write_text("id\tbeta\tse\na\t0.5\t0.05\nb\t1e-200\t1e-300\nc\t-0.3\t0.05\n")
+        outcome.write_text("id\tbeta\tse\na\t0.1\t0.05\nb\t1e200\t0.05\nc\t0.2\t0.05\n")
+        density = tmp_path / "d.tsv"
+        code = main(
+            ["test", "--exposure", str(exposure), "--outcome", str(outcome), "--tau-s", "0",
+             "--estimator", "overall-ivw", "--direction", "dy", "--emit-density", str(density),
+             "--seed", "1", "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 0
+        assert density.read_text().splitlines()[2] == "dy\tb\tinf\t0\tnan"
+
 
 # (command line before the input path, header, a column of the header)
 NUMERIC_TSV_COMMANDS = {

@@ -15,7 +15,7 @@ import tempfile
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bidirmr.cli import main  # noqa: E402
@@ -149,8 +149,18 @@ def invocations(draw):
     return argv, files
 
 
+# The ratio 1e200 / 1e-200 of --emit-snps overflows: it is written as inf, with no warning.
+OVERFLOWING_RATIO = (
+    ["test", "--exposure", "{dir}/exp.tsv", "--outcome", "{dir}/out.tsv", "--estimator=median",
+     "--emit-snps={dir}/snps.tsv", "--out", "{dir}/report"],
+    {"exp.tsv": "id\tbeta\tse\nrs0\t0\t0.05\nrs1\t1e-200\t0.05\nrs2\t0\t0.05\n",
+     "out.tsv": "id\tbeta\tse\nrs0\t0\t0.05\nrs1\t1e200\t0.05\nrs2\t0\t0.05\n"},
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
+@example(OVERFLOWING_RATIO)
 def test_every_invocation_ends_with_a_contract_exit_code(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -266,6 +266,9 @@ class TestScenarioConfig:
             ("cells", ((0.3, "0"),), "is not a \\(beta_dy, beta_yd\\) pair"),
             ("cells", ((0.0, 0.0), (0.3, 0.0, 0.1)), "is not a \\(beta_dy, beta_yd\\) pair"),
             ("cells", ((10**400, 0.0),), "too large for a float"),
+            ("cells", ((0.0, 0.0), (2.0, 0.5)), "beta_dy \\* beta_yd must be other than 1"),
+            ("n_reps", True, "n_reps must be an integer"),
+            ("kappa", True, "kappa must be a positive number"),
         ],
     )
     def test_bad_field_is_an_input_error_when_built(self, field, value, message):

@@ -1,0 +1,96 @@
+"""The six value types refuse a bad field with a package error that names it.
+
+``Panel.from_arrays``, ``SeedEffects``, ``TruthConfig``, ``FocusConfig``,
+``ScenarioConfig`` and ``TruncSpec`` check every field when they are built.
+A value of the wrong type, or out of range, is an ``InputError`` whose message
+starts with the field's name; no bare ``TypeError``, ``ValueError`` or
+``AttributeError`` escapes, whatever the value.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bidirmr.errors import BidirMrError, InputError  # noqa: E402
+from bidirmr.focusing import FocusConfig, Method, Panel  # noqa: E402
+from bidirmr.model import TruthConfig  # noqa: E402
+from bidirmr.simulation import ScenarioConfig, SeedEffects  # noqa: E402
+from bidirmr.truncnorm import TruncSpec  # noqa: E402
+
+# Each constructor with a set of fields it accepts.
+CONSTRUCTORS = {
+    "Panel.from_arrays": (Panel.from_arrays, dict(
+        ids=["a", "b"], beta_d=[0.1, -0.2], se_d=[0.1, 0.1], beta_y=[0.0, 0.3], se_y=[0.2, 0.1])),
+    "SeedEffects": (SeedEffects, dict(
+        alpha_d=[0.1, -0.2], alpha_y=[0.0, 0.3], se_d=[0.1, 0.1], se_y=[0.2, 0.1])),
+    "TruthConfig": (TruthConfig, dict(
+        pi_d=[0.1, 0.0], pi_y=[0.0, 0.3], beta_dy=0.3, beta_yd=-0.1, se_d=[0.1, 0.1],
+        se_y=[0.2, 0.1])),
+    "FocusConfig": (FocusConfig, dict(tau_f=1.5, tau_s=None, alpha=0.05)),
+    "ScenarioConfig": (ScenarioConfig, dict(
+        kappa=1.0, cells=((0.0, 0.0),), n_reps=3, focus=FocusConfig(),
+        methods=(Method.FOCUSED_IVW,), rng_seed=0, enforce_separation_c1=None)),
+    "TruncSpec": (TruncSpec, dict(lower=-1.0, upper=1.0, mu=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_the_accepted_fields_build(name):
+    build, fields = CONSTRUCTORS[name]
+    build(**fields)
+
+
+@pytest.mark.parametrize(
+    "name, bad, field",
+    [
+        ("ScenarioConfig", {"rng_seed": "3"}, "rng_seed"),
+        ("ScenarioConfig", {"rng_seed": -1}, "rng_seed"),
+        ("ScenarioConfig", {"focus": {}}, "focus"),
+        ("ScenarioConfig", {"enforce_separation_c1": "2"}, "enforce_separation_c1"),
+        ("ScenarioConfig", {"methods": None}, "methods"),
+        ("FocusConfig", {"tau_f": "1"}, "tau_f"),
+        ("FocusConfig", {"alpha": "0.1"}, "alpha"),
+        ("FocusConfig", {"tau_s": "1"}, "tau_s"),
+        ("SeedEffects", {"alpha_d": "x"}, "alpha_d"),
+        ("Panel.from_arrays", {"ids": ["a"], "beta_d": ["x"]}, "beta_d"),
+        ("TruncSpec", {"lower": "a", "upper": 1.0}, "lower"),
+    ],
+)
+def test_a_field_of_the_wrong_type_is_an_input_error_naming_it(name, bad, field):
+    build, fields = CONSTRUCTORS[name]
+    with pytest.raises(InputError, match=f"^{field} must be "):
+        build(**{**fields, **bad})
+
+
+# wrong types, NaN, +-inf, negative, empty and 2-D values, and ints too large
+# for a float (10**400) or for a repr (10**5000)
+BAD = [
+    "x", "1", "", None, {}, True, False, math.nan, math.inf, -math.inf, -1, -1.0, 0, 0.0,
+    [], (), [[1.0, 2.0]], np.zeros((2, 2)), np.array([]), np.float64(math.nan), 10**400,
+    -10**5000, [math.nan, 1.0], [-1.0, 1.0], ["x", 1.0], [None, 1.0], [True, 1.0], [{}, 1.0],
+    [(0.3, "0")], [(math.inf, 0.0)], [(2.0, 0.5)], [(0.1,)], ["focused_ivw", "focused_ivw"],
+]
+values = st.one_of(
+    st.sampled_from(BAD),
+    st.floats(),
+    st.integers(),
+    st.text(max_size=2),
+    st.lists(st.one_of(st.floats(), st.integers(-2, 2), st.sampled_from(BAD[:8])), max_size=3),
+)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_any_field_values_build_or_raise_a_package_error(name, data):
+    build, fields = CONSTRUCTORS[name]
+    changed = data.draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, unique=True))
+    try:
+        build(**{**fields, **{field: data.draw(values, label=field) for field in changed}})
+    except BidirMrError:
+        pass
