@@ -7,8 +7,9 @@ computation. The command-line interface maps them to exit codes 2 and 3.
 
 The value types (``Panel``, ``SeedEffects``, ``TruthConfig``, ``FocusConfig``,
 ``ScenarioConfig`` and ``TruncSpec``) check every field, and functions their
-scalar arguments, with :func:`_number`, :func:`_count` and :func:`_vectors`:
-a refused value is an :class:`InputError` ``"<field> must be <what>, got <value!r>"``.
+arguments, with :func:`_number`, :func:`_count`, :func:`_floats`, :func:`_vectors`
+and :func:`_instance`: a refused value is an :class:`InputError`
+``"<field> must be <what>, got <value!r>"``.
 """
 
 import numbers
@@ -111,14 +112,29 @@ def _count(name: str, value, low: int) -> int:
     raise _refused(name, f"an integer of at least {low}", value)
 
 
+def _instance(name: str, value, cls: type):
+    """``value``, if it is a ``cls``."""
+    if isinstance(value, cls):
+        return value
+    raise _refused(name, f"a {cls.__name__}", value)
+
+
+def _floats(name: str, value) -> np.ndarray:
+    """``value`` as a new float64 array, if it holds real numbers; a complex one is
+    refused rather than cut to its real part."""
+    try:
+        if not np.iscomplexobj(value):
+            return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise _refused(name, "a vector of real numbers", value)
+
+
 def _vectors(owner, size: int | None, positive: tuple[str, ...], **columns) -> None:
     """Set each column on ``owner`` as a read-only float64 copy of ``size`` values (the first
     column's count if ``None``, and at least one), finite, and positive if named in ``positive``."""
     for name, value in columns.items():
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise _refused(name, "a vector of numbers", value) from None
+        arr = _floats(name, value)
         size = arr.size if size is None else size
         _count(f"the SNP count of {type(owner).__name__}", size, 1)
         if arr.shape != (size,):

@@ -48,7 +48,7 @@ from .errors import (
     RankDeficientError,
     ZeroDenominatorError,
 )
-from .errors import _count, _number, _refused, _vectors
+from .errors import _count, _floats, _instance, _number, _refused, _vectors
 from .model import TruthConfig
 from .truncnorm import _SQRT2, TruncSpec, std_cdf, std_quantile, std_sf
 from .truncnorm import truncnorm_mean, truncnorm_var
@@ -251,6 +251,7 @@ def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarra
 
 def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.ndarray:
     """Boolean mask of the focused set; both boundary comparisons are inclusive."""
+    _instance("cfg", cfg, FocusConfig)
     return _set_mask(*_panel_roles(panel, direction), cfg.tau_f, cfg.resolve_tau_s(len(panel)))
 
 
@@ -557,7 +558,7 @@ class _EvenLaws:
 
 def _ratio_set(ratios) -> np.ndarray:
     """``ratios`` as a float array the median laws take: one-dimensional, nonempty, no NaN."""
-    ratios = np.asarray(ratios, dtype=float)
+    ratios = _floats("ratios", ratios)
     if ratios.ndim != 1:
         raise InputError(f"ratios must be one-dimensional, got shape {ratios.shape}")
     if ratios.size == 0:
@@ -802,7 +803,7 @@ def direction_rows(
     that all underflow to zero, or overflow, leave no null scale and are a
     :class:`ZeroDenominatorError` too.
     """
-    method, alpha = Method(method), cfg.alpha
+    method, alpha = Method(method), _instance("cfg", cfg, FocusConfig).alpha
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
     if method is Method.MR_EGGER:
         return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s, alpha)
@@ -1035,7 +1036,7 @@ def test_direction(
     count reported.
     """
     method = Method(method)
-    tau_s = cfg.resolve_tau_s(len(panel))
+    tau_s = _instance("cfg", cfg, FocusConfig).resolve_tau_s(len(panel))
     exp_beta, exp_se, out_beta, out_se = _panel_roles(panel, direction)
     rows = direction_rows(exp_beta[None], exp_se, out_beta[None], out_se, cfg, tau_s, method)
     if rows.errors:
@@ -1090,7 +1091,7 @@ def test_joint_null(
     method: Method = Method.FOCUSED_IVW,
 ) -> JointTestReport:
     """Test the joint null of no causal effect in either direction, by any method."""
-    half = replace(cfg, alpha=cfg.alpha / 2.0)
+    half = replace(_instance("cfg", cfg, FocusConfig), alpha=cfg.alpha / 2.0)
     dy = test_direction(panel, Direction.D_TO_Y, half, method)
     yd = test_direction(panel, Direction.Y_TO_D, half, method)
     return JointTestReport(alpha=cfg.alpha, reject=dy.reject or yd.reject, d_to_y=dy, y_to_d=yd)
@@ -1134,8 +1135,9 @@ def power_forecast(
     that all underflow to zero or whose sum overflows, a
     :class:`ZeroDenominatorError`.
     """
+    _instance("cfg", cfg, FocusConfig)
     selected = np.asarray(selected)
-    snr = np.asarray(snr, dtype=float)
+    snr = _floats("snr", snr)
     if selected.dtype != bool or selected.shape != (len(panel),):
         raise InputError(f"selected must be a boolean mask of length {len(panel)}")
     if snr.shape != (len(panel),):

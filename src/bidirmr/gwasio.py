@@ -4,9 +4,18 @@ Input files are UTF-8, tab-separated text with a header. One parser reads
 them all: GWAS files, whose header names at least ``id``, ``beta`` and
 ``se`` (arbitrary file headers can be remapped onto those names), and the
 numeric seed-effect and ground-truth tables of the simulator and the
-diagnostics. Files are parsed, and per-SNP tables are written, a fixed
-number of rows at a time, each chunk held as NumPy columns, and every file
-fails the same way, naming the line a bad record starts on.
+diagnostics. A plain file whose every row is valid is parsed in one
+``np.loadtxt`` pass: UTF-8 with no quote character, carriage return or NUL
+byte, no blank line, no line longer than ``csv``'s field limit, and alleles
+of printable ASCII (no spaces) shorter than 8 characters. Any other file,
+such as one with quoted fields, CRLF line ends, a blank or whitespace-only
+line, a padded or longer allele, a number written ``1_000`` or in non-ASCII
+digits, or any invalid row, goes to the strict reader: ``csv`` records a
+fixed number of rows at a time, each chunk held as NumPy columns.
+Both give the same columns, floats bit for bit, and the same errors, since
+the fast parse returns only what the strict reader would and leaves every
+error to it; an error names the line its record starts on. Per-SNP tables
+are written a fixed number of rows at a time.
 Harmonization inner-joins two files on variant id, optionally reconciling
 effect alleles: when the outcome file reports the swapped allele pair the
 outcome beta changes sign, while palindromic (A/T, C/G) and
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import logging
 import math
@@ -140,17 +150,32 @@ def _read_columns(path: str, required, optional=(), col_map=None) -> dict[str, A
 
     ``id`` is read as stripped, nonempty, unique strings (a tuple), the
     allele columns as upper-cased string arrays, ``se`` as positive floats
-    and any other column as finite floats. Rows are read and validated in
-    chunks of ``_CHUNK_ROWS``, each turned into columns at once; only a
-    chunk that fails is checked row by row. Errors are
-    :class:`GwasParseError` naming the physical line the offending record
-    starts on (a quoted field may hold a newline).
+    and any other column as finite floats. A plain file is read by
+    :func:`_fast_columns`, which gives exactly what :func:`_strict_columns`
+    gives or declines the file; a declined file, and every invalid one, is
+    read by :func:`_strict_columns`, whose errors name its line.
+    """
+    col_map = col_map or {}
+    with _gc_paused():
+        columns = _fast_columns(path, required, optional, col_map)
+        if columns is None:
+            columns = _strict_columns(path, required, optional, col_map)
+    return columns
+
+
+def _strict_columns(path: str, required, optional, col_map: dict[str, str]) -> dict[str, Any]:
+    """:func:`_read_columns` for any file, with ``csv``.
+
+    Rows are read and validated in chunks of ``_CHUNK_ROWS``, each turned
+    into columns at once; only a chunk that fails is checked row by row.
+    Errors are :class:`GwasParseError` naming the physical line the
+    offending record starts on (a quoted field may hold a newline).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh, _gc_paused():
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter="\t")
             try:
-                return _parse_columns(reader, required, optional, col_map or {}, path)
+                return _parse_columns(reader, required, optional, col_map, path)
             except csv.Error as exc:
                 raise GwasParseError(
                     f"malformed TSV ({exc})", path=path, line=reader.line_num
@@ -165,6 +190,89 @@ def _read_columns(path: str, required, optional=(), col_map=None) -> dict[str, A
         raise GwasParseError(
             f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)
         ) from None
+
+
+# Longest allele the fast parse reads; a file with a longer one is left to the
+# strict reader.
+_FAST_ALLELE_WIDTH = 8
+_FAST_DTYPES = {"id": object, **dict.fromkeys(_ALLELE_COLUMNS, f"U{_FAST_ALLELE_WIDTH}")}
+
+
+def _fast_columns(path: str, required, optional, col_map: dict[str, str]) -> dict | None:
+    """:func:`_read_columns` of a plain file in one ``np.loadtxt`` pass, or None.
+
+    A file is declined (None) unless it is UTF-8 without quotes, carriage
+    returns or NUL, with at least one data row, no blank first row and no
+    line longer than ``csv``'s field limit, and unless every row is valid.
+    Within those bounds ``csv`` splits lines exactly at ``\\n`` and fields at
+    tabs, as ``loadtxt`` does; ``loadtxt`` converts a number with the CPython
+    routine ``float`` uses, so it gives ``float``'s bits or fails; and a row
+    it drops (a blank line) is caught by counting rows.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data.decode("utf-8")  # the strict reader reports undecodable bytes
+    except (OSError, UnicodeDecodeError):
+        return None
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    # no data row, or a blank first one: loadtxt would warn that it read nothing
+    if not len(breaks) or data[breaks[0] + 1 : breaks[0] + 2] in (b"", b"\n"):
+        return None
+    if np.diff(breaks, prepend=-1, append=len(data)).max() > csv.field_size_limit():
+        return None
+    n_rows = len(breaks) - data.endswith(b"\n")  # the last row may lack its newline
+    try:
+        header = data[: breaks[0]].decode("utf-8").split("\t")
+        pos, width = _header_positions(header, required, optional, col_map, path)
+    except GwasParseError:
+        return None
+    kinds = {k: _FAST_DTYPES.get(name, "f8") for name, k in pos.items()}
+    # a column that is not read is cut to its first character
+    dtype = [(f"f{k}", kinds.get(k, "U1")) for k in range(width)]
+    body = io.BytesIO(data)
+    body.seek(breaks[0] + 1)
+    try:
+        table = np.loadtxt(body, dtype=dtype, delimiter="\t", comments=None, quotechar=None,
+                           ndmin=1, encoding="utf-8")
+    except ValueError:
+        return None
+    if len(table) != n_rows:
+        return None
+    columns: dict[str, Any] = {}
+    for name, k in pos.items():
+        values = table[f"f{k}"]
+        if name == "id":
+            columns[name] = ids = tuple(map(str.strip, values.tolist()))
+            unique = set(ids)
+            if "" in unique or len(unique) != len(ids):
+                return None
+        elif name in _ALLELE_COLUMNS:
+            columns[name] = _fast_alleles(values)
+            if columns[name] is None:
+                return None
+        else:
+            columns[name] = values = values.copy()
+            if not _valid_floats(name, values):
+                return None
+    return columns
+
+
+def _fast_alleles(values: np.ndarray) -> np.ndarray | None:
+    """Stripped, upper-cased alleles as ``np.array(..., dtype=str)`` holds them, or None
+    unless every one is printable ASCII and shorter than ``_FAST_ALLELE_WIDTH``."""
+    codes = np.ascontiguousarray(values).view(np.uint32).reshape(len(values), -1)
+    width = codes.shape[1]
+    longest = next((k + 1 for k in range(width - 1, 0, -1) if codes[:, k].any()), 1)
+    if longest == width:  # loadtxt cuts a value that does not fit
+        return None
+    codes = codes[:, :longest].copy()
+    if not ((codes == 0) | ((codes >= ord("!")) & (codes <= ord("~")))).all():
+        return None
+    np.subtract(codes, 32, out=codes, where=(codes >= ord("a")) & (codes <= ord("z")))
+    return codes.view(f"U{longest}").reshape(-1)
 
 
 @contextmanager
@@ -184,16 +292,7 @@ def _parse_columns(reader, required, optional, col_map: dict[str, str], path: st
     header = next(reader, None)
     if header is None:
         raise GwasParseError("file is empty", path=path)
-    names = [col_map.get(h.strip(), h.strip()) for h in header]
-    missing = [c for c in required if c not in names]
-    if missing:
-        raise GwasParseError(f"missing required columns {missing}", path=path, line=1)
-    repeated = [c for c in required + optional if names.count(c) > 1]
-    if repeated:
-        raise GwasParseError(f"columns {repeated} appear more than once", path=path, line=1)
-    wanted = required + optional if all(c in names for c in optional) else required
-    pos = {c: names.index(c) for c in wanted}
-    width = len(names)
+    pos, width = _header_positions(header, required, optional, col_map, path)
 
     chunks = []
     first_line = 2
@@ -215,6 +314,19 @@ def _parse_columns(reader, required, optional, col_map: dict[str, str], path: st
         name: ids if name == "id" else np.concatenate([empty[name]] + [c[name] for c in chunks])
         for name in pos
     }
+
+
+def _header_positions(header, required, optional, col_map, path) -> tuple[dict[str, int], int]:
+    """The position of each column read, by canonical name, and the number of columns."""
+    names = [col_map.get(h.strip(), h.strip()) for h in header]
+    missing = [c for c in required if c not in names]
+    if missing:
+        raise GwasParseError(f"missing required columns {missing}", path=path, line=1)
+    repeated = [c for c in required + optional if names.count(c) > 1]
+    if repeated:
+        raise GwasParseError(f"columns {repeated} appear more than once", path=path, line=1)
+    wanted = required + optional if all(c in names for c in optional) else required
+    return {c: names.index(c) for c in wanted}, len(names)
 
 
 def _chunk_ids(chunks: list[dict]) -> tuple[str, ...]:
@@ -241,10 +353,14 @@ def _chunk_columns(rows: list[list[str]], width: int, pos: dict[str, int]) -> di
                 values = np.array(fields[k], dtype=float)
             except ValueError:
                 return None
-            if not np.isfinite(values).all() or (name == "se" and not (values > 0.0).all()):
+            if not _valid_floats(name, values):
                 return None
             chunk[name] = values
     return chunk
+
+
+def _valid_floats(name: str, values: np.ndarray) -> bool:
+    return bool(np.isfinite(values).all()) and (name != "se" or bool((values > 0.0).all()))
 
 
 def _duplicate_error(ids: tuple[str, ...], path: str) -> DuplicateVariantError | None:

@@ -49,7 +49,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GwasParseError, InputError, _count, _number, _refused, _shown, _vectors
+from .errors import GwasParseError, InputError
+from .errors import _count, _instance, _number, _refused, _shown, _vectors
 from .focusing import Direction, FocusConfig, Method, Panel, direction_rows
 from .focusing import _roles, _select, _separation_threshold
 from .gwasio import load_float_columns
@@ -295,8 +296,7 @@ class ScenarioConfig:
         cells = tuple(map(_cell, self.cells)) if isinstance(self.cells, (tuple, list)) else ()
         if not cells:
             raise _refused("cells", "a nonempty sequence of (beta_dy, beta_yd) pairs", self.cells)
-        if not isinstance(self.focus, FocusConfig):
-            raise _refused("focus", "a FocusConfig", self.focus)
+        _instance("focus", self.focus, FocusConfig)
         try:
             methods = tuple(map(Method, self.methods))
         except TypeError:  # not iterable

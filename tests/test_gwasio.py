@@ -99,10 +99,15 @@ def write_bytes(tmp_path, name, data):
     return str(path)
 
 
-# Small chunks put row errors, duplicates and chunk ends at every offset.
-@pytest.fixture(params=[1, 2, 3, gwasio._CHUNK_ROWS])
+# Each case runs once as read by default ("fast": the fast parse, or the
+# strict reader where it declines) and once per chunk size with the fast parse
+# made to decline; small chunks put row errors, duplicates and chunk ends at
+# every offset of the strict reader.
+@pytest.fixture(params=[1, 2, 3, gwasio._CHUNK_ROWS, "fast"])
 def chunk_rows(request, monkeypatch):
-    monkeypatch.setattr(gwasio, "_CHUNK_ROWS", request.param)
+    if request.param != "fast":
+        monkeypatch.setattr(gwasio, "_CHUNK_ROWS", request.param)
+        monkeypatch.setattr(gwasio, "_fast_columns", lambda *args: None)
     return request.param
 
 

@@ -1,9 +1,10 @@
 """Property tests of the chunked TSV loader and of array harmonization.
 
 Arbitrary bytes may only fail as :class:`InputError`; and on tables built
-from valid and invalid cells, the chunked loader returns exactly what a
+from valid and invalid cells, the loader returns exactly what a
 straightforward row-by-row reading returns, or fails with the same error
-class, message and line, whatever the chunk size. Harmonization matches a
+class, message and line, whatever the chunk size, both as it reads by
+default and with its fast parse made to decline. Harmonization matches a
 row-by-row join, and in allele mode does not depend on which allele the
 outcome file reports as the effect allele.
 """
@@ -112,6 +113,10 @@ def test_arbitrary_bytes_raise_only_input_errors(data, prefix):
         pass
 
 
+def strict_only(*args):
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(rows, max_size=8),
@@ -119,6 +124,8 @@ def test_arbitrary_bytes_raise_only_input_errors(data, prefix):
     st.integers(min_value=1, max_value=4),
 )
 def test_chunked_loader_agrees_with_row_reading(body, newline, chunk_rows):
+    # Each table is read twice: as by default, and with the fast parse made
+    # to decline, so the strict reader's chunk loop reads clean tables too.
     data = newline.join([HEADER, *body, ""]).encode("utf-8")
     fd, path = tempfile.mkstemp(suffix=".tsv")
     try:
@@ -128,24 +135,28 @@ def test_chunked_loader_agrees_with_row_reading(body, newline, chunk_rows):
             expected = reference_load(path)
         except GwasParseError as exc:
             expected = exc
-        with mock.patch.object(gwasio, "_CHUNK_ROWS", chunk_rows):
-            try:
-                got = load_gwas(path)
-            except GwasParseError as exc:
-                got = exc
+        results = []
+        for fast in (gwasio._fast_columns, strict_only):
+            with mock.patch.object(gwasio, "_CHUNK_ROWS", chunk_rows), \
+                    mock.patch.object(gwasio, "_fast_columns", fast):
+                try:
+                    results.append(load_gwas(path))
+                except GwasParseError as exc:
+                    results.append(exc)
     finally:
         os.unlink(path)
 
-    if isinstance(expected, Exception):
-        assert type(got) is type(expected)
-        assert (got.line, str(got)) == (expected.line, str(expected))
-        return
-    assert not isinstance(got, Exception), got
-    exp_ids, exp_beta, exp_se, exp_alleles = expected
-    assert got.ids == exp_ids
-    np.testing.assert_array_equal(got.beta, np.array(exp_beta, dtype=float))
-    np.testing.assert_array_equal(got.se, np.array(exp_se, dtype=float))
-    assert (got.effect_allele.tolist(), got.other_allele.tolist()) == exp_alleles
+    for got in results:
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected)
+            assert (got.line, str(got)) == (expected.line, str(expected))
+            continue
+        assert not isinstance(got, Exception), got
+        exp_ids, exp_beta, exp_se, exp_alleles = expected
+        assert got.ids == exp_ids
+        np.testing.assert_array_equal(got.beta, np.array(exp_beta, dtype=float))
+        np.testing.assert_array_equal(got.se, np.array(exp_se, dtype=float))
+        assert (got.effect_allele.tolist(), got.other_allele.tolist()) == exp_alleles
 
 
 def reference_harmonize(exposure, outcome, mode):

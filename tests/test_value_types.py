@@ -4,7 +4,9 @@
 ``ScenarioConfig`` and ``TruncSpec`` check every field when they are built.
 A value of the wrong type, or out of range, is an ``InputError`` whose message
 starts with the field's name; no bare ``TypeError``, ``ValueError`` or
-``AttributeError`` escapes, whatever the value.
+``AttributeError`` escapes, whatever the value. A complex column is refused,
+not cut to its real part. The public functions that take arrays or a
+``FocusConfig`` check them the same way.
 """
 
 import math
@@ -17,7 +19,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bidirmr.errors import BidirMrError, InputError  # noqa: E402
-from bidirmr.focusing import FocusConfig, Method, Panel  # noqa: E402
+from bidirmr.focusing import Direction, FocusConfig, Method, Panel  # noqa: E402
+from bidirmr.focusing import direction_rows, exact_bootstrap_median_sd  # noqa: E402
+from bidirmr.focusing import focused_mask, power_forecast  # noqa: E402
+from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
+from bidirmr.focusing import test_joint_null as run_joint_test  # noqa: E402
 from bidirmr.model import TruthConfig  # noqa: E402
 from bidirmr.simulation import ScenarioConfig, SeedEffects  # noqa: E402
 from bidirmr.truncnorm import TruncSpec  # noqa: E402
@@ -65,6 +71,38 @@ def test_a_field_of_the_wrong_type_is_an_input_error_naming_it(name, bad, field)
     build, fields = CONSTRUCTORS[name]
     with pytest.raises(InputError, match=f"^{field} must be "):
         build(**{**fields, **bad})
+
+
+def test_a_complex_column_is_refused_not_cut_to_its_real_part():
+    with pytest.raises(InputError, match="^beta_d must be a vector of real numbers, got "):
+        Panel.from_arrays(["a", "b"], np.array([1 + 2j, 0.5]), [0.1, 0.1], [0.2, 0.3], [0.1, 0.1])
+
+
+PANEL = Panel.from_arrays(["a", "b"], [0.5, 0.4], [0.1, 0.1], [0.2, 0.3], [0.1, 0.1])
+BOTH = np.array([True, True])
+ROWS = (np.full((1, 2), 0.5), np.full(2, 0.1), np.full((1, 2), 0.2), np.full(2, 0.1))
+
+
+@pytest.mark.parametrize(
+    "call, args, field",
+    [
+        (power_forecast, (PANEL, BOTH, ["x", 1.0], FocusConfig()), "snr"),
+        (power_forecast, (PANEL, BOTH, np.array([1j, 0.0]), FocusConfig()), "snr"),
+        (power_forecast, (PANEL, BOTH, [0.0, 0.0], {}), "cfg"),
+        (exact_bootstrap_median_sd, (["x"],), "ratios"),
+        (exact_bootstrap_median_sd, ([1 + 2j, 3],), "ratios"),
+        (run_direction_test, (PANEL, Direction.D_TO_Y, {}), "cfg"),
+        (run_joint_test, (PANEL, None), "cfg"),
+        (focused_mask, (PANEL, Direction.D_TO_Y, "1.5"), "cfg"),
+        (direction_rows, (*ROWS, {}, 0.0), "cfg"),
+    ],
+    ids=["snr-strings", "snr-complex", "power_forecast-cfg", "ratios-strings",
+         "ratios-complex", "test_direction-cfg", "test_joint_null-cfg", "focused_mask-cfg",
+         "direction_rows-cfg"],
+)
+def test_a_public_function_refuses_a_bad_argument_naming_it(call, args, field):
+    with pytest.raises(InputError, match=f"^{field} must be "):
+        call(*args)
 
 
 # wrong types, NaN, +-inf, negative, empty and 2-D values, and ints too large
