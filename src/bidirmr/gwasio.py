@@ -5,13 +5,13 @@ them all: GWAS files, whose header names at least ``id``, ``beta`` and
 ``se`` (arbitrary file headers can be remapped onto those names), and the
 numeric seed-effect and ground-truth tables of the simulator and the
 diagnostics. A plain file whose every row is valid is parsed in one
-``np.loadtxt`` pass: UTF-8 with no quote character, carriage return or NUL
-byte, no blank line, no line longer than ``csv``'s field limit, and alleles
-of printable ASCII (no spaces) shorter than 8 characters. Any other file,
-such as one with quoted fields, CRLF line ends, a blank or whitespace-only
-line, a padded or longer allele, a number written ``1_000`` or in non-ASCII
-digits, or any invalid row, goes to the strict reader: ``csv`` records a
-fixed number of rows at a time, each chunk held as NumPy columns.
+``np.loadtxt`` pass: a regular file (not a pipe), UTF-8 with no quote
+character, carriage return or NUL byte, no blank line and no line longer
+than ``csv``'s field limit; alleles of any length or script take it. Any
+other file, such as one with quoted fields, CRLF line ends, a blank or
+whitespace-only line, a number written ``1_000`` or in non-ASCII digits,
+or any invalid row, goes to the strict reader: ``csv`` records a fixed
+number of rows at a time, each chunk held as NumPy columns.
 Both give the same columns, floats bit for bit, and the same errors, since
 the fast parse returns only what the strict reader would and leaves every
 error to it; an error names the line its record starts on. Per-SNP tables
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import csv
 import gc
-import io
 import json
 import logging
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -192,87 +192,86 @@ def _strict_columns(path: str, required, optional, col_map: dict[str, str]) -> d
         ) from None
 
 
-# Longest allele the fast parse reads; a file with a longer one is left to the
-# strict reader.
-_FAST_ALLELE_WIDTH = 8
-_FAST_DTYPES = {"id": object, **dict.fromkeys(_ALLELE_COLUMNS, f"U{_FAST_ALLELE_WIDTH}")}
+# Bytes read per step when a file is scanned before the fast parse.
+_SCAN_BYTES = 1 << 20
+_FAST_DTYPES = dict.fromkeys(("id",) + _ALLELE_COLUMNS, object)
 
 
 def _fast_columns(path: str, required, optional, col_map: dict[str, str]) -> dict | None:
     """:func:`_read_columns` of a plain file in one ``np.loadtxt`` pass, or None.
 
-    A file is declined (None) unless it is UTF-8 without quotes, carriage
-    returns or NUL, with at least one data row, no blank first row and no
-    line longer than ``csv``'s field limit, and unless every row is valid.
-    Within those bounds ``csv`` splits lines exactly at ``\\n`` and fields at
-    tabs, as ``loadtxt`` does; ``loadtxt`` converts a number with the CPython
-    routine ``float`` uses, so it gives ``float``'s bits or fails; and a row
-    it drops (a blank line) is caught by counting rows.
+    A file is declined (None) unless it is a regular UTF-8 file without
+    quotes, carriage returns or NUL, with at least one data row, no blank
+    first row and no line longer than ``csv``'s field limit, and unless
+    every row is valid. Within those bounds ``csv`` splits lines exactly at
+    ``\\n`` and fields at tabs, as ``loadtxt`` does; ``loadtxt`` converts a
+    number with the CPython routine ``float`` uses, so it gives ``float``'s
+    bits or fails; and a row it drops (a blank line) is caught by counting
+    rows. Ids and alleles are read whole, as Python strings, and pass
+    through the strict reader's own rules. The file is read twice, to scan
+    and to parse, and never held whole.
     """
+    if not os.path.isfile(path):  # a pipe can be read only once, by the strict reader
+        return None
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-        data.decode("utf-8")  # the strict reader reports undecodable bytes
-    except (OSError, UnicodeDecodeError):
+            n_lines = _plain_lines(fh)
+            if n_lines is None:
+                return None
+            fh.seek(0)
+            header = fh.readline().decode("utf-8").split("\t")
+            # no data row, or a blank first one: loadtxt would warn that it read nothing
+            if fh.peek(1)[:1] in (b"", b"\n"):
+                return None
+            pos, width = _header_positions(header, required, optional, col_map, path)
+            kinds = {k: _FAST_DTYPES.get(name, "f8") for name, k in pos.items()}
+            # a column that is not read is cut to its first character
+            dtype = [(f"f{k}", kinds.get(k, "U1")) for k in range(width)]
+            # loadtxt decodes line by line, so undecodable bytes fail as ValueError
+            table = np.loadtxt(fh, dtype=dtype, delimiter="\t", comments=None,
+                               quotechar=None, ndmin=1, encoding="utf-8")
+    except (OSError, ValueError, GwasParseError):
         return None
-    if b'"' in data or b"\r" in data or b"\0" in data:
-        return None
-    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    # no data row, or a blank first one: loadtxt would warn that it read nothing
-    if not len(breaks) or data[breaks[0] + 1 : breaks[0] + 2] in (b"", b"\n"):
-        return None
-    if np.diff(breaks, prepend=-1, append=len(data)).max() > csv.field_size_limit():
-        return None
-    n_rows = len(breaks) - data.endswith(b"\n")  # the last row may lack its newline
-    try:
-        header = data[: breaks[0]].decode("utf-8").split("\t")
-        pos, width = _header_positions(header, required, optional, col_map, path)
-    except GwasParseError:
-        return None
-    kinds = {k: _FAST_DTYPES.get(name, "f8") for name, k in pos.items()}
-    # a column that is not read is cut to its first character
-    dtype = [(f"f{k}", kinds.get(k, "U1")) for k in range(width)]
-    body = io.BytesIO(data)
-    body.seek(breaks[0] + 1)
-    try:
-        table = np.loadtxt(body, dtype=dtype, delimiter="\t", comments=None, quotechar=None,
-                           ndmin=1, encoding="utf-8")
-    except ValueError:
-        return None
-    if len(table) != n_rows:
+    if len(table) != n_lines - 1:
         return None
     columns: dict[str, Any] = {}
     for name, k in pos.items():
         values = table[f"f{k}"]
         if name == "id":
-            columns[name] = ids = tuple(map(str.strip, values.tolist()))
-            unique = set(ids)
-            if "" in unique or len(unique) != len(ids):
-                return None
+            columns[name] = tuple(map(str.strip, values.tolist()))
         elif name in _ALLELE_COLUMNS:
-            columns[name] = _fast_alleles(values)
-            if columns[name] is None:
-                return None
+            columns[name] = _allele_array(values.tolist())
         else:
-            columns[name] = values = values.copy()
-            if not _valid_floats(name, values):
+            columns[name] = values.copy()
+            if not _valid_floats(name, columns[name]):
                 return None
+    del table, values  # the tuple shares the id strings; the rest goes before the set
+    ids = columns.get("id")
+    if ids is not None and (not all(ids) or len(set(ids)) != len(ids)):
+        return None
     return columns
 
 
-def _fast_alleles(values: np.ndarray) -> np.ndarray | None:
-    """Stripped, upper-cased alleles as ``np.array(..., dtype=str)`` holds them, or None
-    unless every one is printable ASCII and shorter than ``_FAST_ALLELE_WIDTH``."""
-    codes = np.ascontiguousarray(values).view(np.uint32).reshape(len(values), -1)
-    width = codes.shape[1]
-    longest = next((k + 1 for k in range(width - 1, 0, -1) if codes[:, k].any()), 1)
-    if longest == width:  # loadtxt cuts a value that does not fit
+def _plain_lines(fh) -> int | None:
+    """The number of lines of binary file ``fh``, read to its end, or None if it
+    holds a quote, carriage return or NUL byte or a line as long as ``csv``'s
+    field limit. The file is read ``_SCAN_BYTES`` at a time."""
+    limit = csv.field_size_limit()
+    n_breaks = 0
+    last = -1  # offset of the last newline from the start of the next step
+    while step := fh.read(_SCAN_BYTES):
+        if b'"' in step or b"\r" in step or b"\0" in step:
+            return None
+        breaks = np.flatnonzero(np.frombuffer(step, np.uint8) == ord("\n"))
+        if len(breaks):
+            if np.diff(breaks, prepend=last).max() > limit:
+                return None
+            last = int(breaks[-1])
+            n_breaks += len(breaks)
+        last -= len(step)
+    if -last > limit:
         return None
-    codes = codes[:, :longest].copy()
-    if not ((codes == 0) | ((codes >= ord("!")) & (codes <= ord("~")))).all():
-        return None
-    np.subtract(codes, 32, out=codes, where=(codes >= ord("a")) & (codes <= ord("z")))
-    return codes.view(f"U{longest}").reshape(-1)
+    return n_breaks + (last < -1)  # the last line may lack its newline
 
 
 @contextmanager
@@ -346,7 +345,7 @@ def _chunk_columns(rows: list[list[str]], width: int, pos: dict[str, int]) -> di
             if not all(ids):
                 return None
         elif name in _ALLELE_COLUMNS:
-            chunk[name] = np.array(list(map(str.upper, map(str.strip, fields[k]))), dtype=str)
+            chunk[name] = _allele_array(fields[k])
         else:
             try:
                 # Converts each string with float(), as the per-row check does.
@@ -357,6 +356,15 @@ def _chunk_columns(rows: list[list[str]], width: int, pos: dict[str, int]) -> di
                 return None
             chunk[name] = values
     return chunk
+
+
+def _allele_array(alleles: Sequence[str]) -> np.ndarray:
+    """Stripped, upper-cased alleles. Each distinct allele is converted once and
+    the rest are looked up, so a column of few distinct alleles makes no new
+    strings and costs one dict lookup per row."""
+    index = {allele: k for k, allele in enumerate(dict.fromkeys(alleles))}
+    normal = np.array([allele.strip().upper() for allele in index], dtype=str)
+    return normal[np.fromiter(map(index.__getitem__, alleles), np.intp, len(alleles))]
 
 
 def _valid_floats(name: str, values: np.ndarray) -> bool:

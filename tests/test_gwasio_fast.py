@@ -12,6 +12,7 @@ reach the strict reader.
 import csv
 import os
 import tempfile
+import threading
 from unittest import mock
 
 import numpy as np
@@ -64,8 +65,10 @@ ALLELE_HEADER = "id\teffect_allele\tother_allele\tbeta\tse\n"
         ALLELE_HEADER + "rs1\tA\tC\t0.013173159703048614\t0.016527277488272884\n",
         # no final newline; no allele columns
         "id\tbeta\tse\nrs1\t0.1\t0.05\nrs2\t-0.2\t0.04",
-        # lower-case alleles of up to 7 letters, indel symbols, an empty allele
+        # lower-case, padded, long and non-ASCII alleles, indel symbols, an empty allele
         ALLELE_HEADER + "rs1\tacgtacg\t-\t-0\t5e-324\nrs2\tI\t\t4.9e-324\t1E5\n",
+        ALLELE_HEADER + "rs1\t a\tC \t0.1\t0.05\nrs2\tacgtacgt\tACGTACGTACGTACGTACGT\t0.1\t0.05\n",
+        ALLELE_HEADER + "rs1\tÄ\tß\t0.1\t0.05\nrs2\t<CN0>\ta\xa0\t0.1\t0.05\n",
         # padded ids and numbers; exponents, signs and bare points
         "id\tbeta\tse\n rs1 \t +1.5 \t.5\nrs2\t-2.5E2\t5.\n",
         # an empty unused field at either end of a row, the last row unterminated
@@ -113,9 +116,6 @@ def test_fast_parse_reads_plain_files_exactly(tmp_path, text):
         "id\tbeta\tse\nrs1\t0.1\t-0\n",
         "id\tbeta\tse\nrs1\t0.1\t0.05\nrs1 \t0.1\t0.05\n",
         "id\tbeta\tse\n \t0.1\t0.05\n",
-        ALLELE_HEADER + "rs1\t a\tC\t0.1\t0.05\n",
-        ALLELE_HEADER + "rs1\tacgtacgt\tC\t0.1\t0.05\n",
-        ALLELE_HEADER + "rs1\tÄ\tC\t0.1\t0.05\n",
         "\ufeffid\tbeta\tse\nrs1\t0.1\t0.05\n",
     ],
 )
@@ -137,6 +137,30 @@ def test_fast_parse_declines_a_line_past_the_field_limit(tmp_path):
     finally:
         csv.field_size_limit(limit)
     assert gwasio._fast_columns(path, *GWAS, {}) is not None
+
+
+def test_undecodable_file_is_left_to_the_strict_reader(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"id\tbeta\tse\nrs1\t0.1\t0.05\nrs\xe92\t0.1\t0.05\n")
+    assert gwasio._fast_columns(str(path), *GWAS, {}) is None
+    with pytest.raises(GwasParseError, match="not UTF-8 text") as info:
+        load_gwas(str(path))
+    assert info.value.line == 3
+
+
+def test_a_pipe_is_left_to_the_strict_reader(tmp_path):
+    # the fast parse reads a file twice; a named pipe yields its data once
+    path = tmp_path / "pipe.tsv"
+    os.mkfifo(path)
+    text = "id\tbeta\tse\nrs1\t0.1\t0.05\n"
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    result = []
+    reader = threading.Thread(target=lambda: result.append(load_gwas(str(path))), daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=30)
+    assert not reader.is_alive(), "load_gwas blocked on a named pipe"
+    assert result[0].ids == ("rs1",)
 
 
 def test_unreadable_path_is_left_to_the_strict_reader(tmp_path):
@@ -174,6 +198,17 @@ def test_generated_files_never_reach_the_strict_reader(tmp_path, seed):
          "effect_allele": gwas.effect_allele, "other_allele": gwas.other_allele},
         want,
     )
+
+
+def test_long_alleles_take_the_fast_parse(tmp_path):
+    # an indel allele anywhere in the file does not send it to the strict reader
+    path = generated_like(tmp_path, 3000, 3)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("rs1\tACGTACGTAC\tA\t0.1\t0.05\n")
+    with mock.patch.object(gwasio, "_strict_columns", wraps=gwasio._strict_columns) as reader:
+        gwas = load_gwas(path)
+        assert reader.call_count == 0
+    assert gwas.effect_allele[-1] == "ACGTACGTAC" and gwas.effect_allele.dtype == "<U10"
 
 
 def test_numeric_tables_take_the_fast_parse(tmp_path):
