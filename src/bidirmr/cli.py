@@ -57,8 +57,11 @@ _ESTIMATORS = {
 }
 
 
-def _add_common_output_args(sub):
+def _add_seed_arg(sub):
     sub.add_argument("--seed", type=int, default=None, help="RNG seed; generated and printed if absent")
+
+
+def _add_common_output_args(sub):
     sub.add_argument("--out", default=None, help="output path (stdout if absent)")
     sub.add_argument("--format", default="json", choices=["json", "tsv"], help="output format")
 
@@ -86,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--mode", default="id", choices=["id", "allele"], help="harmonization mode")
     p_test.add_argument("--emit-snps", default=None, help="write per-SNP membership/ratio TSV here")
     p_test.add_argument("--emit-density", default=None, help="write per-SNP IVW contribution TSV here")
+    _add_seed_arg(p_test)
     _add_common_output_args(p_test)
     p_test.set_defaults(func=_cmd_test)
 
@@ -109,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="amplify active effects to c1*tau_f*sqrt(log p) noise units",
     )
     p_sim.add_argument("--grid", default=None, help="comma list of BETA_DY:BETA_YD pairs")
+    _add_seed_arg(p_sim)
     _add_common_output_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

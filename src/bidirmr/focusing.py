@@ -212,6 +212,7 @@ def _roles(direction: Direction, d, se_d, y, se_y):
 
 
 def _panel_roles(panel: Panel, direction: Direction):
+    _instance("panel", panel, Panel)
     return _roles(direction, panel.beta_d, panel.se_d, panel.beta_y, panel.se_y)
 
 
@@ -782,10 +783,11 @@ def direction_rows(
 
     ``exp_beta``/``out_beta`` hold one panel's exposure and outcome betas per
     row; the standard errors are (p,) vectors shared by the rows (or (R, p)).
-    Masks, weights, IVW estimates, z and p are row reductions; the median
-    methods take each row's median and its exact SNP-bootstrap scale from
-    one sort of all rows (:func:`_median_rows`), and MR-Egger is solved
-    in closed form (:func:`_egger_rows`). Of ``cfg`` only ``alpha``, which
+    Other shapes are an :class:`InputError`. Masks, weights, IVW estimates,
+    z and p are row reductions; the median methods take each row's median
+    and its exact SNP-bootstrap scale from one sort of all rows
+    (:func:`_median_rows`), and MR-Egger is solved in closed form
+    (:func:`_egger_rows`). Of ``cfg`` only ``alpha``, which
     sets ``reject``, ``tau_f`` and, for focused IVW rows with a nonempty set,
     ``null_var`` are used.
 
@@ -805,6 +807,7 @@ def direction_rows(
     """
     method, alpha = Method(method), _instance("cfg", cfg, FocusConfig).alpha
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
+    _check_shapes(exp_beta, exp_se, out_beta, out_se)
     if method is Method.MR_EGGER:
         return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s, alpha)
     if not method.focused:
@@ -878,6 +881,21 @@ def direction_rows(
         reject=empty_reject | settled_reject | (p_value <= alpha),
         errors=errors,
     )
+
+
+def _check_shapes(exp_beta, exp_se, out_beta, out_se) -> None:
+    """Refuse betas of other than one (R, p) shape, or standard errors of neither
+    (p,) nor (R, p). Reads the shapes only, never the values."""
+    shape = np.shape(exp_beta)
+    if len(shape) != 2:
+        raise InputError(f"exp_beta must be of shape (R, p), got {shape}")
+    for name, value, shapes in (("out_beta", out_beta, [shape]),
+                                 ("exp_se", exp_se, [shape[1:], shape]),
+                                 ("out_se", out_se, [shape[1:], shape])):
+        if np.shape(value) not in shapes:
+            raise InputError(
+                f"{name} must be of shape {' or '.join(map(str, shapes))}, got {np.shape(value)}"
+            )
 
 
 def _empty_relevant_set(tau_s: float) -> EmptyRelevantSetError:
@@ -1036,8 +1054,8 @@ def test_direction(
     count reported.
     """
     method = Method(method)
-    tau_s = _instance("cfg", cfg, FocusConfig).resolve_tau_s(len(panel))
     exp_beta, exp_se, out_beta, out_se = _panel_roles(panel, direction)
+    tau_s = _instance("cfg", cfg, FocusConfig).resolve_tau_s(len(panel))
     rows = direction_rows(exp_beta[None], exp_se, out_beta[None], out_se, cfg, tau_s, method)
     if rows.errors:
         raise rows.errors[0]
@@ -1135,10 +1153,14 @@ def power_forecast(
     that all underflow to zero or whose sum overflows, a
     :class:`ZeroDenominatorError`.
     """
+    _instance("panel", panel, Panel)
     _instance("cfg", cfg, FocusConfig)
-    selected = np.asarray(selected)
+    try:
+        selected = np.asarray(selected)
+    except ValueError:  # a ragged nest of sequences
+        selected = None
     snr = _floats("snr", snr)
-    if selected.dtype != bool or selected.shape != (len(panel),):
+    if selected is None or selected.dtype != bool or selected.shape != (len(panel),):
         raise InputError(f"selected must be a boolean mask of length {len(panel)}")
     if snr.shape != (len(panel),):
         raise InputError(f"snr must have length {len(panel)}, got shape {snr.shape}")

@@ -11,11 +11,13 @@ than ``csv``'s field limit; alleles of any length or script take it. Any
 other file, such as one with quoted fields, CRLF line ends, a blank or
 whitespace-only line, a number written ``1_000`` or in non-ASCII digits,
 or any invalid row, goes to the strict reader: ``csv`` records a fixed
-number of rows at a time, each chunk held as NumPy columns.
-Both give the same columns, floats bit for bit, and the same errors, since
-the fast parse returns only what the strict reader would and leaves every
-error to it; an error names the line its record starts on. Per-SNP tables
-are written a fixed number of rows at a time.
+number of rows at a time, each chunk held as NumPy columns. The two differ
+only in how they split a file into fields: one function turns the fields
+into columns for both, under one set of rules. They give the same columns,
+floats bit for bit, and the same errors, since the fast parse returns only
+what the strict reader would and leaves every error to it; an error names
+the line its record starts on. Per-SNP tables are written a fixed number of
+rows at a time.
 Harmonization inner-joins two files on variant id, optionally reconciling
 effect alleles: when the outcome file reports the swapped allele pair the
 outcome beta changes sign, while palindromic (A/T, C/G) and
@@ -75,6 +77,8 @@ SCHEMA_VERSION = 1
 
 _REQUIRED_COLUMNS = ("id", "beta", "se")
 _ALLELE_COLUMNS = ("effect_allele", "other_allele")
+# Columns of standard errors, which must be positive, in any file read.
+_SE_COLUMNS = ("se", "se_d", "se_y")
 # Rows parsed, and rows written, per chunk. A 200k-row file parsed faster in
 # 8,192-row chunks than in 65,536-row ones.
 _CHUNK_ROWS = 8_192
@@ -139,8 +143,9 @@ def load_float_columns(path: str, required: Sequence[str]) -> dict[str, np.ndarr
     """The named columns of a UTF-8 TSV of numbers (seed effects, ground truths).
 
     Every row must have as many fields as the header and a finite number in
-    each required column; a required column named twice is an error. The
-    file is read as :func:`load_gwas` reads one, and fails the same way.
+    each required column, positive in ``se_d`` and ``se_y``; a required
+    column named twice is an error. The file is read as :func:`load_gwas`
+    reads one, and fails the same way.
     """
     return _read_columns(path, tuple(required))
 
@@ -149,8 +154,9 @@ def _read_columns(path: str, required, optional=(), col_map=None) -> dict[str, A
     """The required columns of a UTF-8 TSV, and the optional ones if all are present.
 
     ``id`` is read as stripped, nonempty, unique strings (a tuple), the
-    allele columns as upper-cased string arrays, ``se`` as positive floats
-    and any other column as finite floats. A plain file is read by
+    allele columns as upper-cased string arrays, a standard-error column
+    (``se``, ``se_d``, ``se_y``) as positive floats and any other column as
+    finite floats, all by :func:`_columns`. A plain file is read by
     :func:`_fast_columns`, which gives exactly what :func:`_strict_columns`
     gives or declines the file; a declined file, and every invalid one, is
     read by :func:`_strict_columns`, whose errors name its line.
@@ -234,20 +240,13 @@ def _fast_columns(path: str, required, optional, col_map: dict[str, str]) -> dic
         return None
     if len(table) != n_lines - 1:
         return None
-    columns: dict[str, Any] = {}
-    for name, k in pos.items():
-        values = table[f"f{k}"]
-        if name == "id":
-            columns[name] = tuple(map(str.strip, values.tolist()))
-        elif name in _ALLELE_COLUMNS:
-            columns[name] = _allele_array(values.tolist())
-        else:
-            columns[name] = values.copy()
-            if not _valid_floats(name, columns[name]):
-                return None
-    del table, values  # the tuple shares the id strings; the rest goes before the set
-    ids = columns.get("id")
-    if ids is not None and (not all(ids) or len(set(ids)) != len(ids)):
+    # the builder takes one column at a time, so one list of strings exists at once
+    columns = _columns(
+        (name, table[f"f{k}"].tolist() if kinds[k] is object else table[f"f{k}"])
+        for name, k in pos.items()
+    )
+    del table  # the columns are copies; the table goes before the set of ids
+    if columns is None or _duplicate_error(columns.get("id", ()), path) is not None:
         return None
     return columns
 
@@ -293,10 +292,13 @@ def _parse_columns(reader, required, optional, col_map: dict[str, str], path: st
         raise GwasParseError("file is empty", path=path)
     pos, width = _header_positions(header, required, optional, col_map, path)
 
-    chunks = []
+    chunks = [_columns((name, ()) for name in pos)]  # typed, for the empty file
     first_line = 2
     while rows := list(islice(reader, _CHUNK_ROWS)):
-        chunk = _chunk_columns(rows, width, pos)
+        chunk = None
+        if set(map(len, rows)) == {width}:
+            fields = list(zip(*rows))
+            chunk = _columns((name, fields[k]) for name, k in pos.items())
         if chunk is None:
             ids = _chunk_ids(chunks)
             raise _duplicate_error(ids, path) or _first_row_error(
@@ -308,11 +310,7 @@ def _parse_columns(reader, required, optional, col_map: dict[str, str], path: st
     error = _duplicate_error(ids, path)
     if error is not None:
         raise error
-    empty = {name: np.empty(0, dtype=str if name in _ALLELE_COLUMNS else float) for name in pos}
-    return {
-        name: ids if name == "id" else np.concatenate([empty[name]] + [c[name] for c in chunks])
-        for name in pos
-    }
+    return {name: ids if name == "id" else np.concatenate([c[name] for c in chunks]) for name in pos}
 
 
 def _header_positions(header, required, optional, col_map, path) -> tuple[dict[str, int], int]:
@@ -332,30 +330,31 @@ def _chunk_ids(chunks: list[dict]) -> tuple[str, ...]:
     return tuple(chain.from_iterable(c.get("id", ()) for c in chunks))
 
 
-def _chunk_columns(rows: list[list[str]], width: int, pos: dict[str, int]) -> dict | None:
-    """The columns of a chunk of rows, as :func:`_read_columns` reads them, or
-    None if a row is invalid. Duplicate ids are left to :func:`_duplicate_error`."""
-    if set(map(len, rows)) != {width}:
-        return None
-    fields = list(zip(*rows))
-    chunk: dict[str, Any] = {}
-    for name, k in pos.items():
+def _columns(fields) -> dict | None:
+    """The columns that :func:`_read_columns` reads, from ``(name, raw fields)``
+    pairs, or None if a field is invalid. The raw fields are strings, or a float
+    column of the fast parse's table. Ids are stripped and nonempty, alleles go
+    through :func:`_allele_array`, and numbers are finite, and positive in a
+    standard-error column; :func:`_row_error` says which rule a row breaks.
+    Duplicate ids are left to :func:`_duplicate_error`."""
+    columns: dict[str, Any] = {}
+    for name, raw in fields:
         if name == "id":
-            chunk[name] = ids = tuple(map(str.strip, fields[k]))
+            columns[name] = ids = tuple(map(str.strip, raw))
             if not all(ids):
                 return None
         elif name in _ALLELE_COLUMNS:
-            chunk[name] = _allele_array(fields[k])
+            columns[name] = _allele_array(raw)
         else:
             try:
-                # Converts each string with float(), as the per-row check does.
-                values = np.array(fields[k], dtype=float)
+                # Converts each string with float(), as _row_error does; copies a float column.
+                values = np.array(raw, dtype=float)
             except ValueError:
                 return None
-            if not _valid_floats(name, values):
+            if not np.isfinite(values).all() or (name in _SE_COLUMNS and not (values > 0.0).all()):
                 return None
-            chunk[name] = values
-    return chunk
+            columns[name] = values
+    return columns
 
 
 def _allele_array(alleles: Sequence[str]) -> np.ndarray:
@@ -365,10 +364,6 @@ def _allele_array(alleles: Sequence[str]) -> np.ndarray:
     index = {allele: k for k, allele in enumerate(dict.fromkeys(alleles))}
     normal = np.array([allele.strip().upper() for allele in index], dtype=str)
     return normal[np.fromiter(map(index.__getitem__, alleles), np.intp, len(alleles))]
-
-
-def _valid_floats(name: str, values: np.ndarray) -> bool:
-    return bool(np.isfinite(values).all()) and (name != "se" or bool((values > 0.0).all()))
 
 
 def _duplicate_error(ids: tuple[str, ...], path: str) -> DuplicateVariantError | None:
@@ -395,7 +390,7 @@ def _first_row_error(rows, first_line, width, pos, seen, path) -> GwasParseError
 
 
 def _row_error(row, line_no, width, pos, seen, path) -> GwasParseError | None:
-    """Check one data row as :func:`_chunk_columns` does; adds its id to ``seen``."""
+    """Check one data row as :func:`_parse_columns` does; adds its id to ``seen``."""
     if len(row) != width:
         return GwasParseError(f"expected {width} fields, got {len(row)}", path=path, line=line_no)
     if "id" in pos:
@@ -421,10 +416,9 @@ def _row_error(row, line_no, width, pos, seen, path) -> GwasParseError | None:
             return GwasParseError(
                 f"column {name!r} has non-finite value {raw!r}", path=path, line=line_no
             )
-        if name == "se" and value <= 0.0:
-            return NonPositiveSEError(
-                f"standard error must be positive, got {value}", path=path, line=line_no
-            )
+        if name in _SE_COLUMNS and value <= 0.0:
+            what = "standard error" if name == "se" else f"standard error {name!r}"
+            return NonPositiveSEError(f"{what} must be positive, got {value}", path=path, line=line_no)
     return None
 
 

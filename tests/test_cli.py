@@ -163,6 +163,15 @@ class TestTruncnormCommand:
         assert main(["truncnorm", "--a", "2", "--b", "-2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["truncnorm", "--a", "-1", "--b", "1"],
+                                  ["diagnose", "--input", "truth.json"]])
+def test_commands_that_draw_nothing_take_no_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 class TestDiagnoseCommand:
     def test_json_input(self, tmp_path, capsys):
         payload = {
@@ -452,6 +461,19 @@ class TestNumericTsvInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:4: column {column!r} has non-numeric value 'x'")
+
+    @pytest.mark.parametrize("column,row,shown", [("se_d", "0.1\t0.2\t-0.01\t0.05", "-0.01"),
+                                                  ("se_y", "0.1\t0.2\t0.05\t0", "0.0")])
+    def test_nonpositive_standard_error_names_its_line(
+        self, tmp_path, capsys, command, column, row, shown
+    ):
+        _, header, _ = NUMERIC_TSV_COMMANDS[command]
+        text = f"{header}\n0.1\t0.2\t0.05\t0.05\n{row}\n"
+        code, path = self._run(tmp_path, command, text.encode())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: standard error {column!r} must be positive, got {shown}\n"
+        )
 
     def test_quoted_newline_is_read_as_its_value(self, tmp_path, command):
         _, header, _ = NUMERIC_TSV_COMMANDS[command]

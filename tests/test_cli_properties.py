@@ -143,7 +143,8 @@ def invocations(draw):
     elif command == "truncnorm":
         for flag, value in (("--a", "-1.5"), ("--b", "1.5"), ("--mu", "0")):
             argv += [f"{flag}={pick(draw, [value, '0.5', '-inf', 'inf'], ['nan', 'x'])}"]
-    argv += option(draw, "--seed", ["0", "7"], ["-1", "x"])
+    if command in ("test", "simulate"):
+        argv += option(draw, "--seed", ["0", "7"], ["-1", "x"])
     argv += option(draw, "--format", ["json", "tsv"], ["xml"])
     argv += ["--out", pick(draw, ["{dir}/report"], ["{dir}"])]
     return argv, files

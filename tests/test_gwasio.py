@@ -21,6 +21,7 @@ from bidirmr.gwasio import (
     emit_report,
     format_document,
     harmonize,
+    load_float_columns,
     load_gwas,
     parse_col_map,
     write_tsv_rows,
@@ -219,6 +220,21 @@ class TestParserEdgeCases:
             load_gwas(path)
         assert type(exc.value) is error
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("column,value", [("se_d", "-0.01"), ("se_y", "0")])
+    def test_nonpositive_se_of_a_numeric_table_names_its_line(
+        self, tmp_path, chunk_rows, column, value
+    ):
+        # every standard-error column is held positive, not only a GWAS file's se
+        row = {"se_d": "0.05", "se_y": "0.05", column: value}
+        text = "alpha_d\tse_d\tse_y\n0.1\t0.05\t0.05\n0.2\t{se_d}\t{se_y}\n".format(**row)
+        path = write(tmp_path, "x.tsv", text)
+        with pytest.raises(NonPositiveSEError) as exc:
+            load_float_columns(path, ("alpha_d", "se_d", "se_y"))
+        assert exc.value.line == 3
+        assert str(exc.value) == (
+            f"{path}:3: standard error {column!r} must be positive, got {float(value)}"
+        )
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "x.tsv", "")

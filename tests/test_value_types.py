@@ -5,8 +5,9 @@
 A value of the wrong type, or out of range, is an ``InputError`` whose message
 starts with the field's name; no bare ``TypeError``, ``ValueError`` or
 ``AttributeError`` escapes, whatever the value. A complex column is refused,
-not cut to its real part. The public functions that take arrays or a
-``FocusConfig`` check them the same way.
+not cut to its real part. The public functions that take arrays, a
+``Panel`` or a ``FocusConfig`` check them the same way, and the shapes of
+arrays that must match.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from bidirmr.errors import BidirMrError, InputError  # noqa: E402
 from bidirmr.focusing import Direction, FocusConfig, Method, Panel  # noqa: E402
 from bidirmr.focusing import direction_rows, exact_bootstrap_median_sd  # noqa: E402
-from bidirmr.focusing import focused_mask, power_forecast  # noqa: E402
+from bidirmr.focusing import focused_mask, power_forecast, relevant_mask  # noqa: E402
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
 from bidirmr.focusing import test_joint_null as run_joint_test  # noqa: E402
 from bidirmr.model import TruthConfig  # noqa: E402
@@ -81,6 +82,7 @@ def test_a_complex_column_is_refused_not_cut_to_its_real_part():
 PANEL = Panel.from_arrays(["a", "b"], [0.5, 0.4], [0.1, 0.1], [0.2, 0.3], [0.1, 0.1])
 BOTH = np.array([True, True])
 ROWS = (np.full((1, 2), 0.5), np.full(2, 0.1), np.full((1, 2), 0.2), np.full(2, 0.1))
+WIDE, NARROW = np.full((1, 3), 0.5), np.full(2, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -95,10 +97,25 @@ ROWS = (np.full((1, 2), 0.5), np.full(2, 0.1), np.full((1, 2), 0.2), np.full(2, 
         (run_joint_test, (PANEL, None), "cfg"),
         (focused_mask, (PANEL, Direction.D_TO_Y, "1.5"), "cfg"),
         (direction_rows, (*ROWS, {}, 0.0), "cfg"),
+        (relevant_mask, (None, Direction.D_TO_Y, 1.0), "panel"),
+        (focused_mask, ({}, Direction.D_TO_Y, FocusConfig()), "panel"),
+        (run_direction_test, ({}, Direction.D_TO_Y, FocusConfig(tau_s=0.0)), "panel"),
+        (run_direction_test, ({}, Direction.D_TO_Y, FocusConfig()), "panel"),
+        (run_joint_test, ({}, FocusConfig()), "panel"),
+        (power_forecast, (None, BOTH, [0.0, 0.0], FocusConfig()), "panel"),
+        (power_forecast, (PANEL, [[True], [True, False]], [0.0, 0.0], FocusConfig()),
+         "selected"),
+        (direction_rows, (WIDE, NARROW, WIDE, WIDE[0], FocusConfig(), 0.0), "exp_se"),
+        (direction_rows, (WIDE, WIDE[0], WIDE, NARROW, FocusConfig(), 0.0), "out_se"),
+        (direction_rows, (WIDE, WIDE[0], WIDE[:, :2], WIDE[0], FocusConfig(), 0.0), "out_beta"),
+        (direction_rows, (WIDE[0], WIDE[0], WIDE[0], WIDE[0], FocusConfig(), 0.0), "exp_beta"),
     ],
     ids=["snr-strings", "snr-complex", "power_forecast-cfg", "ratios-strings",
          "ratios-complex", "test_direction-cfg", "test_joint_null-cfg", "focused_mask-cfg",
-         "direction_rows-cfg"],
+         "direction_rows-cfg", "relevant_mask-panel", "focused_mask-panel",
+         "test_direction-panel", "test_direction-panel-auto-tau_s", "test_joint_null-panel",
+         "power_forecast-panel", "power_forecast-ragged-selected", "direction_rows-exp_se",
+         "direction_rows-out_se", "direction_rows-out_beta", "direction_rows-1d-exp_beta"],
 )
 def test_a_public_function_refuses_a_bad_argument_naming_it(call, args, field):
     with pytest.raises(InputError, match=f"^{field} must be "):
