@@ -7,8 +7,8 @@ computation. The command-line interface maps them to exit codes 2 and 3.
 
 The value types (``Panel``, ``SeedEffects``, ``TruthConfig``, ``FocusConfig``,
 ``ScenarioConfig`` and ``TruncSpec``) check every field, and functions their
-arguments, with :func:`_number`, :func:`_count`, :func:`_floats`, :func:`_vectors`
-and :func:`_instance`: a refused value is an :class:`InputError`
+arguments, with :func:`_number`, :func:`_count`, :func:`_floats`, :func:`_finite`,
+:func:`_vectors` and :func:`_instance`: a refused value is an :class:`InputError`
 ``"<field> must be <what>, got <value!r>"``.
 """
 
@@ -130,6 +130,15 @@ def _floats(name: str, value) -> np.ndarray:
     raise _refused(name, "a vector of real numbers", value)
 
 
+def _finite(name: str, arr: np.ndarray, positive: bool) -> np.ndarray:
+    """``arr``, if every value is finite, and positive if asked; else the refusal of its first
+    other value."""
+    ok = np.isfinite(arr) & (arr > 0.0) if positive else np.isfinite(arr)
+    if not ok.all():
+        raise _refused(name, "finite and positive" if positive else "finite", float(arr[~ok][0]))
+    return arr
+
+
 def _vectors(owner, size: int | None, positive: tuple[str, ...], **columns) -> None:
     """Set each column on ``owner`` as a read-only float64 copy of ``size`` values (the first
     column's count if ``None``, and at least one), finite, and positive if named in ``positive``."""
@@ -139,9 +148,5 @@ def _vectors(owner, size: int | None, positive: tuple[str, ...], **columns) -> N
         _count(f"the SNP count of {type(owner).__name__}", size, 1)
         if arr.shape != (size,):
             raise InputError(f"{name} must have length {size}, got shape {arr.shape}")
-        ok = np.isfinite(arr) & (arr > 0.0) if name in positive else np.isfinite(arr)
-        if not ok.all():
-            what = "finite and positive" if name in positive else "finite"
-            raise _refused(name, what, float(arr[~ok][0]))
-        arr.setflags(write=False)
+        _finite(name, arr, name in positive).setflags(write=False)
         object.__setattr__(owner, name, arr)

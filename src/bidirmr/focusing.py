@@ -48,7 +48,7 @@ from .errors import (
     RankDeficientError,
     ZeroDenominatorError,
 )
-from .errors import _count, _floats, _instance, _number, _refused, _vectors
+from .errors import _count, _finite, _floats, _instance, _number, _refused, _vectors
 from .model import TruthConfig
 from .truncnorm import _SQRT2, TruncSpec, std_cdf, std_quantile, std_sf
 from .truncnorm import truncnorm_mean, truncnorm_var
@@ -216,13 +216,42 @@ def _panel_roles(panel: Panel, direction: Direction):
     return _roles(direction, panel.beta_d, panel.se_d, panel.beta_y, panel.se_y)
 
 
-def _set_mask(exp_beta, exp_se, out_beta, out_se, tau_f: float, tau_s: float) -> np.ndarray:
-    """The set a method aggregates over, on arrays of any matching shape.
+class _DirectionData:
+    """One direction's estimates, and what every method reads of them, computed once.
 
-    ``|out_beta| <= out_se * tau_f`` and ``|exp_beta| >= exp_se * tau_s``,
-    both inclusive; ``tau_f = inf`` leaves relevance screening alone.
+    The betas are (R, p) arrays (or (p,) for one panel), and the standard errors
+    broadcast against them. ``relevant`` is the relevance screen
+    ``|exp_beta| >= exp_se * tau_s``; ``zero`` marks the zero exposure associations,
+    ``ratios`` are ``out_beta / exp_beta`` and ``weights`` ``(exp_beta / out_se)^2``,
+    each computed when first read. The betas must be finite and the standard errors
+    finite and positive, as :class:`Panel` and :func:`direction_rows` check.
     """
-    return (np.abs(out_beta) <= out_se * tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
+
+    def __init__(self, exp_beta, exp_se, out_beta, out_se, tau_s: float):
+        self.exp_beta, self.exp_se, self.out_beta, self.out_se = exp_beta, exp_se, out_beta, out_se
+        self.tau_s = tau_s
+        self.relevant = np.abs(exp_beta) >= exp_se * tau_s
+
+    def set_mask(self, tau_f: float) -> np.ndarray:
+        """A new mask of the set a method aggregates over: the relevant SNPs with
+        ``|out_beta| <= out_se * tau_f``, both bounds inclusive."""
+        if tau_f == math.inf:  # every finite beta is within an infinite bound
+            return self.relevant.copy()
+        return (np.abs(self.out_beta) <= self.out_se * tau_f) & self.relevant
+
+    @cached_property
+    def zero(self) -> np.ndarray:
+        return self.exp_beta == 0.0
+
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self.out_beta / self.exp_beta
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return (self.exp_beta / self.out_se) ** 2
 
 
 def _select(mask: np.ndarray, a, b) -> np.ndarray:
@@ -247,13 +276,14 @@ def _select(mask: np.ndarray, a, b) -> np.ndarray:
 def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarray:
     """Boolean mask of SNPs with |exposure beta| >= se * tau_s."""
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
-    return _set_mask(*_panel_roles(panel, direction), math.inf, tau_s)
+    return _DirectionData(*_panel_roles(panel, direction), tau_s).relevant
 
 
 def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.ndarray:
     """Boolean mask of the focused set; both boundary comparisons are inclusive."""
     _instance("cfg", cfg, FocusConfig)
-    return _set_mask(*_panel_roles(panel, direction), cfg.tau_f, cfg.resolve_tau_s(len(panel)))
+    roles = _panel_roles(panel, direction)
+    return _DirectionData(*roles, cfg.resolve_tau_s(len(panel))).set_mask(cfg.tau_f)
 
 
 def _separation_threshold(p: int, tau_f: float, c1: float) -> float:
@@ -609,35 +639,39 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
 
 
 def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
-                 alpha: float | None = None):
+                 alpha: float | None = None, pool: "_LawPool | None" = None, key=None):
     """``(estimate, sd, settled, reject)`` arrays: for every row, ``np.median`` of its set
-    ``ratios[r, mask[r]]`` and the scale :func:`exact_bootstrap_median_sd` gives that set.
+    ``ratios[r, mask[r]]`` of ``size[r]`` values and the scale :func:`exact_bootstrap_median_sd`
+    gives that set; both NaN for an empty set.
 
     With the set sorted and ``N(k) ~ Binomial(n, k/n)`` draws at positions ``<= k``, odd
     ``n = 2m + 1`` has ``P(med* <= x_(k)) = P(N(k) >= m + 1)`` (Maritz & Jarrett 1978;
     Efron 1979): its quantiles are gathered where :func:`_brackets` points. The even-n rows'
-    come all at once, in one lockstep search (:class:`_EvenLaws`) in O(rows x max n) memory.
-    One sort serves all rows, each set packed left in a ``(rows, max(size) + 1)`` array padded
-    with ``+inf``. It may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so a row
+    laws are searched in lockstep (:class:`_EvenLaws`), in O(rows x max n) memory. One sort
+    serves all rows, each set packed left in a ``(rows, max(size) + 1)`` array padded with
+    ``+inf``. It may order ``+0.0`` and ``-0.0`` unlike a sort of the set alone, so a row
     holding a zero is sorted alone and takes ``np.median``'s estimate, zeros signed as alone.
 
     Given ``alpha``, only the decision ``p <= alpha`` of the z-test ``estimate / sd`` is
     wanted: an even-n row whose scale bounds (:func:`_scale_bounds`) put its ``|z|`` beyond
     :func:`_critical_band` on either side is ``settled`` without the law, its ``sd`` NaN and
-    its decision in ``reject``. Every other row, and every row without ``alpha``, has its
-    ``sd`` and neither flag.
+    its decision in ``reject``. Every other nonempty even-n row goes to ``pool`` under ``key``
+    (:meth:`_LawPool.add`, its row number here as ``at``), and its ``sd`` stays NaN: the pool
+    gives it when flushed. Without a pool they get one of their own, flushed before this
+    returns, so every row not settled has its ``sd``.
     """
     xs = np.full((size.size, size.max(initial=0) + 1), np.inf)
     xs[np.arange(xs.shape[1]) < size[:, None]] = ratios[mask]
     xs.sort(axis=1)
     r, m = np.arange(size.size), size // 2
     odd = size % 2 == 1
-    even = np.flatnonzero(~odd)
-    sd = np.empty(size.size)
+    even = np.flatnonzero(~odd & (size > 0))
+    sd = np.full(size.size, np.nan)
     settled, reject = np.zeros(size.size, dtype=bool), np.zeros(size.size, dtype=bool)
     band = None if alpha is None else _critical_band(alpha)
     with np.errstate(all="ignore"):
         estimate = np.where(odd, xs[r, m], _pair_mean(xs[r, m - 1], xs[r, m]))
+        estimate[size == 0] = np.nan
         for i in np.flatnonzero((xs == 0.0).any(axis=1)).tolist():
             own = ratios[i, mask[i]]
             xs[i, : size[i]] = np.sort(own)
@@ -653,13 +687,73 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
             bounded = (s_min > 0.0) & np.isfinite(s_max)
             reject[even] = bounded & (z_min >= band[1])
             settled[even] = reject[even] | (bounded & (z_max <= band[0]))
-            sd[settled] = np.nan
             even = even[~settled[even]]
-        if even.size:
-            q = np.repeat([_PCTL_HI, _PCTL_LO], even.size)
-            quantile = _EvenLaws(xs, size).quantiles(np.concatenate((even, even)), q)
-            sd[even] = (quantile[: even.size] - quantile[even.size:]) / 2.0
+    if even.size:
+        own_pool = pool is None
+        if own_pool:
+            def keep(key, at, scale, z, p_value):
+                sd[at] = scale
+            pool = _LawPool(keep)
+        pool.add(key, even, xs[even, : size[even].max() + 1], size[even], estimate[even])
+        if own_pool:
+            pool.flush()
     return estimate, sd, settled, reject
+
+
+class _LawPool:
+    """Even-n median rows waiting for their exact law, which one :class:`_EvenLaws` gives them.
+
+    :meth:`add` takes rows as :func:`_median_rows` sorts them: each its sample of ``size``
+    values, then ``+inf`` padding. :meth:`flush` runs the law on every row held, then the
+    median's z-test (:func:`_median_p`), and hands each :meth:`add`'s rows, in the order
+    they came, to ``decided(key, at, sd, z, p_value)``. Given a ``limit``, rows that would
+    take those held past ``limit`` values (rows times their largest size) flush the held
+    rows first, so the law's memory stays within it, save for one add over it alone. A
+    row's law does not depend on the rows beside it, so neither do its bits.
+    """
+
+    def __init__(self, decided, limit: int | None = None):
+        self._decided, self._limit = decided, limit
+        self._held = []
+        self._rows = self._n_max = 0
+
+    def add(self, key, at: np.ndarray, xs: np.ndarray, size: np.ndarray, estimate: np.ndarray):
+        rows, n_max = self._rows + at.size, max(self._n_max, int(size.max()))
+        if self._held and self._limit is not None and rows * n_max > self._limit:
+            self.flush()
+            rows, n_max = at.size, int(size.max())
+        self._held.append((key, at, xs, size, estimate))
+        self._rows, self._n_max = rows, n_max
+
+    def flush(self) -> None:
+        if not self._held:
+            return
+        held, self._held, self._rows, self._n_max = self._held, [], 0, 0
+        size = np.concatenate([entry[3] for entry in held])
+        xs = np.full((size.size, size.max() + 1), np.inf)
+        bounds = np.cumsum([0] + [entry[3].size for entry in held]).tolist()
+        for (_, _, block, _, _), start, stop in zip(held, bounds, bounds[1:]):
+            xs[start:stop, : block.shape[1]] = block
+        every = np.arange(size.size)
+        with np.errstate(all="ignore"):
+            quantile = _EvenLaws(xs, size).quantiles(
+                np.concatenate((every, every)), np.repeat([_PCTL_HI, _PCTL_LO], size.size))
+            sd = (quantile[: size.size] - quantile[size.size:]) / 2.0
+        z, p_value = _median_p(np.concatenate([entry[4] for entry in held]), sd)
+        for (key, at, _, _, _), start, stop in zip(held, bounds, bounds[1:]):
+            self._decided(key, at, sd[start:stop], z[start:stop], p_value[start:stop])
+
+
+def _median_p(estimate: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, p_value)`` of the median's z-test ``estimate / sd``; a zero (or NaN) scale leaves
+    z undefined, and p 1 at a zero median, else 0."""
+    z = np.full(sd.size, np.nan)
+    scaled = sd > 0.0
+    with np.errstate(invalid="ignore"):
+        z[scaled] = estimate[scaled] / sd[scaled]
+    p_value = np.where(estimate == 0.0, 1.0, 0.0)
+    p_value[scaled] = _two_sided_p(z[scaled])
+    return z, p_value
 
 
 def _scale_bounds(xs: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -783,13 +877,14 @@ def direction_rows(
 
     ``exp_beta``/``out_beta`` hold one panel's exposure and outcome betas per
     row; the standard errors are (p,) vectors shared by the rows (or (R, p)).
-    Other shapes are an :class:`InputError`. Masks, weights, IVW estimates,
+    Other shapes, values that are not real numbers, betas that are not finite
+    and standard errors that are not finite and positive are an
+    :class:`InputError` naming the argument. Masks, weights, IVW estimates,
     z and p are row reductions; the median methods take each row's median
-    and its exact SNP-bootstrap scale from one sort of all rows
-    (:func:`_median_rows`), and MR-Egger is solved in closed form
-    (:func:`_egger_rows`). Of ``cfg`` only ``alpha``, which
-    sets ``reject``, ``tau_f`` and, for focused IVW rows with a nonempty set,
-    ``null_var`` are used.
+    and its exact SNP-bootstrap scale (:func:`_median_rows`), and MR-Egger is
+    solved in closed form (:func:`_egger_rows`). Of ``cfg`` only ``alpha``,
+    which sets ``reject``, ``tau_f`` and, for focused IVW rows with a nonempty
+    set, ``null_var`` are used.
 
     ``scales=False`` asks for the decisions alone, as a rejection rate needs:
     a median row whose scale the cached order-statistic brackets bound
@@ -804,16 +899,39 @@ def direction_rows(
     :class:`ZeroDenominatorError`. IVW weights ``(exp_beta / out_se)^2``
     that all underflow to zero, or overflow, leave no null scale and are a
     :class:`ZeroDenominatorError` too.
+
+    The work is the scenario engine's: one :class:`_DirectionData` of the
+    arrays, one :func:`_method_rows` on it, then one flush of the even-n rows
+    it left to the exact law.
     """
     method, alpha = Method(method), _instance("cfg", cfg, FocusConfig).alpha
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
-    _check_shapes(exp_beta, exp_se, out_beta, out_se)
+    data = _DirectionData(*_checked_rows(exp_beta, exp_se, out_beta, out_se), tau_s)
+    decided = []
+    pool = _LawPool(lambda *entry: decided.append(entry))
+    rows = _method_rows(data, cfg, method, pool, scales=scales)
+    pool.flush()
+    for _, at, sd, z, p_value in decided:
+        rows.se[at], rows.z[at], rows.p_value[at] = sd, z, p_value
+        rows.reject[at] = p_value <= alpha
+    return rows
+
+
+def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _LawPool,
+                 key=None, *, scales: bool = True) -> DirectionRows:
+    """:func:`direction_rows` on checked arrays, but for the even-n median rows left to the law.
+
+    Those go to ``pool`` under ``key`` (:func:`_median_rows`): their ``se``, ``z`` and
+    ``p_value`` stay NaN and their ``reject`` False here, and the pool decides them when
+    flushed. ``cfg.alpha`` is the level of ``reject``.
+    """
+    alpha = cfg.alpha
     if method is Method.MR_EGGER:
-        return _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s, alpha)
+        return _egger_rows(data, alpha)
     if not method.focused:
         cfg = _UNFOCUSED
-    mask = _set_mask(exp_beta, exp_se, out_beta, out_se, cfg.tau_f, tau_s)
-    zero = mask & (exp_beta == 0.0)
+    mask = data.set_mask(cfg.tau_f)
+    zero = mask & data.zero
     n_dropped = zero.sum(axis=1)
     mask &= ~zero
     size = mask.sum(axis=1)
@@ -822,16 +940,16 @@ def direction_rows(
         empty_reject = size == 0
     else:
         for r in np.flatnonzero(size + n_dropped == 0).tolist():
-            errors[r] = _empty_relevant_set(tau_s)
+            errors[r] = _empty_relevant_set(data.tau_s)
         for r in np.flatnonzero(n_dropped).tolist():
             errors.setdefault(
                 r, ZeroDenominatorError("ratio estimates need nonzero exposure associations")
             )
         empty_reject = np.zeros(size.size, dtype=bool)
 
+    ratios = data.ratios
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = out_beta / exp_beta
-        weights = _select(mask, (exp_beta / out_se) ** 2, 0.0)
+        weights = _select(mask, data.weights, 0.0)
         weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
         max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
     live = size > 0
@@ -840,17 +958,16 @@ def direction_rows(
     nan = np.full(size.size, np.nan)
     settled_reject = np.zeros(size.size, dtype=bool)
     if method.median:
-        estimate, se, z, p_value = nan.copy(), nan.copy(), nan.copy(), nan.copy()
-        rows = np.flatnonzero(live)
-        estimate[rows], se[rows], settled, settled_reject[rows] = _median_rows(
-            ratios[rows], mask[rows], size[rows], None if scales else alpha)
-        rows = rows[~settled]
-        # a zero scale leaves z undefined, p 1 at a zero median, else 0
-        scaled = rows[se[rows] > 0.0]
-        with np.errstate(invalid="ignore"):
-            z[scaled] = estimate[scaled] / se[scaled]
-        p_value[rows] = np.where(estimate[rows] == 0.0, 1.0, 0.0)
-        p_value[scaled] = _two_sided_p(z[scaled])
+        if errors:
+            mask_live, size_live = mask & live[:, None], np.where(live, size, 0)
+        else:
+            mask_live, size_live = mask, size
+        estimate, se, _, settled_reject = _median_rows(
+            ratios, mask_live, size_live, None if scales else alpha, pool, key)
+        # the odd-n rows are decided here; the even-n ones were settled or went to the pool
+        z, p_value = nan.copy(), nan.copy()
+        odd = size_live % 2 == 1
+        z[odd], p_value[odd] = _median_p(estimate[odd], se[odd])
     else:
         null_var = math.nan
         if live.any():
@@ -883,27 +1000,31 @@ def direction_rows(
     )
 
 
-def _check_shapes(exp_beta, exp_se, out_beta, out_se) -> None:
-    """Refuse betas of other than one (R, p) shape, or standard errors of neither
-    (p,) nor (R, p). Reads the shapes only, never the values."""
-    shape = np.shape(exp_beta)
+def _checked_rows(exp_beta, exp_se, out_beta, out_se) -> tuple[np.ndarray, ...]:
+    """The four arrays of :func:`direction_rows` as float64 arrays, if the betas are of one
+    (R, p) shape and finite, and the standard errors of (p,) or (R, p) and finite and
+    positive: the rules :meth:`Panel.from_arrays` applies. Else an :class:`InputError`
+    that names the first argument refused."""
+    arrays = {name: _floats(name, value) for name, value in (
+        ("exp_beta", exp_beta), ("exp_se", exp_se), ("out_beta", out_beta), ("out_se", out_se))}
+    shape = arrays["exp_beta"].shape
     if len(shape) != 2:
         raise InputError(f"exp_beta must be of shape (R, p), got {shape}")
-    for name, value, shapes in (("out_beta", out_beta, [shape]),
-                                 ("exp_se", exp_se, [shape[1:], shape]),
-                                 ("out_se", out_se, [shape[1:], shape])):
-        if np.shape(value) not in shapes:
+    for name, shapes in (("out_beta", [shape]), ("exp_se", [shape[1:], shape]),
+                         ("out_se", [shape[1:], shape])):
+        if arrays[name].shape not in shapes:
             raise InputError(
-                f"{name} must be of shape {' or '.join(map(str, shapes))}, got {np.shape(value)}"
+                f"{name} must be of shape {' or '.join(map(str, shapes))}, got {arrays[name].shape}"
             )
+    return tuple(_finite(name, arr, name.endswith("_se")) for name, arr in arrays.items())
 
 
 def _empty_relevant_set(tau_s: float) -> EmptyRelevantSetError:
     return EmptyRelevantSetError(f"no SNP passes the relevance threshold tau_s={tau_s}")
 
 
-def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float, alpha: float) -> DirectionRows:
-    """MR-Egger on every row of (R, p) estimates, in closed form.
+def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
+    """MR-Egger on every row of one direction's (R, p) estimates, in closed form.
 
     Each SNP is first oriented so its exposure association is nonnegative
     (the regression is not invariant to per-SNP sign conventions otherwise):
@@ -929,7 +1050,8 @@ def _egger_rows(exp_beta, exp_se, out_beta, out_se, tau_s: float, alpha: float) 
     ``t = W + sum w x^2``; with ``q = det / t^2`` their ratio is
     ``4q / (1 + sqrt(1 - 4q))^2``.
     """
-    mask = _set_mask(exp_beta, exp_se, out_beta, out_se, math.inf, tau_s)
+    exp_beta, out_beta, out_se, tau_s = data.exp_beta, data.out_beta, data.out_se, data.tau_s
+    mask = data.set_mask(math.inf)
     n = mask.sum(axis=1)
     # -1 where exp_beta < 0, else 1: a product with it orients as negation does
     sign = (exp_beta < 0.0) * -2.0

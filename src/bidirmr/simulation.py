@@ -35,9 +35,14 @@ and their correlation do not depend on the causal pair, so the cells share
 them: each is computed once per chunk, which is why every cell of a scenario
 reports the same ``mean_rho`` and ``mean_corr_pi``.
 Then the cells take turns on the chunk (reduced form, noise, methods), and
-each cell's report equals the scenario run on that cell alone. Memory
-is bounded by the chunk and one cell's arrays, whatever the number of
-replications or cells; the chunk size does not change any result.
+each cell's report equals the scenario run on that cell alone. In each
+direction the methods share one computation of what they all read (the
+relevance screen, ratios and weights), and the median rows whose decision
+needs the exact law wait in one pool for the whole scenario, decided by
+one law search at its end, or earlier if they would pass one chunk's
+values. Memory is bounded by the chunk and one cell's arrays, whatever the
+number of replications or cells; neither the chunk size nor the pool's
+flushes change any result.
 :func:`generate_truth` and :func:`simulate_panel` are the same draws and
 arithmetic for one replication (draws 1-2 and 3-4).
 """
@@ -51,8 +56,9 @@ import numpy as np
 
 from .errors import GwasParseError, InputError
 from .errors import _count, _instance, _number, _refused, _shown, _vectors
-from .focusing import Direction, FocusConfig, Method, Panel, direction_rows
-from .focusing import _roles, _select, _separation_threshold
+from .focusing import Direction, FocusConfig, Method, Panel
+from .focusing import _DirectionData, _LawPool, _method_rows, _roles, _select
+from .focusing import _separation_threshold
 from .gwasio import load_float_columns
 from .model import IvClass, TruthConfig, _causal_pair, _class_masks, _marginal_effects
 from .model import reduced_form
@@ -399,13 +405,18 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     shares and correlations are computed once per chunk, since they do not
     depend on the causal pair; so ``mean_rho`` and ``mean_corr_pi`` are
     equal across cells. Then the cells take turns on the chunk: reduced
-    form, noise and every configured method in both directions, as row
-    operations (:func:`bidirmr.focusing.direction_rows`, the same code the
-    single-panel tests run). A rejection rate needs each row's decision
-    alone, so the rows are asked for no scales: most median decisions are
-    settled without the exact law, and every decision is the law's. Memory
-    is one chunk and one cell's arrays at a time, whatever the number of
-    cells. Sums over replications (valid-IV shares, class shares,
+    form, noise and, in each direction, one
+    :class:`~bidirmr.focusing._DirectionData` that every configured method
+    reads, as row operations (:func:`bidirmr.focusing._method_rows`, the
+    kernel of :func:`~bidirmr.focusing.direction_rows` that the single-panel
+    tests run). A rejection rate needs each row's decision alone, so the
+    rows are asked for no scales: most median decisions are settled without
+    the exact law, and the rest wait in one :class:`~bidirmr.focusing._LawPool`,
+    flushed at the end of the scenario, or once its rows would pass
+    ``_CHUNK_VALUES`` values; its decisions are added to the rejection
+    counts. Every decision is the law's. Memory is one chunk, one cell's
+    arrays and the pool at a time, whatever the number of cells or
+    replications. Sums over replications (valid-IV shares, class shares,
     correlations) are added in replication order. Each cell's report
     equals the scenario run on that cell alone, and the whole is fully
     reproducible from ``scenario.rng_seed``: each replication's stream is
@@ -432,6 +443,12 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     corr_sum = 0.0
     corr_n = 0
 
+    def tally(key, at, sd, z, p_value):
+        n_reject[key] += int((p_value <= focus.alpha).sum())
+
+    # the median rows whose decision needs the exact law, decided a pool at a time
+    laws = _LawPool(tally, _CHUNK_VALUES)
+
     chunk = max(1, _CHUNK_VALUES // p)
     # spawn(1) per replication yields the same children as one spawn(n_reps)
     streams = np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(0,))
@@ -457,11 +474,11 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
             beta_d, beta_y = _with_noise(gamma_d, gamma_y, seed.se_d, seed.se_y, draws[:, 2:])
             _require_finite(beta_d=beta_d, beta_y=beta_y)
             columns = (beta_d, seed.se_d, beta_y, seed.se_y)
-            for method in scenario.methods:
-                for direction in directions:
+            for direction in directions:
+                data = _DirectionData(*_roles(direction, *columns), focus.tau_s)
+                for method in scenario.methods:
                     key = (c, method, direction)
-                    rows = direction_rows(
-                        *_roles(direction, *columns), focus, focus.tau_s, method, scales=False)
+                    rows = _method_rows(data, focus, method, laws, key, scales=False)
                     failed = rows.failed()
                     ok = ~failed
                     n_error[key] += int(failed.sum())
@@ -472,6 +489,7 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
                     valid = (rows.selected & masks[_VALID_CLASS[direction]]).sum(axis=1)
                     prop_sum[key] = _add_in_order(prop_sum[key], valid[shown] / rows.size[shown])
                     prop_n[key] += int(shown.sum())
+    laws.flush()
 
     mean_rho = tuple((rho_sum / scenario.n_reps).tolist())
     mean_corr_pi = float(corr_sum / corr_n) if corr_n else None

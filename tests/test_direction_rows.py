@@ -303,11 +303,16 @@ def test_two_sided_p_is_std_sf_bit_for_bit(z_words):
     np.testing.assert_array_equal(_bits(focusing._two_sided_p(z)), _bits(want))
 
 
+def _set_mask(exp_beta, exp_se, out_beta, out_se, tau_f, tau_s):
+    """The set a method aggregates over: both bounds inclusive."""
+    return (np.abs(out_beta) <= out_se * tau_f) & (np.abs(exp_beta) >= exp_se * tau_s)
+
+
 def _where_ivw(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method):
     """The IVW fields of ``direction_rows`` as the kernel computed them with ``np.where``."""
     if not method.focused:
         cfg = FocusConfig(tau_f=math.inf)
-    mask = focusing._set_mask(exp_beta, exp_se, out_beta, out_se, cfg.tau_f, tau_s)
+    mask = _set_mask(exp_beta, exp_se, out_beta, out_se, cfg.tau_f, tau_s)
     zero = mask & (exp_beta == 0.0)
     n_dropped = zero.sum(axis=1)
     mask &= ~zero
@@ -343,7 +348,7 @@ def _where_ivw(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method):
 
 def _where_egger(exp_beta, exp_se, out_beta, out_se, tau_s):
     """``_egger_rows`` as it computed with ``np.where``: negated betas and masked selects."""
-    mask = focusing._set_mask(exp_beta, exp_se, out_beta, out_se, math.inf, tau_s)
+    mask = _set_mask(exp_beta, exp_se, out_beta, out_se, math.inf, tau_s)
     n = mask.sum(axis=1)
     flip = exp_beta < 0.0
     x = np.where(flip, -exp_beta, exp_beta)

@@ -4,7 +4,9 @@
 shares and correlation between its (beta_dy, beta_yd) cells; no cell may see
 another's work. Generated seeds (3 to 200 SNPs), 1 to 5 cells with
 duplicates, every method, with and without separation, and 1, 3 or the
-default number of replications per chunk.
+default number of replications per chunk. The median methods' undecided
+rows of every cell wait in one pool of exact laws, which no cell may see
+either: a median grid that reaches the law must equal its cells alone.
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bidirmr import simulation  # noqa: E402
+from bidirmr import focusing, simulation  # noqa: E402
 from bidirmr.focusing import FocusConfig, Method  # noqa: E402
 from bidirmr.simulation import (  # noqa: E402
     ScenarioConfig,
@@ -63,3 +65,20 @@ def test_each_grid_cell_equals_its_own_scenario(p, entropy, pairs, n_reps, c1, t
     for pair, report in zip(pairs, reports):
         [alone] = run_scenario(seed, replace(scenario, cells=(pair,)))
         assert repr(report) == repr(alone)
+
+
+@pytest.mark.parametrize("rows", [2, None])
+def test_each_median_grid_cell_equals_its_own_scenario(rows):
+    seed = random_seed(150, 7)
+    scenario = ScenarioConfig(
+        kappa=0.8, cells=tuple(PAIRS[:4]), n_reps=40, focus=FocusConfig(tau_f=1.5),
+        methods=(Method.FOCUSED_MEDIAN, Method.MR_MEDIAN), rng_seed=7, enforce_separation_c1=2.0,
+    )
+    chunk_values = simulation._CHUNK_VALUES if rows is None else rows * seed.p
+    with mock.patch.object(simulation, "_CHUNK_VALUES", chunk_values), \
+            mock.patch.object(focusing, "_EvenLaws", wraps=focusing._EvenLaws) as laws:
+        reports = run_scenario(seed, scenario)
+        assert laws.call_count >= 1
+        for pair, report in zip(PAIRS, reports):
+            [alone] = run_scenario(seed, replace(scenario, cells=(pair,)))
+            assert repr(report) == repr(alone)

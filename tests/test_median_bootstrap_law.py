@@ -10,7 +10,9 @@ by |c| and nonnegativity, and that the batched even-n search gives, hex for
 hex, the quantiles of the per-row law it replaced (kept here as an oracle).
 The rejection decisions settled without the law, from the order-statistic
 brackets, must be the law's own decisions, in a chunk and row by row, and
-must settle all but a few of a scenario's even-n rows.
+must settle all but a few of a scenario's even-n rows. The rows left wait in
+one pool per scenario: one law decides them all, unless they would pass the
+chunk's values, and the reports do not depend on how often it is flushed.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bidirmr import focusing
+from bidirmr import focusing, simulation
 from bidirmr.cli import main
 from bidirmr.errors import EmptyFocusedSetError, InputError
 from bidirmr.focusing import FocusConfig, Method, _brackets, _pair_mean, exact_bootstrap_median_sd
@@ -684,25 +686,31 @@ def decision_chunks(draw):
 
 
 def median_chunk(rows):
-    """(R, p) betas whose MR-Median / focused-median sets are exactly ``rows``, ratios exact."""
+    """``(exp_beta, exp_se, out_beta, out_se)``, finite, whose MR-Median / focused-median sets
+    at tau_s = 1 are exactly ``rows``, ratios exact: an infinite ratio is +-1 over the least
+    subnormal exposure beta, relevant at a standard error as small."""
     size = np.array([r.size for r in rows])
     inside = np.arange(size.max()) < size[:, None]
-    out_beta = np.zeros(inside.shape)
-    out_beta[inside] = np.concatenate(rows)
-    exp_beta = np.where(inside, 1.0, 0.5)  # below tau_s = 1 outside the set
-    return exp_beta, out_beta, np.ones(size.max())
+    ratios = np.zeros(inside.shape)
+    ratios[inside] = np.concatenate(rows)
+    infinite = np.isinf(ratios)
+    out_beta = np.where(infinite, np.sign(ratios), ratios)
+    exp_beta = np.where(inside, np.where(infinite, 5e-324, 1.0), 0.5)  # below tau_s outside
+    exp_se = np.where(infinite, 5e-324, 1.0)
+    return exp_beta, exp_se, out_beta, np.ones(size.max())
 
 
 @settings(max_examples=150, deadline=None)
 @given(decision_chunks())
 def test_decisions_without_scales_are_the_laws(chunk):
     alpha, rows = chunk
-    exp_beta, out_beta, se = median_chunk(rows)
+    exp_beta, exp_se, out_beta, se = median_chunk(rows)
     # the conventional methods' set is the relevance-screened one; alpha is still the caller's
     cfg = FocusConfig(tau_f=math.inf, tau_s=1.0, alpha=alpha)
     for method in (Method.FOCUSED_MEDIAN, Method.MR_MEDIAN):
-        full = focusing.direction_rows(exp_beta, se, out_beta, se, cfg, 1.0, method)
-        fast = focusing.direction_rows(exp_beta, se, out_beta, se, cfg, 1.0, method, scales=False)
+        full = focusing.direction_rows(exp_beta, exp_se, out_beta, se, cfg, 1.0, method)
+        fast = focusing.direction_rows(exp_beta, exp_se, out_beta, se, cfg, 1.0, method,
+                                       scales=False)
         assert full.errors == {} and fast.errors == {}
         np.testing.assert_array_equal(full.reject, full.p_value <= alpha)
         np.testing.assert_array_equal(fast.reject, full.reject)
@@ -713,9 +721,16 @@ def test_decisions_without_scales_are_the_laws(chunk):
             same_floats(getattr(fast, name)[~settled], getattr(full, name)[~settled])
             assert np.isnan(getattr(fast, name)[settled]).all()
         for r in range(len(rows)):
-            alone = focusing.direction_rows(exp_beta[r:r + 1], se, out_beta[r:r + 1], se, cfg,
+            one = slice(r, r + 1)
+            alone = focusing.direction_rows(exp_beta[one], exp_se[one], out_beta[one], se, cfg,
                                             1.0, method, scales=False)
             assert alone.reject[0] == full.reject[r]
+
+
+# the argv of the sim-median benchmark workload, but for --seed and --out
+SIM_MEDIAN = ["simulate", "--synthetic", "394", "--kappa", "1", "--tau-f", "1.5",
+              "--enforce-separation", "2.0", "--beta-dy", "0.3",
+              "--methods", "focused_median,mr_median", "--reps", "200"]
 
 
 def test_a_scenario_settles_most_even_rows_without_the_law(tmp_path):
@@ -723,20 +738,39 @@ def test_a_scenario_settles_most_even_rows_without_the_law(tmp_path):
     counts = {"even": 0, "law": 0}
     rows_of, quantiles = focusing._median_rows, focusing._EvenLaws.quantiles
 
-    def counting_rows(ratios, mask, size, alpha=None):
-        counts["even"] += int((size % 2 == 0).sum())
-        return rows_of(ratios, mask, size, alpha)
+    def counting_rows(ratios, mask, size, *args):
+        counts["even"] += int(((size > 0) & (size % 2 == 0)).sum())
+        return rows_of(ratios, mask, size, *args)
 
     def counting_quantiles(self, rows, q):
         counts["law"] += rows.size // 2  # each row asks for two quantiles
         return quantiles(self, rows, q)
 
-    argv = ["simulate", "--synthetic", "394", "--kappa", "1", "--tau-f", "1.5",
-            "--enforce-separation", "2.0", "--beta-dy", "0.3",
-            "--methods", "focused_median,mr_median", "--reps", "200", "--seed", "1",
-            "--out", str(tmp_path / "sim.json")]
+    argv = SIM_MEDIAN + ["--seed", "1", "--out", str(tmp_path / "sim.json")]
     with mock.patch.object(focusing, "_median_rows", counting_rows), \
             mock.patch.object(focusing._EvenLaws, "quantiles", counting_quantiles):
         assert main(argv) == 0
     assert counts["even"] > 300
     assert counts["law"] <= 0.1 * counts["even"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_scenario_builds_one_even_law(tmp_path, seed):
+    # the rows left undecided by every chunk, method and direction wait in one pool
+    argv = SIM_MEDIAN + ["--seed", str(seed), "--out", str(tmp_path / "sim.json")]
+    with mock.patch.object(focusing, "_EvenLaws", wraps=focusing._EvenLaws) as laws:
+        assert main(argv) == 0
+    assert laws.call_count == 1
+
+
+def test_a_pool_flushed_at_its_bound_gives_the_same_report(tmp_path, monkeypatch):
+    whole, flushed = tmp_path / "whole.json", tmp_path / "flushed.json"
+    assert main(SIM_MEDIAN + ["--seed", "2", "--out", str(whole)]) == 0
+    bound = 4 * 394  # four replications to a chunk, and a pool of as many values
+    monkeypatch.setattr(simulation, "_CHUNK_VALUES", bound)
+    with mock.patch.object(focusing, "_EvenLaws", wraps=focusing._EvenLaws) as laws:
+        assert main(SIM_MEDIAN + ["--seed", "2", "--out", str(flushed)]) == 0
+    assert laws.call_count > 3
+    for (xs, size), _ in laws.call_args_list:
+        assert size.size * size.max() <= bound and xs.shape == (size.size, size.max() + 1)
+    assert flushed.read_bytes() == whole.read_bytes()

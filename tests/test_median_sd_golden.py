@@ -57,8 +57,9 @@ def samples() -> dict[str, np.ndarray]:
 def chunk_rows() -> dict[str, object]:
     """Both median methods on one (R, p) chunk whose rows select sets of every
     size up to p, with +-inf ratios (tiny exposure betas) and tied and
-    signed-zero outcome betas (in every ninth row). An infinite standard error screens a SNP out
-    of the relevant set; a zero one keeps only zero outcome betas focused."""
+    signed-zero outcome betas (in every ninth row). A standard error of 1e308 screens a SNP out
+    of the relevant set, and one of 1e300 focuses every outcome beta; the least subnormal
+    one keeps every exposure beta relevant, and only zero outcome betas focused."""
     rng = np.random.default_rng(7)
     R, p = 600, 300
     exp_beta = rng.normal(size=(R, p))
@@ -70,11 +71,11 @@ def chunk_rows() -> dict[str, object]:
     ones = np.ones(p)
     return {
         "focused_median": direction_rows(
-            exp_beta, ones, out_beta, np.where(keep, np.inf, 0.0),
+            exp_beta, ones, out_beta, np.where(keep, 1e300, 5e-324),
             FocusConfig(tau_f=1.5), 0.0, Method.FOCUSED_MEDIAN,
         ),
         "mr_median": direction_rows(
-            exp_beta, np.where(keep, 0.0, np.inf), out_beta, ones,
+            exp_beta, np.where(keep, 5e-324, 1e308), out_beta, ones,
             FocusConfig(tau_f=1.5), 1.0, Method.MR_MEDIAN,
         ),
     }

@@ -85,6 +85,12 @@ ROWS = (np.full((1, 2), 0.5), np.full(2, 0.1), np.full((1, 2), 0.2), np.full(2, 
 WIDE, NARROW = np.full((1, 3), 0.5), np.full(2, 0.1)
 
 
+def rows_with(**changed):
+    """``direction_rows`` arguments: ``ROWS`` with the named arrays replaced."""
+    names = ("exp_beta", "exp_se", "out_beta", "out_se")
+    return (*(changed.get(name, value) for name, value in zip(names, ROWS)), FocusConfig(), 0.0)
+
+
 @pytest.mark.parametrize(
     "call, args, field",
     [
@@ -109,17 +115,37 @@ WIDE, NARROW = np.full((1, 3), 0.5), np.full(2, 0.1)
         (direction_rows, (WIDE, WIDE[0], WIDE, NARROW, FocusConfig(), 0.0), "out_se"),
         (direction_rows, (WIDE, WIDE[0], WIDE[:, :2], WIDE[0], FocusConfig(), 0.0), "out_beta"),
         (direction_rows, (WIDE[0], WIDE[0], WIDE[0], WIDE[0], FocusConfig(), 0.0), "exp_beta"),
+        (direction_rows, rows_with(exp_beta=np.array([["x", "0.4"]])), "exp_beta"),
+        (direction_rows, rows_with(exp_beta=np.array([[0.5 + 1j, 0.4]])), "exp_beta"),
+        (direction_rows, rows_with(exp_se=[0.1, -0.1]), "exp_se"),
+        (direction_rows, rows_with(out_se=[0.1, 0.0]), "out_se"),
+        (direction_rows, rows_with(out_se=[np.inf, 0.1]), "out_se"),
+        (direction_rows, rows_with(exp_beta=[[0.5, np.inf]]), "exp_beta"),
+        (direction_rows, rows_with(out_beta=[[np.nan, 0.3]]), "out_beta"),
     ],
     ids=["snr-strings", "snr-complex", "power_forecast-cfg", "ratios-strings",
          "ratios-complex", "test_direction-cfg", "test_joint_null-cfg", "focused_mask-cfg",
          "direction_rows-cfg", "relevant_mask-panel", "focused_mask-panel",
          "test_direction-panel", "test_direction-panel-auto-tau_s", "test_joint_null-panel",
          "power_forecast-panel", "power_forecast-ragged-selected", "direction_rows-exp_se",
-         "direction_rows-out_se", "direction_rows-out_beta", "direction_rows-1d-exp_beta"],
+         "direction_rows-out_se", "direction_rows-out_beta", "direction_rows-1d-exp_beta",
+         "direction_rows-strings", "direction_rows-complex", "direction_rows-negative-se",
+         "direction_rows-zero-se", "direction_rows-infinite-se", "direction_rows-infinite-beta",
+         "direction_rows-nan-beta"],
 )
 def test_a_public_function_refuses_a_bad_argument_naming_it(call, args, field):
     with pytest.raises(InputError, match=f"^{field} must be "):
         call(*args)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_direction_rows_reads_nested_lists_as_the_arrays_they_spell(method):
+    lists = direction_rows([[0.5, 0.4]], [0.1, 0.1], [[0.2, 0.3]], [0.1, 0.1], FocusConfig(), 0.0,
+                           method)
+    arrays = direction_rows(*rows_with(exp_beta=np.array([[0.5, 0.4]]),
+                                       out_beta=np.array([[0.2, 0.3]])), method)
+    for name in ("selected", "size", "estimate", "se", "z", "p_value", "reject"):
+        np.testing.assert_array_equal(getattr(lists, name), getattr(arrays, name), err_msg=name)
 
 
 # wrong types, NaN, +-inf, negative, empty and 2-D values, and ints too large
