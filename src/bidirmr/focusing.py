@@ -639,7 +639,7 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
 
 
 def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
-                 alpha: float | None = None, pool: "_LawPool | None" = None, key=None):
+                 alpha: float | None = None, pool: _LawPool | None = None, key=None):
     """``(estimate, sd, settled, reject)`` arrays: for every row, ``np.median`` of its set
     ``ratios[r, mask[r]]`` of ``size[r]`` values and the scale :func:`exact_bootstrap_median_sd`
     gives that set; both NaN for an empty set.
@@ -902,18 +902,25 @@ def direction_rows(
 
     The work is the scenario engine's: one :class:`_DirectionData` of the
     arrays, one :func:`_method_rows` on it, then one flush of the even-n rows
-    it left to the exact law.
+    it left to the exact law (:func:`_decided_rows`).
     """
-    method, alpha = Method(method), _instance("cfg", cfg, FocusConfig).alpha
+    method = Method(method)
+    _instance("cfg", cfg, FocusConfig)
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
     data = _DirectionData(*_checked_rows(exp_beta, exp_se, out_beta, out_se), tau_s)
+    return _decided_rows(data, cfg, method, scales)
+
+
+def _decided_rows(data: _DirectionData, cfg: FocusConfig, method: Method,
+                  scales: bool = True) -> DirectionRows:
+    """:func:`_method_rows` on ``data``, its even-n median rows decided by one pool of their own."""
     decided = []
     pool = _LawPool(lambda *entry: decided.append(entry))
     rows = _method_rows(data, cfg, method, pool, scales=scales)
     pool.flush()
     for _, at, sd, z, p_value in decided:
         rows.se[at], rows.z[at], rows.p_value[at] = sd, z, p_value
-        rows.reject[at] = p_value <= alpha
+        rows.reject[at] = p_value <= cfg.alpha
     return rows
 
 
@@ -1167,7 +1174,8 @@ def test_direction(
     """Test the null of no causal effect in ``direction`` on a panel.
 
     :func:`direction_rows` on the panel as its one row, at the panel's
-    resolved ``tau_s``; raises the row's degeneracy, if any. A focused
+    resolved ``tau_s``, without its checks, which the panel has passed;
+    raises the row's degeneracy, if any. A focused
     method rejects outright on an empty focused set, and otherwise compares
     its estimate against its null scale: the truncated-normal IVW standard
     deviation, or the exact SNP-bootstrap law for the median. SNPs with an
@@ -1178,7 +1186,8 @@ def test_direction(
     method = Method(method)
     exp_beta, exp_se, out_beta, out_se = _panel_roles(panel, direction)
     tau_s = _instance("cfg", cfg, FocusConfig).resolve_tau_s(len(panel))
-    rows = direction_rows(exp_beta[None], exp_se, out_beta[None], out_se, cfg, tau_s, method)
+    rows = _decided_rows(_DirectionData(exp_beta[None], exp_se, out_beta[None], out_se, tau_s),
+                         cfg, method)
     if rows.errors:
         raise rows.errors[0]
 
