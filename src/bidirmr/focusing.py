@@ -254,23 +254,42 @@ class _DirectionData:
             return (self.exp_beta / self.out_se) ** 2
 
 
+def _widened(mask: np.ndarray) -> np.ndarray:
+    """``mask`` as ``uint64`` words, all ones where it holds: one widening that every
+    :func:`_select` and :func:`_select_or_zero` on the same mask can share."""
+    ones = mask.astype(np.uint64)
+    np.negative(ones, out=ones)
+    return ones
+
+
 def _select(mask: np.ndarray, a, b) -> np.ndarray:
     """``np.where(mask, a, b)`` on float64, bit for bit, without a branch per element.
 
-    The mask widens to all-ones ``uint64`` words and each result is
-    ``b ^ ((a ^ b) & ones)`` on the values' bits, so ±0, ±inf and NaN payloads
-    come through as ``np.where`` gives them. ``np.where`` picks element by
-    element, and on a dense, unpredictable mask that costs several plain
-    passes; this costs the same whatever the mask. ``a`` and ``b`` broadcast
-    against ``mask``, which has the result's shape.
+    The mask widens to all-ones ``uint64`` words (:func:`_widened`; a mask given
+    widened is read as is) and each result is ``b ^ ((a ^ b) & ones)`` on the
+    values' bits, so ±0, ±inf and NaN payloads come through as ``np.where`` gives
+    them. ``np.where`` picks element by element, and on a dense, unpredictable mask
+    that costs several plain passes; this costs the same whatever the mask: five
+    passes, three on a widened one. ``a`` and ``b`` broadcast against ``mask``,
+    which has the result's shape.
     """
-    ones = mask.astype(np.uint64)
-    np.negative(ones, out=ones)
+    fresh = mask.dtype == np.bool_
+    ones = _widened(mask) if fresh else mask
     a_bits = np.asarray(a, dtype=np.float64).view(np.uint64)
     b_bits = np.asarray(b, dtype=np.float64).view(np.uint64)
-    np.bitwise_and(ones, a_bits ^ b_bits, out=ones)
-    ones ^= b_bits
-    return ones.view(np.float64)
+    out = np.bitwise_and(ones, a_bits ^ b_bits, out=ones if fresh else None)
+    out ^= b_bits
+    return out.view(np.float64)
+
+
+def _select_or_zero(mask: np.ndarray, a) -> np.ndarray:
+    """``np.where(mask, a, 0.0)`` on float64, bit for bit, as :func:`_select` gives it:
+    ``a``'s bits where ``mask`` holds, ``+0.0`` elsewhere, in one pass on a widened
+    mask (three on a boolean one)."""
+    fresh = mask.dtype == np.bool_
+    ones = _widened(mask) if fresh else mask
+    a_bits = np.asarray(a, dtype=np.float64).view(np.uint64)
+    return np.bitwise_and(ones, a_bits, out=ones if fresh else None).view(np.float64)
 
 
 def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarray:
@@ -834,8 +853,9 @@ class DirectionRows:
     of an empty set, a weight share when the weights sum to zero, ``z`` when
     the median scale is zero, and MR-Egger's weight sum and share. Rows of a
     median method computed without scales (``direction_rows(..., scales=False)``)
-    may be settled from bounds on their scale: their ``se``, ``z`` and
-    ``p_value`` are NaN, and ``reject`` alone holds their decision.
+    have NaN weight sums and shares, and may be settled from bounds on their
+    scale: their ``se``, ``z`` and ``p_value`` are NaN, and ``reject`` alone
+    holds their decision.
     ``intercept``/``intercept_se`` are MR-Egger's only.
     ``errors`` maps each row that hit a degeneracy to its exception; that
     row's other fields mean nothing.
@@ -889,8 +909,9 @@ def direction_rows(
     ``scales=False`` asks for the decisions alone, as a rejection rate needs:
     a median row whose scale the cached order-statistic brackets bound
     tightly enough to settle ``p <= alpha`` skips the exact law, and carries
-    NaN ``se``, ``z`` and ``p_value`` (:func:`_median_rows`). ``reject`` is
-    the same either way; the other methods ignore the flag.
+    NaN ``se``, ``z`` and ``p_value`` (:func:`_median_rows`), and the median
+    methods leave ``weight_sum`` and ``max_share`` NaN, as no decision reads
+    them. ``reject`` is the same either way; the other methods ignore the flag.
 
     The focused methods drop zero exposure associations from the set
     (counted in ``n_dropped``) and reject on an empty set. The conventional
@@ -955,14 +976,18 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
         empty_reject = np.zeros(size.size, dtype=bool)
 
     ratios = data.ratios
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        weights = _select(mask, data.weights, 0.0)
-        weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
-        max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
+    nan = np.full(size.size, np.nan)
+    if method.median and not scales:  # no decision reads the weights
+        weight_sum = max_share = nan
+    else:
+        ones = _widened(mask)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weights = _select_or_zero(ones, data.weights)
+            weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
+            max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
     live = size > 0
     live[list(errors)] = False
 
-    nan = np.full(size.size, np.nan)
     settled_reject = np.zeros(size.size, dtype=bool)
     if method.median:
         if errors:
@@ -986,7 +1011,7 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
         for r in np.flatnonzero(live & ((weight_sum == 0.0) | np.isinf(weight_sum))).tolist():
             errors.setdefault(r, _degenerate_weights(weight_sum[r]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            estimate = _select(mask, weights * ratios, 0.0).sum(axis=1) / weight_sum
+            estimate = _select_or_zero(ones, weights * ratios).sum(axis=1) / weight_sum
             se = np.sqrt(null_var / weight_sum)
             z = estimate / se
         p_value = _two_sided_p(z)
@@ -1065,7 +1090,8 @@ def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
     sign += 1.0
     x = exp_beta * sign
     y = np.multiply(out_beta, sign, out=sign)
-    spread = _select(mask, x, -np.inf).max(axis=1) - _select(mask, x, np.inf).min(axis=1)
+    ones = _widened(mask)
+    spread = _select(ones, x, -np.inf).max(axis=1) - _select(ones, x, np.inf).min(axis=1)
 
     errors = {}
     for r in np.flatnonzero(n < 3).tolist():
@@ -1078,14 +1104,14 @@ def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
         errors[r] = RankDeficientError("all oriented exposure associations are equal")
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = _select(mask, (1.0 / out_se) ** 2, 0.0)
+        w = _select_or_zero(ones, (1.0 / out_se) ** 2)
         w_sum = w.sum(axis=1)
         wx = w * x
         x_bar = wx.sum(axis=1) / w_sum
         trace = w_sum + np.multiply(wx, x, out=wx).sum(axis=1)
         y_bar = np.multiply(w, y, out=wx).sum(axis=1) / w_sum
         x -= x_bar[:, None]
-        dx = _select(mask, x, 0.0)
+        dx = _select_or_zero(ones, x)
         wdx = np.multiply(w, dx, out=w)
         s_xx = np.multiply(wdx, dx, out=dx).sum(axis=1)
         y -= y_bar[:, None]

@@ -10,10 +10,13 @@ mimicking how real effect panels mix null, one-trait, and pleiotropic SNPs.
 Summary statistics are then the reduced-form associations plus independent
 normal noise at the seed standard errors.
 
-Replications draw from RNG streams keyed by replication index (child ``r``
-of one ``SeedSequence``, spawned as replication ``r`` starts), so results are
+Replication ``r`` draws from the stream that
+``np.random.default_rng(SeedSequence(seed, spawn_key=(0, r)))`` starts in
+(child ``r`` of ``SeedSequence(seed, spawn_key=(0,))``), so results are
 reproducible from a single integer seed and independent of any execution
-schedule. Each replication consumes its stream in a fixed documented order:
+schedule. The states of a chunk's streams are derived together, and one
+generator is set to each in turn (:func:`_replication_streams`). Each
+replication consumes its stream in a fixed documented order:
 
 1. ``random(p)``: activation uniforms for the first trait (D);
 2. ``random(p)``: activation uniforms for the second trait (Y);
@@ -58,7 +61,7 @@ from .errors import GwasParseError, InputError
 from .errors import _count, _instance, _number, _refused, _shown, _vectors
 from .focusing import Direction, FocusConfig, Method, Panel
 from .focusing import _DirectionData, _LawPool, _method_rows, _roles, _select
-from .focusing import _separation_threshold
+from .focusing import _select_or_zero, _separation_threshold
 from .gwasio import load_float_columns
 from .model import IvClass, TruthConfig, _causal_pair, _class_masks, _marginal_effects
 from .model import reduced_form
@@ -210,8 +213,8 @@ def generate_truth(
 def _activated(seed: SeedEffects, kappa: float, uniforms: np.ndarray, min_snr: float | None):
     """``(pi_d, pi_y)`` from draws 1 and 2, the activation uniforms ``uniforms[..., 0:2, :]``."""
     prob_d, prob_y = seed.activation_probabilities(kappa)
-    pi_d = _select(uniforms[..., 0, :] < prob_d, seed.alpha_d, 0.0)
-    pi_y = _select(uniforms[..., 1, :] < prob_y, seed.alpha_y, 0.0)
+    pi_d = _select_or_zero(uniforms[..., 0, :] < prob_d, seed.alpha_d)
+    pi_y = _select_or_zero(uniforms[..., 1, :] < prob_y, seed.alpha_y)
     if min_snr is not None:
         pi_d = _amplified(pi_d, seed.se_d, min_snr)
         pi_y = _amplified(pi_y, seed.se_y, min_snr)
@@ -367,6 +370,105 @@ _CLASS_ORDER = (IvClass.NULL, IvClass.VALID_DY, IvClass.VALID_YD, IvClass.PLEIOT
 _CHUNK_VALUES = 1 << 15
 
 
+# NumPy's SeedSequence (pool of 4 uint32 words, two multiplicative hash chains,
+# a mixing function) and PCG64's LCG multiplier (O'Neill 2014); NEP 19 keeps
+# the streams they define stable.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n >= 0`` as little-endian uint32 words, as a SeedSequence reads an int (0 is one word)."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_chain(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The first ``n`` (xor, multiplier) pairs of a hash chain: constant ``c``, then ``c * mult``."""
+    pairs = []
+    for _ in range(n):
+        pairs.append((init, (init * mult) & _MASK32))
+        init = pairs[-1][1]
+    return pairs
+
+
+def _hashed(value, pair):
+    """SeedSequence's ``hashmix`` (or ``generate_state`` step) of ``value`` under a chain pair.
+
+    Python ints, or uint32 arrays that broadcast (one pair per row of a column of pairs),
+    whose products wrap without a warning."""
+    value = ((value ^ pair[0]) * pair[1]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mixed(x, y):
+    """SeedSequence's ``mix`` of pool words ``x`` with hashed words ``y``."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _replication_streams(rng: np.random.Generator, entropy: int, first: int, count: int):
+    """Yield ``rng`` once for each replication ``r = first, ..., first + count - 1``, its
+    PCG64 then in the state ``np.random.default_rng(SeedSequence(entropy, spawn_key=(0, r)))``
+    starts in.
+
+    Such a child mixes the words of ``entropy`` (zero-padded to the pool size), the key
+    word 0 and the words of ``r`` into its pool, in that order; the hash constants depend
+    on the number of words alone. So the pool before ``r``'s words is one constant per
+    count of ``r``'s words, computed on Python ints, and the rest is uint32 array
+    arithmetic over the rows of that count: ``r``'s words mixed into a (4, rows) pool,
+    then the eight words of ``generate_state(4, uint64)``. The two LCG steps of PCG64's
+    seeding give each row's state on Python ints. ``r`` must be below ``2**64``.
+    """
+    run = _uint32_words(entropy)
+    run += [0] * (_POOL - len(run)) + [0]  # a spawn key pads the entropy; its first word is 0
+    words_out = np.array(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+    bit_generator = rng.bit_generator
+    while count > 0:
+        n_words = len(_uint32_words(first))
+        rows = min(count, (1 << (32 * n_words)) - first)
+        # the pool after every word before r's, as SeedSequence.mix_entropy runs
+        chain = _hash_chain(_INIT_A, _MULT_A, _POOL * (len(run) + n_words))
+        pool = [_hashed(word, pair) for word, pair in zip(run[:_POOL], chain)]
+        at = iter(chain[_POOL:])
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mixed(pool[dst], _hashed(pool[src], next(at)))
+        for word in run[_POOL:]:
+            pool = [_mixed(x, _hashed(word, next(at))) for x in pool]
+        # r's words, each hashed by four pairs of the chain into a (4, rows) pool
+        pool = np.array(pool, dtype=np.uint32)[:, None]
+        pairs = np.array(list(at), dtype=np.uint32).reshape(n_words, _POOL, 2)
+        index = np.uint64(first) + np.arange(rows, dtype=np.uint64)
+        for k in range(n_words):
+            word = ((index >> np.uint64(32 * k)) & np.uint64(_MASK32)).astype(np.uint32)
+            pool = _mixed(pool, _hashed(word, pairs[k].T[..., None]))
+        # generate_state(4, uint64): eight uint32 words read as four little-endian uint64
+        words = _hashed(pool[np.arange(2 * _POOL) % _POOL], words_out.T[..., None])
+        seeds = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
+        for s_hi, s_lo, i_hi, i_lo in seeds:
+            # pcg64_set_seed: inc = 2 * initseq + 1; state = ((0 * M + inc) + initstate) * M + inc
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128,
+                          "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+        first += rows
+        count -= rows
+
+
 def _require_finite(**arrays: np.ndarray) -> None:
     # what each replication's TruthConfig and panel would check
     for name, values in arrays.items():
@@ -419,9 +521,11 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     replications. Sums over replications (valid-IV shares, class shares,
     correlations) are added in replication order. Each cell's report
     equals the scenario run on that cell alone, and the whole is fully
-    reproducible from ``scenario.rng_seed``: each replication's stream is
-    keyed by its index, so the result depends neither on scheduling nor on
-    the chunk size.
+    reproducible from ``scenario.rng_seed``: replication ``r`` draws from
+    the state ``default_rng(SeedSequence(rng_seed, spawn_key=(0, r)))``
+    starts in, derived for the whole chunk at once
+    (:func:`_replication_streams`), so the result depends neither on
+    scheduling nor on the chunk size.
     """
     p = seed.p
     focus = replace(scenario.focus, tau_s=scenario.focus.resolve_tau_s(p))
@@ -450,12 +554,11 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     laws = _LawPool(tally, _CHUNK_VALUES)
 
     chunk = max(1, _CHUNK_VALUES // p)
-    # spawn(1) per replication yields the same children as one spawn(n_reps)
-    streams = np.random.SeedSequence(entropy=scenario.rng_seed, spawn_key=(0,))
+    stream = np.random.Generator(np.random.PCG64())  # set to each replication's state in turn
     for start in range(0, scenario.n_reps, chunk):
         draws = np.empty((min(chunk, scenario.n_reps - start), 4, p))
-        for row in draws:
-            rng = np.random.default_rng(streams.spawn(1)[0])
+        streams = _replication_streams(stream, scenario.rng_seed, start, len(draws))
+        for row, rng in zip(draws, streams):
             rng.random(out=row[:2])
             rng.standard_normal(out=row[2:])
         pi_d, pi_y = _activated(seed, scenario.kappa, draws[:, :2], min_snr)

@@ -36,6 +36,8 @@ from bidirmr.focusing import (  # noqa: E402
     Method,
     Panel,
     _select,
+    _select_or_zero,
+    _widened,
     direction_rows,
 )
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
@@ -282,7 +284,15 @@ def selects(draw):
 @given(selects())
 def test_select_is_np_where_bit_for_bit(case):
     mask, a, b = case
-    np.testing.assert_array_equal(_bits(_select(mask, a, b)), _bits(np.where(mask, a, b)))
+    ones = _widened(mask)
+    for given in (mask, ones):
+        np.testing.assert_array_equal(_bits(_select(given, a, b)), _bits(np.where(mask, a, b)))
+        # +0.0 where the mask fails, never b's -0.0 or another zero's bits
+        np.testing.assert_array_equal(
+            _bits(_select_or_zero(given, a)), _bits(np.where(mask, a, 0.0))
+        )
+    # a widened mask is read, never written
+    np.testing.assert_array_equal(ones, _widened(mask))
 
 
 # every NaN word (either sign, any payload, quiet or signaling) and every subnormal one
@@ -454,3 +464,18 @@ def test_row_kernels_keep_every_bit_of_the_np_where_forms(chunk):
         _, _, floats, _ = _where_ivw(exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method)
         for name in ("weight_sum", "max_share"):
             np.testing.assert_array_equal(_bits(getattr(rows, name)), _bits(floats[name]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunks())
+def test_decisions_alone_leave_the_median_weight_fields_undefined(chunk):
+    # no decision reads the weights, so a median method computed without scales has none
+    exp_beta, exp_se, out_beta, out_se, tau_f, tau_s = chunk
+    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s)
+    for method in (Method.FOCUSED_MEDIAN, Method.MR_MEDIAN):
+        args = (exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method)
+        rows, decided = direction_rows(*args), direction_rows(*args, scales=False)
+        assert np.isnan(decided.weight_sum).all() and np.isnan(decided.max_share).all()
+        ok = ~rows.failed()
+        np.testing.assert_array_equal(decided.failed(), rows.failed())
+        np.testing.assert_array_equal(decided.reject[ok], rows.reject[ok])

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bidirmr.focusing import (
     relevant_mask,
 )
 from bidirmr.model import IvClass, TruthConfig, iv_class_masks, reduced_form
+from conftest import assert_streams_are_numpys
 from bidirmr.simulation import (
     ScenarioConfig,
     SeedEffects,
@@ -249,6 +251,41 @@ class TestReplicationStreams:
         for a, b in zip(bulk, one_by_one):
             assert a.spawn_key == b.spawn_key
             np.testing.assert_array_equal(a.generate_state(8), b.generate_state(8))
+
+    @pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200])
+    @pytest.mark.parametrize("first", [0, 1, 2**32 - 1, 2**32, 2**40 + 7])
+    def test_each_stream_starts_where_numpys_child_does(self, entropy, first):
+        # from 2**32 on, an index's spawn key takes two words
+        assert_streams_are_numpys(entropy, first, 2)
+
+    def test_a_chunk_across_two_key_lengths_keeps_every_stream(self):
+        assert_streams_are_numpys(2**64 + 1, 2**32 - 2, 5)
+
+    def test_a_stream_is_the_one_generator_reset(self):
+        stream = np.random.Generator(np.random.PCG64())
+        assert list(simulation._replication_streams(stream, 5, 3, 0)) == []
+        assert all(rng is stream for rng in simulation._replication_streams(stream, 5, 0, 4))
+
+    def test_a_scenario_makes_no_stream_object_per_replication(self, monkeypatch):
+        seed = synthetic_seed(40, np.random.default_rng(3))
+        scenario = ScenarioConfig(n_reps=11, methods=(Method.FOCUSED_IVW,), rng_seed=8)
+        whole = run_scenario(seed, scenario)
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 4 * 40)  # chunks of 4, 4 and 3
+        spawned = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        with mock.patch.object(np.random, "SeedSequence", CountingSeedSequence), \
+                mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rngs, \
+                mock.patch.object(np.random, "PCG64", wraps=np.random.PCG64) as bit_generators:
+            chunked = run_scenario(seed, scenario)
+        assert spawned == [] and rngs.call_count == 0
+        assert bit_generators.call_count <= 1
+        assert chunked == whole
+
 
 
 class TestScenarioConfig:
