@@ -402,8 +402,8 @@ def _hash_chain(init: int, mult: int, n: int) -> list[tuple[int, int]]:
 def _hashed(value, pair):
     """SeedSequence's ``hashmix`` (or ``generate_state`` step) of ``value`` under a chain pair.
 
-    Python ints, or uint32 arrays that broadcast (one pair per row of a column of pairs),
-    whose products wrap without a warning."""
+    Python ints, or uint32 arrays that broadcast against each other (pairs as columns
+    hash each row with its own pair); array products wrap without a warning."""
     value = ((value ^ pair[0]) * pair[1]) & _MASK32
     return value ^ (value >> 16)
 
@@ -429,7 +429,7 @@ def _replication_streams(rng: np.random.Generator, entropy: int, first: int, cou
     """
     run = _uint32_words(entropy)
     run += [0] * (_POOL - len(run)) + [0]  # a spawn key pads the entropy; its first word is 0
-    words_out = np.array(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+    state_chain = np.array(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
     bit_generator = rng.bit_generator
     while count > 0:
         n_words = len(_uint32_words(first))
@@ -452,7 +452,7 @@ def _replication_streams(rng: np.random.Generator, entropy: int, first: int, cou
             word = ((index >> np.uint64(32 * k)) & np.uint64(_MASK32)).astype(np.uint32)
             pool = _mixed(pool, _hashed(word, pairs[k].T[..., None]))
         # generate_state(4, uint64): eight uint32 words read as four little-endian uint64
-        words = _hashed(pool[np.arange(2 * _POOL) % _POOL], words_out.T[..., None])
+        words = _hashed(pool[np.arange(2 * _POOL) % _POOL], state_chain.T[..., None])
         seeds = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()
         for s_hi, s_lo, i_hi, i_lo in seeds:
             # pcg64_set_seed: inc = 2 * initseq + 1; state = ((0 * M + inc) + initstate) * M + inc

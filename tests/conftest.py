@@ -1,12 +1,10 @@
-"""Shared test helpers: random ground truths and panels with known structure, and the
-oracle of the replication streams."""
+"""Shared test helpers: random ground truths and panels with known structure."""
 
 import numpy as np
 import pytest
 
 from bidirmr.focusing import Panel
 from bidirmr.model import TruthConfig
-from bidirmr.simulation import _replication_streams
 
 try:
     from hypothesis import settings
@@ -57,23 +55,6 @@ def make_random_panel(rng: np.random.Generator, p: int = 50) -> Panel:
         beta_y=rng.normal(0.0, 0.5, p),
         se_y=rng.uniform(0.02, 0.2, p),
     )
-
-
-def assert_streams_are_numpys(entropy, first, count):
-    """``_replication_streams`` sets ``count`` states, each with the draws from it NumPy's own."""
-    stream = np.random.Generator(np.random.PCG64())
-    rows = 0
-    for rng in _replication_streams(stream, entropy, first, count):
-        r = first + rows
-        child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(0, r)))
-        assert rng.bit_generator.state == child.bit_generator.state, (entropy, r)
-        ours, theirs = np.empty(7), np.empty(7)
-        for row, source in ((ours, rng), (theirs, child)):
-            source.random(out=row[:3])
-            source.standard_normal(out=row[3:])
-        assert ours.tobytes() == theirs.tobytes(), (entropy, r)
-        rows += 1
-    assert rows == count
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from bidirmr.focusing import (
     relevant_mask,
 )
 from bidirmr.model import IvClass, TruthConfig, iv_class_masks, reduced_form
-from conftest import assert_streams_are_numpys
 from bidirmr.simulation import (
     ScenarioConfig,
     SeedEffects,
@@ -252,20 +251,6 @@ class TestReplicationStreams:
             assert a.spawn_key == b.spawn_key
             np.testing.assert_array_equal(a.generate_state(8), b.generate_state(8))
 
-    @pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200])
-    @pytest.mark.parametrize("first", [0, 1, 2**32 - 1, 2**32, 2**40 + 7])
-    def test_each_stream_starts_where_numpys_child_does(self, entropy, first):
-        # from 2**32 on, an index's spawn key takes two words
-        assert_streams_are_numpys(entropy, first, 2)
-
-    def test_a_chunk_across_two_key_lengths_keeps_every_stream(self):
-        assert_streams_are_numpys(2**64 + 1, 2**32 - 2, 5)
-
-    def test_a_stream_is_the_one_generator_reset(self):
-        stream = np.random.Generator(np.random.PCG64())
-        assert list(simulation._replication_streams(stream, 5, 3, 0)) == []
-        assert all(rng is stream for rng in simulation._replication_streams(stream, 5, 0, 4))
-
     def test_a_scenario_makes_no_stream_object_per_replication(self, monkeypatch):
         seed = synthetic_seed(40, np.random.default_rng(3))
         scenario = ScenarioConfig(n_reps=11, methods=(Method.FOCUSED_IVW,), rng_seed=8)
@@ -285,7 +270,6 @@ class TestReplicationStreams:
         assert spawned == [] and rngs.call_count == 0
         assert bit_generators.call_count <= 1
         assert chunked == whole
-
 
 
 class TestScenarioConfig:
