@@ -121,15 +121,22 @@ class Panel:
             ids = tuple(map(str, ids))
         except TypeError:
             raise _refused("ids", "a sequence of SNP ids", ids) from None
+        panel = cls._of_unique_ids(ids, np.array(ids, dtype=object), beta_d, se_d, beta_y, se_y)
+        if len(set(ids)) != len(ids):
+            raise InputError("SNP ids must be unique within a panel")
+        return panel
+
+    @classmethod
+    def _of_unique_ids(cls, ids, id_array, beta_d, se_d, beta_y, se_y) -> "Panel":
+        """:meth:`from_arrays` for ids known to be unique strings, given as a tuple and
+        as an object array of the same ids, which the panel keeps. The columns and the
+        ids' being nonempty are checked as :meth:`from_arrays` checks them."""
         panel = cls.__new__(cls)
         _vectors(
             panel, len(ids), ("se_d", "se_y"), beta_d=beta_d, se_d=se_d, beta_y=beta_y, se_y=se_y
         )
         if not all(ids):
             raise InputError("SNP ids must be nonempty")
-        if len(set(ids)) != len(ids):
-            raise InputError("SNP ids must be unique within a panel")
-        id_array = np.array(ids, dtype=object)
         id_array.setflags(write=False)
         object.__setattr__(panel, "ids", ids)
         object.__setattr__(panel, "_id_array", id_array)

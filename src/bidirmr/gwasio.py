@@ -23,7 +23,9 @@ effect alleles: when the outcome file reports the swapped allele pair the
 outcome beta changes sign, while palindromic (A/T, C/G) and
 mismatched-allele variants are dropped, since without allele frequencies a
 silent misorientation is worse than exclusion. Standard errors are never
-altered.
+altered. Ids are joined on sorted integer keys (their hashes), every match
+confirmed by comparing the ids themselves, and alleles are compared as
+integer codes; an id repeated within either file is refused.
 
 Serialization is deterministic: fixed key order, reals rounded to 12
 significant digits, a schema version field, and byte-identical output for
@@ -39,9 +41,9 @@ import logging
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -89,8 +91,9 @@ _WRITE_ROWS = 16_384
 class GwasFile:
     """One study's parsed summary statistics, in file order.
 
-    Allele columns are upper-cased string arrays, or None when the file has
-    no allele columns.
+    Allele columns are arrays of upper-cased allele strings, or None when the
+    file has no allele columns. A loaded file's arrays are object arrays that
+    hold one string per distinct allele, however long, shared by its rows.
     """
 
     ids: tuple[str, ...]
@@ -98,6 +101,10 @@ class GwasFile:
     se: np.ndarray
     effect_allele: np.ndarray | None = None
     other_allele: np.ndarray | None = None
+    # (alleles, effect codes, other codes): the allele columns as codes into a
+    # tuple of their distinct alleles. load_gwas passes the reader's; a file
+    # built without them gets them from its arrays (see _codes_of).
+    _codes: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -134,7 +141,7 @@ def load_gwas(path: str, col_map: Mapping[str, str] | None = None) -> GwasFile:
     duplicate ids fail with the physical line the offending row starts on.
     """
     columns = _read_columns(path, _REQUIRED_COLUMNS, _ALLELE_COLUMNS, col_map)
-    gwas = GwasFile(ids=columns.pop("id"), **columns)
+    gwas = GwasFile(ids=columns.pop("id"), _codes=columns.pop("alleles", None), **columns)
     logger.info("loaded %d variants from %s", gwas.n, path)
     return gwas
 
@@ -154,12 +161,13 @@ def _read_columns(path: str, required, optional=(), col_map=None) -> dict[str, A
     """The required columns of a UTF-8 TSV, and the optional ones if all are present.
 
     ``id`` is read as stripped, nonempty, unique strings (a tuple), the
-    allele columns as upper-cased string arrays, a standard-error column
-    (``se``, ``se_d``, ``se_y``) as positive floats and any other column as
-    finite floats, all by :func:`_columns`. A plain file is read by
-    :func:`_fast_columns`, which gives exactly what :func:`_strict_columns`
-    gives or declines the file; a declined file, and every invalid one, is
-    read by :func:`_strict_columns`, whose errors name its line.
+    allele columns as upper-cased strings with their codes (see
+    :func:`_allele_columns`), a standard-error column (``se``, ``se_d``,
+    ``se_y``) as positive floats and any other column as finite floats, all by
+    :func:`_columns`. A plain file is read by :func:`_fast_columns`, which
+    gives exactly what :func:`_strict_columns` gives or declines the file; a
+    declined file, and every invalid one, is read by :func:`_strict_columns`,
+    whose errors name its line.
     """
     col_map = col_map or {}
     with _gc_paused():
@@ -241,14 +249,16 @@ def _fast_columns(path: str, required, optional, col_map: dict[str, str]) -> dic
     if len(table) != n_lines - 1:
         return None
     # the builder takes one column at a time, so one list of strings exists at once
+    alleles: dict[str, int] = {}
     columns = _columns(
-        (name, table[f"f{k}"].tolist() if kinds[k] is object else table[f"f{k}"])
-        for name, k in pos.items()
+        ((name, table[f"f{k}"].tolist() if kinds[k] is object else table[f"f{k}"])
+         for name, k in pos.items()),
+        alleles,
     )
     del table  # the columns are copies; the table goes before the set of ids
     if columns is None or _duplicate_error(columns.get("id", ()), path) is not None:
         return None
-    return columns
+    return _allele_columns(columns, alleles)
 
 
 def _plain_lines(fh) -> int | None:
@@ -292,13 +302,14 @@ def _parse_columns(reader, required, optional, col_map: dict[str, str], path: st
         raise GwasParseError("file is empty", path=path)
     pos, width = _header_positions(header, required, optional, col_map, path)
 
-    chunks = [_columns((name, ()) for name in pos)]  # typed, for the empty file
+    alleles: dict[str, int] = {}
+    chunks = [_columns(((name, ()) for name in pos), alleles)]  # typed, for the empty file
     first_line = 2
     while rows := list(islice(reader, _CHUNK_ROWS)):
         chunk = None
         if set(map(len, rows)) == {width}:
             fields = list(zip(*rows))
-            chunk = _columns((name, fields[k]) for name, k in pos.items())
+            chunk = _columns(((name, fields[k]) for name, k in pos.items()), alleles)
         if chunk is None:
             ids = _chunk_ids(chunks)
             raise _duplicate_error(ids, path) or _first_row_error(
@@ -310,7 +321,10 @@ def _parse_columns(reader, required, optional, col_map: dict[str, str], path: st
     error = _duplicate_error(ids, path)
     if error is not None:
         raise error
-    return {name: ids if name == "id" else np.concatenate([c[name] for c in chunks]) for name in pos}
+    return _allele_columns(
+        {name: ids if name == "id" else np.concatenate([c[name] for c in chunks]) for name in pos},
+        alleles,
+    )
 
 
 def _header_positions(header, required, optional, col_map, path) -> tuple[dict[str, int], int]:
@@ -330,13 +344,13 @@ def _chunk_ids(chunks: list[dict]) -> tuple[str, ...]:
     return tuple(chain.from_iterable(c.get("id", ()) for c in chunks))
 
 
-def _columns(fields) -> dict | None:
+def _columns(fields, alleles: dict[str, int]) -> dict | None:
     """The columns that :func:`_read_columns` reads, from ``(name, raw fields)``
     pairs, or None if a field is invalid. The raw fields are strings, or a float
-    column of the fast parse's table. Ids are stripped and nonempty, alleles go
-    through :func:`_allele_array`, and numbers are finite, and positive in a
-    standard-error column; :func:`_row_error` says which rule a row breaks.
-    Duplicate ids are left to :func:`_duplicate_error`."""
+    column of the fast parse's table. Ids are stripped and nonempty, alleles are
+    codes into ``alleles`` (:func:`_allele_codes`), and numbers are finite, and
+    positive in a standard-error column; :func:`_row_error` says which rule a row
+    breaks. Duplicate ids are left to :func:`_duplicate_error`."""
     columns: dict[str, Any] = {}
     for name, raw in fields:
         if name == "id":
@@ -344,7 +358,7 @@ def _columns(fields) -> dict | None:
             if not all(ids):
                 return None
         elif name in _ALLELE_COLUMNS:
-            columns[name] = _allele_array(raw)
+            columns[name] = _allele_codes(raw, alleles)
         else:
             try:
                 # Converts each string with float(), as _row_error does; copies a float column.
@@ -357,13 +371,30 @@ def _columns(fields) -> dict | None:
     return columns
 
 
-def _allele_array(alleles: Sequence[str]) -> np.ndarray:
-    """Stripped, upper-cased alleles. Each distinct allele is converted once and
+def _allele_codes(raw: Sequence[str], alleles: dict[str, int]) -> np.ndarray:
+    """The code of each stripped, upper-cased allele in ``alleles``, which gains
+    the new ones, numbered in order. Each distinct allele is converted once and
     the rest are looked up, so a column of few distinct alleles makes no new
     strings and costs one dict lookup per row."""
-    index = {allele: k for k, allele in enumerate(dict.fromkeys(alleles))}
-    normal = np.array([allele.strip().upper() for allele in index], dtype=str)
-    return normal[np.fromiter(map(index.__getitem__, alleles), np.intp, len(alleles))]
+    index = dict.fromkeys(raw)
+    for allele in index:
+        index[allele] = alleles.setdefault(allele.strip().upper(), len(alleles))
+    return np.fromiter(map(index.__getitem__, raw), np.intp, len(raw))
+
+
+def _allele_columns(columns: dict, alleles: dict[str, int]) -> dict:
+    """``columns`` with their allele codes in ``alleles`` turned into alleles, if
+    they have allele columns. Each becomes an object array whose rows share one
+    string per distinct allele, and ``columns["alleles"]`` keeps the codes:
+    ``(alleles, effect codes, other codes)``, as :class:`GwasFile` takes them."""
+    if _ALLELE_COLUMNS[0] not in columns:
+        return columns
+    vocabulary = tuple(alleles)
+    values = np.array(vocabulary, dtype=object)
+    codes = tuple(columns[name] for name in _ALLELE_COLUMNS)
+    columns.update((name, values[c]) for name, c in zip(_ALLELE_COLUMNS, codes))
+    columns["alleles"] = (vocabulary, *codes)
+    return columns
 
 
 def _duplicate_error(ids: tuple[str, ...], path: str) -> DuplicateVariantError | None:
@@ -448,13 +479,81 @@ class HarmonizeMode(str, Enum):
     BY_ALLELE = "allele"
 
 
-def _palindromic(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    return (
-        ((a1 == "A") & (a2 == "T"))
-        | ((a1 == "T") & (a2 == "A"))
-        | ((a1 == "C") & (a2 == "G"))
-        | ((a1 == "G") & (a2 == "C"))
-    )
+# The bases of a palindromic pair (A/T or C/G) sum to zero; any other allele is 0.
+_BASES = {"A": 1, "T": -1, "C": 2, "G": -2}
+
+
+def _palindromic(alleles: tuple, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Where the allele pair of codes ``a1``, ``a2`` into ``alleles`` is A/T, T/A, C/G or G/C."""
+    bases = np.array([_BASES.get(allele, 0) for allele in alleles], dtype=np.int8)
+    b1 = bases[a1]
+    return (b1 != 0) & (b1 == -bases[a2])
+
+
+def _codes_of(study: GwasFile) -> tuple:
+    """A study's ``(alleles, effect codes, other codes)``: the reader's, or for a study
+    built without them, its allele arrays' values as given, numbered in order."""
+    if study._codes is not None:
+        return study._codes
+    index: dict = {}
+    codes = [
+        np.fromiter((index.setdefault(a, len(index)) for a in column), np.intp, len(column))
+        for column in (study.effect_allele, study.other_allele)
+    ]
+    return (tuple(index), *codes)
+
+
+def _keys(ids: Sequence[str]) -> np.ndarray:
+    """An int64 key per id, its ``hash``. A ``str`` computes its hash once and keeps
+    it, and the reader's duplicate check has already asked for it. Equal ids have
+    equal keys; distinct ids may share one."""
+    return np.fromiter(map(hash, ids), np.int64, len(ids))
+
+
+def _id_index(ids: Sequence[str], role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, order, shared)``: the ids' :func:`_keys` in ascending order, the rows
+    in that order, and the positions in it of every key that more than one row has.
+    A repeated id is refused, naming its first repeat in row order."""
+    keys = _keys(ids)
+    order = np.argsort(keys)
+    keys = keys[order]
+    repeats = np.flatnonzero(keys[1:] == keys[:-1])
+    shared = np.union1d(repeats, repeats + 1)
+    seen = set()
+    for row in np.sort(order[shared]).tolist():  # an id and its repeats share a key
+        if ids[row] in seen:
+            raise DuplicateVariantError(f"duplicate variant id {ids[row]!r} in the {role} study")
+        seen.add(ids[row])
+    return keys, order, shared
+
+
+def _join(exposure: GwasFile, outcome: GwasFile, exposure_ids: np.ndarray):
+    """Rows ``(i, j)`` of the exposure and outcome ids that are equal, in exposure order.
+
+    Both studies' ids are indexed by sorted keys (:func:`_id_index`) and the
+    exposure's are looked up in the outcome's with ``searchsorted``, in key order.
+    Each pair of equal keys is confirmed by comparing the ids. An exposure id whose
+    key several outcome ids share is looked up among just those ids, so the join
+    stays exact, and linear in the rows whose keys collide.
+    """
+    exp_keys, exp_order, _ = _id_index(exposure.ids, "exposure")
+    out_keys, out_order, shared = _id_index(outcome.ids, "outcome")
+    if not len(out_keys):
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    at = np.searchsorted(out_keys, exp_keys).clip(max=len(out_keys) - 1)
+    probed = np.flatnonzero(out_keys[at] == exp_keys)
+    i, at = exp_order[probed], at[probed]
+    j = out_order[at]
+    if len(shared):
+        rows = {outcome.ids[r]: r for r in out_order[shared].tolist()}
+        ambiguous = np.isin(at, shared)  # ``at`` is the first position of its key
+        j[ambiguous] = [rows.get(exposure.ids[r], -1) for r in i[ambiguous].tolist()]
+        i, j = i[j >= 0], j[j >= 0]
+    same = exposure_ids[i] == np.array(outcome.ids, dtype=object)[j]
+    match = np.full(exposure.n, -1, dtype=np.intp)
+    match[i[same]] = j[same]
+    i = np.flatnonzero(match >= 0)
+    return i, match[i]
 
 
 def harmonize(
@@ -465,23 +564,29 @@ def harmonize(
     ``BY_ID`` joins ids verbatim. ``BY_ALLELE`` additionally reconciles
     allele orientation: identical pairs pass through, swapped pairs flip the
     outcome beta's sign, and palindromic or mismatched pairs are dropped
-    (counts logged). Standard errors pass through untouched.
+    (counts logged). Standard errors pass through untouched. An id repeated
+    within either study is a :class:`DuplicateVariantError`. Ids are matched
+    on their hashes and confirmed by comparison, so no result depends on the
+    hash.
     """
     mode = HarmonizeMode(mode)
     if mode is HarmonizeMode.BY_ALLELE and not (exposure.has_alleles and outcome.has_alleles):
         raise InputError("allele harmonization requires allele columns in both files")
 
-    outcome_pos = dict(zip(outcome.ids, range(outcome.n)))
-    j = np.fromiter(
-        map(outcome_pos.get, exposure.ids, repeat(-1)), dtype=np.intp, count=exposure.n
-    )
-    i = np.flatnonzero(j >= 0)
-    j = j[i]
+    exposure_ids = np.array(exposure.ids, dtype=object)
+    i, j = _join(exposure, outcome, exposure_ids)
     flip = np.zeros(len(i), dtype=bool)
     if mode is HarmonizeMode.BY_ALLELE:
-        exp_ea, exp_oa = exposure.effect_allele[i], exposure.other_allele[i]
-        out_ea, out_oa = outcome.effect_allele[j], outcome.other_allele[j]
-        palindromic = _palindromic(exp_ea, exp_oa) | _palindromic(out_ea, out_oa)
+        exp_alleles, exp_ea, exp_oa = _codes_of(exposure)
+        out_alleles, out_ea, out_oa = _codes_of(outcome)
+        exp_ea, exp_oa, out_ea, out_oa = exp_ea[i], exp_oa[i], out_ea[j], out_oa[j]
+        palindromic = _palindromic(exp_alleles, exp_ea, exp_oa) | _palindromic(
+            out_alleles, out_ea, out_oa
+        )
+        # the exposure's codes as codes into the outcome's alleles, -1 for one it lacks
+        index = {allele: k for k, allele in enumerate(out_alleles)}
+        to_outcome = np.array([index.get(allele, -1) for allele in exp_alleles], dtype=np.intp)
+        exp_ea, exp_oa = to_outcome[exp_ea], to_outcome[exp_oa]
         same = (exp_ea == out_ea) & (exp_oa == out_oa)
         swapped = (exp_ea == out_oa) & (exp_oa == out_ea)
         mismatched = ~palindromic & ~same & ~swapped
@@ -497,8 +602,10 @@ def harmonize(
     if not len(i):
         raise EmptyIntersectionError("no variants shared between exposure and outcome files")
     beta_y = outcome.beta[j]
-    return Panel.from_arrays(
-        np.array(exposure.ids, dtype=object)[i],
+    ids = exposure_ids[i]
+    return Panel._of_unique_ids(
+        tuple(ids.tolist()),
+        ids,
         exposure.beta[i],
         exposure.se[i],
         np.where(flip, -beta_y, beta_y),

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from bidirmr.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPOSURE = str(FIXTURES / "exposure_50.tsv")
 OUTCOME = str(FIXTURES / "outcome_50.tsv")
+OUTCOME_FLIPPED = str(FIXTURES / "outcome_flipped_50.tsv")
 EXPOSURE_EMPTY = str(FIXTURES / "exposure_empty.tsv")
 OUTCOME_EMPTY = str(FIXTURES / "outcome_empty.tsv")
 # A vector of this many float64 or int64 values needs 2**49 bytes, more than
@@ -44,6 +48,24 @@ class TestTestCommand:
         out1 = run_test_cmd(tmp_path, "a.json", "--estimator", "median")
         out2 = run_test_cmd(tmp_path, "b.json", "--estimator", "median")
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_outputs_do_not_depend_on_the_str_hash(self, tmp_path):
+        # harmonize orders its id join by str hashes, which PYTHONHASHSEED sets
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for hash_seed in ("0", "1"):
+            report, snps = tmp_path / f"{hash_seed}.json", tmp_path / f"{hash_seed}.snps.tsv"
+            result = subprocess.run(
+                [sys.executable, "-c", "import sys; from bidirmr.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "test", "--exposure", EXPOSURE, "--outcome", OUTCOME_FLIPPED, "--mode", "allele",
+                 "--emit-snps", str(snps), "--seed", "7", "--out", str(report)],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+            )
+            runs.append((report.read_bytes(), snps.read_bytes(), result.stderr))
+        assert "harmonization dropped" in runs[0][2]
+        assert runs[0] == runs[1]
 
     def test_empty_focused_set_rejects_with_flag(self, tmp_path):
         out = tmp_path / "empty.json"

@@ -15,6 +15,7 @@ from bidirmr.errors import (
 import bidirmr.gwasio as gwasio
 from bidirmr.gwasio import (
     ColumnTable,
+    GwasFile,
     HarmonizeMode,
     MaskedColumn,
     ReportFormat,
@@ -435,6 +436,33 @@ class TestHarmonize:
         outcome = load_gwas(write(tmp_path, "o.tsv", BASIC))
         with pytest.raises(InputError):
             harmonize(exposure, outcome, HarmonizeMode.BY_ALLELE)
+
+    @staticmethod
+    def study(ids, beta=None):
+        n = len(ids)
+        beta = np.arange(1.0, n + 1) if beta is None else np.array(beta)
+        alleles = np.array(["A"] * n, dtype=object), np.array(["G"] * n, dtype=object)
+        return GwasFile(ids=tuple(ids), beta=beta, se=np.ones(n), effect_allele=alleles[0],
+                        other_allele=alleles[1])
+
+    @pytest.mark.parametrize("mode", list(HarmonizeMode))
+    def test_repeated_outcome_id_is_refused(self, mode):
+        # a dict join would keep the last repeat (beta_y 20) and go on
+        outcome = self.study(["a", "a", "b"], [10.0, 20.0, 30.0])
+        with pytest.raises(DuplicateVariantError, match="duplicate variant id 'a' in the outcome"):
+            harmonize(self.study(["a", "b"]), outcome, mode)
+
+    @pytest.mark.parametrize("mode", list(HarmonizeMode))
+    def test_repeated_exposure_id_is_refused_joined_or_not(self, mode):
+        outcome = self.study(["a", "x"])
+        for ids, repeated in ((["a", "x", "x"], "x"), (["a", "a"], "a"), (["a", "y", "y"], "y")):
+            with pytest.raises(DuplicateVariantError,
+                               match=f"duplicate variant id '{repeated}' in the exposure"):
+                harmonize(self.study(ids), outcome, mode)
+
+    def test_first_repeat_in_row_order_is_named(self):
+        with pytest.raises(DuplicateVariantError, match="id 'c'"):
+            harmonize(self.study(["b", "c", "a", "c", "a", "b"]), self.study(["a"]))
 
     def test_never_alters_standard_errors(self, tmp_path):
         exposure = load_gwas(write(tmp_path, "e.tsv", BASIC))

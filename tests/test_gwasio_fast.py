@@ -3,7 +3,8 @@
 ``gwasio._fast_columns`` reads a file in one ``np.loadtxt`` pass; whatever it
 does not decline must equal ``gwasio._strict_columns`` on the same file: floats
 bit for bit (compared as ``uint64``, so ``-0.0`` and subnormals count), ids,
-alleles and the alleles' dtype. Every file, declined or not, must load (or
+alleles and the alleles' dtype, and each reader's allele codes must decode to
+its alleles. Every file, declined or not, must load (or
 fail, with the same error type, line and message) as the strict reader alone
 loads it. Clean files laid out like the benchmark's generated ones must never
 reach the strict reader.
@@ -11,6 +12,7 @@ reach the strict reader.
 
 import csv
 import os
+import sys
 import tempfile
 import threading
 from unittest import mock
@@ -50,6 +52,13 @@ def assert_same_columns(got: dict, want: dict) -> None:
         elif name in gwasio._ALLELE_COLUMNS:
             assert got[name].dtype == value.dtype
             assert got[name].shape == value.shape and got[name].tolist() == value.tolist()
+        elif name == "alleles":
+            # codes into each reader's own tuple of the file's distinct alleles
+            alleles, *codes = got[name]
+            assert len(set(alleles)) == len(alleles) and sorted(alleles) == sorted(value[0])
+            for column, c in zip(gwasio._ALLELE_COLUMNS, codes):
+                assert c.dtype == np.intp
+                assert [alleles[k] for k in c.tolist()] == got[column].tolist()
         else:
             assert got[name].dtype == value.dtype == np.float64
             assert got[name].flags.c_contiguous and got[name].flags.writeable
@@ -195,7 +204,8 @@ def test_generated_files_never_reach_the_strict_reader(tmp_path, seed):
         assert reader.call_count == 0
     assert_same_columns(
         {"id": gwas.ids, "beta": gwas.beta, "se": gwas.se,
-         "effect_allele": gwas.effect_allele, "other_allele": gwas.other_allele},
+         "effect_allele": gwas.effect_allele, "other_allele": gwas.other_allele,
+         "alleles": gwas._codes},
         want,
     )
 
@@ -208,7 +218,26 @@ def test_long_alleles_take_the_fast_parse(tmp_path):
     with mock.patch.object(gwasio, "_strict_columns", wraps=gwasio._strict_columns) as reader:
         gwas = load_gwas(path)
         assert reader.call_count == 0
-    assert gwas.effect_allele[-1] == "ACGTACGTAC" and gwas.effect_allele.dtype == "<U10"
+    assert gwas.effect_allele[-1] == "ACGTACGTAC"
+    assert allele_bytes(gwas.effect_allele) <= 16 * gwas.n
+
+
+def allele_bytes(column: np.ndarray) -> int:
+    """The memory an allele column takes: the array, and each string it holds once."""
+    return column.nbytes + sum(map(sys.getsizeof, {id(a): a for a in column.tolist()}.values()))
+
+
+def test_one_long_allele_does_not_widen_every_row(tmp_path):
+    # an indel of thousands of bases costs its own length, not that length per row
+    path = generated_like(tmp_path, 50_000, 4)
+    long = "ACGT" * 2_500
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"rs2\t{long}\t{long.lower()}\t0.1\t0.05\n")
+    gwas = load_gwas(path)
+    assert gwas.n == 50_001
+    assert gwas.effect_allele[-1] == gwas.other_allele[-1] == long
+    for column in (gwas.effect_allele, gwas.other_allele):
+        assert allele_bytes(column) <= 16 * gwas.n
 
 
 def test_numeric_tables_take_the_fast_parse(tmp_path):

@@ -5,8 +5,8 @@ from valid and invalid cells, the loader returns exactly what a
 straightforward row-by-row reading returns, or fails with the same error
 class, message and line, whatever the chunk size, both as it reads by
 default and with its fast parse made to decline. Harmonization matches a
-row-by-row join, and in allele mode does not depend on which allele the
-outcome file reports as the effect allele.
+row-by-row join, also when the ids' keys collide, and in allele mode does
+not depend on which allele the outcome file reports as the effect allele.
 """
 
 import csv
@@ -220,7 +220,26 @@ class _Messages(logging.Handler):
 @settings(max_examples=300, deadline=None)
 @given(study_pairs(), st.sampled_from(list(HarmonizeMode)))
 def test_harmonize_matches_row_join(studies, mode):
-    exposure, outcome = studies
+    assert_matches_row_join(*studies, mode)
+
+
+# Keys that collide: one key for every id, or the id's length (two keys for rs0 to rs11).
+COLLIDING_KEYS = {
+    "equal": lambda ids: np.zeros(len(ids), dtype=np.int64),
+    "length": lambda ids: np.fromiter(map(len, ids), np.int64, len(ids)),
+}
+
+
+@pytest.mark.parametrize("keys", sorted(COLLIDING_KEYS))
+@settings(max_examples=300, deadline=None)
+@given(study_pairs(), st.sampled_from(list(HarmonizeMode)))
+def test_harmonize_matches_row_join_when_keys_collide(keys, studies, mode):
+    # ids are matched on keys and confirmed by comparison; shared keys change nothing
+    with mock.patch.object(gwasio, "_keys", COLLIDING_KEYS[keys]):
+        assert_matches_row_join(*studies, mode)
+
+
+def assert_matches_row_join(exposure, outcome, mode):
     kept, (n_palindromic, n_mismatched) = reference_harmonize(exposure, outcome, mode)
     logger, handler = logging.getLogger("bidirmr.gwasio"), _Messages()
     level = logger.level
