@@ -4,10 +4,10 @@
 does not decline must equal ``gwasio._strict_columns`` on the same file: floats
 bit for bit (compared as ``uint64``, so ``-0.0`` and subnormals count), ids,
 alleles and the alleles' dtype, and each reader's allele codes must decode to
-its alleles. Every file, declined or not, must load (or
-fail, with the same error type, line and message) as the strict reader alone
-loads it. Clean files laid out like the benchmark's generated ones must never
-reach the strict reader.
+its alleles. Every file, declined or not, must load (or fail, with the same
+error type, line and message) as the strict reader alone loads it. Clean files
+laid out like the benchmark's generated ones must never reach the strict
+reader.
 """
 
 import csv
