@@ -228,10 +228,14 @@ class _DirectionData:
 
     The betas are (R, p) arrays (or (p,) for one panel), and the standard errors
     broadcast against them. ``relevant`` is the relevance screen
-    ``|exp_beta| >= exp_se * tau_s``; ``zero`` marks the zero exposure associations,
-    ``ratios`` are ``out_beta / exp_beta`` and ``weights`` ``(exp_beta / out_se)^2``,
-    each computed when first read. The betas must be finite and the standard errors
-    finite and positive, as :class:`Panel` and :func:`direction_rows` check.
+    ``|exp_beta| >= exp_se * tau_s``, the set of every ``tau_f = inf`` method, and
+    ``relevant_size`` and ``relevant_ones`` its row counts and :func:`_widened` mask;
+    ``zero`` marks the zero exposure associations and ``has_zero`` says whether there
+    are any; ``ratios`` are ``out_beta / exp_beta``, ``weights`` ``(exp_beta / out_se)^2``
+    and ``weighted_ratios`` their product. Each but ``relevant`` is computed when first
+    read, and the shared arrays are read-only. The betas must be finite and the
+    standard errors finite and positive, as :class:`Panel` and :func:`direction_rows`
+    check.
     """
 
     def __init__(self, exp_beta, exp_se, out_beta, out_se, tau_s: float):
@@ -247,6 +251,18 @@ class _DirectionData:
         return (np.abs(self.out_beta) <= self.out_se * tau_f) & self.relevant
 
     @cached_property
+    def relevant_size(self) -> np.ndarray:
+        return _read_only(self.relevant.sum(axis=1))
+
+    @cached_property
+    def relevant_ones(self) -> np.ndarray:
+        return _read_only(_widened(self.relevant))
+
+    @cached_property
+    def has_zero(self) -> bool:
+        return not self.exp_beta.all()  # -0.0 is zero too
+
+    @cached_property
     def zero(self) -> np.ndarray:
         return self.exp_beta == 0.0
 
@@ -259,6 +275,16 @@ class _DirectionData:
     def weights(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return (self.exp_beta / self.out_se) ** 2
+
+    @cached_property
+    def weighted_ratios(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(self.weights * self.ratios)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _widened(mask: np.ndarray) -> np.ndarray:
@@ -847,6 +873,23 @@ def _critical_band(alpha: float) -> tuple[float, float] | None:
     return (z_lo, z_hi) if certain and alpha >= np.finfo(float).tiny else None
 
 
+def _banded_p(z: np.ndarray, band: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(p_value, settled_reject)`` of the two-sided z-test: without a ``band``,
+    :func:`_two_sided_p` of every ``z`` and no row settled. With one
+    (:func:`_critical_band`), a ``|z|`` at or beyond either end settles ``p <= alpha``
+    without ``math.erfc`` and leaves p NaN: at or past ``z_hi`` the row rejects, and
+    ``settled_reject`` marks it. p is computed only for a ``|z|`` strictly inside the
+    band, or NaN, with the bits :func:`_two_sided_p` gives it."""
+    if band is None:
+        return _two_sided_p(z), np.zeros(z.size, dtype=bool)
+    abs_z = np.abs(z)
+    settled_reject = abs_z >= band[1]
+    inside = np.flatnonzero(~(settled_reject | (abs_z <= band[0])))
+    p_value = np.full(z.size, np.nan)
+    p_value[inside] = _two_sided_p(z[inside])
+    return p_value, settled_reject
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionRows:
     """One directional test on each row of R panels, row ``r`` as on panel ``r`` alone.
@@ -858,11 +901,13 @@ class DirectionRows:
     ``empty_reject | (p_value <= alpha)``.
     A float a row does not define is NaN: the estimate, scale and weight sum
     of an empty set, a weight share when the weights sum to zero, ``z`` when
-    the median scale is zero, and MR-Egger's weight sum and share. Rows of a
-    median method computed without scales (``direction_rows(..., scales=False)``)
-    have NaN weight sums and shares, and may be settled from bounds on their
-    scale: their ``se``, ``z`` and ``p_value`` are NaN, and ``reject`` alone
-    holds their decision.
+    the median scale is zero, and MR-Egger's weight sum and share. Rows
+    computed without scales (``direction_rows(..., scales=False)``) hold what
+    their decisions read: a median method's weight sums and shares are NaN,
+    and its rows may be settled from bounds on their scale, with NaN ``se``,
+    ``z`` and ``p_value``; IVW's shares are NaN; and an IVW or MR-Egger row
+    whose ``|z|`` is at or beyond an end of the critical band has a NaN
+    ``p_value``. ``reject`` alone holds a settled row's decision.
     ``intercept``/``intercept_se`` are MR-Egger's only.
     ``errors`` maps each row that hit a degeneracy to its exception; that
     row's other fields mean nothing.
@@ -918,7 +963,11 @@ def direction_rows(
     tightly enough to settle ``p <= alpha`` skips the exact law, and carries
     NaN ``se``, ``z`` and ``p_value`` (:func:`_median_rows`), and the median
     methods leave ``weight_sum`` and ``max_share`` NaN, as no decision reads
-    them. ``reject`` is the same either way; the other methods ignore the flag.
+    them. The IVW methods leave ``max_share`` NaN, and IVW and MR-Egger
+    settle ``p <= alpha`` from :func:`_critical_band`, as the median rows do:
+    a row whose ``|z|`` is at or beyond either end of the band keeps a NaN
+    ``p_value`` (:func:`_banded_p`); their estimates, scales and ``z`` are
+    those of ``scales=True``. ``reject`` is the same either way.
 
     The focused methods drop zero exposure associations from the set
     (counted in ``n_dropped``) and reject on an empty set. The conventional
@@ -959,17 +1008,25 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
     Those go to ``pool`` under ``key`` (:func:`_median_rows`): their ``se``, ``z`` and
     ``p_value`` stay NaN and their ``reject`` False here, and the pool decides them when
     flushed. ``cfg.alpha`` is the level of ``reject``.
+
+    A ``tau_f = inf`` set with no zero exposure beta to drop is ``data``'s relevant set,
+    whose counts and widened mask ``data`` keeps for every method that reads them.
     """
     alpha = cfg.alpha
+    band = None if scales else _critical_band(alpha)
     if method is Method.MR_EGGER:
-        return _egger_rows(data, alpha)
+        return _egger_rows(data, alpha, band)
     if not method.focused:
         cfg = _UNFOCUSED
     mask = data.set_mask(cfg.tau_f)
-    zero = mask & data.zero
-    n_dropped = zero.sum(axis=1)
-    mask &= ~zero
-    size = mask.sum(axis=1)
+    shared = cfg.tau_f == math.inf and not data.has_zero  # the relevant set, as it is
+    if data.has_zero:
+        zero = mask & data.zero
+        n_dropped = zero.sum(axis=1)
+        mask &= ~zero
+    else:
+        n_dropped = np.zeros(mask.shape[0], dtype=int)  # the dtype of a boolean row sum
+    size = data.relevant_size if shared else mask.sum(axis=1)
     errors: dict[int, DegeneracyError] = {}
     if method.focused:
         empty_reject = size == 0
@@ -982,27 +1039,25 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
             )
         empty_reject = np.zeros(size.size, dtype=bool)
 
-    ratios = data.ratios
     nan = np.full(size.size, np.nan)
-    if method.median and not scales:  # no decision reads the weights
-        weight_sum = max_share = nan
-    else:
-        ones = _widened(mask)
+    weight_sum = max_share = nan  # no decision reads a median's weights or IVW's share
+    if scales or not method.median:
+        ones = data.relevant_ones if shared else _widened(mask)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             weights = _select_or_zero(ones, data.weights)
             weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
-            max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
+            if scales:
+                max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
     live = size > 0
     live[list(errors)] = False
 
-    settled_reject = np.zeros(size.size, dtype=bool)
     if method.median:
         if errors:
             mask_live, size_live = mask & live[:, None], np.where(live, size, 0)
         else:
             mask_live, size_live = mask, size
         estimate, se, _, settled_reject = _median_rows(
-            ratios, mask_live, size_live, None if scales else alpha, pool, key)
+            data.ratios, mask_live, size_live, None if scales else alpha, pool, key)
         # the odd-n rows are decided here; the even-n ones were settled or went to the pool
         z, p_value = nan.copy(), nan.copy()
         odd = size_live % 2 == 1
@@ -1018,10 +1073,10 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
         for r in np.flatnonzero(live & ((weight_sum == 0.0) | np.isinf(weight_sum))).tolist():
             errors.setdefault(r, _degenerate_weights(weight_sum[r]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            estimate = _select_or_zero(ones, weights * ratios).sum(axis=1) / weight_sum
+            estimate = _select_or_zero(ones, data.weighted_ratios).sum(axis=1) / weight_sum
             se = np.sqrt(null_var / weight_sum)
             z = estimate / se
-        p_value = _two_sided_p(z)
+        p_value, settled_reject = _banded_p(z, band)
     p_value[empty_reject] = 0.0
     return DirectionRows(
         selected=mask,
@@ -1062,17 +1117,23 @@ def _empty_relevant_set(tau_s: float) -> EmptyRelevantSetError:
     return EmptyRelevantSetError(f"no SNP passes the relevance threshold tau_s={tau_s}")
 
 
-def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
+def _egger_rows(data: _DirectionData, alpha: float,
+                band: tuple[float, float] | None) -> DirectionRows:
     """MR-Egger on every row of one direction's (R, p) estimates, in closed form.
 
     Each SNP is first oriented so its exposure association is nonnegative
     (the regression is not invariant to per-SNP sign conventions otherwise):
     both its betas are multiplied by -1 where ``exp_beta < 0`` and by 1
     elsewhere, which for any beta but NaN gives the bits negation gives,
-    ``-0.0`` included. Masked values are picked by bit selects (:func:`_select`),
-    ``w * x`` serves both ``xbar`` and the trace below, ``w * (x - xbar)``
-    both ``Sxx`` and ``Sxy``, and every sum runs over a row in its own order,
-    so every float is what the same formulas give through ``np.where``.
+    ``-0.0`` included. A row's oriented exposure betas are all equal exactly
+    when none of its selected values differs (``!=``) from its first selected
+    one, which boolean passes find: the values are finite and ``+0.0`` and
+    ``-0.0`` compare equal, so these are the rows where the selected values'
+    maximum minus their minimum is zero. Masked values are picked by bit
+    selects (:func:`_select_or_zero`), ``w * x`` serves both ``xbar`` and the
+    trace below, ``w * (x - xbar)`` both ``Sxx`` and ``Sxy``, and every sum
+    runs over a row in its own order, so every float is what the same
+    formulas give through ``np.where``.
     Per row, the weighted least squares of oriented outcome on oriented
     exposure betas with intercept, weights ``w = 1 / out_se^2``, solved on
     centered sums: with ``W = sum w`` and weighted means ``xbar``, ``ybar``,
@@ -1088,17 +1149,22 @@ def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
     ``X'WX``, whose determinant is ``W * Sxx`` and trace
     ``t = W + sum w x^2``; with ``q = det / t^2`` their ratio is
     ``4q / (1 + sqrt(1 - 4q))^2``.
+
+    The set is ``data``'s relevant one, whose counts and widened mask ``data``
+    keeps. Given a ``band`` (:func:`_critical_band` of ``alpha``), a row whose
+    ``|z|`` is at or beyond either end is decided without its p-value, which
+    stays NaN (:func:`_banded_p`).
     """
     exp_beta, out_beta, out_se, tau_s = data.exp_beta, data.out_beta, data.out_se, data.tau_s
-    mask = data.set_mask(math.inf)
-    n = mask.sum(axis=1)
+    mask, n, ones = data.set_mask(math.inf), data.relevant_size, data.relevant_ones
     # -1 where exp_beta < 0, else 1: a product with it orients as negation does
     sign = (exp_beta < 0.0) * -2.0
     sign += 1.0
     x = exp_beta * sign
     y = np.multiply(out_beta, sign, out=sign)
-    ones = _widened(mask)
-    spread = _select(ones, x, -np.inf).max(axis=1) - _select(ones, x, np.inf).min(axis=1)
+    differs = x != np.take_along_axis(x, mask.argmax(axis=1)[:, None], axis=1)
+    differs &= mask
+    equal = ~differs.any(axis=1)
 
     errors = {}
     for r in np.flatnonzero(n < 3).tolist():
@@ -1107,7 +1173,7 @@ def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
             if n[r] == 0
             else RankDeficientError(f"Egger regression needs at least 3 relevant SNPs, got {n[r]}")
         )
-    for r in np.flatnonzero((n >= 3) & (spread == 0.0)).tolist():
+    for r in np.flatnonzero((n >= 3) & equal).tolist():
         errors[r] = RankDeficientError("all oriented exposure associations are equal")
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -1136,7 +1202,7 @@ def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
         errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
 
     nan = np.full(n.size, np.nan)
-    p_value = _two_sided_p(z)
+    p_value, settled_reject = _banded_p(z, band)
     return DirectionRows(
         selected=mask,
         size=n,
@@ -1148,7 +1214,7 @@ def _egger_rows(data: _DirectionData, alpha: float) -> DirectionRows:
         se=se,
         z=z,
         p_value=p_value,
-        reject=p_value <= alpha,
+        reject=settled_reject | (p_value <= alpha),
         errors=errors,
         intercept=intercept,
         intercept_se=intercept_se,

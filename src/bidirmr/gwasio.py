@@ -102,7 +102,8 @@ class GwasFile:
     effect_allele: np.ndarray | None = None
     other_allele: np.ndarray | None = None
     # (alleles, effect codes, other codes): the allele columns as codes into a
-    # tuple of their distinct alleles. load_gwas passes the reader's; a file
+    # tuple of their distinct alleles, in the narrowest unsigned type that holds
+    # them. load_gwas passes the reader's; a file
     # built without them gets them from its arrays (see _codes_of).
     _codes: tuple | None = field(default=None, repr=False)
 
@@ -386,15 +387,22 @@ def _allele_columns(columns: dict, alleles: dict[str, int]) -> dict:
     """``columns`` with their allele codes in ``alleles`` turned into alleles, if
     they have allele columns. Each becomes an object array whose rows share one
     string per distinct allele, and ``columns["alleles"]`` keeps the codes:
-    ``(alleles, effect codes, other codes)``, as :class:`GwasFile` takes them."""
+    ``(alleles, effect codes, other codes)``, as :class:`GwasFile` takes them,
+    in the narrowest type that holds them (:func:`_narrowed`)."""
     if _ALLELE_COLUMNS[0] not in columns:
         return columns
     vocabulary = tuple(alleles)
     values = np.array(vocabulary, dtype=object)
-    codes = tuple(columns[name] for name in _ALLELE_COLUMNS)
+    codes = tuple(_narrowed(columns[name], len(vocabulary)) for name in _ALLELE_COLUMNS)
     columns.update((name, values[c]) for name, c in zip(_ALLELE_COLUMNS, codes))
     columns["alleles"] = (vocabulary, *codes)
     return columns
+
+
+def _narrowed(codes: np.ndarray, n_alleles: int) -> np.ndarray:
+    """Codes into ``n_alleles`` alleles in the narrowest unsigned type that holds them:
+    one byte per code for a file of SNP alleles, two past 256 alleles."""
+    return codes.astype(np.min_scalar_type(max(n_alleles - 1, 0)))
 
 
 def _duplicate_error(ids: tuple[str, ...], path: str) -> DuplicateVariantError | None:
@@ -492,7 +500,8 @@ def _palindromic(alleles: tuple, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 
 def _codes_of(study: GwasFile) -> tuple:
     """A study's ``(alleles, effect codes, other codes)``: the reader's, or for a study
-    built without them, its allele arrays' values as given, numbered in order."""
+    built without them, its allele arrays' values as given, numbered in order; codes
+    as :func:`_narrowed` gives them."""
     if study._codes is not None:
         return study._codes
     index: dict = {}
@@ -500,7 +509,7 @@ def _codes_of(study: GwasFile) -> tuple:
         np.fromiter((index.setdefault(a, len(index)) for a in column), np.intp, len(column))
         for column in (study.effect_allele, study.other_allele)
     ]
-    return (tuple(index), *codes)
+    return (tuple(index), *(_narrowed(c, len(index)) for c in codes))
 
 
 def _keys(ids: Sequence[str]) -> np.ndarray:

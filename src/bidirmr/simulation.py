@@ -240,9 +240,13 @@ def _separation_floor(p: int, cfg: FocusConfig, c1: float) -> float:
     # slight overshoot so the amplified |pi| / se round-trips above the bound
     floor = _separation_threshold(p, cfg.tau_f, c1) * (1.0 + 1e-9)
     if not math.isfinite(floor):
+        remedy = (
+            "give a finite --tau-f" if math.isinf(cfg.tau_f)
+            else "--enforce-separation is too large"
+        )
         raise InputError(
             f"--enforce-separation {c1!r} with --tau-f {cfg.tau_f!r} gives no finite "
-            "separation floor (c1 * tau_f * sqrt(log p)); give a finite --tau-f"
+            f"separation floor (c1 * tau_f * sqrt(log p)); {remedy}"
         )
     return floor
 

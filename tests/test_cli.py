@@ -330,6 +330,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--synthetic", "40", "--reps", "2", "--seed", "-1"]) == 2
         assert "--seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau_f, c1, remedy", [
+        ("inf", "2.0", "give a finite --tau-f"),
+        ("1.5", "1e308", "--enforce-separation is too large"),
+    ])
+    def test_infinite_separation_floor_names_its_cause(self, capsys, tau_f, c1, remedy):
+        code = main(["simulate", "--synthetic", "10", "--reps", "3", "--tau-f", tau_f,
+                     "--enforce-separation", c1, "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gives no finite separation floor" in err and err.rstrip().endswith(remedy)
+        assert "Traceback" not in err
+
     def test_out_of_memory_is_input_error(self, tmp_path, capsys):
         # the synthetic seed draws HUGE_LENGTH normal deviates at once
         code = main(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw  # noqa: E402
@@ -238,6 +238,11 @@ def test_egger_rank_deficiency_is_classified_per_row():
     assert "at least 3" in str(short.errors[0])
     empty = _egger_rows(x[3:], exp_se, y[3:], se, 1e9)
     assert isinstance(empty.errors[0], EmptyRelevantSetError)
+    # equal among the selected SNPs, after an unselected one that differs; +-0.0 are equal
+    equal = [_egger_rows(np.array([[0.1, 2.0, -2.0, 2.0]]), exp_se, y[:1], se, 1.0),
+             _egger_rows(np.array([[0.0, -0.0, 0.0, -0.0]]), exp_se, y[:1], se, 0.0)]
+    for rows in equal:
+        assert "all oriented exposure associations are equal" in str(rows.errors[0])
 
 
 def test_egger_normal_equations_that_overflow_are_a_degeneracy():
@@ -466,16 +471,52 @@ def test_row_kernels_keep_every_bit_of_the_np_where_forms(chunk):
             np.testing.assert_array_equal(_bits(getattr(rows, name)), _bits(floats[name]))
 
 
+Z_LO, Z_HI = focusing._critical_band(0.05)
+
+
+def _one_snp_rows(out_beta):
+    # one SNP per row with exposure beta 1 and unit standard errors: the IVW z is out_beta
+    out_beta = np.array(out_beta)[:, None]
+    return np.ones_like(out_beta), np.ones(1), out_beta, np.ones(1), math.inf, 1.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(chunks())
-def test_decisions_alone_leave_the_median_weight_fields_undefined(chunk):
-    # no decision reads the weights, so a median method computed without scales has none
+# oriented exposure betas that are all equal, -0.0 and 0.0 among them: Egger's rank error
+@example((np.array([[0.0, -0.0, 0.0], [1.0, -1.0, 1.0], [0.5, -0.5, 0.25]]), np.ones(3),
+          np.array([[0.1, -0.2, 0.3], [0.2, 0.1, -0.4], [0.3, 0.2, 0.1]]), np.ones(3),
+          math.inf, 0.0))
+# a zero exposure beta at tau_s = 0: dropped from the focused set, an error for the rest
+@example((np.array([[0.0, 1.0, -2.0, 0.5], [1.0, 2.0, 3.0, 0.5]]), np.ones(4),
+          np.array([[0.1, 0.2, -0.3, 0.4], [0.5, -0.6, 0.7, 0.8]]), np.ones(4), 1.5, 0.0))
+# |z| exactly at each end of the band, of either sign, and just inside it
+@example(_one_snp_rows([Z_LO, -Z_LO, Z_HI, -Z_HI, np.nextafter(Z_LO, 2.0),
+                        np.nextafter(Z_HI, 0.0), 0.0, 5.0]))
+def test_decisions_alone_match_the_full_rows(chunk):
+    # no decision reads a median's weights or IVW's largest share, nor a p-value that
+    # |z| on or beyond an end of the critical band settles
     exp_beta, exp_se, out_beta, out_se, tau_f, tau_s = chunk
     cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s)
-    for method in (Method.FOCUSED_MEDIAN, Method.MR_MEDIAN):
+    assert focusing._critical_band(cfg.alpha) == (Z_LO, Z_HI)
+    for method in Method:
         args = (exp_beta, exp_se, out_beta, out_se, cfg, tau_s, method)
         rows, decided = direction_rows(*args), direction_rows(*args, scales=False)
-        assert np.isnan(decided.weight_sum).all() and np.isnan(decided.max_share).all()
+        np.testing.assert_array_equal(decided.selected, rows.selected)
+        np.testing.assert_array_equal(decided.size, rows.size)
+        assert decided.n_dropped.dtype == rows.n_dropped.dtype
+        np.testing.assert_array_equal(decided.n_dropped, rows.n_dropped)
+        assert {r: type(e) for r, e in decided.errors.items()} == {
+            r: type(e) for r, e in rows.errors.items()
+        }
         ok = ~rows.failed()
-        np.testing.assert_array_equal(decided.failed(), rows.failed())
         np.testing.assert_array_equal(decided.reject[ok], rows.reject[ok])
+        if method.median:
+            assert np.isnan(decided.weight_sum).all() and np.isnan(decided.max_share).all()
+            continue
+        if method is not Method.MR_EGGER:
+            assert np.isnan(decided.max_share).all()
+        np.testing.assert_array_equal(_bits(decided.z), _bits(rows.z))
+        abs_z = np.abs(rows.z)
+        settled = (abs_z <= Z_LO) | (abs_z >= Z_HI)
+        np.testing.assert_array_equal(
+            _bits(decided.p_value), _bits(np.where(settled, np.nan, rows.p_value)))

@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import threading
+from itertools import islice, product
 from unittest import mock
 
 import numpy as np
@@ -57,7 +58,7 @@ def assert_same_columns(got: dict, want: dict) -> None:
             alleles, *codes = got[name]
             assert len(set(alleles)) == len(alleles) and sorted(alleles) == sorted(value[0])
             for column, c in zip(gwasio._ALLELE_COLUMNS, codes):
-                assert c.dtype == np.intp
+                assert c.dtype == np.min_scalar_type(max(len(alleles) - 1, 0))
                 assert [alleles[k] for k in c.tolist()] == got[column].tolist()
         else:
             assert got[name].dtype == value.dtype == np.float64
@@ -238,6 +239,26 @@ def test_one_long_allele_does_not_widen_every_row(tmp_path):
     assert gwas.effect_allele[-1] == gwas.other_allele[-1] == long
     for column in (gwas.effect_allele, gwas.other_allele):
         assert allele_bytes(column) <= 16 * gwas.n
+
+
+def test_allele_codes_take_the_narrowest_type(tmp_path):
+    # a file of SNP alleles has one byte per row per code column, from either reader or
+    # from its allele arrays; 300 distinct alleles take two
+    path = generated_like(tmp_path, 50_000, 5)
+    gwas = load_gwas(path)
+    codes = [gwas._codes[1:], strict(path, *GWAS)["alleles"][1:],
+             gwasio._codes_of(gwasio.GwasFile(gwas.ids, gwas.beta, gwas.se,
+                                              gwas.effect_allele, gwas.other_allele))[1:]]
+    for c in (column for pair in codes for column in pair):
+        assert c.dtype == np.uint8 and c.nbytes == 50_000
+    many = ["".join(word) for word in islice(product("ACGT", repeat=5), 300)]
+    lines = [f"rs{k}\t{a}\t{a}\t0.1\t0.05" for k, a in enumerate(many)]
+    path = write(tmp_path, ALLELE_HEADER + "\n".join(lines) + "\n", "many.tsv")
+    gwas = load_gwas(path)
+    assert len(gwas._codes[0]) == 300
+    for c in (*gwas._codes[1:], *strict(path, *GWAS)["alleles"][1:]):
+        assert c.dtype == np.uint16
+    assert [gwas._codes[0][k] for k in gwas._codes[1].tolist()] == many
 
 
 def test_numeric_tables_take_the_fast_parse(tmp_path):
