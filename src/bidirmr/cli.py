@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import secrets
 import sys
 
@@ -66,8 +67,18 @@ def _add_common_output_args(sub):
     sub.add_argument("--format", default="json", choices=["json", "tsv"], help="output format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a word starting like a negative number as a value, not
+    an option: ``--grid -0.3:0``, ``--beta-dy -inf``, ``--a -1e-3``. argparse's own pattern
+    reads only plain decimals (``-1``, ``-.5``) so; no option of this CLI starts like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bidirmr",
         description="Bi-directional causal-effect tests from two-sample GWAS summary statistics.",
     )

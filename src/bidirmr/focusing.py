@@ -113,44 +113,48 @@ class Panel:
     :meth:`ids_at` turns one into ids.
     """
 
-    __slots__ = ("ids", "beta_d", "se_d", "beta_y", "se_y", "_id_array")
+    __slots__ = ("_ids", "beta_d", "se_d", "beta_y", "se_y")
 
     @classmethod
     def from_arrays(cls, ids, beta_d, se_d, beta_y, se_y) -> "Panel":
         try:
-            ids = tuple(map(str, ids))
+            ids = list(map(str, ids))
         except TypeError:
             raise _refused("ids", "a sequence of SNP ids", ids) from None
-        panel = cls._of_unique_ids(ids, np.array(ids, dtype=object), beta_d, se_d, beta_y, se_y)
+        panel = cls._of_unique_ids(np.array(ids, dtype=object), beta_d, se_d, beta_y, se_y)
         if len(set(ids)) != len(ids):
             raise InputError("SNP ids must be unique within a panel")
         return panel
 
     @classmethod
-    def _of_unique_ids(cls, ids, id_array, beta_d, se_d, beta_y, se_y) -> "Panel":
-        """:meth:`from_arrays` for ids known to be unique strings, given as a tuple and
-        as an object array of the same ids, which the panel keeps. The columns and the
-        ids' being nonempty are checked as :meth:`from_arrays` checks them."""
+    def _of_unique_ids(cls, ids, beta_d, se_d, beta_y, se_y) -> "Panel":
+        """:meth:`from_arrays` for ids known to be unique strings, given as an object array,
+        which the panel keeps. The columns and the ids' being nonempty are checked as
+        :meth:`from_arrays` checks them."""
         panel = cls.__new__(cls)
         _vectors(
             panel, len(ids), ("se_d", "se_y"), beta_d=beta_d, se_d=se_d, beta_y=beta_y, se_y=se_y
         )
         if not all(ids):
             raise InputError("SNP ids must be nonempty")
-        id_array.setflags(write=False)
-        object.__setattr__(panel, "ids", ids)
-        object.__setattr__(panel, "_id_array", id_array)
+        ids.setflags(write=False)
+        object.__setattr__(panel, "_ids", ids)
         return panel
 
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """The SNP ids, in panel order."""
+        return tuple(self._ids.tolist())
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return self._ids.size
 
     def __setattr__(self, name, value):
         raise AttributeError("Panel is immutable")
 
     def ids_at(self, mask: np.ndarray) -> tuple[str, ...]:
         """Ids where a boolean mask over the panel is true, in panel order."""
-        return tuple(self._id_array[mask])
+        return tuple(self._ids[mask])
 
     def indices_of(self, snp_ids: Sequence[str]) -> np.ndarray:
         """Positions of the given ids, preserving their order; ids must be unique.
@@ -160,7 +164,7 @@ class Panel:
         """
         if len(set(snp_ids)) != len(snp_ids):
             raise InputError("SNP id subset must not contain duplicates")
-        index = dict(zip(self.ids, range(len(self.ids))))
+        index = dict(zip(self._ids.tolist(), range(len(self))))
         try:
             idx = np.fromiter((index[i] for i in snp_ids), dtype=np.intp, count=len(snp_ids))
         except KeyError as exc:
@@ -226,60 +230,79 @@ def _panel_roles(panel: Panel, direction: Direction):
 class _DirectionData:
     """One direction's estimates, and what every method reads of them, computed once.
 
-    The betas are (R, p) arrays (or (p,) for one panel), and the standard errors
-    broadcast against them. ``relevant`` is the relevance screen
-    ``|exp_beta| >= exp_se * tau_s``, the set of every ``tau_f = inf`` method, and
-    ``relevant_size`` and ``relevant_ones`` its row counts and :func:`_widened` mask;
-    ``zero`` marks the zero exposure associations and ``has_zero`` says whether there
-    are any; ``ratios`` are ``out_beta / exp_beta``, ``weights`` ``(exp_beta / out_se)^2``
-    and ``weighted_ratios`` their product. Each but ``relevant`` is computed when first
-    read, and the shared arrays are read-only. The betas must be finite and the
-    standard errors finite and positive, as :class:`Panel` and :func:`direction_rows`
-    check.
+    The betas are (R, p) arrays, and the standard errors broadcast against them; a
+    set's mask alone may be read for one panel's (p,) betas. ``relevant`` is the
+    relevance screen ``|exp_beta| >= exp_se * tau_s``; ``has_zero`` says whether any
+    exposure association is zero; ``ratios`` are ``out_beta / exp_beta``, ``weights``
+    ``(exp_beta / out_se)^2`` and ``weighted_ratios`` their product. Each but
+    ``relevant`` is computed when first read, once per direction. So is each set the
+    methods aggregate over, one :class:`_Set` per ``tau_f`` and zero rule
+    (:meth:`set_of`), which every method of the direction that reads it shares. Every
+    shared array is read-only. The betas must be finite and the standard errors finite
+    and positive, as :class:`Panel` and :func:`direction_rows` check.
     """
 
     def __init__(self, exp_beta, exp_se, out_beta, out_se, tau_s: float):
         self.exp_beta, self.exp_se, self.out_beta, self.out_se = exp_beta, exp_se, out_beta, out_se
         self.tau_s = tau_s
-        self.relevant = np.abs(exp_beta) >= exp_se * tau_s
+        self.relevant = _read_only(np.abs(exp_beta) >= exp_se * tau_s)
+        self._sets = {}
 
-    def set_mask(self, tau_f: float) -> np.ndarray:
-        """A new mask of the set a method aggregates over: the relevant SNPs with
-        ``|out_beta| <= out_se * tau_f``, both bounds inclusive."""
-        if tau_f == math.inf:  # every finite beta is within an infinite bound
-            return self.relevant.copy()
-        return (np.abs(self.out_beta) <= self.out_se * tau_f) & self.relevant
-
-    @cached_property
-    def relevant_size(self) -> np.ndarray:
-        return _read_only(self.relevant.sum(axis=1))
-
-    @cached_property
-    def relevant_ones(self) -> np.ndarray:
-        return _read_only(_widened(self.relevant))
+    def set_of(self, tau_f: float, drop_zero: bool) -> _Set:
+        """The relevant SNPs with ``|out_beta| <= out_se * tau_f``, both bounds inclusive,
+        less the zero exposure associations if ``drop_zero``: built when first asked for.
+        Where no exposure beta is zero, the set with them and the set without are one."""
+        key = (tau_f, drop_zero and self.has_zero)
+        found = self._sets.get(key)
+        if found is None:
+            found = self._sets[key] = _Set(self, *key)
+        return found
 
     @cached_property
     def has_zero(self) -> bool:
         return not self.exp_beta.all()  # -0.0 is zero too
 
     @cached_property
-    def zero(self) -> np.ndarray:
-        return self.exp_beta == 0.0
-
-    @cached_property
     def ratios(self) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self.out_beta / self.exp_beta
+            return _read_only(self.out_beta / self.exp_beta)
 
     @cached_property
     def weights(self) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return (self.exp_beta / self.out_se) ** 2
+            return _read_only((self.exp_beta / self.out_se) ** 2)
 
     @cached_property
     def weighted_ratios(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _read_only(self.weights * self.ratios)
+        # the ratios afresh, not self.ratios, which only the median methods keep: each
+        # (R, p) array a direction holds makes the allocator return and refault more pages
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _read_only(self.weights * (self.out_beta / self.exp_beta))
+
+
+class _Set:
+    """One set of :meth:`_DirectionData.set_of`: its ``mask`` and each row's count of zero
+    exposure betas dropped from it, ``n_dropped``; its row counts ``size`` and
+    :func:`_widened` mask ``ones`` are computed when first read. All are read-only."""
+
+    def __init__(self, data: _DirectionData, tau_f: float, drop_zero: bool):
+        mask = data.relevant
+        if tau_f != math.inf:  # every finite beta is within an infinite bound
+            mask = (np.abs(data.out_beta) <= data.out_se * tau_f) & mask
+        n_dropped = np.zeros(mask.shape[0], dtype=int)  # the dtype of a boolean row sum
+        if drop_zero:
+            zero = mask & (data.exp_beta == 0.0)
+            n_dropped = zero.sum(axis=1)
+            mask = mask & ~zero
+        self.mask, self.n_dropped = _read_only(mask), _read_only(n_dropped)
+
+    @cached_property
+    def size(self) -> np.ndarray:
+        return _read_only(self.mask.sum(axis=1))
+
+    @cached_property
+    def ones(self) -> np.ndarray:
+        return _read_only(_widened(self.mask))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -328,14 +351,14 @@ def _select_or_zero(mask: np.ndarray, a) -> np.ndarray:
 def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarray:
     """Boolean mask of SNPs with |exposure beta| >= se * tau_s."""
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
-    return _DirectionData(*_panel_roles(panel, direction), tau_s).relevant
+    return _DirectionData(*_panel_roles(panel, direction), tau_s).relevant.copy()
 
 
 def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.ndarray:
     """Boolean mask of the focused set; both boundary comparisons are inclusive."""
     _instance("cfg", cfg, FocusConfig)
-    roles = _panel_roles(panel, direction)
-    return _DirectionData(*roles, cfg.resolve_tau_s(len(panel))).set_mask(cfg.tau_f)
+    data = _DirectionData(*_panel_roles(panel, direction), cfg.resolve_tau_s(len(panel)))
+    return data.set_of(cfg.tau_f, drop_zero=False).mask.copy()
 
 
 def _separation_threshold(p: int, tau_f: float, c1: float) -> float:
@@ -895,7 +918,9 @@ class DirectionRows:
     """One directional test on each row of R panels, row ``r`` as on panel ``r`` alone.
 
     ``selected`` is the (R, p) set each row aggregates over (after
-    zero-denominator drops) and ``size`` its cardinality; ``empty_reject``
+    zero-denominator drops) and ``size`` its cardinality. Both, and
+    ``n_dropped``, are read-only: the methods of a direction that read the
+    same set share its arrays (:meth:`_DirectionData.set_of`). ``empty_reject``
     marks rows whose empty focused set rejects by construction (p-value 0).
     ``reject`` is the test's decision at the caller's ``alpha``,
     ``empty_reject | (p_value <= alpha)``.
@@ -954,9 +979,9 @@ def direction_rows(
     :class:`InputError` naming the argument. Masks, weights, IVW estimates,
     z and p are row reductions; the median methods take each row's median
     and its exact SNP-bootstrap scale (:func:`_median_rows`), and MR-Egger is
-    solved in closed form (:func:`_egger_rows`). Of ``cfg`` only ``alpha``,
-    which sets ``reject``, ``tau_f`` and, for focused IVW rows with a nonempty
-    set, ``null_var`` are used.
+    solved in closed form. Of ``cfg`` only ``alpha``, which sets ``reject``,
+    ``tau_f`` and, for focused IVW rows with a nonempty set, ``null_var`` are
+    used.
 
     ``scales=False`` asks for the decisions alone, as a rejection rate needs:
     a median row whose scale the cached order-statistic brackets bound
@@ -972,8 +997,11 @@ def direction_rows(
     The focused methods drop zero exposure associations from the set
     (counted in ``n_dropped``) and reject on an empty set. The conventional
     methods take the relevance-screened set (``tau_f = inf``): an empty one
-    is an :class:`EmptyRelevantSetError` and a zero exposure association a
-    :class:`ZeroDenominatorError`. IVW weights ``(exp_beta / out_se)^2``
+    is an :class:`EmptyRelevantSetError`, and a zero exposure association
+    a :class:`ZeroDenominatorError` for overall IVW and MR-Median, while
+    MR-Egger keeps it in its set. ``selected``, ``size`` and ``n_dropped`` are
+    read-only: other methods' rows may share them (:class:`DirectionRows`).
+    IVW weights ``(exp_beta / out_se)^2``
     that all underflow to zero, or overflow, leave no null scale and are a
     :class:`ZeroDenominatorError` too.
 
@@ -1009,24 +1037,20 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
     ``p_value`` stay NaN and their ``reject`` False here, and the pool decides them when
     flushed. ``cfg.alpha`` is the level of ``reject``.
 
-    A ``tau_f = inf`` set with no zero exposure beta to drop is ``data``'s relevant set,
-    whose counts and widened mask ``data`` keeps for every method that reads them.
+    One head, one fit per family and one tail. The head reads the method's set from
+    ``data`` (:meth:`_DirectionData.set_of`), shared with every method of the direction
+    that reads the same set: the focused methods share theirs; the others take the
+    relevant set, from which overall IVW and MR-Median drop zero exposure betas, as
+    errors, and MR-Egger keeps them. It adds the conventional methods' empty-set and
+    zero-denominator errors, and the focused methods' ``empty_reject``. The fit is
+    IVW, the median or MR-Egger in closed form. The tail gives IVW and MR-Egger
+    their p-values (:func:`_banded_p`), sets an empty focused set's to 0, and decides.
     """
     alpha = cfg.alpha
-    band = None if scales else _critical_band(alpha)
-    if method is Method.MR_EGGER:
-        return _egger_rows(data, alpha, band)
     if not method.focused:
         cfg = _UNFOCUSED
-    mask = data.set_mask(cfg.tau_f)
-    shared = cfg.tau_f == math.inf and not data.has_zero  # the relevant set, as it is
-    if data.has_zero:
-        zero = mask & data.zero
-        n_dropped = zero.sum(axis=1)
-        mask &= ~zero
-    else:
-        n_dropped = np.zeros(mask.shape[0], dtype=int)  # the dtype of a boolean row sum
-    size = data.relevant_size if shared else mask.sum(axis=1)
+    chosen = data.set_of(cfg.tau_f, drop_zero=method is not Method.MR_EGGER)
+    mask, size, n_dropped = chosen.mask, chosen.size, chosen.n_dropped
     errors: dict[int, DegeneracyError] = {}
     if method.focused:
         empty_reject = size == 0
@@ -1038,20 +1062,75 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
                 r, ZeroDenominatorError("ratio estimates need nonzero exposure associations")
             )
         empty_reject = np.zeros(size.size, dtype=bool)
-
-    nan = np.full(size.size, np.nan)
-    weight_sum = max_share = nan  # no decision reads a median's weights or IVW's share
-    if scales or not method.median:
-        ones = data.relevant_ones if shared else _widened(mask)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            weights = _select_or_zero(ones, data.weights)
-            weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
-            if scales:
-                max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
     live = size > 0
     live[list(errors)] = False
 
-    if method.median:
+    nan = np.full(size.size, np.nan)
+    weight_sum = max_share = nan  # no decision reads a median's weights or IVW's share
+    intercept = intercept_se = None
+    if method is not Method.MR_EGGER and (scales or not method.median):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weights = _select_or_zero(chosen.ones, data.weights)
+            weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
+            if scales:
+                max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
+
+    if method is Method.MR_EGGER:
+        # Per row, the weighted least squares of oriented outcome on oriented exposure
+        # betas with intercept, weights w = 1 / out_se^2, solved on centered sums: with
+        # W = sum w, weighted means xbar and ybar, Sxx = sum w (x - xbar)^2 and
+        # Sxy = sum w (x - xbar)(y - ybar) (the inverse of X'WX, weights taken as exact
+        # inverse variances),
+        #     slope = Sxy / Sxx,  intercept = ybar - slope * xbar,
+        #     var(slope) = 1 / Sxx,  var(intercept) = 1 / W + xbar^2 / Sxx.
+        # Each SNP is oriented so its exposure beta is nonnegative (the regression is
+        # not invariant to per-SNP sign conventions otherwise): both betas times -1
+        # where exp_beta < 0 and 1 elsewhere, the bits negation gives, -0.0 included.
+        # A row's oriented exposure betas are all equal exactly when no selected value
+        # differs (!=) from the first: they are finite, and +-0.0 compare equal. The
+        # design [sqrt(w), sqrt(w) x] is rank deficient where np.linalg.lstsq finds it
+        # so: its smaller singular value at most eps * n times the larger. Those
+        # squared are the eigenvalues of X'WX, of determinant W * Sxx and trace
+        # t = W + sum w x^2; with q = det / t^2 their ratio is 4q / (1 + sqrt(1 - 4q))^2.
+        # w * x serves both xbar and t, w * (x - xbar) both Sxx and Sxy, and each sum
+        # runs over a row in its own order: every float is what the formulas give
+        # through np.where.
+        sign = (data.exp_beta < 0.0) * -2.0
+        sign += 1.0
+        x = data.exp_beta * sign
+        y = np.multiply(data.out_beta, sign, out=sign)
+        differs = x != np.take_along_axis(x, mask.argmax(axis=1)[:, None], axis=1)
+        differs &= mask
+        for r in np.flatnonzero(size < 3).tolist():
+            errors.setdefault(r, RankDeficientError(
+                f"Egger regression needs at least 3 relevant SNPs, got {size[r]}"))
+        for r in np.flatnonzero(~differs.any(axis=1)).tolist():
+            errors.setdefault(r, RankDeficientError("all oriented exposure associations are equal"))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = _select_or_zero(chosen.ones, (1.0 / data.out_se) ** 2)
+            w_sum = w.sum(axis=1)
+            wx = w * x
+            x_bar = wx.sum(axis=1) / w_sum
+            trace = w_sum + np.multiply(wx, x, out=wx).sum(axis=1)
+            y_bar = np.multiply(w, y, out=wx).sum(axis=1) / w_sum
+            x -= x_bar[:, None]
+            dx = _select_or_zero(chosen.ones, x)
+            wdx = np.multiply(w, dx, out=w)
+            s_xx = np.multiply(wdx, dx, out=dx).sum(axis=1)
+            y -= y_bar[:, None]
+            s_xy = np.multiply(wdx, y, out=y).sum(axis=1)
+            q = (w_sum / trace) * (s_xx / trace)  # det / trace^2, at most 1/4
+            eigen_ratio = 4.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q, 0.0))) ** 2
+            estimate = s_xy / s_xx
+            intercept = y_bar - estimate * x_bar
+            se = np.sqrt(1.0 / s_xx)
+            intercept_se = np.sqrt(1.0 / w_sum + x_bar * x_bar / s_xx)
+            z = estimate / se
+        for r in np.flatnonzero(np.isinf(trace)).tolist():
+            errors.setdefault(r, RankDeficientError("Egger normal equations overflow"))
+        for r in np.flatnonzero(~(eigen_ratio > (np.finfo(float).eps * size) ** 2)).tolist():
+            errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
+    elif method.median:
         if errors:
             mask_live, size_live = mask & live[:, None], np.where(live, size, 0)
         else:
@@ -1073,10 +1152,12 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
         for r in np.flatnonzero(live & ((weight_sum == 0.0) | np.isinf(weight_sum))).tolist():
             errors.setdefault(r, _degenerate_weights(weight_sum[r]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            estimate = _select_or_zero(ones, data.weighted_ratios).sum(axis=1) / weight_sum
+            estimate = _select_or_zero(chosen.ones, data.weighted_ratios).sum(axis=1) / weight_sum
             se = np.sqrt(null_var / weight_sum)
             z = estimate / se
-        p_value, settled_reject = _banded_p(z, band)
+
+    if not method.median:
+        p_value, settled_reject = _banded_p(z, None if scales else _critical_band(alpha))
     p_value[empty_reject] = 0.0
     return DirectionRows(
         selected=mask,
@@ -1091,6 +1172,8 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
         p_value=p_value,
         reject=empty_reject | settled_reject | (p_value <= alpha),
         errors=errors,
+        intercept=intercept,
+        intercept_se=intercept_se,
     )
 
 
@@ -1115,110 +1198,6 @@ def _checked_rows(exp_beta, exp_se, out_beta, out_se) -> tuple[np.ndarray, ...]:
 
 def _empty_relevant_set(tau_s: float) -> EmptyRelevantSetError:
     return EmptyRelevantSetError(f"no SNP passes the relevance threshold tau_s={tau_s}")
-
-
-def _egger_rows(data: _DirectionData, alpha: float,
-                band: tuple[float, float] | None) -> DirectionRows:
-    """MR-Egger on every row of one direction's (R, p) estimates, in closed form.
-
-    Each SNP is first oriented so its exposure association is nonnegative
-    (the regression is not invariant to per-SNP sign conventions otherwise):
-    both its betas are multiplied by -1 where ``exp_beta < 0`` and by 1
-    elsewhere, which for any beta but NaN gives the bits negation gives,
-    ``-0.0`` included. A row's oriented exposure betas are all equal exactly
-    when none of its selected values differs (``!=``) from its first selected
-    one, which boolean passes find: the values are finite and ``+0.0`` and
-    ``-0.0`` compare equal, so these are the rows where the selected values'
-    maximum minus their minimum is zero. Masked values are picked by bit
-    selects (:func:`_select_or_zero`), ``w * x`` serves both ``xbar`` and the
-    trace below, ``w * (x - xbar)`` both ``Sxx`` and ``Sxy``, and every sum
-    runs over a row in its own order, so every float is what the same
-    formulas give through ``np.where``.
-    Per row, the weighted least squares of oriented outcome on oriented
-    exposure betas with intercept, weights ``w = 1 / out_se^2``, solved on
-    centered sums: with ``W = sum w`` and weighted means ``xbar``, ``ybar``,
-
-        slope = Sxy / Sxx,  intercept = ybar - slope * xbar,
-        var(slope) = 1 / Sxx,  var(intercept) = 1 / W + xbar^2 / Sxx,
-
-    where ``Sxx = sum w (x - xbar)^2`` and ``Sxy = sum w (x - xbar)(y - ybar)``
-    (the inverse of ``X'WX``, weights taken as exact inverse variances). The
-    design ``[sqrt(w), sqrt(w) x]`` counts as rank deficient where
-    ``np.linalg.lstsq`` would: its smaller singular value is at most
-    ``eps * n`` times the larger. Those squared are the eigenvalues of
-    ``X'WX``, whose determinant is ``W * Sxx`` and trace
-    ``t = W + sum w x^2``; with ``q = det / t^2`` their ratio is
-    ``4q / (1 + sqrt(1 - 4q))^2``.
-
-    The set is ``data``'s relevant one, whose counts and widened mask ``data``
-    keeps. Given a ``band`` (:func:`_critical_band` of ``alpha``), a row whose
-    ``|z|`` is at or beyond either end is decided without its p-value, which
-    stays NaN (:func:`_banded_p`).
-    """
-    exp_beta, out_beta, out_se, tau_s = data.exp_beta, data.out_beta, data.out_se, data.tau_s
-    mask, n, ones = data.set_mask(math.inf), data.relevant_size, data.relevant_ones
-    # -1 where exp_beta < 0, else 1: a product with it orients as negation does
-    sign = (exp_beta < 0.0) * -2.0
-    sign += 1.0
-    x = exp_beta * sign
-    y = np.multiply(out_beta, sign, out=sign)
-    differs = x != np.take_along_axis(x, mask.argmax(axis=1)[:, None], axis=1)
-    differs &= mask
-    equal = ~differs.any(axis=1)
-
-    errors = {}
-    for r in np.flatnonzero(n < 3).tolist():
-        errors[r] = (
-            _empty_relevant_set(tau_s)
-            if n[r] == 0
-            else RankDeficientError(f"Egger regression needs at least 3 relevant SNPs, got {n[r]}")
-        )
-    for r in np.flatnonzero((n >= 3) & equal).tolist():
-        errors[r] = RankDeficientError("all oriented exposure associations are equal")
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = _select_or_zero(ones, (1.0 / out_se) ** 2)
-        w_sum = w.sum(axis=1)
-        wx = w * x
-        x_bar = wx.sum(axis=1) / w_sum
-        trace = w_sum + np.multiply(wx, x, out=wx).sum(axis=1)
-        y_bar = np.multiply(w, y, out=wx).sum(axis=1) / w_sum
-        x -= x_bar[:, None]
-        dx = _select_or_zero(ones, x)
-        wdx = np.multiply(w, dx, out=w)
-        s_xx = np.multiply(wdx, dx, out=dx).sum(axis=1)
-        y -= y_bar[:, None]
-        s_xy = np.multiply(wdx, y, out=y).sum(axis=1)
-        q = (w_sum / trace) * (s_xx / trace)  # det / trace^2, at most 1/4
-        eigen_ratio = 4.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q, 0.0))) ** 2
-        slope = s_xy / s_xx
-        intercept = y_bar - slope * x_bar
-        se = np.sqrt(1.0 / s_xx)
-        intercept_se = np.sqrt(1.0 / w_sum + x_bar * x_bar / s_xx)
-        z = slope / se
-    for r in np.flatnonzero(np.isinf(trace)).tolist():
-        errors.setdefault(r, RankDeficientError("Egger normal equations overflow"))
-    for r in np.flatnonzero(~(eigen_ratio > (np.finfo(float).eps * n) ** 2)).tolist():
-        errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
-
-    nan = np.full(n.size, np.nan)
-    p_value, settled_reject = _banded_p(z, band)
-    return DirectionRows(
-        selected=mask,
-        size=n,
-        n_dropped=np.zeros(n.size, dtype=np.intp),
-        empty_reject=np.zeros(n.size, dtype=bool),
-        weight_sum=nan,
-        max_share=nan,
-        estimate=slope,
-        se=se,
-        z=z,
-        p_value=p_value,
-        reject=settled_reject | (p_value <= alpha),
-        errors=errors,
-        intercept=intercept,
-        intercept_se=intercept_se,
-    )
 
 
 @dataclass(frozen=True)
@@ -1294,15 +1273,13 @@ def test_direction(
         value = float(column[0]) if defined and column is not None else math.nan
         return None if math.isnan(value) else value
 
-    selected = rows.selected[0]
-    selected.setflags(write=False)
     return TestReport(
         direction=direction,
         method=method,
         alpha=cfg.alpha,
         tau_f=cfg.tau_f if method.focused else None,
         tau_s=tau_s,
-        selected=selected,
+        selected=rows.selected[0],
         focused_size=int(rows.size[0]),
         estimate=scalar(rows.estimate),
         null_sd=scalar(rows.se),

@@ -611,10 +611,8 @@ def harmonize(
     if not len(i):
         raise EmptyIntersectionError("no variants shared between exposure and outcome files")
     beta_y = outcome.beta[j]
-    ids = exposure_ids[i]
     return Panel._of_unique_ids(
-        tuple(ids.tolist()),
-        ids,
+        exposure_ids[i],
         exposure.beta[i],
         exposure.se[i],
         np.where(flip, -beta_y, beta_y),

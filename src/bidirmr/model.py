@@ -120,8 +120,10 @@ class ReducedForm:
 
 
 def reduced_form(truth: TruthConfig) -> ReducedForm:
-    """Map direct effects to the marginal associations of both traits."""
+    """Map direct effects to the marginal associations of both traits; an overflow is an error."""
     gamma_d, gamma_y = _marginal_effects(truth.pi_d, truth.pi_y, truth.beta_dy, truth.beta_yd)
+    if not (np.isfinite(gamma_d).all() and np.isfinite(gamma_y).all()):
+        raise _not_finite(truth.beta_dy, truth.beta_yd)
     gamma_y.setflags(write=False)
     gamma_d.setflags(write=False)
     return ReducedForm(gamma_d=gamma_d, gamma_y=gamma_y)
@@ -130,9 +132,17 @@ def reduced_form(truth: TruthConfig) -> ReducedForm:
 def _marginal_effects(
     pi_d: np.ndarray, pi_y: np.ndarray, beta_dy: float, beta_yd: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(gamma_d, gamma_y)`` of :func:`reduced_form` on arrays of any matching shape."""
+    """``(gamma_d, gamma_y)`` of :func:`reduced_form` on arrays of any matching shape, with
+    inf where they overflow; the callers check them."""
     denom = 1.0 - beta_dy * beta_yd
-    return (pi_d + pi_y * beta_yd) / denom, (pi_y + pi_d * beta_dy) / denom
+    with np.errstate(over="ignore"):
+        return (pi_d + pi_y * beta_yd) / denom, (pi_y + pi_d * beta_dy) / denom
+
+
+def _not_finite(beta_dy: float, beta_yd: float) -> InputError:
+    return InputError(
+        f"beta_dy={beta_dy!r} and beta_yd={beta_yd!r} give a reduced form that is not finite"
+    )
 
 
 def direct_effects(

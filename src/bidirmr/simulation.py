@@ -64,7 +64,7 @@ from .focusing import _DirectionData, _LawPool, _method_rows, _roles, _select
 from .focusing import _select_or_zero, _separation_threshold
 from .gwasio import load_float_columns
 from .model import IvClass, TruthConfig, _causal_pair, _class_masks, _marginal_effects
-from .model import reduced_form
+from .model import _not_finite, reduced_form
 
 __all__ = [
     "ScenarioConfig",
@@ -579,7 +579,8 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
         for c, (beta_dy, beta_yd) in enumerate(cells):
             gamma_d, gamma_y = _marginal_effects(pi_d, pi_y, beta_dy, beta_yd)
             beta_d, beta_y = _with_noise(gamma_d, gamma_y, seed.se_d, seed.se_y, draws[:, 2:])
-            _require_finite(beta_d=beta_d, beta_y=beta_y)
+            if not (np.isfinite(beta_d).all() and np.isfinite(beta_y).all()):
+                raise _not_finite(beta_dy, beta_yd)
             columns = (beta_d, seed.se_d, beta_y, seed.se_y)
             for direction in directions:
                 data = _DirectionData(*_roles(direction, *columns), focus.tau_s)

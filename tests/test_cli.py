@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,53 @@ def test_commands_that_draw_nothing_take_no_seed(argv, capsys):
         main([*argv, "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--synthetic", "20", "--reps", "3", "--seed", "1", "--grid", "-0.3:0,0:0.3"], 0),
+    (["simulate", "--synthetic", "20", "--reps", "3", "--seed", "1", "--beta-dy", "-inf"], 2),
+    (["truncnorm", "--a", "-inf", "--b", "0"], 0),
+    (["truncnorm", "--b", "1", "--a", "-1e-3"], 0),
+])
+def test_a_value_starting_with_a_minus_reads_as_with_an_equals_sign(argv, code, capsys):
+    # argparse alone reads only plain decimals such as -1 or -.5 as values
+    results = []
+    for form in (argv, [*argv[:-2], f"{argv[-2]}={argv[-1]}"]):
+        assert main(form) == code
+        results.append(capsys.readouterr())
+    assert results[0] == results[1]
+    assert "expected one argument" not in results[0].err
+
+
+def test_an_option_after_a_value_option_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--synthetic", "20", "--beta-dy", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--beta-dy: expected one argument" in capsys.readouterr().err
+
+
+# 1e308 * 1e-308 rounds to nearly 1: the reduced form's denominator is about 1e-16
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--synthetic", "20", "--reps", "3", "--seed", "1", "--beta-dy", "1e308",
+     "--beta-yd", "1e-308"],
+    ["simulate", "--synthetic", "20", "--reps", "3", "--seed", "1", "--grid", "0:0,1e308:1e-308"],
+    ["diagnose"],
+])
+def test_a_reduced_form_that_overflows_names_the_causal_pair(argv, tmp_path, capsys):
+    if argv == ["diagnose"]:
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"pi_d": [0.1, 0.2, 0.0], "pi_y": [0.0, 0.1, 0.3],
+                                    "beta_dy": 1e308, "beta_yd": 1e-308,
+                                    "se_d": [1, 1, 1], "se_y": [1, 1, 1]}))
+        argv = ["diagnose", "--input", str(path)]
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning raised on the way fails the test
+        assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: beta_dy=1e+308 and beta_yd=1e-308 give a reduced form that is not "
+                   "finite\n")
+    assert not out.exists()
 
 
 class TestDiagnoseCommand:

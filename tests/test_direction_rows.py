@@ -9,11 +9,13 @@ computation, and the closed-form Egger regression against
 orient MR-Egger's SNPs by multiplying by ±1; local copies of their
 ``np.where`` forms are the oracle for every float bit and every error. The
 vectorized two-sided p-value must give ``2 * std_sf(|z|)`` bit for bit on
-any float64 word.
+any float64 word. The methods of one direction share its sets, which must
+change no bit of any method's rows.
 """
 
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from bidirmr.focusing import (  # noqa: E402
     direction_rows,
 )
 from bidirmr.focusing import test_direction as run_direction_test  # noqa: E402
+from bidirmr.simulation import ScenarioConfig, run_scenario, synthetic_seed  # noqa: E402
 from bidirmr.truncnorm import std_sf  # noqa: E402
 
 REL = 1e-12
@@ -520,3 +523,66 @@ def test_decisions_alone_match_the_full_rows(chunk):
         settled = (abs_z <= Z_LO) | (abs_z >= Z_HI)
         np.testing.assert_array_equal(
             _bits(decided.p_value), _bits(np.where(settled, np.nan, rows.p_value)))
+
+
+def _fields(rows) -> dict:
+    """Every field of ``rows``: an array as its dtype, shape and bytes, the errors as each
+    row's exception class and message."""
+    out = {}
+    for name in (f.name for f in dataclasses.fields(rows)):
+        value = getattr(rows, name)
+        if name == "errors":
+            out[name] = {r: (type(e), str(e)) for r, e in value.items()}
+        else:
+            out[name] = value if value is None else (value.dtype.str, value.shape, value.tobytes())
+    return out
+
+
+def _held_arrays(data) -> list:
+    """The arrays a ``_DirectionData`` holds, its sets' arrays among them."""
+    held = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
+    for chosen in data._sets.values():
+        held += [v for v in vars(chosen).values() if isinstance(v, np.ndarray)]
+    return held
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunks(), st.lists(st.sampled_from(list(Method)), min_size=1, max_size=7), st.booleans(),
+       st.lists(st.booleans(), min_size=60, max_size=60))
+# exact zeros among the exposure betas, at a screen that keeps them
+@example((np.array([[0.0, 1.0, -2.0, 0.5], [1.0, -0.0, 3.0, 0.5], [0.4, 2.0, 3.0, 0.5]]),
+          np.ones(4), np.array([[0.1, 0.2, -0.3, 0.4], [0.5, -0.6, 0.7, 0.8], [0.1, 0.0, 2.0, 0.3]]),
+          np.ones(4), 1.5, 0.0), list(Method), True, [False] * 60)
+def test_sharing_a_directions_sets_changes_no_bit(chunk, methods, scales, zero):
+    # _decided_rows is _method_rows and the flush of the rows it left to the exact law
+    exp_beta, exp_se, out_beta, out_se, tau_f, tau_s = chunk
+    if tau_s == 0.0:  # a screen that keeps exact zero betas; chunks() draws at most 6 x 10
+        exp_beta = np.where(np.reshape(zero[: exp_beta.size], exp_beta.shape), 0.0, exp_beta)
+    cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s)
+    arrays = (exp_beta, exp_se, out_beta, out_se)
+    shared = focusing._DirectionData(*arrays, tau_s)
+    seen = {}
+    for method in methods:
+        rows = focusing._decided_rows(shared, cfg, method, scales)
+        alone = focusing._decided_rows(focusing._DirectionData(*arrays, tau_s), cfg, method, scales)
+        assert _fields(rows) == _fields(alone), method
+        assert not rows.selected.flags.writeable
+        for array in _held_arrays(shared):
+            if not any(array is given for given in arrays):
+                assert not array.flags.writeable
+            bits = seen.setdefault(id(array), (array, array.tobytes()))[1]
+            assert array.tobytes() == bits
+
+
+def test_focused_methods_that_share_a_set_each_report_as_alone():
+    # focused IVW and the focused median read one focused set in each direction
+    seed = synthetic_seed(60, np.random.default_rng(26))
+    scenario = ScenarioConfig(cells=((0.0, 0.0), (0.3, 0.0)), n_reps=40, rng_seed=5,
+                              methods=(Method.FOCUSED_IVW, Method.FOCUSED_MEDIAN))
+    both = run_scenario(seed, scenario)
+    for method in scenario.methods:
+        for report, alone in zip(both, run_scenario(seed, replace(scenario, methods=(method,)))):
+            assert alone.methods == (method.value,)
+            for name in ("rejection_rates", "valid_iv_proportions", "empty_set_rates",
+                         "error_counts"):
+                assert getattr(report, name)[method.value] == getattr(alone, name)[method.value]
