@@ -227,35 +227,28 @@ def _panel_roles(panel: Panel, direction: Direction):
     return _roles(direction, panel.beta_d, panel.se_d, panel.beta_y, panel.se_y)
 
 
-class _DirectionData:
-    """One direction's estimates, and what every method reads of them, computed once.
+class _Exposure:
+    """One direction's exposure side: what its methods read that no outcome beta changes,
+    computed once for every :class:`_DirectionData` built on it. ``exp_beta`` is (R, p),
+    finite, and the standard errors, finite and positive, broadcast against it (the
+    screen alone may be read for one panel's (p,) betas). ``relevant`` is the screen
+    ``|exp_beta| >= exp_se * tau_s``; each of ``has_zero`` (whether any exposure beta is
+    zero), the IVW ``weights`` ``(exp_beta / out_se)^2``, the relevant sets
+    (:meth:`relevant_set`) and ``egger`` (:class:`_EggerSide`) is computed when first
+    read. Every array is read-only."""
 
-    The betas are (R, p) arrays, and the standard errors broadcast against them; a
-    set's mask alone may be read for one panel's (p,) betas. ``relevant`` is the
-    relevance screen ``|exp_beta| >= exp_se * tau_s``; ``has_zero`` says whether any
-    exposure association is zero; ``ratios`` are ``out_beta / exp_beta``, ``weights``
-    ``(exp_beta / out_se)^2`` and ``weighted_ratios`` their product. Each but
-    ``relevant`` is computed when first read, once per direction. So is each set the
-    methods aggregate over, one :class:`_Set` per ``tau_f`` and zero rule
-    (:meth:`set_of`), which every method of the direction that reads it shares. Every
-    shared array is read-only. The betas must be finite and the standard errors finite
-    and positive, as :class:`Panel` and :func:`direction_rows` check.
-    """
-
-    def __init__(self, exp_beta, exp_se, out_beta, out_se, tau_s: float):
-        self.exp_beta, self.exp_se, self.out_beta, self.out_se = exp_beta, exp_se, out_beta, out_se
-        self.tau_s = tau_s
+    def __init__(self, exp_beta, exp_se, out_se, tau_s: float):
+        self.exp_beta, self.out_se, self.tau_s = exp_beta, out_se, tau_s
         self.relevant = _read_only(np.abs(exp_beta) >= exp_se * tau_s)
         self._sets = {}
 
-    def set_of(self, tau_f: float, drop_zero: bool) -> _Set:
-        """The relevant SNPs with ``|out_beta| <= out_se * tau_f``, both bounds inclusive,
-        less the zero exposure associations if ``drop_zero``: built when first asked for.
-        Where no exposure beta is zero, the set with them and the set without are one."""
-        key = (tau_f, drop_zero and self.has_zero)
-        found = self._sets.get(key)
+    def relevant_set(self, drop_zero: bool) -> _Set:
+        """The relevant SNPs (``tau_f = inf``), less the zero exposure betas if ``drop_zero``:
+        one set where there are none."""
+        drop_zero = drop_zero and self.has_zero
+        found = self._sets.get(drop_zero)
         if found is None:
-            found = self._sets[key] = _Set(self, *key)
+            found = self._sets[drop_zero] = _Set(self, self.relevant, drop_zero)
         return found
 
     @cached_property
@@ -263,38 +256,74 @@ class _DirectionData:
         return not self.exp_beta.all()  # -0.0 is zero too
 
     @cached_property
-    def ratios(self) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _read_only(self.out_beta / self.exp_beta)
-
-    @cached_property
     def weights(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return _read_only((self.exp_beta / self.out_se) ** 2)
+
+    @cached_property
+    def egger(self) -> _EggerSide:
+        return _EggerSide(self)
+
+
+class _DirectionData:
+    """One direction's estimates, an :class:`_Exposure` and finite outcome betas of its
+    shape, and what every method reads of them, computed when first read: ``ratios``
+    (``out_beta / exp_beta``), ``weighted_ratios`` (``weights * ratios``) and each set the
+    methods aggregate over (:meth:`set_of`), shared by the methods that read it. Every
+    array is read-only."""
+
+    def __init__(self, exposure: _Exposure, out_beta):
+        self.exposure, self.out_beta = exposure, out_beta
+        self._sets = {}
+
+    def set_of(self, tau_f: float, drop_zero: bool) -> _Set:
+        """The relevant SNPs with ``|out_beta| <= out_se * tau_f``, both bounds inclusive,
+        less the zero exposure associations if ``drop_zero``; at ``tau_f = inf`` the
+        exposure side's relevant set, else one :class:`_Set` per ``tau_f`` and zero rule."""
+        x = self.exposure
+        if tau_f == math.inf:  # every finite beta is within an infinite bound
+            return x.relevant_set(drop_zero)
+        key = (tau_f, drop_zero and x.has_zero)
+        found = self._sets.get(key)
+        if found is None:
+            within = (np.abs(self.out_beta) <= x.out_se * tau_f) & x.relevant
+            found = self._sets[key] = _Set(x, within, key[1])
+        return found
+
+    def method_set(self, method: Method, tau_f: float) -> _Set:
+        """The set of ``method``: a focused method's at ``tau_f``, else the relevant set,
+        with zero exposure betas dropped for every method but MR-Egger."""
+        return self.set_of(tau_f if method.focused else math.inf, method is not Method.MR_EGGER)
+
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _read_only(self.out_beta / self.exposure.exp_beta)
 
     @cached_property
     def weighted_ratios(self) -> np.ndarray:
         # the ratios afresh, not self.ratios, which only the median methods keep: each
         # (R, p) array a direction holds makes the allocator return and refault more pages
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _read_only(self.weights * (self.out_beta / self.exp_beta))
+            return _read_only(self.exposure.weights * (self.out_beta / self.exposure.exp_beta))
 
 
 class _Set:
-    """One set of :meth:`_DirectionData.set_of`: its ``mask`` and each row's count of zero
-    exposure betas dropped from it, ``n_dropped``; its row counts ``size`` and
-    :func:`_widened` mask ``ones`` are computed when first read. All are read-only."""
+    """A set of SNPs: its ``mask``, each row's count of zero exposure betas dropped from it
+    (``n_dropped``) and, when first read, its row counts ``size``, its :func:`_widened`
+    mask ``ones`` and ``errors``, each row's error if a conventional method aggregates over
+    it (to be copied). All are read-only. It keeps no reference to the exposure side that
+    keeps it: a cycle would outlive both until the garbage collector ran."""
 
-    def __init__(self, data: _DirectionData, tau_f: float, drop_zero: bool):
-        mask = data.relevant
-        if tau_f != math.inf:  # every finite beta is within an infinite bound
-            mask = (np.abs(data.out_beta) <= data.out_se * tau_f) & mask
+    def __init__(self, exposure: _Exposure, mask: np.ndarray, drop_zero: bool):
+        self.tau_s = exposure.tau_s
         n_dropped = np.zeros(mask.shape[0], dtype=int)  # the dtype of a boolean row sum
         if drop_zero:
-            zero = mask & (data.exp_beta == 0.0)
+            zero = mask & (exposure.exp_beta == 0.0)
             n_dropped = zero.sum(axis=1)
             mask = mask & ~zero
         self.mask, self.n_dropped = _read_only(mask), _read_only(n_dropped)
+        self._weight_sum = self._counted = None
 
     @cached_property
     def size(self) -> np.ndarray:
@@ -303,6 +332,93 @@ class _Set:
     @cached_property
     def ones(self) -> np.ndarray:
         return _read_only(_widened(self.mask))
+
+    @cached_property
+    def errors(self) -> dict[int, DegeneracyError]:
+        errors: dict[int, DegeneracyError] = {}
+        for r in np.flatnonzero(self.size + self.n_dropped == 0).tolist():
+            errors[r] = _empty_relevant_set(self.tau_s)
+        for r in np.flatnonzero(self.n_dropped).tolist():
+            errors.setdefault(
+                r, ZeroDenominatorError("ratio estimates need nonzero exposure associations")
+            )
+        return errors
+
+    def weight_sum(self, weights: np.ndarray) -> np.ndarray:
+        """Each row's sum of its exposure side's IVW ``weights`` over the set (NaN if empty)."""
+        if self._weight_sum is None:
+            with np.errstate(over="ignore"):
+                sums = _select_or_zero(self.ones, weights).sum(axis=1)
+            self._weight_sum = _read_only(_select(self.size > 0, sums, np.nan))
+        return self._weight_sum
+
+    def count_in(self, mask: np.ndarray) -> np.ndarray:
+        """Each row's count of the set's SNPs that ``mask`` holds too, kept for the last one."""
+        if self._counted is None or self._counted[0] is not mask:
+            self._counted = mask, _read_only((self.mask & mask).sum(axis=1))
+        return self._counted[1]
+
+
+class _EggerSide:
+    """MR-Egger's closed form on an exposure side, as far as it reads no outcome beta. Per
+    row, the weighted least squares of oriented outcome on oriented exposure betas
+    with intercept, weights w = 1 / out_se^2 over the relevant set (zero betas kept),
+    solved on centered sums: with W = sum w, weighted means xbar and ybar,
+    Sxx = sum w (x - xbar)^2 and Sxy = sum w (x - xbar)(y - ybar) (the inverse of X'WX,
+    weights taken as exact inverse variances),
+        slope = Sxy / Sxx,  intercept = ybar - slope * xbar,
+        var(slope) = 1 / Sxx,  var(intercept) = 1 / W + xbar^2 / Sxx.
+    It holds ``negative`` (``exp_beta < 0``), ``wdx`` = w (x - xbar), ``w_sum`` (W),
+    ``x_bar``, ``s_xx``, ``se``, ``intercept_se`` and ``errors``, the set's and the rank
+    checks'; the signs and w, one or two passes each, are not kept."""
+
+    def __init__(self, exposure: _Exposure):
+        chosen = exposure.relevant_set(drop_zero=False)
+        mask, size = chosen.mask, chosen.size
+        self.errors = errors = dict(chosen.errors)
+        # Each SNP is oriented so its exposure beta is nonnegative (the regression is
+        # not invariant to per-SNP sign conventions otherwise): both betas times -1
+        # where exp_beta < 0 and 1 elsewhere, the bits negation gives, -0.0 included.
+        # A row's oriented exposure betas are all equal exactly when no selected value
+        # differs (!=) from the first: they are finite, and +-0.0 compare equal. The
+        # design [sqrt(w), sqrt(w) x] is rank deficient where np.linalg.lstsq finds it
+        # so: its smaller singular value at most eps * n times the larger. Those
+        # squared are the eigenvalues of X'WX, of determinant W * Sxx and trace
+        # t = W + sum w x^2; with q = det / t^2 their ratio is 4q / (1 + sqrt(1 - 4q))^2.
+        # w * x serves both xbar and t, and each sum runs over a row in its own order:
+        # every float is what the formulas give through np.where.
+        negative = exposure.exp_beta < 0.0
+        sign = negative * -2.0
+        sign += 1.0
+        x = exposure.exp_beta * sign
+        differs = x != np.take_along_axis(x, mask.argmax(axis=1)[:, None], axis=1)
+        differs &= mask
+        for r in np.flatnonzero(size < 3).tolist():
+            errors.setdefault(r, RankDeficientError(
+                f"Egger regression needs at least 3 relevant SNPs, got {size[r]}"))
+        for r in np.flatnonzero(~differs.any(axis=1)).tolist():
+            errors.setdefault(r, RankDeficientError("all oriented exposure associations are equal"))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = _select_or_zero(chosen.ones, (1.0 / exposure.out_se) ** 2)
+            w_sum = w.sum(axis=1)
+            wx = w * x
+            x_bar = wx.sum(axis=1) / w_sum
+            trace = w_sum + np.multiply(wx, x, out=wx).sum(axis=1)
+            x -= x_bar[:, None]
+            dx = _select_or_zero(chosen.ones, x)
+            wdx = np.multiply(w, dx, out=wx)
+            s_xx = np.multiply(wdx, dx, out=dx).sum(axis=1)
+            q = (w_sum / trace) * (s_xx / trace)  # det / trace^2, at most 1/4
+            eigen_ratio = 4.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q, 0.0))) ** 2
+            se = np.sqrt(1.0 / s_xx)
+            intercept_se = np.sqrt(1.0 / w_sum + x_bar * x_bar / s_xx)
+        for r in np.flatnonzero(np.isinf(trace)).tolist():
+            errors.setdefault(r, RankDeficientError("Egger normal equations overflow"))
+        for r in np.flatnonzero(~(eigen_ratio > (np.finfo(float).eps * size) ** 2)).tolist():
+            errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
+        self.negative, self.wdx = _read_only(negative), _read_only(wdx)
+        self.w_sum, self.x_bar, self.s_xx = _read_only(w_sum), _read_only(x_bar), _read_only(s_xx)
+        self.se, self.intercept_se = _read_only(se), _read_only(intercept_se)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -351,14 +467,16 @@ def _select_or_zero(mask: np.ndarray, a) -> np.ndarray:
 def relevant_mask(panel: Panel, direction: Direction, tau_s: float) -> np.ndarray:
     """Boolean mask of SNPs with |exposure beta| >= se * tau_s."""
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
-    return _DirectionData(*_panel_roles(panel, direction), tau_s).relevant.copy()
+    exp_beta, exp_se, _, out_se = _panel_roles(panel, direction)
+    return _Exposure(exp_beta, exp_se, out_se, tau_s).relevant.copy()
 
 
 def focused_mask(panel: Panel, direction: Direction, cfg: FocusConfig) -> np.ndarray:
     """Boolean mask of the focused set; both boundary comparisons are inclusive."""
     _instance("cfg", cfg, FocusConfig)
-    data = _DirectionData(*_panel_roles(panel, direction), cfg.resolve_tau_s(len(panel)))
-    return data.set_of(cfg.tau_f, drop_zero=False).mask.copy()
+    exp_beta, exp_se, out_beta, out_se = _panel_roles(panel, direction)
+    exposure = _Exposure(exp_beta, exp_se, out_se, cfg.resolve_tau_s(len(panel)))
+    return _DirectionData(exposure, out_beta).set_of(cfg.tau_f, drop_zero=False).mask.copy()
 
 
 def _separation_threshold(p: int, tau_f: float, c1: float) -> float:
@@ -918,9 +1036,11 @@ class DirectionRows:
     """One directional test on each row of R panels, row ``r`` as on panel ``r`` alone.
 
     ``selected`` is the (R, p) set each row aggregates over (after
-    zero-denominator drops) and ``size`` its cardinality. Both, and
-    ``n_dropped``, are read-only: the methods of a direction that read the
-    same set share its arrays (:meth:`_DirectionData.set_of`). ``empty_reject``
+    zero-denominator drops) and ``size`` its cardinality. Both,
+    ``n_dropped``, IVW's ``weight_sum`` and MR-Egger's ``se`` and
+    ``intercept_se`` are read-only: the methods that read the same set share
+    its arrays (:meth:`_DirectionData.set_of`), and the directions on one
+    exposure side what it holds (:class:`_Exposure`). ``empty_reject``
     marks rows whose empty focused set rejects by construction (p-value 0).
     ``reject`` is the test's decision at the caller's ``alpha``,
     ``empty_reject | (p_value <= alpha)``.
@@ -999,20 +1119,21 @@ def direction_rows(
     methods take the relevance-screened set (``tau_f = inf``): an empty one
     is an :class:`EmptyRelevantSetError`, and a zero exposure association
     a :class:`ZeroDenominatorError` for overall IVW and MR-Median, while
-    MR-Egger keeps it in its set. ``selected``, ``size`` and ``n_dropped`` are
-    read-only: other methods' rows may share them (:class:`DirectionRows`).
+    MR-Egger keeps it in its set. ``selected``, ``size``, ``n_dropped`` and
+    some scales are read-only: other rows may share them (:class:`DirectionRows`).
     IVW weights ``(exp_beta / out_se)^2``
     that all underflow to zero, or overflow, leave no null scale and are a
     :class:`ZeroDenominatorError` too.
 
     The work is the scenario engine's: one :class:`_DirectionData` of the
-    arrays, one :func:`_method_rows` on it, then one flush of the even-n rows
-    it left to the exact law (:func:`_decided_rows`).
+    arrays on their :class:`_Exposure`, one :func:`_method_rows` on it, then
+    one flush of the even-n rows it left to the exact law (:func:`_decided_rows`).
     """
     method = Method(method)
     _instance("cfg", cfg, FocusConfig)
     _number("tau_s", tau_s, lambda x: x >= 0.0, "nonnegative")
-    data = _DirectionData(*_checked_rows(exp_beta, exp_se, out_beta, out_se), tau_s)
+    exp_beta, exp_se, out_beta, out_se = _checked_rows(exp_beta, exp_se, out_beta, out_se)
+    data = _DirectionData(_Exposure(exp_beta, exp_se, out_se, tau_s), out_beta)
     return _decided_rows(data, cfg, method, scales)
 
 
@@ -1037,31 +1158,23 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
     ``p_value`` stay NaN and their ``reject`` False here, and the pool decides them when
     flushed. ``cfg.alpha`` is the level of ``reject``.
 
-    One head, one fit per family and one tail. The head reads the method's set from
-    ``data`` (:meth:`_DirectionData.set_of`), shared with every method of the direction
-    that reads the same set: the focused methods share theirs; the others take the
-    relevant set, from which overall IVW and MR-Median drop zero exposure betas, as
-    errors, and MR-Egger keeps them. It adds the conventional methods' empty-set and
-    zero-denominator errors, and the focused methods' ``empty_reject``. The fit is
-    IVW, the median or MR-Egger in closed form. The tail gives IVW and MR-Egger
-    their p-values (:func:`_banded_p`), sets an empty focused set's to 0, and decides.
+    One head, one fit per family and one tail. The head reads the method's set
+    (:meth:`_DirectionData.method_set`), shared with every method that reads it: the
+    focused methods share theirs; the others take the exposure side's relevant set, from
+    which overall IVW and MR-Median drop zero exposure betas, as errors, and MR-Egger
+    keeps them. It takes the conventional methods' empty-set and zero-denominator errors,
+    and the focused methods' ``empty_reject``. The fit is IVW, the median or MR-Egger in
+    closed form, the exposure side's part of which (:class:`_EggerSide`) is computed once.
+    The tail gives IVW and MR-Egger their p-values (:func:`_banded_p`), sets an empty
+    focused set's to 0, and decides.
     """
     alpha = cfg.alpha
+    chosen = data.method_set(method, cfg.tau_f)
     if not method.focused:
         cfg = _UNFOCUSED
-    chosen = data.set_of(cfg.tau_f, drop_zero=method is not Method.MR_EGGER)
     mask, size, n_dropped = chosen.mask, chosen.size, chosen.n_dropped
-    errors: dict[int, DegeneracyError] = {}
-    if method.focused:
-        empty_reject = size == 0
-    else:
-        for r in np.flatnonzero(size + n_dropped == 0).tolist():
-            errors[r] = _empty_relevant_set(data.tau_s)
-        for r in np.flatnonzero(n_dropped).tolist():
-            errors.setdefault(
-                r, ZeroDenominatorError("ratio estimates need nonzero exposure associations")
-            )
-        empty_reject = np.zeros(size.size, dtype=bool)
+    errors: dict[int, DegeneracyError] = {} if method.focused else dict(chosen.errors)
+    empty_reject = size == 0 if method.focused else np.zeros(size.size, dtype=bool)
     live = size > 0
     live[list(errors)] = False
 
@@ -1069,67 +1182,28 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
     weight_sum = max_share = nan  # no decision reads a median's weights or IVW's share
     intercept = intercept_se = None
     if method is not Method.MR_EGGER and (scales or not method.median):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            weights = _select_or_zero(chosen.ones, data.weights)
-            weight_sum = _select(size > 0, weights.sum(axis=1), np.nan)
-            if scales:
+        weight_sum = chosen.weight_sum(data.exposure.weights)
+        if scales:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                weights = _select_or_zero(chosen.ones, data.exposure.weights)
                 max_share = _select(weight_sum > 0.0, weights.max(axis=1) / weight_sum, np.nan)
 
     if method is Method.MR_EGGER:
-        # Per row, the weighted least squares of oriented outcome on oriented exposure
-        # betas with intercept, weights w = 1 / out_se^2, solved on centered sums: with
-        # W = sum w, weighted means xbar and ybar, Sxx = sum w (x - xbar)^2 and
-        # Sxy = sum w (x - xbar)(y - ybar) (the inverse of X'WX, weights taken as exact
-        # inverse variances),
-        #     slope = Sxy / Sxx,  intercept = ybar - slope * xbar,
-        #     var(slope) = 1 / Sxx,  var(intercept) = 1 / W + xbar^2 / Sxx.
-        # Each SNP is oriented so its exposure beta is nonnegative (the regression is
-        # not invariant to per-SNP sign conventions otherwise): both betas times -1
-        # where exp_beta < 0 and 1 elsewhere, the bits negation gives, -0.0 included.
-        # A row's oriented exposure betas are all equal exactly when no selected value
-        # differs (!=) from the first: they are finite, and +-0.0 compare equal. The
-        # design [sqrt(w), sqrt(w) x] is rank deficient where np.linalg.lstsq finds it
-        # so: its smaller singular value at most eps * n times the larger. Those
-        # squared are the eigenvalues of X'WX, of determinant W * Sxx and trace
-        # t = W + sum w x^2; with q = det / t^2 their ratio is 4q / (1 + sqrt(1 - 4q))^2.
-        # w * x serves both xbar and t, w * (x - xbar) both Sxx and Sxy, and each sum
-        # runs over a row in its own order: every float is what the formulas give
-        # through np.where.
-        sign = (data.exp_beta < 0.0) * -2.0
-        sign += 1.0
-        x = data.exp_beta * sign
-        y = np.multiply(data.out_beta, sign, out=sign)
-        differs = x != np.take_along_axis(x, mask.argmax(axis=1)[:, None], axis=1)
-        differs &= mask
-        for r in np.flatnonzero(size < 3).tolist():
-            errors.setdefault(r, RankDeficientError(
-                f"Egger regression needs at least 3 relevant SNPs, got {size[r]}"))
-        for r in np.flatnonzero(~differs.any(axis=1)).tolist():
-            errors.setdefault(r, RankDeficientError("all oriented exposure associations are equal"))
+        # the exposure side's fit (_EggerSide), and what reads the oriented outcome betas y
+        fit = data.exposure.egger
+        errors = dict(fit.errors)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = _select_or_zero(chosen.ones, (1.0 / data.out_se) ** 2)
-            w_sum = w.sum(axis=1)
-            wx = w * x
-            x_bar = wx.sum(axis=1) / w_sum
-            trace = w_sum + np.multiply(wx, x, out=wx).sum(axis=1)
-            y_bar = np.multiply(w, y, out=wx).sum(axis=1) / w_sum
-            x -= x_bar[:, None]
-            dx = _select_or_zero(chosen.ones, x)
-            wdx = np.multiply(w, dx, out=w)
-            s_xx = np.multiply(wdx, dx, out=dx).sum(axis=1)
+            sign = fit.negative * -2.0
+            sign += 1.0
+            y = np.multiply(data.out_beta, sign, out=sign)
+            w = _select_or_zero(chosen.ones, (1.0 / data.exposure.out_se) ** 2)
+            y_bar = np.multiply(w, y, out=w).sum(axis=1) / fit.w_sum
             y -= y_bar[:, None]
-            s_xy = np.multiply(wdx, y, out=y).sum(axis=1)
-            q = (w_sum / trace) * (s_xx / trace)  # det / trace^2, at most 1/4
-            eigen_ratio = 4.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q, 0.0))) ** 2
-            estimate = s_xy / s_xx
-            intercept = y_bar - estimate * x_bar
-            se = np.sqrt(1.0 / s_xx)
-            intercept_se = np.sqrt(1.0 / w_sum + x_bar * x_bar / s_xx)
+            s_xy = np.multiply(fit.wdx, y, out=y).sum(axis=1)
+            estimate = s_xy / fit.s_xx
+            intercept = y_bar - estimate * fit.x_bar
+            se, intercept_se = fit.se, fit.intercept_se
             z = estimate / se
-        for r in np.flatnonzero(np.isinf(trace)).tolist():
-            errors.setdefault(r, RankDeficientError("Egger normal equations overflow"))
-        for r in np.flatnonzero(~(eigen_ratio > (np.finfo(float).eps * size) ** 2)).tolist():
-            errors.setdefault(r, RankDeficientError("Egger design matrix is rank deficient"))
     elif method.median:
         if errors:
             mask_live, size_live = mask & live[:, None], np.where(live, size, 0)
@@ -1264,8 +1338,8 @@ def test_direction(
     method = Method(method)
     exp_beta, exp_se, out_beta, out_se = _panel_roles(panel, direction)
     tau_s = _instance("cfg", cfg, FocusConfig).resolve_tau_s(len(panel))
-    rows = _decided_rows(_DirectionData(exp_beta[None], exp_se, out_beta[None], out_se, tau_s),
-                         cfg, method)
+    rows = _decided_rows(_DirectionData(_Exposure(exp_beta[None], exp_se, out_se, tau_s),
+                                        out_beta[None]), cfg, method)
     if rows.errors:
         raise rows.errors[0]
 

@@ -121,7 +121,8 @@ class ReducedForm:
 
 def reduced_form(truth: TruthConfig) -> ReducedForm:
     """Map direct effects to the marginal associations of both traits; an overflow is an error."""
-    gamma_d, gamma_y = _marginal_effects(truth.pi_d, truth.pi_y, truth.beta_dy, truth.beta_yd)
+    gamma_d = _marginal_effect(truth.pi_d, truth.pi_y, truth.beta_yd, truth.beta_dy)
+    gamma_y = _marginal_effect(truth.pi_y, truth.pi_d, truth.beta_dy, truth.beta_yd)
     if not (np.isfinite(gamma_d).all() and np.isfinite(gamma_y).all()):
         raise _not_finite(truth.beta_dy, truth.beta_yd)
     gamma_y.setflags(write=False)
@@ -129,14 +130,13 @@ def reduced_form(truth: TruthConfig) -> ReducedForm:
     return ReducedForm(gamma_d=gamma_d, gamma_y=gamma_y)
 
 
-def _marginal_effects(
-    pi_d: np.ndarray, pi_y: np.ndarray, beta_dy: float, beta_yd: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(gamma_d, gamma_y)`` of :func:`reduced_form` on arrays of any matching shape, with
-    inf where they overflow; the callers check them."""
-    denom = 1.0 - beta_dy * beta_yd
+def _marginal_effect(pi: np.ndarray, pi_other: np.ndarray, beta_in: float, beta_out: float):
+    """One trait's gamma of :func:`reduced_form` from its and the other's direct effects,
+    on arrays of any matching shape, with inf where it overflows; the callers check it.
+    At a zero ``beta_in``, the other's effect on it, the result does not depend on a
+    finite ``beta_out``, its effect on the other, bit for bit: the denominator is 1."""
     with np.errstate(over="ignore"):
-        return (pi_d + pi_y * beta_yd) / denom, (pi_y + pi_d * beta_dy) / denom
+        return (pi + pi_other * beta_in) / (1.0 - beta_out * beta_in)
 
 
 def _not_finite(beta_dy: float, beta_yd: float) -> InputError:

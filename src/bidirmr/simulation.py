@@ -38,14 +38,15 @@ and their correlation do not depend on the causal pair, so the cells share
 them: each is computed once per chunk, which is why every cell of a scenario
 reports the same ``mean_rho`` and ``mean_corr_pi``.
 Then the cells take turns on the chunk (reduced form, noise, methods), and
-each cell's report equals the scenario run on that cell alone. In each
-direction the methods share one computation of what they all read (the
-relevance screen, ratios and weights), and the median rows whose decision
-needs the exact law wait in one pool for the whole scenario, decided by
-one law search at its end, or earlier if they would pass one chunk's
-values. Memory is bounded by the chunk and one cell's arrays, whatever the
-number of replications or cells; neither the chunk size nor the pool's
-flushes change any result.
+each cell's report equals the scenario run on that cell alone. The cells
+with one zero effect of the other trait on a trait (of one sign) share that
+trait's association and its exposure side. In each direction the methods
+share what they all read, and the median rows whose decision needs the
+exact law wait in one pool for the whole scenario, decided by one law
+search at its end, or earlier if they would pass one chunk's values. Memory
+is bounded by the chunk, one cell's arrays and two shared associations per
+trait, whatever the number of replications or cells; neither the chunk size
+nor the pool's flushes change any result.
 :func:`generate_truth` and :func:`simulate_panel` are the same draws and
 arithmetic for one replication (draws 1-2 and 3-4).
 """
@@ -60,10 +61,10 @@ import numpy as np
 from .errors import GwasParseError, InputError
 from .errors import _count, _instance, _number, _refused, _shown, _vectors
 from .focusing import Direction, FocusConfig, Method, Panel
-from .focusing import _DirectionData, _LawPool, _method_rows, _roles, _select
+from .focusing import _DirectionData, _Exposure, _LawPool, _method_rows, _select
 from .focusing import _select_or_zero, _separation_threshold
 from .gwasio import load_float_columns
-from .model import IvClass, TruthConfig, _causal_pair, _class_masks, _marginal_effects
+from .model import IvClass, TruthConfig, _causal_pair, _class_masks, _marginal_effect
 from .model import _not_finite, reduced_form
 
 __all__ = [
@@ -221,14 +222,6 @@ def _activated(seed: SeedEffects, kappa: float, uniforms: np.ndarray, min_snr: f
     return pi_d, pi_y
 
 
-def _with_noise(gamma_d, gamma_y, se_d, se_y, normals: np.ndarray):
-    """``(beta_d, beta_y)`` from draws 3 and 4, the standard normals ``normals[..., 0:2, :]``.
-
-    ``loc + scale * z`` is what ``Generator.normal(loc, scale)`` computes, bit for bit.
-    """
-    return gamma_d + se_d * normals[..., 0, :], gamma_y + se_y * normals[..., 1, :]
-
-
 def _amplified(pi: np.ndarray, se: np.ndarray, threshold: float) -> np.ndarray:
     floor = threshold * se
     weak = (pi != 0.0) & (np.abs(pi) < floor)
@@ -280,9 +273,8 @@ def simulate_panel(truth: TruthConfig, rng: np.random.Generator) -> Panel:
     are ``s1`` to ``s<p>``, zero-padded to one width.
     """
     rf = reduced_form(truth)
-    beta_d, beta_y = _with_noise(
-        rf.gamma_d, rf.gamma_y, truth.se_d, truth.se_y, rng.standard_normal((2, truth.p))
-    )
+    z = rng.standard_normal((2, truth.p))  # loc + scale * z is Generator.normal, bit for bit
+    beta_d, beta_y = rf.gamma_d + truth.se_d * z[0], rf.gamma_y + truth.se_y * z[1]
     return Panel.from_arrays(_default_snp_ids(truth.p), beta_d, truth.se_d, beta_y, truth.se_y)
 
 
@@ -515,21 +507,24 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     :class:`~bidirmr.focusing._DirectionData` that every configured method
     reads, as row operations (:func:`bidirmr.focusing._method_rows`, the
     kernel of :func:`~bidirmr.focusing.direction_rows` that the single-panel
-    tests run). A rejection rate needs each row's decision alone, so the
-    rows are asked for no scales: most median decisions are settled without
-    the exact law, and the rest wait in one :class:`~bidirmr.focusing._LawPool`,
-    flushed at the end of the scenario, or once its rows would pass
-    ``_CHUNK_VALUES`` values; its decisions are added to the rejection
-    counts. Every decision is the law's. Memory is one chunk, one cell's
-    arrays and the pool at a time, whatever the number of cells or
-    replications. Sums over replications (valid-IV shares, class shares,
-    correlations) are added in replication order. Each cell's report
-    equals the scenario run on that cell alone, and the whole is fully
-    reproducible from ``scenario.rng_seed``: replication ``r`` draws from
-    the state ``default_rng(SeedSequence(rng_seed, spawn_key=(0, r)))``
-    starts in, derived for the whole chunk at once
-    (:func:`_replication_streams`), so the result depends neither on
-    scheduling nor on the chunk size.
+    tests run). A trait's association at a zero effect of the other trait
+    on it and its :class:`~bidirmr.focusing._Exposure` are computed once for
+    the chunk's cells with that zero, of one sign. A rejection rate needs
+    each row's decision alone, so the rows are asked for no scales: most
+    median decisions are settled without the exact law, and the rest wait in
+    one :class:`~bidirmr.focusing._LawPool`, flushed at the end of the
+    scenario, or once its rows would pass ``_CHUNK_VALUES`` values; its
+    decisions are added to the rejection counts. Every decision is the
+    law's. Memory is one chunk, one cell's arrays, two shared associations
+    per trait at most, with their exposure sides, and the pool at a time,
+    whatever the number of cells or replications. Sums over replications
+    (valid-IV shares, class shares, correlations) are added in replication
+    order. Each cell's report equals the scenario run on that cell alone,
+    and the whole is fully reproducible from ``scenario.rng_seed``:
+    replication ``r`` draws from the state
+    ``default_rng(SeedSequence(rng_seed, spawn_key=(0, r)))`` starts in,
+    derived for the whole chunk at once (:func:`_replication_streams`), so
+    the result depends neither on scheduling nor on the chunk size.
     """
     p = seed.p
     focus = replace(scenario.focus, tau_s=scenario.focus.resolve_tau_s(p))
@@ -557,6 +552,12 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     # the median rows whose decision needs the exact law, decided a pool at a time
     laws = _LawPool(tally, _CHUNK_VALUES)
 
+    # At a zero effect of the other trait on it, a trait's estimates do not depend on its
+    # own effect (_marginal_effect): the cells with that zero, of one sign, share them and
+    # their exposure side, kept up to the last such cell of a chunk, two per trait at most.
+    last = {(t, math.copysign(1.0, b)): c for c, cell in enumerate(cells)
+            for t, b in enumerate(cell[::-1]) if b == 0.0}
+
     chunk = max(1, _CHUNK_VALUES // p)
     stream = np.random.Generator(np.random.PCG64())  # set to each replication's state in turn
     for start in range(0, scenario.n_reps, chunk):
@@ -576,14 +577,27 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
             corr_sum = _add_in_order(corr_sum, _pearson_rows(pi_d[varied], pi_y[varied]))
             corr_n += int(varied.sum())
 
+        traits = ((pi_d, pi_y, seed.se_d, seed.se_y), (pi_y, pi_d, seed.se_y, seed.se_d))
+        shared = {}
         for c, (beta_dy, beta_yd) in enumerate(cells):
-            gamma_d, gamma_y = _marginal_effects(pi_d, pi_y, beta_dy, beta_yd)
-            beta_d, beta_y = _with_noise(gamma_d, gamma_y, seed.se_d, seed.se_y, draws[:, 2:])
-            if not (np.isfinite(beta_d).all() and np.isfinite(beta_y).all()):
-                raise _not_finite(beta_dy, beta_yd)
-            columns = (beta_d, seed.se_d, beta_y, seed.se_y)
+            sides = []
+            for t, (beta_in, beta_out) in enumerate(((beta_yd, beta_dy), (beta_dy, beta_yd))):
+                key = (t, math.copysign(1.0, beta_in)) if beta_in == 0.0 else None
+                exposure = shared.pop(key, None)
+                if exposure is None:
+                    pi, pi_other, se, out_se = traits[t]
+                    beta = _marginal_effect(pi, pi_other, beta_in, beta_out) + se * draws[:, 2 + t]
+                    if not np.isfinite(beta).all():
+                        raise _not_finite(beta_dy, beta_yd)
+                    exposure = _Exposure(beta, se, out_se, focus.tau_s)
+                if last.get(key, c) > c:
+                    shared[key] = exposure
+                sides.append(exposure)
+            # a side that no later cell shares is freed once its direction is done
+            todo = [(sides[0], sides[1].exp_beta), (sides[1], sides[0].exp_beta)]
+            sides = None
             for direction in directions:
-                data = _DirectionData(*_roles(direction, *columns), focus.tau_s)
+                data = _DirectionData(*todo.pop(0))
                 for method in scenario.methods:
                     key = (c, method, direction)
                     rows = _method_rows(data, focus, method, laws, key, scales=False)
@@ -594,9 +608,11 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
                     n_reject[key] += int((ok & rows.reject).sum())
                     n_empty[key] += int((ok & rows.empty_reject).sum())
                     shown = ok & (rows.size > 0)
-                    valid = (rows.selected & masks[_VALID_CLASS[direction]]).sum(axis=1)
+                    valid = data.method_set(method, focus.tau_f).count_in(
+                        masks[_VALID_CLASS[direction]])
                     prop_sum[key] = _add_in_order(prop_sum[key], valid[shown] / rows.size[shown])
                     prop_n[key] += int(shown.sum())
+        data = rows = None  # the last direction's arrays go before the next chunk's draws
     laws.flush()
 
     mean_rho = tuple((rho_sum / scenario.n_reps).tolist())

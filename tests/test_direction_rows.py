@@ -9,8 +9,9 @@ computation, and the closed-form Egger regression against
 orient MR-Egger's SNPs by multiplying by ±1; local copies of their
 ``np.where`` forms are the oracle for every float bit and every error. The
 vectorized two-sided p-value must give ``2 * std_sf(|z|)`` bit for bit on
-any float64 word. The methods of one direction share its sets, which must
-change no bit of any method's rows.
+any float64 word. The methods of one direction share its sets, and directions
+with one exposure side share that side, which must change no bit of any
+method's rows.
 """
 
 import dataclasses
@@ -538,11 +539,21 @@ def _fields(rows) -> dict:
     return out
 
 
+def _direction_data(exp_beta, exp_se, out_beta, out_se, tau_s):
+    return focusing._DirectionData(focusing._Exposure(exp_beta, exp_se, out_se, tau_s), out_beta)
+
+
 def _held_arrays(data) -> list:
-    """The arrays a ``_DirectionData`` holds, its sets' arrays among them."""
-    held = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
-    for chosen in data._sets.values():
-        held += [v for v in vars(chosen).values() if isinstance(v, np.ndarray)]
+    """The arrays a ``_DirectionData`` and its exposure side hold, their sets' arrays and
+    MR-Egger's exposure-side fit among them."""
+    exposure = data.exposure
+    holders = [data, exposure, *data._sets.values(), *exposure._sets.values()]
+    holders += [exposure.egger] if "egger" in vars(exposure) else []
+    held = []
+    for holder in holders:
+        for value in vars(holder).values():
+            values = value if isinstance(value, tuple) else (value,)  # a set's kept counts
+            held += [v for v in values if isinstance(v, np.ndarray)]
     return held
 
 
@@ -559,19 +570,24 @@ def test_sharing_a_directions_sets_changes_no_bit(chunk, methods, scales, zero):
     if tau_s == 0.0:  # a screen that keeps exact zero betas; chunks() draws at most 6 x 10
         exp_beta = np.where(np.reshape(zero[: exp_beta.size], exp_beta.shape), 0.0, exp_beta)
     cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s)
-    arrays = (exp_beta, exp_se, out_beta, out_se)
-    shared = focusing._DirectionData(*arrays, tau_s)
+    # a second outcome on the same exposure side, as grid cells share one
+    other_beta = -0.5 * out_beta[::-1]
+    shared = _direction_data(exp_beta, exp_se, out_beta, out_se, tau_s)
+    other = focusing._DirectionData(shared.exposure, other_beta)
+    directions = [(shared, out_beta), (other, other_beta)]
     seen = {}
     for method in methods:
-        rows = focusing._decided_rows(shared, cfg, method, scales)
-        alone = focusing._decided_rows(focusing._DirectionData(*arrays, tau_s), cfg, method, scales)
-        assert _fields(rows) == _fields(alone), method
-        assert not rows.selected.flags.writeable
-        for array in _held_arrays(shared):
-            if not any(array is given for given in arrays):
-                assert not array.flags.writeable
-            bits = seen.setdefault(id(array), (array, array.tobytes()))[1]
-            assert array.tobytes() == bits
+        for data, outcome in directions:
+            arrays = (exp_beta, exp_se, outcome, out_se)
+            rows = focusing._decided_rows(data, cfg, method, scales)
+            alone = focusing._decided_rows(_direction_data(*arrays, tau_s), cfg, method, scales)
+            assert _fields(rows) == _fields(alone), method
+            assert not rows.selected.flags.writeable
+            for array in _held_arrays(data):
+                if not any(array is given for given in arrays):
+                    assert not array.flags.writeable
+                bits = seen.setdefault(id(array), (array, array.tobytes()))[1]
+                assert array.tobytes() == bits
 
 
 def test_focused_methods_that_share_a_set_each_report_as_alone():

@@ -1,10 +1,13 @@
 """A grid cell's report equals the scenario run on that cell alone.
 
 ``run_scenario`` draws each chunk once and shares the activations, class
-shares and correlation between its (beta_dy, beta_yd) cells; no cell may see
-another's work. Generated seeds (3 to 200 SNPs), 1 to 5 cells with
-duplicates, every method, with and without separation, and 1, 3 or the
-default number of replications per chunk. The median methods' undecided
+shares and correlation between its (beta_dy, beta_yd) cells, and a trait's
+association at a zero effect of the other trait on it, with its exposure
+side, between the cells with that zero (of that sign); no cell may see
+another's work. Generated seeds (3 to 200 SNPs, some seed effects -0.0), 1 to
+5 cells with duplicates and zeros of both signs, every method, with and
+without separation, and 1, 3 or the default number of replications per
+chunk. The median methods' undecided
 rows of every cell wait in one pool of exact laws, which no cell may see
 either: a median grid that reaches the law must equal its cells alone.
 """
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bidirmr import focusing, simulation  # noqa: E402
@@ -27,7 +30,8 @@ from bidirmr.simulation import (  # noqa: E402
     run_scenario,
 )
 
-PAIRS = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (-0.4, 0.25), (0.6, -0.5), (1e-3, 2.0)]
+PAIRS = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (-0.4, 0.25), (0.6, -0.5), (1e-3, 2.0),
+         (-0.0, 0.3), (0.3, -0.0), (-0.0, -0.0)]
 
 
 def random_seed(p: int, entropy: int) -> SeedEffects:
@@ -51,6 +55,10 @@ def random_seed(p: int, entropy: int) -> SeedEffects:
     tau_s=st.sampled_from([None, 0.0, 2.5]),
     rows=st.sampled_from([1, 3, None]),
 )
+# both signs of a zero effect beside the null cell: cells that share a trait's association
+# share it by the zero's bits
+@example(p=40, entropy=11, pairs=[(0.0, 0.0), (-0.0, -0.0), (0.3, -0.0), (-0.0, 0.3), (0.3, 0.0)],
+         n_reps=7, c1=None, tau_s=0.0, rows=3)
 def test_each_grid_cell_equals_its_own_scenario(p, entropy, pairs, n_reps, c1, tau_s, rows):
     focus = FocusConfig(tau_f=1.5, tau_s=tau_s)
     seed = random_seed(p, entropy)

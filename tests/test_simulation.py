@@ -1,6 +1,7 @@
 """Truth generation, panel sampling, and scenario aggregation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -421,28 +422,77 @@ class TestGrid:
         assert repr(reports[0]) == repr(reports[2])
         assert reports[0].rejection_rates != reports[3].rejection_rates
 
-    def test_pair_free_work_runs_once_per_chunk(self, monkeypatch):
-        activated, marginal = [], []
-        real_activated, real_marginal = simulation._activated, simulation._marginal_effects
+    @pytest.mark.parametrize("pairs, computed", [
+        # a trait's association at a zero effect of the other on it is shared across cells
+        (((0.0, 0.0), (0.3, 0.0), (0.0, 0.3)),
+         [("d", 0.0, 0.0), ("y", 0.0, 0.0), ("y", 0.3, 0.0), ("d", 0.3, 0.0)]),
+        # but +0.0 and -0.0 are two zeros, and a nonzero effect is never shared
+        (((0.0, 0.0), (0.3, -0.0), (0.3, 0.0), (0.5, 0.2), (0.5, 0.2)),
+         [("d", 0.0, 0.0), ("y", 0.0, 0.0), ("d", -0.0, 0.3), ("y", 0.3, -0.0),
+          ("y", 0.3, 0.0), ("d", 0.2, 0.5), ("y", 0.5, 0.2), ("d", 0.2, 0.5), ("y", 0.5, 0.2)]),
+    ])
+    def test_pair_free_work_runs_once_per_chunk(self, pairs, computed, monkeypatch):
+        activated, effects, exposures = [], [], []
+        real_activated = simulation._activated
+        real_effect, real_exposure = simulation._marginal_effect, simulation._Exposure
 
         def spy_activated(seed, kappa, uniforms, min_snr):
-            activated.append(uniforms.shape)
-            return real_activated(seed, kappa, uniforms, min_snr)
+            activated.append(real_activated(seed, kappa, uniforms, min_snr))
+            return activated[-1]
 
-        def spy_marginal(pi_d, pi_y, beta_dy, beta_yd):
-            marginal.append((pi_d.shape, beta_dy, beta_yd))
-            return real_marginal(pi_d, pi_y, beta_dy, beta_yd)
+        def trait(pi, pi_other):
+            pi_d, pi_y = activated[-1]
+            return {(id(pi_d), id(pi_y)): "d", (id(pi_y), id(pi_d)): "y"}[id(pi), id(pi_other)]
+
+        def spy_effect(pi, pi_other, beta_in, beta_out):
+            effects.append((len(activated), pi.shape, trait(pi, pi_other), repr(beta_in),
+                            repr(beta_out)))
+            return real_effect(pi, pi_other, beta_in, beta_out)
+
+        def spy_exposure(exp_beta, exp_se, out_se, tau_s):
+            side = "d" if exp_se is seed.se_d and out_se is seed.se_y else "y"
+            exposures.append((len(activated), exp_beta.shape, side))
+            return real_exposure(exp_beta, exp_se, out_se, tau_s)
 
         monkeypatch.setattr(simulation, "_activated", spy_activated)
-        monkeypatch.setattr(simulation, "_marginal_effects", spy_marginal)
+        monkeypatch.setattr(simulation, "_marginal_effect", spy_effect)
+        monkeypatch.setattr(simulation, "_Exposure", spy_exposure)
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", 100)
         seed = synthetic_seed(40, np.random.default_rng(26))
-        pairs = ((0.0, 0.0), (0.3, 0.0), (0.0, 0.3))
-        run_scenario(seed, self._scenario(n_reps=5, methods=(Method.FOCUSED_IVW,), cells=pairs))
+        scenario = self._scenario(n_reps=5, methods=(Method.FOCUSED_IVW,), cells=pairs)
+        reports = run_scenario(seed, scenario)
         # chunks of 2, 2 and 1 replications, each drawn and activated once
-        assert activated == [(2, 2, 40), (2, 2, 40), (1, 2, 40)]
-        # and the cells take turns on each chunk, one (R, p) array at a time
-        assert marginal == [((r, 40), *pair) for r in (2, 2, 1) for pair in pairs]
+        assert [pi_d.shape for pi_d, _ in activated] == [(2, 40), (2, 40), (1, 40)]
+        # and the cells take turns on each chunk, one (R, p) array at a time, computing a
+        # trait's association, and its exposure side, once for the cells that share it
+        expected = [(k, (r, 40), t, repr(b_in), repr(b_out))
+                    for k, r in ((1, 2), (2, 2), (3, 1)) for t, b_in, b_out in computed]
+        assert effects == expected
+        assert exposures == [(k, shape, t) for k, shape, t, _, _ in expected]
+        for pair, report in zip(pairs, reports):
+            [alone] = run_scenario(seed, replace(scenario, cells=(pair,)))
+            assert repr(report) == repr(alone)
+
+    def test_memory_does_not_grow_with_the_number_of_cells(self):
+        # what a chunk shares between cells is bounded: at most two associations per trait
+        seed = synthetic_seed(200, np.random.default_rng(28))
+        methods = (Method.FOCUSED_IVW, Method.OVERALL_IVW, Method.MR_EGGER)
+        few = ((0.0, 0.0), (0.3, 0.0))
+        many = ((0.0, 0.0), *((0.05 * k, 0.0) for k in range(1, 10)), (0.3, 0.2), (-0.2, 0.1))
+        scenario = self._scenario(n_reps=2 * (simulation._CHUNK_VALUES // 200), methods=methods)
+
+        def peak(cells):
+            tracemalloc.start()
+            try:
+                run_scenario(seed, replace(scenario, cells=cells))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(few)  # what is computed once per process
+        array_bytes = (simulation._CHUNK_VALUES // 200) * 200 * 8  # one (R, p) float array
+        assert len(many) == 12
+        assert abs(peak(many) - peak(few)) < array_bytes
 
     @pytest.mark.parametrize("bad", [(2.0, 0.5), (math.nan, 0.0), (0.0, math.inf)])
     def test_invalid_pair_in_a_later_cell_raises_before_any_draw(self, bad, monkeypatch):
