@@ -228,14 +228,12 @@ def _panel_roles(panel: Panel, direction: Direction):
 
 
 class _Exposure:
-    """One direction's exposure side: what its methods read that no outcome beta changes,
-    computed once for every :class:`_DirectionData` built on it. ``exp_beta`` is (R, p),
-    finite, and the standard errors, finite and positive, broadcast against it (the
-    screen alone may be read for one panel's (p,) betas). ``relevant`` is the screen
-    ``|exp_beta| >= exp_se * tau_s``; each of ``has_zero`` (whether any exposure beta is
-    zero), the IVW ``weights`` ``(exp_beta / out_se)^2``, the relevant sets
-    (:meth:`relevant_set`) and ``egger`` (:class:`_EggerSide`) is computed when first
-    read. Every array is read-only."""
+    """One direction's exposure side, which no outcome beta changes, shared by every
+    :class:`_DirectionData` on it: the screen ``relevant``, ``|exp_beta| >= exp_se * tau_s``,
+    and, when first read, ``has_zero``, the IVW ``weights`` ``(exp_beta / out_se)^2``, the
+    relevant sets (:meth:`relevant_set`) and MR-Egger's part ``egger``. ``exp_beta`` is
+    (R, p) and finite, the standard errors finite, positive and broadcast against it (the
+    screen alone may be read for one panel's (p,) betas). Every array is read-only."""
 
     def __init__(self, exp_beta, exp_se, out_se, tau_s: float):
         self.exp_beta, self.out_se, self.tau_s = exp_beta, out_se, tau_s
@@ -360,17 +358,15 @@ class _Set:
 
 
 class _EggerSide:
-    """MR-Egger's closed form on an exposure side, as far as it reads no outcome beta. Per
-    row, the weighted least squares of oriented outcome on oriented exposure betas
-    with intercept, weights w = 1 / out_se^2 over the relevant set (zero betas kept),
-    solved on centered sums: with W = sum w, weighted means xbar and ybar,
-    Sxx = sum w (x - xbar)^2 and Sxy = sum w (x - xbar)(y - ybar) (the inverse of X'WX,
-    weights taken as exact inverse variances),
+    """The part of MR-Egger's closed form that reads no outcome beta. Per row, the weighted
+    least squares of oriented outcome on oriented exposure betas with intercept, weights
+    w = 1 / out_se^2 over the relevant set (zero betas kept), on centered sums: with W =
+    sum w, weighted means xbar and ybar, Sxx = sum w (x - xbar)^2, Sxy = sum w (x - xbar)
+    (y - ybar) (the inverse of X'WX, weights taken as exact inverse variances),
         slope = Sxy / Sxx,  intercept = ybar - slope * xbar,
         var(slope) = 1 / Sxx,  var(intercept) = 1 / W + xbar^2 / Sxx.
-    It holds ``negative`` (``exp_beta < 0``), ``wdx`` = w (x - xbar), ``w_sum`` (W),
-    ``x_bar``, ``s_xx``, ``se``, ``intercept_se`` and ``errors``, the set's and the rank
-    checks'; the signs and w, one or two passes each, are not kept."""
+    It keeps ``negative`` (exp_beta < 0), ``wdx`` = w (x - xbar), ``w_sum``, ``x_bar``,
+    ``s_xx``, ``se``, ``intercept_se`` and ``errors``, the set's and the rank checks'."""
 
     def __init__(self, exposure: _Exposure):
         chosen = exposure.relevant_set(drop_zero=False)
@@ -1036,11 +1032,10 @@ class DirectionRows:
     """One directional test on each row of R panels, row ``r`` as on panel ``r`` alone.
 
     ``selected`` is the (R, p) set each row aggregates over (after
-    zero-denominator drops) and ``size`` its cardinality. Both,
-    ``n_dropped``, IVW's ``weight_sum`` and MR-Egger's ``se`` and
-    ``intercept_se`` are read-only: the methods that read the same set share
-    its arrays (:meth:`_DirectionData.set_of`), and the directions on one
-    exposure side what it holds (:class:`_Exposure`). ``empty_reject``
+    zero-denominator drops) and ``size`` its cardinality. Both, ``n_dropped``,
+    IVW's ``weight_sum`` and MR-Egger's ``se`` and ``intercept_se`` are
+    read-only: they may be shared with other rows (:class:`_Exposure`,
+    :meth:`_DirectionData.set_of`). ``empty_reject``
     marks rows whose empty focused set rejects by construction (p-value 0).
     ``reject`` is the test's decision at the caller's ``alpha``,
     ``empty_reject | (p_value <= alpha)``.

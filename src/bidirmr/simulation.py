@@ -507,21 +507,20 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     :class:`~bidirmr.focusing._DirectionData` that every configured method
     reads, as row operations (:func:`bidirmr.focusing._method_rows`, the
     kernel of :func:`~bidirmr.focusing.direction_rows` that the single-panel
-    tests run). A trait's association at a zero effect of the other trait
-    on it and its :class:`~bidirmr.focusing._Exposure` are computed once for
-    the chunk's cells with that zero, of one sign. A rejection rate needs
-    each row's decision alone, so the rows are asked for no scales: most
-    median decisions are settled without the exact law, and the rest wait in
-    one :class:`~bidirmr.focusing._LawPool`, flushed at the end of the
-    scenario, or once its rows would pass ``_CHUNK_VALUES`` values; its
-    decisions are added to the rejection counts. Every decision is the
-    law's. Memory is one chunk, one cell's arrays, two shared associations
-    per trait at most, with their exposure sides, and the pool at a time,
-    whatever the number of cells or replications. Sums over replications
-    (valid-IV shares, class shares, correlations) are added in replication
-    order. Each cell's report equals the scenario run on that cell alone,
-    and the whole is fully reproducible from ``scenario.rng_seed``:
-    replication ``r`` draws from the state
+    tests run). The chunk's cells with one zero effect of the other trait
+    on a trait (of one sign) share that trait's association and its
+    :class:`~bidirmr.focusing._Exposure`. A rejection rate needs each row's
+    decision alone, so the rows are asked for no scales: most median
+    decisions are settled without the exact law, and the rest wait in one
+    :class:`~bidirmr.focusing._LawPool`, flushed at the end of the scenario,
+    or once its rows would pass ``_CHUNK_VALUES`` values; its decisions are
+    added to the rejection counts. Every decision is the law's. Memory is
+    one chunk, one cell's arrays, at most two shared associations per trait
+    with their exposure sides, and the pool, whatever the number of cells or
+    replications. Sums over replications (valid-IV shares, class shares,
+    correlations) are added in replication order. Each cell's report equals
+    the scenario run on that cell alone, and the whole is fully reproducible
+    from ``scenario.rng_seed``: replication ``r`` draws from the state
     ``default_rng(SeedSequence(rng_seed, spawn_key=(0, r)))`` starts in,
     derived for the whole chunk at once (:func:`_replication_streams`), so
     the result depends neither on scheduling nor on the chunk size.
@@ -552,9 +551,8 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     # the median rows whose decision needs the exact law, decided a pool at a time
     laws = _LawPool(tally, _CHUNK_VALUES)
 
-    # At a zero effect of the other trait on it, a trait's estimates do not depend on its
-    # own effect (_marginal_effect): the cells with that zero, of one sign, share them and
-    # their exposure side, kept up to the last such cell of a chunk, two per trait at most.
+    # a trait's estimates at a zero effect of the other on it (_marginal_effect), shared by
+    # the cells with that zero, of one sign, up to the last of them in a chunk
     last = {(t, math.copysign(1.0, b)): c for c, cell in enumerate(cells)
             for t, b in enumerate(cell[::-1]) if b == 0.0}
 
