@@ -139,13 +139,15 @@ def _finite(name: str, arr: np.ndarray, positive: bool) -> np.ndarray:
     return arr
 
 
-def _vectors(owner, size: int | None, positive: tuple[str, ...], **columns) -> None:
+def _vectors(owner, size: int | None, positive: tuple[str, ...], *, least: int = 1,
+             **columns) -> None:
     """Set each column on ``owner`` as a read-only float64 copy of ``size`` values (the first
-    column's count if ``None``, and at least one), finite, and positive if named in ``positive``."""
+    column's count if ``None``, and at least ``least``), finite, and positive if named in
+    ``positive``."""
     for name, value in columns.items():
         arr = _floats(name, value)
         size = arr.size if size is None else size
-        _count(f"the SNP count of {type(owner).__name__}", size, 1)
+        _count(f"the SNP count of {type(owner).__name__}", size, least)
         if arr.shape != (size,):
             raise InputError(f"{name} must have length {size}, got shape {arr.shape}")
         _finite(name, arr, name in positive).setflags(write=False)

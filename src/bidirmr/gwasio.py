@@ -23,9 +23,10 @@ effect alleles: when the outcome file reports the swapped allele pair the
 outcome beta changes sign, while palindromic (A/T, C/G) and
 mismatched-allele variants are dropped, since without allele frequencies a
 silent misorientation is worse than exclusion. Standard errors are never
-altered. Ids are joined on sorted integer keys (their hashes), every match
-confirmed by comparing the ids themselves, and alleles are compared as
-integer codes; an id repeated within either file is refused.
+altered. Ids are joined on sorted integer keys (their hashes), sorted once
+per file by its reader as its check for repeated ids, every match confirmed
+by comparing the ids themselves, and alleles are compared as integer codes;
+an id repeated within either file is refused.
 
 Serialization is deterministic: fixed key order, reals rounded to 12
 significant digits, a schema version field, and byte-identical output for
@@ -41,9 +42,8 @@ import logging
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -54,6 +54,8 @@ from .errors import (
     GwasParseError,
     InputError,
     NonPositiveSEError,
+    _refused,
+    _vectors,
 )
 from .focusing import Panel
 
@@ -87,33 +89,98 @@ _CHUNK_ROWS = 8_192
 _WRITE_ROWS = 16_384
 
 
-@dataclass(frozen=True, eq=False)
 class GwasFile:
-    """One study's parsed summary statistics, in file order.
+    """One study's summary statistics, in file order.
 
-    Allele columns are arrays of upper-cased allele strings, or None when the
-    file has no allele columns. A loaded file's arrays are object arrays that
-    hold one string per distinct allele, however long, shared by its rows.
+    A study built by hand has its fields checked: ``beta`` finite and ``se``
+    positive, as many as ``ids`` (taken as strings), and both allele columns
+    or neither, read as :func:`load_gwas` reads them (stripped, upper-cased).
+    The ids are kept once, as a read-only object array (``ids`` builds their
+    tuple when read), and the alleles only as codes (``_codes``: the distinct
+    alleles, and each column's codes into them in the narrowest unsigned
+    type); ``effect_allele`` and ``other_allele`` build their object arrays
+    when read. The ids' key index (:func:`_id_index`) is built once: by the
+    reader, as its check for repeated ids, or on a hand-built study's first
+    harmonization.
     """
 
-    ids: tuple[str, ...]
-    beta: np.ndarray
-    se: np.ndarray
-    effect_allele: np.ndarray | None = None
-    other_allele: np.ndarray | None = None
-    # (alleles, effect codes, other codes): the allele columns as codes into a
-    # tuple of their distinct alleles, in the narrowest unsigned type that holds
-    # them. load_gwas passes the reader's; a file
-    # built without them gets them from its arrays (see _codes_of).
-    _codes: tuple | None = field(default=None, repr=False)
+    __slots__ = ("_ids", "beta", "se", "_codes", "_index")
+
+    def __init__(self, ids, beta, se, effect_allele=None, other_allele=None):
+        try:
+            ids = np.fromiter(map(str, ids), object)
+        except TypeError:
+            raise _refused("ids", "a sequence of variant ids", ids) from None
+        _vectors(self, ids.size, ("se",), least=0, beta=beta, se=se)
+        columns: dict[str, np.ndarray] = {}
+        alleles: dict[str, int] = {}
+        for name, column in zip(_ALLELE_COLUMNS, (effect_allele, other_allele)):
+            if effect_allele is other_allele is None:
+                break
+            try:
+                values = list(map(str, column))
+            except TypeError:
+                raise _refused(name, "a sequence of alleles", column) from None
+            if len(values) != ids.size:
+                raise InputError(f"{name} must have length {ids.size}, got {len(values)}")
+            columns[name] = _allele_codes(values, alleles)
+        self._fill(ids, _allele_columns(columns, alleles).get("alleles"), None)
+
+    @classmethod
+    def _of_columns(cls, columns: dict) -> GwasFile:
+        """The study of the columns :func:`_read_columns` read and checked, with their index."""
+        gwas = cls.__new__(cls)
+        for name in ("beta", "se"):
+            columns[name].setflags(write=False)
+            object.__setattr__(gwas, name, columns[name])
+        gwas._fill(columns["id"], columns.get("alleles"), columns["index"])
+        return gwas
+
+    def _fill(self, ids: np.ndarray, codes: tuple | None, index: tuple | None) -> None:
+        ids.setflags(write=False)
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GwasFile is immutable")
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """The variant ids, in file order."""
+        return tuple(self._ids.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return self._ids.size
 
     @property
     def has_alleles(self) -> bool:
-        return self.effect_allele is not None and self.other_allele is not None
+        return self._codes is not None
+
+    @property
+    def effect_allele(self) -> np.ndarray | None:
+        return self._alleles(1)
+
+    @property
+    def other_allele(self) -> np.ndarray | None:
+        return self._alleles(2)
+
+    def _alleles(self, column: int) -> np.ndarray | None:
+        # one string per distinct allele, however long, shared by the rows
+        if self._codes is None:
+            return None
+        return np.array(self._codes[0], dtype=object)[self._codes[column]]
+
+    def _checked_index(self, role: str) -> tuple:
+        """The ids' key index, built on first use; a repeated id is refused, naming ``role``."""
+        if self._index is None:
+            object.__setattr__(self, "_index", _id_index(self._ids))
+        repeat = self._index[3]
+        if repeat is not None:
+            variant = self._ids[repeat]
+            raise DuplicateVariantError(f"duplicate variant id {variant!r} in the {role} study")
+        return self._index
 
 
 def parse_col_map(spec: str) -> dict[str, str]:
@@ -141,8 +208,7 @@ def load_gwas(path: str, col_map: Mapping[str, str] | None = None) -> GwasFile:
     UTF-8. Non-numeric, non-finite, or nonpositive-SE rows and empty or
     duplicate ids fail with the physical line the offending row starts on.
     """
-    columns = _read_columns(path, _REQUIRED_COLUMNS, _ALLELE_COLUMNS, col_map)
-    gwas = GwasFile(ids=columns.pop("id"), _codes=columns.pop("alleles", None), **columns)
+    gwas = GwasFile._of_columns(_read_columns(path, _REQUIRED_COLUMNS, _ALLELE_COLUMNS, col_map))
     logger.info("loaded %d variants from %s", gwas.n, path)
     return gwas
 
@@ -161,14 +227,14 @@ def load_float_columns(path: str, required: Sequence[str]) -> dict[str, np.ndarr
 def _read_columns(path: str, required, optional=(), col_map=None) -> dict[str, Any]:
     """The required columns of a UTF-8 TSV, and the optional ones if all are present.
 
-    ``id`` is read as stripped, nonempty, unique strings (a tuple), the
-    allele columns as upper-cased strings with their codes (see
-    :func:`_allele_columns`), a standard-error column (``se``, ``se_d``,
-    ``se_y``) as positive floats and any other column as finite floats, all by
-    :func:`_columns`. A plain file is read by :func:`_fast_columns`, which
-    gives exactly what :func:`_strict_columns` gives or declines the file; a
-    declined file, and every invalid one, is read by :func:`_strict_columns`,
-    whose errors name its line.
+    ``id`` is read as stripped, nonempty, unique strings (an object array,
+    with its key index as ``index``: see :func:`_duplicate_error`), the allele
+    columns as codes (see :func:`_allele_columns`), a standard-error column
+    (``se``, ``se_d``, ``se_y``) as positive floats and any other column as
+    finite floats, all by :func:`_columns`. A plain file is read by
+    :func:`_fast_columns`, which gives exactly what :func:`_strict_columns`
+    gives or declines the file; a declined file, and every invalid one, is read
+    by :func:`_strict_columns`, whose errors name its line.
     """
     col_map = col_map or {}
     with _gc_paused():
@@ -256,8 +322,8 @@ def _fast_columns(path: str, required, optional, col_map: dict[str, str]) -> dic
          for name, k in pos.items()),
         alleles,
     )
-    del table  # the columns are copies; the table goes before the set of ids
-    if columns is None or _duplicate_error(columns.get("id", ()), path) is not None:
+    del table  # the columns are copies; the table goes before the ids are indexed
+    if columns is None or _duplicate_error(columns, path) is not None:
         return None
     return _allele_columns(columns, alleles)
 
@@ -312,20 +378,17 @@ def _parse_columns(reader, required, optional, col_map: dict[str, str], path: st
             fields = list(zip(*rows))
             chunk = _columns(((name, fields[k]) for name, k in pos.items()), alleles)
         if chunk is None:
-            ids = _chunk_ids(chunks)
-            raise _duplicate_error(ids, path) or _first_row_error(
+            ids = np.concatenate([c.get("id", ()) for c in chunks])
+            raise _duplicate_error({"id": ids}, path) or _first_row_error(
                 rows, first_line, width, pos, set(ids), path
             )
         chunks.append(chunk)
         first_line += len(rows)
-    ids = _chunk_ids(chunks)
-    error = _duplicate_error(ids, path)
+    columns = {name: np.concatenate([c[name] for c in chunks]) for name in pos}
+    error = _duplicate_error(columns, path)
     if error is not None:
         raise error
-    return _allele_columns(
-        {name: ids if name == "id" else np.concatenate([c[name] for c in chunks]) for name in pos},
-        alleles,
-    )
+    return _allele_columns(columns, alleles)
 
 
 def _header_positions(header, required, optional, col_map, path) -> tuple[dict[str, int], int]:
@@ -341,21 +404,17 @@ def _header_positions(header, required, optional, col_map, path) -> tuple[dict[s
     return {c: names.index(c) for c in wanted}, len(names)
 
 
-def _chunk_ids(chunks: list[dict]) -> tuple[str, ...]:
-    return tuple(chain.from_iterable(c.get("id", ()) for c in chunks))
-
-
 def _columns(fields, alleles: dict[str, int]) -> dict | None:
     """The columns that :func:`_read_columns` reads, from ``(name, raw fields)``
     pairs, or None if a field is invalid. The raw fields are strings, or a float
-    column of the fast parse's table. Ids are stripped and nonempty, alleles are
-    codes into ``alleles`` (:func:`_allele_codes`), and numbers are finite, and
-    positive in a standard-error column; :func:`_row_error` says which rule a row
-    breaks. Duplicate ids are left to :func:`_duplicate_error`."""
+    column of the fast parse's table. Ids are stripped and nonempty strings in an
+    object array, alleles are codes into ``alleles`` (:func:`_allele_codes`), and
+    numbers are finite, and positive in a standard-error column; :func:`_row_error`
+    says which rule a row breaks. Duplicate ids are left to :func:`_duplicate_error`."""
     columns: dict[str, Any] = {}
     for name, raw in fields:
         if name == "id":
-            columns[name] = ids = tuple(map(str.strip, raw))
+            columns[name] = ids = np.fromiter(map(str.strip, raw), object, len(raw))
             if not all(ids):
                 return None
         elif name in _ALLELE_COLUMNS:
@@ -384,18 +443,13 @@ def _allele_codes(raw: Sequence[str], alleles: dict[str, int]) -> np.ndarray:
 
 
 def _allele_columns(columns: dict, alleles: dict[str, int]) -> dict:
-    """``columns`` with their allele codes in ``alleles`` turned into alleles, if
-    they have allele columns. Each becomes an object array whose rows share one
-    string per distinct allele, and ``columns["alleles"]`` keeps the codes:
-    ``(alleles, effect codes, other codes)``, as :class:`GwasFile` takes them,
-    in the narrowest type that holds them (:func:`_narrowed`)."""
-    if _ALLELE_COLUMNS[0] not in columns:
-        return columns
-    vocabulary = tuple(alleles)
-    values = np.array(vocabulary, dtype=object)
-    codes = tuple(_narrowed(columns[name], len(vocabulary)) for name in _ALLELE_COLUMNS)
-    columns.update((name, values[c]) for name, c in zip(_ALLELE_COLUMNS, codes))
-    columns["alleles"] = (vocabulary, *codes)
+    """``columns`` with their allele columns' codes into ``alleles``, if any, moved
+    into one entry ``columns["alleles"]``: ``(alleles, effect codes, other
+    codes)``, as :class:`GwasFile` keeps them, each column's codes in the
+    narrowest type that holds them (:func:`_narrowed`)."""
+    if _ALLELE_COLUMNS[0] in columns:
+        codes = [_narrowed(columns.pop(name), len(alleles)) for name in _ALLELE_COLUMNS]
+        columns["alleles"] = (tuple(alleles), *codes)
     return columns
 
 
@@ -405,18 +459,18 @@ def _narrowed(codes: np.ndarray, n_alleles: int) -> np.ndarray:
     return codes.astype(np.min_scalar_type(max(n_alleles - 1, 0)))
 
 
-def _duplicate_error(ids: tuple[str, ...], path: str) -> DuplicateVariantError | None:
-    """The first repeated id of rows that are otherwise valid, if any."""
-    if len(set(ids)) == len(ids):
+def _duplicate_error(columns: dict, path: str) -> DuplicateVariantError | None:
+    """Index the ids of rows that are otherwise valid, if ``columns`` has them, into
+    ``columns["index"]`` (:func:`_id_index`); the error of the first repeated id,
+    naming its line, if any."""
+    if "id" not in columns:
         return None
-    seen: set[str] = set()
-    for line_no, variant in enumerate(ids, start=2):
-        if variant in seen:
-            return DuplicateVariantError(
-                f"duplicate variant id {variant!r}", path=path, line=line_no
-            )
-        seen.add(variant)
-    return None
+    ids = columns["id"]
+    columns["index"] = _id_index(ids)
+    row = columns["index"][3]
+    if row is None:
+        return None
+    return DuplicateVariantError(f"duplicate variant id {ids[row]!r}", path=path, line=row + 2)
 
 
 def _first_row_error(rows, first_line, width, pos, seen, path) -> GwasParseError:
@@ -498,31 +552,16 @@ def _palindromic(alleles: tuple, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return (b1 != 0) & (b1 == -bases[a2])
 
 
-def _codes_of(study: GwasFile) -> tuple:
-    """A study's ``(alleles, effect codes, other codes)``: the reader's, or for a study
-    built without them, its allele arrays' values as given, numbered in order; codes
-    as :func:`_narrowed` gives them."""
-    if study._codes is not None:
-        return study._codes
-    index: dict = {}
-    codes = [
-        np.fromiter((index.setdefault(a, len(index)) for a in column), np.intp, len(column))
-        for column in (study.effect_allele, study.other_allele)
-    ]
-    return (tuple(index), *(_narrowed(c, len(index)) for c in codes))
-
-
-def _keys(ids: Sequence[str]) -> np.ndarray:
-    """An int64 key per id, its ``hash``. A ``str`` computes its hash once and keeps
-    it, and the reader's duplicate check has already asked for it. Equal ids have
-    equal keys; distinct ids may share one."""
+def _keys(ids: np.ndarray) -> np.ndarray:
+    """An int64 key per id, its ``hash``, which a ``str`` computes once and keeps.
+    Equal ids have equal keys; distinct ids may share one."""
     return np.fromiter(map(hash, ids), np.int64, len(ids))
 
 
-def _id_index(ids: Sequence[str], role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(keys, order, shared)``: the ids' :func:`_keys` in ascending order, the rows
-    in that order, and the positions in it of every key that more than one row has.
-    A repeated id is refused, naming its first repeat in row order."""
+def _id_index(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """``(keys, order, shared, repeat)``: the ids' :func:`_keys` in ascending order,
+    the rows in that order, the positions in it of every key that more than one row
+    has, and the first row whose id repeats an earlier row's, or None."""
     keys = _keys(ids)
     order = np.argsort(keys)
     keys = keys[order]
@@ -531,22 +570,22 @@ def _id_index(ids: Sequence[str], role: str) -> tuple[np.ndarray, np.ndarray, np
     seen = set()
     for row in np.sort(order[shared]).tolist():  # an id and its repeats share a key
         if ids[row] in seen:
-            raise DuplicateVariantError(f"duplicate variant id {ids[row]!r} in the {role} study")
+            return keys, order, shared, row
         seen.add(ids[row])
-    return keys, order, shared
+    return keys, order, shared, None
 
 
-def _join(exposure: GwasFile, outcome: GwasFile, exposure_ids: np.ndarray):
+def _join(exposure: GwasFile, outcome: GwasFile):
     """Rows ``(i, j)`` of the exposure and outcome ids that are equal, in exposure order.
 
-    Both studies' ids are indexed by sorted keys (:func:`_id_index`) and the
-    exposure's are looked up in the outcome's with ``searchsorted``, in key order.
-    Each pair of equal keys is confirmed by comparing the ids. An exposure id whose
-    key several outcome ids share is looked up among just those ids, so the join
-    stays exact, and linear in the rows whose keys collide.
+    Each study's ids are indexed by sorted keys (:func:`_id_index`, built once per
+    study) and the exposure's are looked up in the outcome's with ``searchsorted``,
+    in key order. Each pair of equal keys is confirmed by comparing the ids. An
+    exposure id whose key several outcome ids share is looked up among just those
+    ids, so the join stays exact, and linear in the rows whose keys collide.
     """
-    exp_keys, exp_order, _ = _id_index(exposure.ids, "exposure")
-    out_keys, out_order, shared = _id_index(outcome.ids, "outcome")
+    exp_keys, exp_order, _, _ = exposure._checked_index("exposure")
+    out_keys, out_order, shared, _ = outcome._checked_index("outcome")
     if not len(out_keys):
         return np.empty(0, np.intp), np.empty(0, np.intp)
     at = np.searchsorted(out_keys, exp_keys).clip(max=len(out_keys) - 1)
@@ -554,15 +593,16 @@ def _join(exposure: GwasFile, outcome: GwasFile, exposure_ids: np.ndarray):
     i, at = exp_order[probed], at[probed]
     j = out_order[at]
     if len(shared):
-        rows = {outcome.ids[r]: r for r in out_order[shared].tolist()}
+        rows = {outcome._ids[r]: r for r in out_order[shared].tolist()}
         ambiguous = np.isin(at, shared)  # ``at`` is the first position of its key
-        j[ambiguous] = [rows.get(exposure.ids[r], -1) for r in i[ambiguous].tolist()]
+        j[ambiguous] = [rows.get(exposure._ids[r], -1) for r in i[ambiguous].tolist()]
         i, j = i[j >= 0], j[j >= 0]
-    same = exposure_ids[i] == np.array(outcome.ids, dtype=object)[j]
     match = np.full(exposure.n, -1, dtype=np.intp)
-    match[i[same]] = j[same]
+    match[i] = j
     i = np.flatnonzero(match >= 0)
-    return i, match[i]
+    j = match[i]
+    same = exposure._ids[i] == outcome._ids[j]  # in exposure order: the ids are read in turn
+    return i[same], j[same]
 
 
 def harmonize(
@@ -582,12 +622,11 @@ def harmonize(
     if mode is HarmonizeMode.BY_ALLELE and not (exposure.has_alleles and outcome.has_alleles):
         raise InputError("allele harmonization requires allele columns in both files")
 
-    exposure_ids = np.array(exposure.ids, dtype=object)
-    i, j = _join(exposure, outcome, exposure_ids)
+    i, j = _join(exposure, outcome)
     flip = np.zeros(len(i), dtype=bool)
     if mode is HarmonizeMode.BY_ALLELE:
-        exp_alleles, exp_ea, exp_oa = _codes_of(exposure)
-        out_alleles, out_ea, out_oa = _codes_of(outcome)
+        exp_alleles, exp_ea, exp_oa = exposure._codes
+        out_alleles, out_ea, out_oa = outcome._codes
         exp_ea, exp_oa, out_ea, out_oa = exp_ea[i], exp_oa[i], out_ea[j], out_oa[j]
         palindromic = _palindromic(exp_alleles, exp_ea, exp_oa) | _palindromic(
             out_alleles, out_ea, out_oa
@@ -612,7 +651,7 @@ def harmonize(
         raise EmptyIntersectionError("no variants shared between exposure and outcome files")
     beta_y = outcome.beta[j]
     return Panel._of_unique_ids(
-        exposure_ids[i],
+        exposure._ids[i],
         exposure.beta[i],
         exposure.se[i],
         np.where(flip, -beta_y, beta_y),
@@ -733,7 +772,8 @@ class ColumnTable:
         return self.n_rows
 
 
-_BOOL_CELLS = ("false", "true")
+# A boolean column's cells, taken by its values as uint8.
+_BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 
 def _chunk_cells(column: Any, start: int, stop: int) -> tuple[str, list]:
@@ -749,12 +789,10 @@ def _chunk_cells(column: Any, start: int, stop: int) -> tuple[str, list]:
         return spec, cells
     if not isinstance(column, np.ndarray):
         return "%s", column[start:stop]
-    values = column[start:stop].tolist()
     if column.dtype == bool:
-        return "%s", [_BOOL_CELLS[v] for v in values]
-    if column.dtype.kind == "f":
-        return "%.12g", values
-    return "%s", values
+        return "%s", _BOOL_CELLS.take(column[start:stop].view(np.uint8)).tolist()
+    values = column[start:stop].tolist()
+    return ("%.12g" if column.dtype.kind == "f" else "%s"), values
 
 
 def write_tsv_rows(path: str, columns: Sequence[str], rows: ColumnTable) -> None:

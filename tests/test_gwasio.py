@@ -1,6 +1,7 @@
 """Parsing, harmonization, and deterministic serialization."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -358,6 +359,67 @@ class TestWriteTsvRows:
 def allele_file(rows):
     header = "id\tbeta\tse\teffect_allele\tother_allele\n"
     return header + "".join(rows)
+
+
+class TestGwasFile:
+    def test_lists_are_read_as_arrays(self):
+        # a list of betas used to reach harmonize's indexing as a list, a bare TypeError
+        study = GwasFile(ids=["rs1", "rs2"], beta=[0.3, 0.4], se=[0.1, 0.1])
+        assert study.ids == ("rs1", "rs2") and study.n == 2 and not study.has_alleles
+        panel = harmonize(study, study)
+        assert panel.beta_d.tolist() == panel.beta_y.tolist() == [0.3, 0.4]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"beta": [0.3]}, "beta must have length 2, got shape (1,)"),
+            ({"beta": [0.3, "x"]}, "beta must be a vector of real numbers, got [0.3, 'x']"),
+            ({"beta": [0.3, float("nan")]}, "beta must be finite, got nan"),
+            ({"se": [0.1, 0.0]}, "se must be finite and positive, got 0.0"),
+            ({"se": [0.1, -1.0]}, "se must be finite and positive, got -1.0"),
+            ({"ids": 7}, "ids must be a sequence of variant ids, got 7"),
+            ({"effect_allele": ["A", "C"]}, "other_allele must be a sequence of alleles, got None"),
+            ({"effect_allele": ["A"], "other_allele": ["G", "T"]},
+             "effect_allele must have length 2, got 1"),
+        ],
+    )
+    def test_fields_are_checked_when_built(self, fields, message):
+        valid = {"ids": ["rs1", "rs2"], "beta": [0.3, 0.4], "se": [0.1, 0.1]}
+        with pytest.raises(InputError) as info:
+            GwasFile(**{**valid, **fields})
+        assert str(info.value) == message
+
+    def test_a_study_is_immutable(self, tmp_path):
+        built = GwasFile(ids=["rs1"], beta=[0.3], se=[0.1])
+        loaded = load_gwas(write(tmp_path, "e.tsv", BASIC))
+        for study in (built, loaded):
+            with pytest.raises(AttributeError):
+                study.beta = np.zeros(1)
+            for column in (study.beta, study.se):
+                with pytest.raises(ValueError):
+                    column[0] = 1.0
+
+    def test_built_alleles_are_read_as_the_reader_reads_them(self, tmp_path):
+        # lower-case or padded alleles used to count as other alleles than the file's
+        loaded = load_gwas(
+            write(tmp_path, "o.tsv", allele_file(["rs1\t0.2\t0.04\tA\tG\n",
+                                                  "rs2\t0.5\t0.04\tC\tT\n"]))
+        )
+        built = GwasFile(ids=("rs1", "rs2"), beta=[0.1, 0.3], se=[0.05, 0.05],
+                         effect_allele=np.array(["a", " C"]), other_allele=["g ", "t"])
+        assert built.effect_allele.tolist() == ["A", "C"]
+        assert built.other_allele.tolist() == ["G", "T"]
+        for exposure, outcome in ((built, loaded), (loaded, built)):
+            panel = harmonize(exposure, outcome, HarmonizeMode.BY_ALLELE)
+            assert panel.ids == ("rs1", "rs2")
+            assert panel.beta_y.tolist() == outcome.beta.tolist()
+
+    def test_the_reader_checks_each_field_once(self, tmp_path):
+        path = write(tmp_path, "e.tsv", allele_file(["rs1\t0.1\t0.05\tA\tG\n"]))
+        with mock.patch.object(gwasio, "_vectors", wraps=gwasio._vectors) as check:
+            load_gwas(path)
+            GwasFile(ids=["rs1"], beta=[0.3], se=[0.1])
+        assert check.call_count == 1
 
 
 class TestHarmonize:

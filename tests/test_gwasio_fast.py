@@ -2,9 +2,9 @@
 
 ``gwasio._fast_columns`` reads a file in one ``np.loadtxt`` pass; whatever it
 does not decline must equal ``gwasio._strict_columns`` on the same file: floats
-bit for bit (compared as ``uint64``, so ``-0.0`` and subnormals count), ids,
-alleles and the alleles' dtype, and each reader's allele codes must decode to
-its alleles. Every file, declined or not, must load (or fail, with the same
+bit for bit (compared as ``uint64``, so ``-0.0`` and subnormals count), ids
+and their key index, and each reader's allele codes must decode to the same
+alleles. Every file, declined or not, must load (or fail, with the same
 error type, line and message) as the strict reader alone loads it. Clean files
 laid out like the benchmark's generated ones must never reach the strict
 reader.
@@ -27,7 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import bidirmr.gwasio as gwasio  # noqa: E402
 from bidirmr.errors import GwasParseError  # noqa: E402
-from bidirmr.gwasio import load_float_columns, load_gwas  # noqa: E402
+from bidirmr.gwasio import GwasFile, harmonize, load_float_columns, load_gwas  # noqa: E402
 
 GWAS = (gwasio._REQUIRED_COLUMNS, gwasio._ALLELE_COLUMNS)
 
@@ -49,20 +49,25 @@ def assert_same_columns(got: dict, want: dict) -> None:
     assert list(got) == list(want)
     for name, value in want.items():
         if name == "id":
-            assert type(got[name]) is tuple and got[name] == value
-        elif name in gwasio._ALLELE_COLUMNS:
-            assert got[name].dtype == value.dtype
-            assert got[name].shape == value.shape and got[name].tolist() == value.tolist()
+            assert got[name].dtype == object and got[name].tolist() == value.tolist()
+            assert all(type(variant) is str for variant in got[name].tolist())
+        elif name == "index":
+            # the ids' hashes in ascending order, and the rows in that order
+            keys, order, shared, repeat = got[name]
+            assert keys.tolist() == [hash(got["id"][k]) for k in order.tolist()]
+            assert (keys[1:] >= keys[:-1]).all() and repeat is None
+            for part, want in zip((keys, order, shared), value):
+                assert part.tolist() == want.tolist()
         elif name == "alleles":
             # codes into each reader's own tuple of the file's distinct alleles
             alleles, *codes = got[name]
             assert len(set(alleles)) == len(alleles) and sorted(alleles) == sorted(value[0])
-            for column, c in zip(gwasio._ALLELE_COLUMNS, codes):
+            for c, want in zip(codes, value[1:]):
                 assert c.dtype == np.min_scalar_type(max(len(alleles) - 1, 0))
-                assert [alleles[k] for k in c.tolist()] == got[column].tolist()
+                assert [alleles[k] for k in c.tolist()] == [value[0][k] for k in want.tolist()]
         else:
             assert got[name].dtype == value.dtype == np.float64
-            assert got[name].flags.c_contiguous and got[name].flags.writeable
+            assert got[name].flags.c_contiguous and got[name].flags.owndata
             assert got[name].view(np.uint64).tolist() == value.view(np.uint64).tolist()
 
 
@@ -204,11 +209,49 @@ def test_generated_files_never_reach_the_strict_reader(tmp_path, seed):
         gwas = load_gwas(path)
         assert reader.call_count == 0
     assert_same_columns(
-        {"id": gwas.ids, "beta": gwas.beta, "se": gwas.se,
-         "effect_allele": gwas.effect_allele, "other_allele": gwas.other_allele,
+        {"id": gwas._ids, "beta": gwas.beta, "se": gwas.se, "index": gwas._index,
          "alleles": gwas._codes},
         want,
     )
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_each_file_is_keyed_once(tmp_path, newline):
+    # the index each reader builds as its duplicate check is the one harmonize joins on;
+    # the CRLF copies are read by the strict reader
+    paths = [generated_like(tmp_path, 3000, seed) for seed in (6, 7)]
+    for path in paths:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"\n", newline.encode()))
+    with mock.patch.object(gwasio, "_keys", wraps=gwasio._keys) as keys:
+        studies = [load_gwas(path) for path in paths]
+        assert keys.call_count == 2
+        panel = harmonize(*studies, "allele")
+        assert keys.call_count == 2
+    assert len(panel) > 0
+
+
+def held_arrays(gwas: GwasFile):
+    """(slot, array) for each array a study holds, in a slot or a tuple in one."""
+    for name in GwasFile.__slots__:
+        value = getattr(gwas, name)
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                yield name, part
+
+
+def test_alleles_are_held_as_codes_until_read(tmp_path):
+    path = generated_like(tmp_path, 3000, 8)
+    gwas = load_gwas(path)
+    harmonize(gwas, gwas, "allele")
+    held = list(held_arrays(gwas))
+    assert [name for name, a in held if a.dtype == object] == ["_ids"]
+    assert [a.dtype for name, a in held if name == "_codes"] == [np.uint8] * 2
+    alleles, *codes = strict(path, *GWAS)["alleles"]
+    for column, c in zip((gwas.effect_allele, gwas.other_allele), codes):
+        assert column.dtype == object and column.tolist() == [alleles[k] for k in c.tolist()]
 
 
 def test_long_alleles_take_the_fast_parse(tmp_path):
@@ -247,8 +290,8 @@ def test_allele_codes_take_the_narrowest_type(tmp_path):
     path = generated_like(tmp_path, 50_000, 5)
     gwas = load_gwas(path)
     codes = [gwas._codes[1:], strict(path, *GWAS)["alleles"][1:],
-             gwasio._codes_of(gwasio.GwasFile(gwas.ids, gwas.beta, gwas.se,
-                                              gwas.effect_allele, gwas.other_allele))[1:]]
+             gwasio.GwasFile(gwas.ids, gwas.beta, gwas.se,
+                             gwas.effect_allele, gwas.other_allele)._codes[1:]]
     for c in (column for pair in codes for column in pair):
         assert c.dtype == np.uint8 and c.nbytes == 50_000
     many = ["".join(word) for word in islice(product("ACGT", repeat=5), 300)]

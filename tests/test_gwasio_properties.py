@@ -5,8 +5,9 @@ from valid and invalid cells, the loader returns exactly what a
 straightforward row-by-row reading returns, or fails with the same error
 class, message and line, whatever the chunk size, both as it reads by
 default and with its fast parse made to decline. Harmonization matches a
-row-by-row join, also when the ids' keys collide, and in allele mode does
-not depend on which allele the outcome file reports as the effect allele.
+row-by-row join, also when the ids' keys collide, whether a study was built
+by hand or read by either reader, and in allele mode does not depend on
+which allele the outcome file reports as the effect allele.
 """
 
 import csv
@@ -234,9 +235,39 @@ COLLIDING_KEYS = {
 @settings(max_examples=300, deadline=None)
 @given(study_pairs(), st.sampled_from(list(HarmonizeMode)))
 def test_harmonize_matches_row_join_when_keys_collide(keys, studies, mode):
-    # ids are matched on keys and confirmed by comparison; shared keys change nothing
+    # ids are matched on keys and confirmed by comparison; shared keys change nothing,
+    # in the index harmonize builds for a study built by hand and in the one each
+    # reader builds: the fast parse reads a plain file, the strict reader a CRLF copy
     with mock.patch.object(gwasio, "_keys", COLLIDING_KEYS[keys]):
         assert_matches_row_join(*studies, mode)
+        for newline in ("\n", "\r\n"):
+            assert_matches_row_join(*(reloaded(study, newline) for study in studies), mode)
+
+
+def reloaded(study, newline):
+    """``study`` written to a file with ``newline`` line ends and loaded back."""
+    lines = [HEADER] + [
+        f"{variant}\t{beta!r}\t{se!r}\t{a}\t{b}" for variant, beta, se, a, b in zip(
+            study.ids, study.beta.tolist(), study.se.tolist(),
+            study.effect_allele.tolist(), study.other_allele.tolist())
+    ]
+    with mock.patch.object(gwasio, "_strict_columns", wraps=gwasio._strict_columns) as reader:
+        loaded = load_bytes((newline.join(lines) + newline).encode("utf-8"))
+    # a plain file with a row takes the fast parse; a CRLF one, the strict reader
+    assert reader.call_count == (1 if newline == "\r\n" or not study.n else 0)
+    return loaded
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("keys", sorted(COLLIDING_KEYS))
+def test_repeated_id_names_its_first_repeated_line_when_keys_collide(keys, newline):
+    rows = [f"{variant}\t0.1\t0.05\tA\tG" for variant in
+            ("rs1", "rs22", "rs3", "rs22", "rs3", "rs1")]
+    data = newline.join([HEADER, *rows, ""]).encode("utf-8")
+    with mock.patch.object(gwasio, "_keys", COLLIDING_KEYS[keys]), \
+            pytest.raises(DuplicateVariantError) as info:
+        load_bytes(data)
+    assert (info.value.line, info.value.message) == (5, "duplicate variant id 'rs22'")
 
 
 def assert_matches_row_join(exposure, outcome, mode):
