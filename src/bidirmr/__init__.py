@@ -8,9 +8,15 @@ selection through truncated-normal moments. Conventional comparators
 (overall IVW, MR-Median, MR-Egger), exact identification diagnostics for
 known ground truths, and a reproducible Monte-Carlo harness round out the
 toolkit. See the ``bidirmr`` command-line interface for file-based use.
+
+The top level exports what a user of ``test`` or ``simulate`` calls. The
+building blocks stay in their submodules: the truncated-normal primitives in
+:mod:`bidirmr.truncnorm`, the single-replication draws in
+:mod:`bidirmr.simulation`, and the comparator wrappers in
+:mod:`bidirmr.benchmarks` (a comparator is :func:`test_direction` with its
+:class:`Method`).
 """
 
-from .benchmarks import mr_egger, mr_median, overall_ivw
 from .errors import (
     BidirMrError,
     DegeneracyError,
@@ -62,21 +68,9 @@ from .simulation import (
     ScenarioConfig,
     ScenarioReport,
     SeedEffects,
-    enforce_separation,
-    generate_truth,
     load_seed_effects,
     run_scenario,
-    simulate_panel,
     synthetic_seed,
-)
-from .truncnorm import (
-    TruncSpec,
-    std_cdf,
-    std_pdf,
-    std_quantile,
-    std_sf,
-    truncnorm_mean,
-    truncnorm_var,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,10 @@ They serve as benchmarks: with bi-directional effects or correlated
 pleiotropy their assumptions fail and they can reject true nulls at far more
 than the nominal rate. Each is :func:`bidirmr.focusing.test_direction` with
 its :class:`~bidirmr.focusing.Method` at an explicit ``tau_s`` and the
-default level 0.05.
+default level 0.05, so new code calls that instead. Nothing in the package
+calls these wrappers and the package's top level does not export them; the
+module stays because the benchmark's tracer (``bench/tracing.py``) times them
+by name, until the program emits its own spans (ROADMAP items 1 and 3).
 """
 
 from __future__ import annotations

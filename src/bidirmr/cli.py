@@ -47,15 +47,14 @@ from .model import TruthConfig, diagnose_identification
 from .simulation import ScenarioConfig, load_seed_effects, run_scenario, synthetic_seed
 from .truncnorm import TruncSpec, truncnorm_mean, truncnorm_var
 
-# ``test --estimator`` spellings; ``simulate --methods`` takes the method values
-# (with ``-`` for ``_``).
-_ESTIMATORS = {
+# The method names of ``test --estimator`` and ``simulate --methods``: every ``Method`` value,
+# and ``ivw`` and ``median`` for the focused methods; ``-`` may stand for ``_``.
+_METHODS = {
+    **{m.value: m for m in Method},
     "ivw": Method.FOCUSED_IVW,
     "median": Method.FOCUSED_MEDIAN,
-    "mr-egger": Method.MR_EGGER,
-    "mr-median": Method.MR_MEDIAN,
-    "overall-ivw": Method.OVERALL_IVW,
 }
+_METHOD_NAMES = ", ".join(_METHODS) + " ('-' may stand for '_')"
 
 
 def _add_seed_arg(sub):
@@ -90,11 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--tau-f", type=float, default=1.5, help="outcome-association filter threshold")
     p_test.add_argument("--tau-s", default="auto", help="relevance threshold, or 'auto' for quantile(1-1/p)")
     p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_test.add_argument(
-        "--estimator",
-        default="ivw",
-        choices=list(_ESTIMATORS),
-    )
+    p_test.add_argument("--estimator", default="ivw", help=f"the method to run, one of {_METHOD_NAMES}")
     p_test.add_argument("--direction", default="both", choices=["dy", "yd", "both", "joint"])
     p_test.add_argument("--col-map", default=None, help="column aliases, e.g. 'b=beta,rsid=id'")
     p_test.add_argument("--mode", default="id", choices=["id", "allele"], help="harmonization mode")
@@ -112,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--beta-dy", type=float, default=None, help="causal effect (0 if absent)")
     p_sim.add_argument("--beta-yd", type=float, default=None, help="causal effect (0 if absent)")
     p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--methods", default="focused_ivw", help="comma list of methods to run")
+    p_sim.add_argument(
+        "--methods", default="focused_ivw", help=f"the methods to run, a comma list of {_METHOD_NAMES}"
+    )
     p_sim.add_argument("--tau-f", type=float, default=1.5)
     p_sim.add_argument("--tau-s", default="auto")
     p_sim.add_argument("--alpha", type=float, default=0.05)
@@ -248,11 +245,11 @@ def _emit_density_table(path, panel, reports):
 
 def _cmd_test(args) -> int:
     cfg = _focus_config(args.tau_f, args.tau_s, args.alpha)
-    method = _ESTIMATORS[args.estimator]
+    [method] = _parse_methods(args.estimator, "--estimator", one=True)
     seed = _resolve_seed(args)
     col_map = parse_col_map(args.col_map) if args.col_map else None
-    if args.emit_density is not None and args.estimator not in ("ivw", "overall-ivw"):
-        raise InputError("--emit-density applies to the ivw and overall-ivw estimators only")
+    if args.emit_density is not None and method not in (Method.FOCUSED_IVW, Method.OVERALL_IVW):
+        raise InputError("--emit-density applies to the focused_ivw and overall_ivw methods only")
     # the loaded files are released once harmonized: only the panel is needed
     panel = harmonize(
         load_gwas(args.exposure, col_map),
@@ -305,12 +302,13 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _parse_methods(spec: str) -> tuple[str, ...]:
-    # the names, with "-" for "_"; ScenarioConfig checks each against Method
-    methods = tuple(item.strip().replace("-", "_") for item in spec.split(",") if item.strip())
-    if not methods:
-        raise InputError("--methods must name at least one method")
-    return methods
+def _parse_methods(spec: str, flag: str, one: bool = False) -> tuple[Method, ...]:
+    # the methods a comma list names; ScenarioConfig refuses one named twice
+    names = [item.strip().replace("-", "_") for item in spec.split(",") if item.strip()]
+    if not names or (one and len(names) > 1) or not all(name in _METHODS for name in names):
+        what = "one method" if one else "a comma list of methods"
+        raise InputError(f"{flag} must be {what} of {_METHOD_NAMES}, got {spec!r}")
+    return tuple(_METHODS[name] for name in names)
 
 
 def _parse_grid(spec: str) -> list[tuple[float, ...]]:
@@ -364,7 +362,7 @@ def _cmd_simulate(args) -> int:
         cells=cells,
         n_reps=args.reps,
         focus=cfg,
-        methods=_parse_methods(args.methods),
+        methods=_parse_methods(args.methods, "--methods"),
         rng_seed=seed,
         enforce_separation_c1=args.enforce_separation,
     )

@@ -184,7 +184,8 @@ class GwasFile:
 
 
 def parse_col_map(spec: str) -> dict[str, str]:
-    """Parse a ``FILECOL=CANONICAL`` comma list, e.g. ``"b=beta,rsid=id"``."""
+    """Parse a ``FILECOL=CANONICAL`` comma list, e.g. ``"b=beta,rsid=id"``; a file column
+    mapped twice is an error."""
     mapping: dict[str, str] = {}
     for item in spec.split(","):
         item = item.strip()
@@ -195,6 +196,8 @@ def parse_col_map(spec: str) -> dict[str, str]:
         raw, canonical = (part.strip() for part in item.split("=", 1))
         if canonical not in _REQUIRED_COLUMNS + _ALLELE_COLUMNS:
             raise InputError(f"unknown canonical column {canonical!r} in column mapping")
+        if raw in mapping:
+            raise InputError(f"file column {raw!r} is mapped more than once in column mapping")
         mapping[raw] = canonical
     return mapping
 

@@ -94,6 +94,56 @@ class TestTestCommand:
             assert payload["params"]["estimator"] == estimator
             assert len(payload["results"]) == 2
 
+    @pytest.mark.parametrize("alias, spellings", [
+        ("ivw", ["focused_ivw", "focused-ivw"]),
+        ("median", ["focused_median", "focused-median"]),
+        ("overall-ivw", ["overall_ivw"]),
+        ("mr-median", ["mr_median"]),
+        ("mr-egger", ["mr_egger"]),
+    ])
+    def test_every_method_spelling_writes_the_alias_bytes(self, tmp_path, alias, spellings):
+        # --estimator takes each Method value, with "-" or "_"; only params.estimator
+        # keeps the spelling as given
+        density = alias in ("ivw", "overall-ivw")
+
+        def outputs(spelling):
+            work = tmp_path / spelling
+            work.mkdir()
+            extra = ["--emit-snps", str(work / "snps.tsv")]
+            extra += ["--emit-density", str(work / "density.tsv")] if density else []
+            run_test_cmd(work, "report.json", "--estimator", spelling, *extra)
+            return {path.name: path.read_bytes() for path in work.iterdir()}
+
+        expected = outputs(alias)
+        for spelling in spellings:
+            got = outputs(spelling)
+            report = got.pop("report.json")
+            assert json.loads(report)["params"]["estimator"] == spelling
+            param = b'"estimator": "%s"'
+            assert report.replace(param % spelling.encode(), param % alias.encode(), 1) == (
+                expected["report.json"]
+            )
+            assert got == {k: v for k, v in expected.items() if k != "report.json"}
+
+    def test_simulate_methods_take_the_aliases(self, tmp_path, capsys):
+        common = ["simulate", "--synthetic", "40", "--reps", "5", "--seed", "3", "--out"]
+        for name, methods in (("alias", "ivw,median"), ("value", "focused_ivw,focused_median")):
+            assert main([*common, str(tmp_path / name), "--methods", methods]) == 0
+        assert (tmp_path / "alias").read_bytes() == (tmp_path / "value").read_bytes()
+        capsys.readouterr()
+        assert main([*common, str(tmp_path / "twice"), "--methods", "ivw,focused_ivw"]) == 2
+        assert "'focused_ivw'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["lasso", "ivw,median", "", ","])
+    def test_estimator_takes_one_known_method(self, tmp_path, capsys, estimator):
+        code = main(["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--seed", "1",
+                     "--estimator", estimator, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "focused_ivw, focused_median, overall_ivw, mr_median, mr_egger, ivw, median" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_allele_mode_runs(self, tmp_path):
         out = run_test_cmd(tmp_path, "allele.json", "--mode", "allele")
         assert json.loads(out.read_text())["n_snps"] == 50

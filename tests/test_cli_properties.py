@@ -36,6 +36,9 @@ def option(draw, flag, valid, invalid=()):
     return [f"{flag}={pick(draw, valid, invalid)}"] if draw(st.booleans()) else []
 
 
+METHODS = ["focused_ivw", "focused_median", "overall_ivw", "mr_median", "mr_egger"]
+DASHED_METHODS = [name.replace("_", "-") for name in METHODS]
+IVW_METHODS = ("ivw", "focused_ivw", "overall_ivw")
 BETAS = ["0", "-0", "0.3", "-0.25", "1", "-1.5", "1e-200", "-1e-190", "1e200"]
 BAD_NUMBERS = ["nan", "inf", "abc", ""]
 
@@ -85,17 +88,18 @@ def invocations(draw):
         files["out.tsv"] = draw(gwas_files())
         argv += ["--exposure", "{dir}/exp.tsv", "--outcome",
                  pick(draw, ["{dir}/out.tsv", "{dir}/exp.tsv"], ["{dir}/missing.tsv", "{dir}"])]
-        estimator = option(draw, "--estimator",
-                           ["ivw", "median", "overall-ivw", "mr-median", "mr-egger"], ["lasso"])
+        estimator = option(draw, "--estimator", ["ivw", "median", *METHODS, *DASHED_METHODS],
+                           ["lasso", "ivw,median", ""])
         argv += estimator
         argv += option(draw, "--direction", ["dy", "yd", "both", "joint"], ["up"])
         argv += option(draw, "--mode", ["id", "allele"], ["rsid"])
         argv += option(draw, "--tau-f", ["1.5", "0.5", "inf", "1e-300"], ["0", "-1", "nan"])
         argv += option(draw, "--tau-s", ["auto", "0", "1"], ["-1", "nan", "x"])
         argv += option(draw, "--alpha", ["0.05", "0.5"], ["0", "1", "nan"])
-        argv += option(draw, "--col-map", ["rsid=id"], ["x", "=beta", "b=beta"])
+        argv += option(draw, "--col-map", ["rsid=id"], ["x", "=beta", "b=beta", "rsid=id,rsid=beta"])
         argv += option(draw, "--emit-snps", ["{dir}/snps.tsv"], ["{dir}"])
-        if estimator in ([], ["--estimator=ivw"], ["--estimator=overall-ivw"]):
+        # --emit-density applies to the IVW methods, in any spelling
+        if (estimator[0].split("=")[1].replace("-", "_") if estimator else "ivw") in IVW_METHODS:
             argv += option(draw, "--emit-density", ["{dir}/density.tsv"], ["{dir}"])
     elif command == "simulate":
         if draw(st.booleans()):
@@ -105,8 +109,9 @@ def invocations(draw):
             argv += ["--seed-file", "{dir}/seed.tsv"]
         argv += [f"--reps={pick(draw, ['1', '4'], ['-1', '0'])}"]
         argv += option(draw, "--methods",
-                       ["focused_ivw", "focused_median,mr_median", "overall_ivw,mr_egger"],
-                       ["focused_ivw,focused_ivw", "lasso", ""])
+                       ["focused_ivw", "focused_median,mr_median", "overall_ivw,mr_egger", "ivw",
+                        "median"],
+                       ["focused_ivw,focused_ivw", "ivw,focused_ivw", "lasso", ""])
         argv += option(draw, "--kappa", ["0", "1", "2"], ["-1", "nan"])
         argv += option(draw, "--beta-dy", ["0", "0.3"], ["inf"])
         argv += option(draw, "--beta-yd", ["0", "-0.3"], ["nan"])

@@ -17,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bidirmr.benchmarks import mr_egger, mr_median, overall_ivw  # noqa: E402
-from bidirmr.cli import _ESTIMATORS, _result_row  # noqa: E402
+from bidirmr.cli import _parse_methods, _result_row  # noqa: E402
 from bidirmr.errors import BidirMrError  # noqa: E402
 from bidirmr.focusing import (  # noqa: E402
     Direction,
@@ -125,9 +125,10 @@ def test_reported_ids_are_panel_ids_at_the_mask(panel, cfg):
 def test_cli_rows_list_the_ids_at_the_mask(panel, cfg):
     for name in ("ivw", "median", "overall-ivw", "mr-median", "mr-egger"):
         focused = name in ("ivw", "median")
+        [method] = _parse_methods(name, "--estimator", one=True)
         for direction in (DY, YD):
             try:
-                report = run_direction_test(panel, direction, cfg, _ESTIMATORS[name])
+                report = run_direction_test(panel, direction, cfg, method)
                 row = _result_row(report, panel)
             except BidirMrError:
                 continue

@@ -94,6 +94,10 @@ class TestLoadGwas:
             parse_col_map("b=betamax")
         with pytest.raises(InputError):
             parse_col_map("nonsense")
+        # else the last target wins silently: "b=beta,b=id" would read b's values as the ids
+        for spec in ("b=beta,b=id", "b=beta, b =beta"):
+            with pytest.raises(InputError, match="file column 'b' is mapped more than once"):
+                parse_col_map(spec)
 
 
 def write_bytes(tmp_path, name, data):

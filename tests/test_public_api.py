@@ -19,15 +19,12 @@ PUBLIC_NAMES = [
     "EmptyIntersectionError", "EmptyRelevantSetError", "FocusConfig", "GwasFile",
     "GwasParseError", "HarmonizeMode", "InputError", "IvClass", "JointTestReport", "Method",
     "NonPositiveSEError", "Panel", "PowerForecast", "RankDeficientError", "ReducedForm",
-    "ReportFormat", "ScenarioConfig", "ScenarioReport", "SeedEffects",
-    "TestReport", "TruncSpec", "TruthConfig", "ZeroDenominatorError", "benchmarks",
-    "check_separation", "diagnose_identification", "direct_effects", "emit_report",
-    "enforce_separation", "errors", "focusing", "generate_truth", "gwasio", "harmonize",
-    "iv_class_masks", "load_gwas", "load_seed_effects", "model", "mr_egger", "mr_median",
-    "overall_ivw", "power_forecast", "reduced_form", "reverse_equivalent_truth",
-    "run_scenario", "simulate_panel", "simulation", "std_cdf", "std_pdf", "std_quantile",
-    "std_sf", "synthetic_seed", "test_direction", "test_joint_null", "truncnorm",
-    "truncnorm_mean", "truncnorm_var",
+    "ReportFormat", "ScenarioConfig", "ScenarioReport", "SeedEffects", "TestReport",
+    "TruthConfig", "ZeroDenominatorError", "check_separation", "diagnose_identification",
+    "direct_effects", "emit_report", "errors", "focusing", "gwasio", "harmonize",
+    "iv_class_masks", "load_gwas", "load_seed_effects", "model", "power_forecast",
+    "reduced_form", "reverse_equivalent_truth", "run_scenario", "simulation",
+    "synthetic_seed", "test_direction", "test_joint_null", "truncnorm",
 ]
 
 
@@ -41,4 +38,4 @@ def test_public_names_are_exactly_the_list():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert result.stdout.split("\n") == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 51
