@@ -57,10 +57,6 @@ _METHODS = {
 _METHOD_NAMES = ", ".join(_METHODS) + " ('-' may stand for '_')"
 
 
-def _add_seed_arg(sub):
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed; generated and printed if absent")
-
-
 def _add_common_output_args(sub):
     sub.add_argument("--out", default=None, help="output path (stdout if absent)")
     sub.add_argument("--format", default="json", choices=["json", "tsv"], help="output format")
@@ -95,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--mode", default="id", choices=["id", "allele"], help="harmonization mode")
     p_test.add_argument("--emit-snps", default=None, help="write per-SNP membership/ratio TSV here")
     p_test.add_argument("--emit-density", default=None, help="write per-SNP IVW contribution TSV here")
-    _add_seed_arg(p_test)
+    p_test.add_argument("--seed", type=int, default=None, help="recorded as given; test draws nothing")
     _add_common_output_args(p_test)
     p_test.set_defaults(func=_cmd_test)
 
@@ -121,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="amplify active effects to c1*tau_f*sqrt(log p) noise units",
     )
     p_sim.add_argument("--grid", default=None, help="comma list of BETA_DY:BETA_YD pairs")
-    _add_seed_arg(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None, help="RNG seed; generated and printed if absent")
     _add_common_output_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -143,12 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        seed = secrets.randbits(32)
-        print(f"seed: {seed}", file=sys.stderr)
-        return seed
-    if args.seed < 0:
+def _given_seed(args) -> int | None:
+    if args.seed is not None and args.seed < 0:
         raise InputError(f"--seed must be nonnegative, got {args.seed}")
     return args.seed
 
@@ -246,7 +238,7 @@ def _emit_density_table(path, panel, reports):
 def _cmd_test(args) -> int:
     cfg = _focus_config(args.tau_f, args.tau_s, args.alpha)
     [method] = _parse_methods(args.estimator, "--estimator", one=True)
-    seed = _resolve_seed(args)
+    seed = _given_seed(args)
     col_map = parse_col_map(args.col_map) if args.col_map else None
     if args.emit_density is not None and method not in (Method.FOCUSED_IVW, Method.OVERALL_IVW):
         raise InputError("--emit-density applies to the focused_ivw and overall_ivw methods only")
@@ -322,6 +314,8 @@ def _parse_grid(spec: str) -> list[tuple[float, ...]]:
             pairs.append(tuple(map(float, item.split(":"))))
         except ValueError:
             raise InputError(f"grid entry {item!r} has non-numeric parts") from None
+    if not pairs:
+        raise InputError(f"--grid must list at least one BETA_DY:BETA_YD pair, got {spec!r}")
     return pairs
 
 
@@ -350,7 +344,10 @@ def _cmd_simulate(args) -> int:
     beta_dy = 0.0 if args.beta_dy is None else args.beta_dy
     beta_yd = 0.0 if args.beta_yd is None else args.beta_yd
     cells = [(beta_dy, beta_yd)] if args.grid is None else _parse_grid(args.grid)
-    seed = _resolve_seed(args)
+    seed = _given_seed(args)
+    if seed is None:
+        seed = secrets.randbits(32)
+        print(f"seed: {seed}", file=sys.stderr)
     if args.synthetic is not None:
         seed_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         effects = synthetic_seed(args.synthetic, seed_rng)
@@ -376,12 +373,9 @@ def _cmd_simulate(args) -> int:
         "methods": [m.value for m in scenario.methods],
         "enforce_separation_c1": args.enforce_separation,
     }
-    document = {"schema_version": SCHEMA_VERSION, "command": "simulate", "seed": seed, "params": params}
-    reports = run_scenario(effects, scenario)
-    rows = []
-    summaries = []
-    for (beta_dy, beta_yd), report in zip(scenario.cells, reports):
-        rows.extend(_scenario_rows(report, beta_dy, beta_yd))
+    # a --beta-dy/--beta-yd run is a grid of one cell
+    summaries, rows = [], []
+    for (beta_dy, beta_yd), report in zip(scenario.cells, run_scenario(effects, scenario)):
         summaries.append(
             {
                 "beta_dy": beta_dy,
@@ -390,15 +384,15 @@ def _cmd_simulate(args) -> int:
                 "mean_corr_pi": report.mean_corr_pi,
             }
         )
-    if args.grid is not None:
-        document.update(cells=summaries, results=rows)
-    else:
-        [report] = reports
-        document.update(
-            mean_rho=list(report.mean_rho),
-            mean_corr_pi=report.mean_corr_pi,
-            results=rows,
-        )
+        rows.extend(_scenario_rows(report, beta_dy, beta_yd))
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "simulate",
+        "seed": seed,
+        "params": params,
+        "cells": summaries,
+        "results": rows,
+    }
     _emit(document, args)
     return 0
 

@@ -77,7 +77,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _REQUIRED_COLUMNS = ("id", "beta", "se")
 _ALLELE_COLUMNS = ("effect_allele", "other_allele")

@@ -39,7 +39,8 @@ class TestTestCommand:
     def test_json_output_structure(self, tmp_path):
         out = run_test_cmd(tmp_path, "r.json")
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        assert payload["seed"] == 7
         assert payload["n_snps"] == 50
         assert {row["direction"] for row in payload["results"]} == {"dy", "yd"}
         for row in payload["results"]:
@@ -214,11 +215,17 @@ class TestTestCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: out of memory: ")
 
-    def test_generated_seed_printed_when_absent(self, tmp_path, capsys):
-        out = tmp_path / "r.json"
-        code = main(["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--out", str(out)])
-        assert code == 0
-        assert "seed:" in capsys.readouterr().err
+    def test_absent_seed_is_recorded_as_null(self, tmp_path, capsys):
+        # test draws no random number, so it makes up no seed: two runs write the same bytes
+        outputs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code = main(["test", "--exposure", EXPOSURE, "--outcome", OUTCOME, "--out", str(out)])
+            assert code == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(out.read_bytes())
+        assert json.loads(outputs[0])["seed"] is None
+        assert outputs[0] == outputs[1]
 
 
 class TestTruncnormCommand:
@@ -362,9 +369,21 @@ class TestSimulateCommand:
         )
         assert code == 0
         payload = json.loads(out.read_text())
+        assert list(payload) == ["schema_version", "command", "seed", "params", "cells", "results"]
+        assert payload["schema_version"] == 2
         assert payload["params"]["p"] == 40
         assert len(payload["results"]) == 4  # 2 methods x 2 directions
-        assert abs(sum(payload["mean_rho"]) - 1.0) < 1e-9
+        [cell] = payload["cells"]
+        assert list(cell) == ["beta_dy", "beta_yd", "mean_rho", "mean_corr_pi"]
+        assert (cell["beta_dy"], cell["beta_yd"]) == (0.0, 0.0)
+        assert abs(sum(cell["mean_rho"]) - 1.0) < 1e-9
+
+    def test_generated_seed_printed_when_absent(self, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--synthetic", "20", "--reps", "2", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("seed: ")
+        assert json.loads(out.read_text())["seed"] == int(err.split()[1])
 
     def test_deterministic_given_seed(self, tmp_path):
         args = ["simulate", "--synthetic", "40", "--reps", "5", "--seed", "3"]
@@ -384,19 +403,35 @@ class TestSimulateCommand:
         assert lines[0].startswith("beta_dy\tbeta_yd\tmethod\tdirection")
         assert len(lines) == 1 + 2 * 2  # two cells x one method x two directions
 
-    @pytest.mark.parametrize("beta", ["0.3", "-0"])
-    def test_beta_flag_run_equals_its_grid_of_one(self, tmp_path, beta):
-        # a grid cell's rows equal a run with --beta-dy/--beta-yd set to that cell
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("beta_dy, beta_yd", [("0.3", None), ("-0", None), (None, "0.2")])
+    def test_beta_flag_run_equals_its_grid_of_one(self, tmp_path, fmt, beta_dy, beta_yd):
+        # a run with --beta-dy/--beta-yd writes the document of its grid of one cell
         common = ["simulate", "--synthetic", "40", "--reps", "6", "--seed", "4",
-                  "--methods", "focused_ivw,mr_egger"]
-        single, grid = tmp_path / "single.json", tmp_path / "grid.json"
-        assert main([*common, "--beta-dy", beta, "--out", str(single)]) == 0
-        assert main([*common, f"--grid={beta}:0", "--out", str(grid)]) == 0
-        single, grid = json.loads(single.read_text()), json.loads(grid.read_text())
-        # compared as JSON text, so a -0.0 must stay -0.0 on both sides
-        assert json.dumps(single["results"]) == json.dumps(grid["results"])
-        assert json.dumps(single["results"][0]["beta_dy"]) == json.dumps(float(beta))
-        assert single["mean_rho"] == grid["cells"][0]["mean_rho"]
+                  "--methods", "focused_ivw,mr_egger", "--format", fmt]
+        flags = [] if beta_dy is None else ["--beta-dy", beta_dy]
+        flags += [] if beta_yd is None else ["--beta-yd", beta_yd]
+        single, grid = tmp_path / f"single.{fmt}", tmp_path / f"grid.{fmt}"
+        assert main([*common, *flags, "--out", str(single)]) == 0
+        assert main([*common, f"--grid={beta_dy or 0}:{beta_yd or 0}", "--out", str(grid)]) == 0
+        assert single.read_bytes() == grid.read_bytes()
+        if fmt == "json":
+            # a -0.0 stays -0.0
+            [cell] = json.loads(single.read_text())["cells"]
+            assert json.dumps([cell["beta_dy"], cell["beta_yd"]]) == json.dumps(
+                [float(beta_dy or 0), float(beta_yd or 0)]
+            )
+
+    @pytest.mark.parametrize("grid", [",", "", " , "])
+    def test_grid_without_a_pair_is_input_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "grid.json"
+        code = main(["simulate", "--synthetic", "20", "--seed", "1", f"--grid={grid}",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --grid must list at least one BETA_DY:BETA_YD pair, got {grid!r}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--beta-dy", "--beta-yd"])
     def test_beta_flag_with_grid_is_input_error(self, tmp_path, capsys, flag):

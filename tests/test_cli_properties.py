@@ -119,7 +119,7 @@ def invocations(draw):
         argv += option(draw, "--tau-s", ["auto", "0", "2"], ["-1"])
         argv += option(draw, "--alpha", ["0.05", "0.2"], ["1"])
         argv += option(draw, "--enforce-separation", ["2.0", "0.5"], ["0", "-1", "inf"])
-        argv += option(draw, "--grid", ["0:0,0.3:0", "0:0.2"], ["x", "0.3", ""])
+        argv += option(draw, "--grid", ["0:0,0.3:0", "0:0.2"], ["x", "0.3", "", ","])
     elif command == "diagnose":
         if draw(st.booleans()):
             files["truth.tsv"] = draw(column_files(["pi_d", "pi_y", "se_d", "se_y"]))
