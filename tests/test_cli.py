@@ -404,7 +404,9 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 2 * 2  # two cells x one method x two directions
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
-    @pytest.mark.parametrize("beta_dy, beta_yd", [("0.3", None), ("-0", None), (None, "0.2")])
+    @pytest.mark.parametrize("beta_dy, beta_yd", [
+        ("0.3", None), ("-0", None), (None, "0.2"), ("0.1", "-0.2"),
+    ])
     def test_beta_flag_run_equals_its_grid_of_one(self, tmp_path, fmt, beta_dy, beta_yd):
         # a run with --beta-dy/--beta-yd writes the document of its grid of one cell
         common = ["simulate", "--synthetic", "40", "--reps", "6", "--seed", "4",
