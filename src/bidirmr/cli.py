@@ -43,7 +43,7 @@ from .gwasio import (
     parse_col_map,
     write_tsv_rows,
 )
-from .model import TruthConfig, diagnose_identification
+from .model import TruthConfig, _causal_pair, diagnose_identification
 from .simulation import ScenarioConfig, load_seed_effects, run_scenario, synthetic_seed
 from .truncnorm import TruncSpec, truncnorm_mean, truncnorm_var
 
@@ -303,17 +303,21 @@ def _parse_methods(spec: str, flag: str, one: bool = False) -> tuple[Method, ...
     return tuple(_METHODS[name] for name in names)
 
 
-def _parse_grid(spec: str) -> list[tuple[float, ...]]:
-    # the BETA_DY:BETA_YD entries as numbers; ScenarioConfig checks that each is a pair
+def _parse_grid(spec: str) -> list[tuple[float, float]]:
+    # the BETA_DY:BETA_YD entries as causal pairs; an error names the entry as typed
     pairs = []
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            pairs.append(tuple(map(float, item.split(":"))))
-        except ValueError:
-            raise InputError(f"grid entry {item!r} has non-numeric parts") from None
+            beta_dy, beta_yd = map(float, item.split(":"))
+        except ValueError:  # not two parts, or not numbers
+            raise InputError(f"--grid entry {item!r} is not two numbers BETA_DY:BETA_YD") from None
+        try:
+            pairs.append(_causal_pair(beta_dy, beta_yd, ("BETA_DY", "BETA_YD")))
+        except InputError as exc:
+            raise InputError(f"--grid entry {item!r}: {exc}") from None
     if not pairs:
         raise InputError(f"--grid must list at least one BETA_DY:BETA_YD pair, got {spec!r}")
     return pairs
@@ -341,9 +345,12 @@ def _scenario_rows(report, beta_dy, beta_yd):
 def _cmd_simulate(args) -> int:
     if args.grid is not None and (args.beta_dy is not None or args.beta_yd is not None):
         raise InputError("--beta-dy and --beta-yd do not apply with --grid, whose pairs set both")
-    beta_dy = 0.0 if args.beta_dy is None else args.beta_dy
-    beta_yd = 0.0 if args.beta_yd is None else args.beta_yd
-    cells = [(beta_dy, beta_yd)] if args.grid is None else _parse_grid(args.grid)
+    if args.grid is None:
+        beta_dy = 0.0 if args.beta_dy is None else args.beta_dy
+        beta_yd = 0.0 if args.beta_yd is None else args.beta_yd
+        cells = [_causal_pair(beta_dy, beta_yd, ("--beta-dy", "--beta-yd"))]
+    else:
+        cells = _parse_grid(args.grid)
     seed = _given_seed(args)
     if seed is None:
         seed = secrets.randbits(32)

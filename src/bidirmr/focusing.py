@@ -990,24 +990,21 @@ def _critical_band(alpha: float) -> tuple[float, float] | None:
     """``(z_lo, z_hi)`` with ``_two_sided_p > alpha`` at every ``|z| <= z_lo`` and
     ``<= alpha`` at every ``|z| >= z_hi``; None where no such band is certain.
 
-    Bisection on ``2 * std_sf`` itself (a quantile of ``1 - alpha / 2`` would round to 1
-    for alpha below about 1e-16) brackets the crossing between adjacent floats, which are
-    then moved apart by a relative 1e-6. Across that margin p moves by a relative
+    The crossing ``-std_quantile(alpha / 2)``, from the exact lower tail and within a few
+    ulps, is moved apart by a relative 1e-6. Across that margin p moves by a relative
     ``1e-6 * z * 2 std_pdf(z) / p(z)``, about 1e-6 at the usual levels: far above the
-    few ulps ``math.erfc`` may err by, so the computed p-function, which the ends must
-    confirm by a relative 1e-12, cannot recross alpha beyond them. A subnormal alpha,
-    or one within about 1e-6 of 1, where the margin moves p by less, gets no band.
+    few ulps ``math.erfc`` and the quantile may err by, so the computed p-function, which
+    the ends must confirm by a relative 1e-12, cannot recross alpha beyond them. A
+    subnormal alpha, or one within about 1e-6 of 1, where the margin moves p by less,
+    gets no band.
     """
-    lo, hi = 0.0, 64.0  # 2 * std_sf is 1 at 0 and underflows to 0 well before 64
-    while lo < (mid := (lo + hi) / 2.0) < hi:
-        if 2.0 * std_sf(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    z_lo, z_hi = lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)
+    if alpha < np.finfo(float).tiny:
+        return None
+    z = -std_quantile(alpha / 2.0)
+    z_lo, z_hi = z * (1.0 - 1e-6), z * (1.0 + 1e-6)
     p_lo, p_hi = _two_sided_p(np.array([z_lo, z_hi])).tolist()
     certain = p_lo > alpha * (1.0 + 1e-12) and p_hi < alpha * (1.0 - 1e-12)
-    return (z_lo, z_hi) if certain and alpha >= np.finfo(float).tiny else None
+    return (z_lo, z_hi) if certain else None
 
 
 def _banded_p(z: np.ndarray, band: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
@@ -1456,7 +1453,7 @@ def power_forecast(
     tn_var = np.array([truncnorm_var(spec) for spec in specs], dtype=float)
     mu_alt = float(np.sum(weights * (out_se / exp_beta) * tn_mean) / weight_sum)
     sigma_alt = float(math.sqrt(np.sum(weights * tn_var)) / weight_sum)
-    threshold = std_quantile(1.0 - cfg.alpha / 2.0) * math.sqrt(cfg.null_var / weight_sum)
+    threshold = -std_quantile(cfg.alpha / 2.0) * math.sqrt(cfg.null_var / weight_sum)
     power = std_sf((threshold - mu_alt) / sigma_alt) + std_cdf((-threshold - mu_alt) / sigma_alt)
     return PowerForecast(
         mu_alt=mu_alt,

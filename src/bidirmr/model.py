@@ -38,12 +38,15 @@ __all__ = [
 ]
 
 
-def _causal_pair(beta_dy, beta_yd) -> tuple[float, float]:
-    """``(beta_dy, beta_yd)`` as floats: both finite, with a product other than 1."""
-    beta_dy = _number("beta_dy", beta_dy, np.isfinite, "a finite number")
-    beta_yd = _number("beta_yd", beta_yd, np.isfinite, "a finite number")
+def _causal_pair(beta_dy, beta_yd, names=("beta_dy", "beta_yd")) -> tuple[float, float]:
+    """``(beta_dy, beta_yd)`` as floats: both finite, with a product other than 1. An error
+    calls the two by ``names``."""
+    beta_dy = _number(names[0], beta_dy, np.isfinite, "a finite number")
+    beta_yd = _number(names[1], beta_yd, np.isfinite, "a finite number")
     if beta_dy * beta_yd == 1.0:
-        raise InputError(f"beta_dy * beta_yd must be other than 1, got {beta_dy!r} * {beta_yd!r}")
+        raise InputError(
+            f"{names[0]} * {names[1]} must be other than 1, got {beta_dy!r} * {beta_yd!r}"
+        )
     return beta_dy, beta_yd
 
 

@@ -94,27 +94,17 @@ class SeedEffects:
             self, None, ("se_d", "se_y"),
             alpha_d=self.alpha_d, alpha_y=self.alpha_y, se_d=self.se_d, se_y=self.se_y,
         )
-        object.__setattr__(self, "_activation", None)
 
     @property
     def p(self) -> int:
         return self.alpha_d.size
 
     def activation_probabilities(self, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(rank / p) ** kappa`` per SNP for each trait (rank 1 = smallest ``|alpha| / se``).
-
-        The result for the last ``kappa`` asked for is kept, since a scenario
-        draws every replication's truth from one seed and one ``kappa``.
-        """
-        if self._activation is None or self._activation[0] != kappa:
-            probs = tuple(
-                (_rank_smallest_first(np.abs(alpha) / se) / self.p) ** kappa
-                for alpha, se in ((self.alpha_d, self.se_d), (self.alpha_y, self.se_y))
-            )
-            for arr in probs:
-                arr.setflags(write=False)
-            object.__setattr__(self, "_activation", (kappa, probs))
-        return self._activation[1]
+        """``(rank / p) ** kappa`` per SNP for each trait (rank 1 = smallest ``|alpha| / se``)."""
+        return tuple(
+            (_rank_smallest_first(np.abs(alpha) / se) / self.p) ** kappa
+            for alpha, se in ((self.alpha_d, self.se_d), (self.alpha_y, self.se_y))
+        )
 
 
 # Shape of the synthetic seed. Standard errors are of order 1 / sqrt(n) for
@@ -205,15 +195,16 @@ def generate_truth(
     outcome-trait draws on the stream.
     """
     _number("kappa", kappa, lambda x: x > 0.0, "a positive number")
-    pi_d, pi_y = _activated(seed, kappa, rng.random((2, seed.p)), None)
+    pi_d, pi_y = _activated(seed, seed.activation_probabilities(kappa), rng.random((2, seed.p)), None)
     return TruthConfig(
         pi_d=pi_d, pi_y=pi_y, beta_dy=beta_dy, beta_yd=beta_yd, se_d=seed.se_d, se_y=seed.se_y
     )
 
 
-def _activated(seed: SeedEffects, kappa: float, uniforms: np.ndarray, min_snr: float | None):
-    """``(pi_d, pi_y)`` from draws 1 and 2, the activation uniforms ``uniforms[..., 0:2, :]``."""
-    prob_d, prob_y = seed.activation_probabilities(kappa)
+def _activated(seed: SeedEffects, probs: tuple, uniforms: np.ndarray, min_snr: float | None):
+    """``(pi_d, pi_y)`` from draws 1 and 2, the activation uniforms ``uniforms[..., 0:2, :]``,
+    and ``probs``, the seed's :meth:`~SeedEffects.activation_probabilities`."""
+    prob_d, prob_y = probs
     pi_d = _select_or_zero(uniforms[..., 0, :] < prob_d, seed.alpha_d)
     pi_y = _select_or_zero(uniforms[..., 1, :] < prob_y, seed.alpha_y)
     if min_snr is not None:
@@ -530,6 +521,7 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
     cells = scenario.cells
     c1 = scenario.enforce_separation_c1
     min_snr = None if c1 is None else _separation_floor(p, focus, c1)
+    probs = seed.activation_probabilities(scenario.kappa)
     directions = (Direction.D_TO_Y, Direction.Y_TO_D)
 
     n_ok = {
@@ -564,7 +556,7 @@ def run_scenario(seed: SeedEffects, scenario: ScenarioConfig) -> list[ScenarioRe
         for row, rng in zip(draws, streams):
             rng.random(out=row[:2])
             rng.standard_normal(out=row[2:])
-        pi_d, pi_y = _activated(seed, scenario.kappa, draws[:, :2], min_snr)
+        pi_d, pi_y = _activated(seed, probs, draws[:, :2], min_snr)
         _require_finite(pi_d=pi_d, pi_y=pi_y)
 
         masks = _class_masks(pi_d, pi_y, 0.0)

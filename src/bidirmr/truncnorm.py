@@ -12,16 +12,18 @@ functions here implement the classical closed forms
 with ``Z = Phi(b - mu) - Phi(a - mu)``, alongside the standard normal pdf,
 cdf, survival function, and quantile.
 
-Everything is pure ``math``-module scalar arithmetic (no external
-special-function dependency); the cdf rides on ``math.erfc`` so both tails
-keep full double precision, and the truncation mass is evaluated on whichever
-side of the distribution avoids subtracting two numbers near 1.
+Everything is scalar arithmetic from the standard library (no external
+special-function dependency): the cdf rides on ``math.erfc`` so both tails
+keep full double precision, the quantile is :class:`statistics.NormalDist`'s,
+and the truncation mass is evaluated on whichever side of the distribution
+avoids subtracting two numbers near 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .errors import DegenerateTruncationError, InputError, _number
 
@@ -38,6 +40,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
 
 #: Truncation windows with less probability mass than this raise
 #: :class:`DegenerateTruncationError` rather than returning garbage.
@@ -62,31 +65,12 @@ def std_sf(x: float) -> float:
 def std_quantile(p: float) -> float:
     """Inverse of :func:`std_cdf` on the open interval (0, 1).
 
-    Newton iteration on the cdf with a bisection safeguard; converges to
-    machine precision for every representable ``p`` in (0, 1).
+    The standard library's :meth:`statistics.NormalDist.inv_cdf` (Wichura's
+    AS 241): within a few ulps of the exact quantile across (0, 1), down to the
+    smallest normal ``p``.
     """
     _number("p", p, lambda x: 0.0 < x < 1.0, "in (0, 1)")
-    if p == 0.5:
-        return 0.0
-    lo, hi = -40.0, 40.0
-    x = 0.0
-    for _ in range(200):
-        err = std_cdf(x) - p
-        if err > 0.0:
-            hi = min(hi, x)
-        elif err < 0.0:
-            lo = max(lo, x)
-        else:
-            return x
-        dens = std_pdf(x)
-        step = err / dens if dens > 0.0 else math.inf
-        x_next = x - step
-        if not lo < x_next < hi:
-            x_next = 0.5 * (lo + hi)
-        if abs(x_next - x) <= 1e-16 * max(1.0, abs(x_next)):
-            return x_next
-        x = x_next
-    return x
+    return _STD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)

@@ -435,6 +435,26 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "0.3"], "--grid entry '0.3' is not two numbers BETA_DY:BETA_YD"),
+        (["--grid", "0:0, 1:2:3"], "--grid entry '1:2:3' is not two numbers BETA_DY:BETA_YD"),
+        (["--grid", "x:1"], "--grid entry 'x:1' is not two numbers BETA_DY:BETA_YD"),
+        (["--grid", "0:nan"], "--grid entry '0:nan': BETA_YD must be a finite number, got nan"),
+        (["--grid", "2:0.5"],
+         "--grid entry '2:0.5': BETA_DY * BETA_YD must be other than 1, got 2.0 * 0.5"),
+        (["--beta-dy", "2", "--beta-yd", "0.5"],
+         "--beta-dy * --beta-yd must be other than 1, got 2.0 * 0.5"),
+        (["--beta-dy=-inf"], "--beta-dy must be a finite number, got -inf"),
+        (["--beta-yd", "nan"], "--beta-yd must be a finite number, got nan"),
+    ])
+    def test_a_bad_causal_pair_names_the_option_as_typed(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "grid.json"
+        code = main(["simulate", "--synthetic", "20", "--reps", "3", "--seed", "1", *flags,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--beta-dy", "--beta-yd"])
     def test_beta_flag_with_grid_is_input_error(self, tmp_path, capsys, flag):
         # the grid's pairs set both effects: a flag beside it would be dropped silently

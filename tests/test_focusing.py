@@ -389,9 +389,11 @@ class TestJointNull:
 
 
 class TestPowerForecast:
-    def test_null_signal_recovers_alpha(self, rng):
+    # the threshold is the quantile of alpha / 2, exact where 1 - alpha / 2 rounds
+    @pytest.mark.parametrize("alpha", [0.05, 1e-10, 1e-17])
+    def test_null_signal_recovers_alpha(self, rng, alpha):
         panel = make_random_panel(rng, p=20)
-        cfg = explicit_cfg(tau_f=1.5, tau_s=0.0, alpha=0.05)
+        cfg = explicit_cfg(tau_f=1.5, tau_s=0.0, alpha=alpha)
         mask = panel.beta_d != 0.0
         forecast = power_forecast(panel, mask, np.zeros(len(panel)), cfg)
         assert forecast.mu_alt == pytest.approx(0.0, abs=1e-15)
@@ -400,7 +402,7 @@ class TestPowerForecast:
             truncnorm_var(TruncSpec(-1.5, 1.5, 0.0)) / weight_sum
         )
         assert forecast.sigma_alt == pytest.approx(expected_sigma, rel=1e-12)
-        assert forecast.predicted_power == pytest.approx(0.05, abs=1e-12)
+        assert forecast.predicted_power == pytest.approx(alpha, rel=1e-11, abs=0.0)
 
     def test_reads_the_snr_under_the_mask(self, rng):
         panel = make_random_panel(rng, p=20)

@@ -610,12 +610,12 @@ def critical_z(alpha):
     return hi
 
 
-ALPHAS = [0.5, 0.1, 0.05, 1e-6, 1e-20]
+ALPHAS = [0.5, 0.1, 0.05, 1e-6, 1e-20, 1e-300]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_critical_band_brackets_the_crossing(alpha):
-    # 1 - 1e-20 / 2 rounds to 1, so no quantile of it exists: the band searches std_sf
+    # 1 - 1e-20 / 2 rounds to 1: the band takes the quantile of the lower tail, alpha / 2
     z_lo, z_hi = focusing._critical_band(alpha)
     z = critical_z(alpha)
     assert z_lo < z <= z_hi and z_hi / z_lo < 1.0 + 3e-6

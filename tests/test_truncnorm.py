@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtri
 
 from bidirmr.errors import DegenerateTruncationError, InputError
 from bidirmr.truncnorm import (
@@ -66,6 +67,23 @@ class TestStdNormal:
             x = std_quantile(p)
             assert std_cdf(x) == pytest.approx(p, abs=1e-9)
             assert std_quantile(std_cdf(x)) == pytest.approx(x, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [
+        1.0 - 1.0 / np.arange(2, 200_001),  # the 1/p relevance rule's tau_s for every p
+        np.random.default_rng(0).random(100_000),
+        10.0 ** -np.linspace(1.0, 307.0, 20_000),  # the far lower tail
+    ], ids=["one-minus-one-over-n", "uniform", "lower-tail"])
+    def test_quantile_is_within_a_few_ulps(self, p):
+        got = np.array([std_quantile(x) for x in p.tolist()])
+        want = ndtri(p)
+        assert (np.abs(got - want) <= 8 * np.spacing(np.abs(want))).all()
+
+    def test_quantile_far_in_the_tail(self):
+        assert std_quantile(1e-300) == pytest.approx(-37.0470962993612, rel=1e-13)
+
+    @pytest.mark.parametrize("k", range(2, 54))  # 1 - 2**-k rounds to 1 past k = 53
+    def test_quantile_is_odd_about_one_half(self, k):
+        assert std_quantile(1.0 - 2.0**-k) == -std_quantile(2.0**-k)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
     def test_quantile_rejects_out_of_range(self, p):
