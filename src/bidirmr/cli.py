@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, _count, _number
 from .focusing import (
     Direction,
     FocusConfig,
@@ -351,6 +351,9 @@ def _cmd_simulate(args) -> int:
         cells = [_causal_pair(beta_dy, beta_yd, ("--beta-dy", "--beta-yd"))]
     else:
         cells = _parse_grid(args.grid)
+    _count("--reps", args.reps, 1)
+    if args.enforce_separation is not None:
+        _number("--enforce-separation", args.enforce_separation, lambda x: x > 0.0, "positive")
     seed = _given_seed(args)
     if seed is None:
         seed = secrets.randbits(32)
@@ -437,8 +440,13 @@ def _load_truth(args) -> TruthConfig:
         columns = {key: payload[key] for key in _TRUTH_VECTORS}
     else:
         columns = load_float_columns(path, _TRUTH_VECTORS)
-    beta_dy = args.beta_dy if args.beta_dy is not None else payload.get("beta_dy", 0.0)
-    beta_yd = args.beta_yd if args.beta_yd is not None else payload.get("beta_yd", 0.0)
+    # each effect from its flag, else its JSON key, else 0; an error names where it came from
+    pair, names = [], []
+    for key in ("beta_dy", "beta_yd"):
+        flag = getattr(args, key)
+        pair.append(payload.get(key, 0.0) if flag is None else flag)
+        names.append(key if flag is None else "--" + key.replace("_", "-"))
+    beta_dy, beta_yd = _causal_pair(*pair, names)
     return TruthConfig(**columns, beta_dy=beta_dy, beta_yd=beta_yd)
 
 

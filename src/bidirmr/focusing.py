@@ -829,7 +829,7 @@ def bootstrap_median_sd(ratios: np.ndarray, rng: np.random.Generator, n_boot: in
 
 def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
                  alpha: float | None = None, pool: _LawPool | None = None, key=None):
-    """``(estimate, sd, settled, reject)`` arrays: for every row, ``np.median`` of its set
+    """``(estimate, sd, reject)`` arrays: for every row, ``np.median`` of its set
     ``ratios[r, mask[r]]`` of ``size[r]`` values and the scale :func:`exact_bootstrap_median_sd`
     gives that set; both NaN for an empty set.
 
@@ -843,7 +843,7 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
 
     Given ``alpha``, only the decision ``p <= alpha`` of the z-test ``estimate / sd`` is
     wanted: an even-n row whose scale bounds (:func:`_scale_bounds`) put its ``|z|`` beyond
-    :func:`_critical_band` on either side is ``settled`` without the law, its ``sd`` NaN and
+    :func:`_critical_band` on either side is settled without the law, its ``sd`` NaN and
     its decision in ``reject``. Every other nonempty even-n row goes to ``pool`` under ``key``
     (:meth:`_LawPool.add`, its row number here as ``at``), and its ``sd`` stays NaN: the pool
     gives it when flushed. Without a pool they get one of their own, flushed before this
@@ -856,7 +856,7 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
     odd = size % 2 == 1
     even = np.flatnonzero(~odd & (size > 0))
     sd = np.full(size.size, np.nan)
-    settled, reject = np.zeros(size.size, dtype=bool), np.zeros(size.size, dtype=bool)
+    reject = np.zeros(size.size, dtype=bool)
     band = None if alpha is None else _critical_band(alpha)
     with np.errstate(all="ignore"):
         estimate = np.where(odd, xs[r, m], _pair_mean(xs[r, m - 1], xs[r, m]))
@@ -875,8 +875,7 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
             z_min, z_max = np.abs(estimate[even]) / s_max, np.abs(estimate[even]) / s_min
             bounded = (s_min > 0.0) & np.isfinite(s_max)
             reject[even] = bounded & (z_min >= band[1])
-            settled[even] = reject[even] | (bounded & (z_max <= band[0]))
-            even = even[~settled[even]]
+            even = even[~(reject[even] | (bounded & (z_max <= band[0])))]
     if even.size:
         own_pool = pool is None
         if own_pool:
@@ -886,7 +885,7 @@ def _median_rows(ratios: np.ndarray, mask: np.ndarray, size: np.ndarray,
         pool.add(key, even, xs[even, : size[even].max() + 1], size[even], estimate[even])
         if own_pool:
             pool.flush()
-    return estimate, sd, settled, reject
+    return estimate, sd, reject
 
 
 class _LawPool:
@@ -1007,23 +1006,6 @@ def _critical_band(alpha: float) -> tuple[float, float] | None:
     return (z_lo, z_hi) if certain else None
 
 
-def _banded_p(z: np.ndarray, band: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
-    """``(p_value, settled_reject)`` of the two-sided z-test: without a ``band``,
-    :func:`_two_sided_p` of every ``z`` and no row settled. With one
-    (:func:`_critical_band`), a ``|z|`` at or beyond either end settles ``p <= alpha``
-    without ``math.erfc`` and leaves p NaN: at or past ``z_hi`` the row rejects, and
-    ``settled_reject`` marks it. p is computed only for a ``|z|`` strictly inside the
-    band, or NaN, with the bits :func:`_two_sided_p` gives it."""
-    if band is None:
-        return _two_sided_p(z), np.zeros(z.size, dtype=bool)
-    abs_z = np.abs(z)
-    settled_reject = abs_z >= band[1]
-    inside = np.flatnonzero(~(settled_reject | (abs_z <= band[0])))
-    p_value = np.full(z.size, np.nan)
-    p_value[inside] = _two_sided_p(z[inside])
-    return p_value, settled_reject
-
-
 @dataclass(frozen=True, eq=False)
 class DirectionRows:
     """One directional test on each row of R panels, row ``r`` as on panel ``r`` alone.
@@ -1042,9 +1024,8 @@ class DirectionRows:
     computed without scales (``direction_rows(..., scales=False)``) hold what
     their decisions read: a median method's weight sums and shares are NaN,
     and its rows may be settled from bounds on their scale, with NaN ``se``,
-    ``z`` and ``p_value``; IVW's shares are NaN; and an IVW or MR-Egger row
-    whose ``|z|`` is at or beyond an end of the critical band has a NaN
-    ``p_value``. ``reject`` alone holds a settled row's decision.
+    ``z`` and ``p_value``; and IVW's shares are NaN. ``reject`` alone holds a
+    settled row's decision.
     ``intercept``/``intercept_se`` are MR-Egger's only.
     ``errors`` maps each row that hit a degeneracy to its exception; that
     row's other fields mean nothing.
@@ -1100,11 +1081,8 @@ def direction_rows(
     tightly enough to settle ``p <= alpha`` skips the exact law, and carries
     NaN ``se``, ``z`` and ``p_value`` (:func:`_median_rows`), and the median
     methods leave ``weight_sum`` and ``max_share`` NaN, as no decision reads
-    them. The IVW methods leave ``max_share`` NaN, and IVW and MR-Egger
-    settle ``p <= alpha`` from :func:`_critical_band`, as the median rows do:
-    a row whose ``|z|`` is at or beyond either end of the band keeps a NaN
-    ``p_value`` (:func:`_banded_p`); their estimates, scales and ``z`` are
-    those of ``scales=True``. ``reject`` is the same either way.
+    them. The IVW methods leave ``max_share`` NaN; their other fields, and
+    MR-Egger's, are those of ``scales=True``. ``reject`` is the same either way.
 
     The focused methods drop zero exposure associations from the set
     (counted in ``n_dropped``) and reject on an empty set. The conventional
@@ -1157,7 +1135,7 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
     keeps them. It takes the conventional methods' empty-set and zero-denominator errors,
     and the focused methods' ``empty_reject``. The fit is IVW, the median or MR-Egger in
     closed form, the exposure side's part of which (:class:`_EggerSide`) is computed once.
-    The tail gives IVW and MR-Egger their p-values (:func:`_banded_p`), sets an empty
+    The tail gives IVW and MR-Egger their p-values (:func:`_two_sided_p`), sets an empty
     focused set's to 0, and decides.
     """
     alpha = cfg.alpha
@@ -1201,7 +1179,7 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
             mask_live, size_live = mask & live[:, None], np.where(live, size, 0)
         else:
             mask_live, size_live = mask, size
-        estimate, se, _, settled_reject = _median_rows(
+        estimate, se, settled_reject = _median_rows(
             data.ratios, mask_live, size_live, None if scales else alpha, pool, key)
         # the odd-n rows are decided here; the even-n ones were settled or went to the pool
         z, p_value = nan.copy(), nan.copy()
@@ -1223,7 +1201,7 @@ def _method_rows(data: _DirectionData, cfg: FocusConfig, method: Method, pool: _
             z = estimate / se
 
     if not method.median:
-        p_value, settled_reject = _banded_p(z, None if scales else _critical_band(alpha))
+        p_value, settled_reject = _two_sided_p(z), False
     p_value[empty_reject] = 0.0
     return DirectionRows(
         selected=mask,

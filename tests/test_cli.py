@@ -340,6 +340,30 @@ class TestDiagnoseCommand:
         assert err.startswith(f"error: {path}: {key} must be ") and "JSON number" in err
         assert not (tmp_path / "d.json").exists()
 
+    @pytest.mark.parametrize("suffix, flags, message", [
+        (".tsv", ["--beta-dy", "nan"], "--beta-dy must be a finite number, got nan"),
+        (".tsv", ["--beta-dy", "2", "--beta-yd", "0.5"],
+         "--beta-dy * --beta-yd must be other than 1, got 2.0 * 0.5"),
+        (".json", [], "beta_dy * beta_yd must be other than 1, got 2.0 * 0.5"),
+        (".json", ["--beta-dy", "2"], "--beta-dy * beta_yd must be other than 1, got 2.0 * 0.5"),
+        (".json", ["--beta-yd", "0.5"],
+         "beta_dy * --beta-yd must be other than 1, got 2.0 * 0.5"),
+        (".json", ["--beta-yd", "inf"], "--beta-yd must be a finite number, got inf"),
+    ])
+    def test_a_bad_causal_pair_names_its_flag_or_key(self, tmp_path, capsys, suffix, flags,
+                                                     message):
+        # a value from a flag is named by the flag, one from the JSON by its key
+        path = tmp_path / f"truth{suffix}"
+        if suffix == ".json":
+            path.write_text(json.dumps({"pi_d": [1, 0], "pi_y": [0, 1], "se_d": [0.1, 0.1],
+                                        "se_y": [0.1, 0.1], "beta_dy": 2, "beta_yd": 0.5}))
+        else:
+            path.write_text("pi_d\tpi_y\tse_d\tse_y\n1.0\t0.0\t0.1\t0.1\n0.0\t1.0\t0.1\t0.1\n")
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--input", str(path), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "truth.json"
         path.write_text('{"pi_d": ' + "[" * 100_000 + "]" * 100_000 + "}")
@@ -451,6 +475,18 @@ class TestSimulateCommand:
         out = tmp_path / "grid.json"
         code = main(["simulate", "--synthetic", "20", "--reps", "3", "--seed", "1", *flags,
                      "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--reps", "0"], "--reps must be an integer of at least 1, got 0"),
+        (["--enforce-separation", "-1"], "--enforce-separation must be positive, got -1.0"),
+        (["--enforce-separation", "nan"], "--enforce-separation must be positive, got nan"),
+    ])
+    def test_a_bad_count_or_level_names_its_option(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--synthetic", "20", "--seed", "1", *flags, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()

@@ -497,8 +497,8 @@ def _one_snp_rows(out_beta):
 @example(_one_snp_rows([Z_LO, -Z_LO, Z_HI, -Z_HI, np.nextafter(Z_LO, 2.0),
                         np.nextafter(Z_HI, 0.0), 0.0, 5.0]))
 def test_decisions_alone_match_the_full_rows(chunk):
-    # no decision reads a median's weights or IVW's largest share, nor a p-value that
-    # |z| on or beyond an end of the critical band settles
+    # no decision reads a median's weights or IVW's largest share; IVW and MR-Egger rows
+    # keep every p-value, whatever their |z|
     exp_beta, exp_se, out_beta, out_se, tau_f, tau_s = chunk
     cfg = FocusConfig(tau_f=tau_f, tau_s=tau_s)
     assert focusing._critical_band(cfg.alpha) == (Z_LO, Z_HI)
@@ -520,10 +520,7 @@ def test_decisions_alone_match_the_full_rows(chunk):
         if method is not Method.MR_EGGER:
             assert np.isnan(decided.max_share).all()
         np.testing.assert_array_equal(_bits(decided.z), _bits(rows.z))
-        abs_z = np.abs(rows.z)
-        settled = (abs_z <= Z_LO) | (abs_z >= Z_HI)
-        np.testing.assert_array_equal(
-            _bits(decided.p_value), _bits(np.where(settled, np.nan, rows.p_value)))
+        np.testing.assert_array_equal(_bits(decided.p_value), _bits(rows.p_value))
 
 
 def _fields(rows) -> dict:

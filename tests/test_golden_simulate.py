@@ -35,6 +35,9 @@ CASES = {
     "ivw_grid.json": _SEPARATED + [
         "--grid", "0:0,0.3:0,0:0.3", "--methods", "focused_ivw,overall_ivw,mr_egger",
         "--reps", "50", "--seed", "3"],
+    "ivw_tiny_alpha.json": _SEPARATED + [
+        "--grid", "0:0,0.3:0,0:0.3", "--methods", "focused_ivw,overall_ivw,mr_egger",
+        "--alpha", "1e-20", "--reps", "40", "--seed", "14"],
     "median.json": _SEPARATED + [
         "--beta-dy", "0.3", "--methods", "focused_median,mr_median", "--reps", "10", "--seed", "4"],
     "median_null.json": _SEPARATED + [

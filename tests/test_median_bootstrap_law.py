@@ -438,7 +438,7 @@ def test_rows_holding_zeros_share_one_even_law():
     ratios[mask] = rng.normal(size=size.sum()).round(1)
     ratios[:, 0] = rng.choice([0.0, -0.0], size=size.size)
     with mock.patch.object(focusing, "_EvenLaws", wraps=focusing._EvenLaws) as laws:
-        estimate, sd, _, _ = focusing._median_rows(ratios, mask, size)
+        estimate, sd, _ = focusing._median_rows(ratios, mask, size)
     assert laws.call_count == 1
     sets = [ratios[r, mask[r]] for r in range(size.size)]
     same_floats(estimate, [np.median(x) for x in sets])
@@ -555,7 +555,7 @@ def test_batched_law_matches_the_per_row_law_on_a_chunk(rows, limit):
     mask = np.arange(size.max()) < size[:, None]
     ratios[mask] = np.concatenate(rows)
     with candidates(limit):
-        estimate, sd, _, _ = focusing._median_rows(ratios, mask, size)
+        estimate, sd, _ = focusing._median_rows(ratios, mask, size)
         want = [per_row(PerRowLaw(np.array(r)).sd) for r in rows]
     assert hexes(sd) == hexes(want)
     with np.errstate(invalid="ignore"):  # the median of -inf and inf is NaN
